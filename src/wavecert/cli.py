@@ -27,14 +27,15 @@ A run configuration is flat key-value text with three section headers::
     force_j = 1
 
 Values are JSON; full-line ``#`` comments are allowed; unknown keys are
-errors.  Exit codes: 0 success or certified, 2 honest negative (not
-certified / no admissible axis / budget exhausted), 3 configuration error,
-4 numeric or domain error.
+errors.  ``threads`` (and ``--threads``) is accepted and echoed in the report
+but has no effect: the grid's linear algebra runs on whole stacks.  Exit
+codes: 0 success or certified, 2 honest negative (not certified / no
+admissible axis / budget exhausted), 3 configuration error, 4 numeric or
+domain error.
 """
 
 import argparse
 import csv
-import os
 import sys
 import time
 
@@ -92,7 +93,7 @@ _DEFAULT_OPTIONS = {
     "step": 0.01,
     "count": 32,
     "center": None,
-    "threads": None,  # None means all cores
+    "threads": None,  # accepted and echoed; has no effect
     "force_j": None,
 }
 
@@ -249,10 +250,6 @@ class RunConfig:
         except WavecertError as exc:
             raise ConfigError(f"bad weight expression: {exc}") from exc
 
-    def threads(self) -> int:
-        t = self.options["threads"]
-        return int(t) if t is not None else (os.cpu_count() or 1)
-
     def center(self):
         if self.options["center"] is not None:
             if len(self.options["center"]) != self.dim:
@@ -263,7 +260,6 @@ class RunConfig:
     def echo(self) -> dict:
         options = dict(self.options)
         options["center"] = self.center()
-        options["threads"] = self.threads()
         problem = {
             "A.diagonal": self.diagonal,
             "A.entries": list(self.entries),
@@ -377,7 +373,6 @@ def run_verify(cfg: RunConfig, dump_path=None):
         reg,
         cfg.options["resolution"],
         consts=cfg.constants,
-        threads=cfg.threads(),
         dump_path=dump_path,
     )
     code = EXIT_OK if rep.certified else EXIT_NOT_CERTIFIED
@@ -427,7 +422,6 @@ def run_construct(cfg: RunConfig, dump_path=None):
             target_margin=cfg.options["target_margin"],
             resolution=resolution,
             consts=cfg.constants,
-            threads=cfg.threads(),
         )
     except LambdaMaxExceededError as exc:
         result = {
@@ -443,13 +437,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
         return EXIT_NOT_CERTIFIED, "lambda_max_exceeded", result
     if dump_path is not None:
         check_condition(
-            field,
-            cert.weight,
-            reg,
-            resolution,
-            consts=cfg.constants,
-            threads=cfg.threads(),
-            dump_path=dump_path,
+            field, cert.weight, reg, resolution, consts=cfg.constants, dump_path=dump_path
         )
     return EXIT_OK, "certified", certificate_dict(cert)
 
@@ -599,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="path to a run configuration")
         p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
         p.add_argument("--dump-grid", default=None, help="write per-point CSV here")
         p.add_argument("--json", default=None, help="write the machine report here")
 
@@ -625,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_examples = sub.add_parser("examples", help="run bundled reference problems")
     p_examples.add_argument("name", help="example name or 'all'")
     p_examples.add_argument("--resolution", type=int, default=None)
-    p_examples.add_argument("--threads", type=int, default=None)
+    p_examples.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
     p_examples.add_argument("--json", default=None)
     return parser
 

@@ -185,15 +185,9 @@ def certify_positivity(field: CoefficientField, grid: SampleGrid, consts=None):
     pts = grid.points
     if pts.shape[0] == 0:
         raise ValueError("empty grid")
-    mats = field.values(pts, consts)
-    best = None
-    best_idx = 0
-    for idx in range(mats.shape[0]):
-        lam = min_eigenvalue(mats[idx])
-        if best is None or lam < best:
-            best = lam
-            best_idx = idx
-    return float(best), tuple(pts[best_idx])
+    lams = min_eigenvalue(field.values(pts, consts))
+    idx = int(np.argmin(lams))
+    return float(lams[idx]), tuple(pts[idx])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ Two inequalities are certified for a coefficient field A and a scalar weight:
   eigenvalue of the pencil (2 * matrix, A) over the grid;
 * the no-critical-point inequality ``|grad d| > 0``.
 
+``check_condition`` assembles the matrices of all grid points as one
+``(m, n, n)`` stack and hands it to :mod:`wavecert.linalg`, whose routines
+return one pencil margin, smallest eigenvalue and row of leading minors per
+point; worst points are the first minimizers in grid order.
+
 ``quadratic_form_matrix`` assembles the (unsymmetrized) coefficient matrix of
 the quadratic form itself; its symmetric part equals twice the multiplier
 matrix, which the tests exercise as an algebraic cross-check.  For diagonal
@@ -18,17 +23,17 @@ toolkit constructs.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeff import CoefficientField, certify_positivity
 from .domain import Region, sample
+from .errors import EvaluationError
 from .expr import Expression, differentiate, evaluate, parse
 from .linalg import (
-    jacobi_eigenvalues,
     leading_principal_minors,
+    min_eigenvalue,
     pencil_min_eigenvalue,
     row_norms,
 )
@@ -225,28 +230,22 @@ class ConditionReport:
         return self.verdict == VERDICT_CERTIFIED
 
 
-def _fill_range(start, stop, mats_2b, mats_a, pencil, mineig, minors):
-    for idx in range(start, stop):
-        pencil[idx] = pencil_min_eigenvalue(mats_2b[idx], mats_a[idx])
-        mineig[idx] = float(jacobi_eigenvalues(0.5 * mats_2b[idx])[0])
-        minors[idx] = leading_principal_minors(0.5 * mats_2b[idx])
-
-
 def check_condition(
     field: CoefficientField,
     weight: WeightFunction,
     region: Region,
     resolution: int,
     consts=None,
-    threads: int = 1,
     dump_path=None,
 ) -> ConditionReport:
     """Certify both inequalities over the region's sample grid.
 
     The verdict is ``certified`` iff the coefficient matrix is positive
     definite on the grid, the pencil margin is strictly positive, and the
-    weight gradient never vanishes.  Thread count only splits the per-point
-    eigenvalue loop into disjoint slices; results are independent of it.
+    weight gradient never vanishes.  The spectral tests run once on the
+    grid's whole stack of matrices.  Raises :class:`EvaluationError` when A,
+    though positive on the grid, is too close to singular for the pencil's
+    Cholesky factorization.
     """
     grid = sample(region, resolution, consts)
     pts = grid.points
@@ -263,27 +262,18 @@ def check_condition(
         )
 
     mats_a = field.values(pts, consts)
-    mats_2b = 2.0 * multiplier_matrix(field, weight, pts, consts)
+    mats_b = multiplier_matrix(field, weight, pts, consts)
     grads = weight.grad_values(pts, consts)
     grad_norms = row_norms(grads)
 
-    pencil = np.empty(m)
-    mineig = np.empty(m)
-    minors = np.empty((m, field.dim))
-    threads = max(1, int(threads or 1))
-    if threads == 1 or m < 2 * threads:
-        _fill_range(0, m, mats_2b, mats_a, pencil, mineig, minors)
-    else:
-        bounds = np.linspace(0, m, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _fill_range, bounds[t], bounds[t + 1], mats_2b, mats_a, pencil, mineig, minors
-                )
-                for t in range(threads)
-            ]
-            for f in futures:
-                f.result()
+    try:
+        pencil = pencil_min_eigenvalue(2.0 * mats_b, mats_a)
+    except np.linalg.LinAlgError:
+        raise EvaluationError(
+            "coefficient matrix A is not numerically positive definite", worst_alpha
+        ) from None
+    mineig = min_eigenvalue(mats_b)
+    minors = leading_principal_minors(mats_b)
 
     margin_idx = int(np.argmin(pencil))
     grad_idx = int(np.argmin(grad_norms))

@@ -1,132 +1,86 @@
-"""Dense symmetric eigenvalue helpers for the small matrices (n <= 8) this
-toolkit certifies.
+"""Dense symmetric-matrix tests on whole stacks of small matrices (n <= 8).
 
-Eigenvalues come from a cyclic Jacobi iteration driven to a 1e-12 relative
-off-diagonal norm; positive definiteness can be cross-checked independently
-through Cholesky success and through leading principal minors, which use a
-separate factorization path.
+Every routine takes a stack ``(..., n, n)`` and returns one value (or one
+row) per matrix; a single ``(n, n)`` matrix is a stack of one.  Eigenvalues
+come from LAPACK through ``np.linalg.eigvalsh``, the pencil is whitened by a
+batched Cholesky factorization, and leading principal minors come from
+batched determinants.  Cholesky success (``cholesky_spd``) and the minors
+(Sylvester's criterion) are independent cross-checks of positive
+definiteness.
 
 Exponential weights at large rates produce matrices whose entries approach
-the double-precision range, so every routine first rescales its input by an
-exact power of two (a lossless mantissa-preserving operation) and scales the
-results back; squares and products of entries then stay inside the
-representable range.
+the double-precision range, so each matrix is first rescaled by its own
+exact power of two (a lossless mantissa-preserving operation) and the
+results are scaled back; squares and products of entries then stay inside
+the representable range, and a stack mixing tiny and huge matrices gives
+each one the result it would get alone.
 """
-
-import math
 
 import numpy as np
 
-JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 60
 
+def _scaled(mats):
+    """The stack rescaled per matrix, and the exponents that undo it.
 
-def _pow2_scale(mat) -> float:
-    """Exact power-of-two factor comparable to the largest matrix entry."""
-    peak = float(np.max(np.abs(mat)))
-    if peak == 0.0 or not math.isfinite(peak):
-        return 1.0
-    return float(2.0 ** math.floor(math.log2(peak)))
-
-
-def jacobi_eigenvalues(mat, tol=JACOBI_TOL):
-    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi sweeps.
-
-    Convergence is declared when the off-diagonal Frobenius norm drops below
-    ``tol`` times the full Frobenius norm (absolute below ``tol`` for
-    near-zero matrices).
+    Each matrix is divided by ``2**floor(log2(peak))`` for its largest entry
+    (by 1 when that entry is zero or not finite).
     """
-    a = np.array(mat, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return a[0, 0:1].copy()
-    scale = _pow2_scale(a)
-    a /= scale
-    for _ in range(_MAX_SWEEPS):
-        off2 = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off2 += 2.0 * a[p, q] * a[p, q]
-        norm = max(math.sqrt(off2 + float(np.sum(np.diag(a) ** 2))), 1e-300)
-        if math.sqrt(off2) <= tol * max(norm, 1e-300):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # rotate rows/columns p and q in place, keeping symmetry
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    arp, arq = a[r, p], a[r, q]
-                    a[r, p] = c * arp - s * arq
-                    a[p, r] = a[r, p]
-                    a[r, q] = c * arq + s * arp
-                    a[q, r] = a[r, q]
-    return np.sort(np.diag(a).copy()) * scale
+    mats = np.asarray(mats, dtype=float)
+    peak = np.max(np.abs(mats), axis=(-2, -1))
+    _, exp = np.frexp(peak)  # peak = mantissa * 2**exp, mantissa in [0.5, 1)
+    exp = np.where(np.isfinite(peak) & (peak > 0.0), exp - 1, 0)
+    return np.ldexp(mats, -exp[..., None, None]), exp
 
 
-def min_eigenvalue(mat) -> float:
-    return float(jacobi_eigenvalues(mat)[0])
+def min_eigenvalue(mats) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix in the stack."""
+    scaled, exp = _scaled(mats)
+    return np.ldexp(np.linalg.eigvalsh(scaled)[..., 0], exp)
 
 
 def cholesky_spd(mat) -> bool:
-    """Positive definiteness via Cholesky success; the independent check."""
-    a = np.asarray(mat, dtype=float)
+    """Positive definiteness of one matrix via Cholesky success.
+
+    The independent cross-check of the eigenvalue routes.
+    """
+    scaled, _ = _scaled(mat)
     try:
-        np.linalg.cholesky(a / _pow2_scale(a))
+        np.linalg.cholesky(scaled)
         return True
     except np.linalg.LinAlgError:
         return False
 
 
-def leading_principal_minors(mat) -> np.ndarray:
-    """Determinants of the top-left k-by-k blocks, k = 1..n.
+def leading_principal_minors(mats) -> np.ndarray:
+    """Determinants of the top-left k-by-k blocks, k = 1..n: shape (..., n).
 
-    Computed on the power-of-two rescaled matrix and scaled back; a minor
+    Computed on the power-of-two rescaled matrices and scaled back; a minor
     whose true value exceeds double range is reported as a signed infinity,
     preserving the sign pattern the cross-checks rely on.
     """
-    a = np.asarray(mat, dtype=float)
-    n = a.shape[0]
-    scale_exp = int(math.log2(_pow2_scale(a)))
-    scaled = a / (2.0**scale_exp)
-    out = np.empty(n)
+    scaled, exp = _scaled(mats)
+    n = scaled.shape[-1]
     with np.errstate(over="ignore"):
-        for k in range(1, n + 1):
-            det = float(np.linalg.det(scaled[:k, :k]))
-            out[k - 1] = np.ldexp(det, k * scale_exp)
-    return out
+        return np.stack(
+            [np.ldexp(np.linalg.det(scaled[..., :k, :k]), k * exp) for k in range(1, n + 1)],
+            axis=-1,
+        )
 
 
-def pencil_min_eigenvalue(m, a) -> float:
-    """Smallest generalized eigenvalue of the pencil (m, a), a positive definite.
+def pencil_min_eigenvalue(m, a) -> np.ndarray:
+    """Smallest generalized eigenvalue of each pencil (m, a), a positive definite.
 
     Computed as the smallest eigenvalue of ``L^-1 m L^-T`` for the Cholesky
     factor ``a = L L^T``, after exact power-of-two rescaling of ``m``.
+    Raises ``np.linalg.LinAlgError`` when some ``a`` is not numerically
+    positive definite.
     """
-    a = np.asarray(a, dtype=float)
-    m = np.asarray(m, dtype=float)
-    scale = _pow2_scale(m)
-    chol = np.linalg.cholesky(a)
-    y = np.linalg.solve(chol, m / scale)
-    c = np.linalg.solve(chol, y.T).T
-    c = 0.5 * (c + c.T)
-    return float(jacobi_eigenvalues(c)[0]) * scale
+    scaled, exp = _scaled(m)
+    chol = np.linalg.cholesky(np.asarray(a, dtype=float))
+    y = np.linalg.solve(chol, scaled)
+    c = np.swapaxes(np.linalg.solve(chol, np.swapaxes(y, -1, -2)), -1, -2)
+    c = 0.5 * (c + np.swapaxes(c, -1, -2))
+    return np.ldexp(np.linalg.eigvalsh(c)[..., 0], exp)
 
 
 def row_norms(rows) -> np.ndarray:

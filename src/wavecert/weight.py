@@ -198,7 +198,6 @@ def find_lambda(
     target_margin: float = 0.0,
     resolution: int = DEFAULT_RESOLUTION,
     consts=None,
-    threads: int = 1,
 ) -> WeightCertificate:
     """Search the exponential rate by doubling, then sharpen by bisection.
 
@@ -222,9 +221,7 @@ def find_lambda(
 
     def attempt(lam):
         weight = construct_weight(axis, sign_case, shift, lam, field.dim)
-        report = check_condition(
-            field, weight, region, resolution, consts=consts, threads=threads
-        )
+        report = check_condition(field, weight, region, resolution, consts=consts)
         passed = report.certified and report.margin >= target_margin * report.alpha_min
         return weight, report, passed
 
@@ -269,14 +266,7 @@ def find_lambda(
                 lo = mid
         lam_pass = hi
 
-    refinement = check_condition(
-        field,
-        weight_pass,
-        region,
-        2 * resolution - 1,
-        consts=consts,
-        threads=threads,
-    )
+    refinement = check_condition(field, weight_pass, region, 2 * resolution - 1, consts=consts)
 
     return WeightCertificate(
         axis=axis,

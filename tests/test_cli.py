@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from wavecert.cli import (
@@ -101,6 +104,24 @@ center = [0, 0]
 threads = 1
 """
 
+# constant full 3D field whose smallest eigenvalue sits at rounding level:
+# depending on the LAPACK build it is reported as nonpositive (exit 2) or the
+# pencil's Cholesky factorization of A breaks down (exit 4)
+VERIFY_NEAR_SINGULAR_3D = """
+[problem]
+A.diagonal = false
+A.entries = ["0.1694396984756563", "0.42913033744089385", "-0.0529087922503212", "1.0868341254667249", "-0.13399910455596403", "0.016521159578136563"]
+weight = "(x1^2 + x2^2 + x3^2)/2"
+
+[region]
+dim = 3
+box = [[1, 3], [-1, 1], [-1, 1]]
+constraints = ["(x1 - 2)^2 + x2^2 + x3^2 - 1"]
+
+[options]
+resolution = 5
+"""
+
 
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -191,6 +212,27 @@ class TestVerifyCommand:
             ]
         )
         assert '"resolution": 9' in out.read_text()
+
+    def test_near_singular_field_exits_cleanly(self, tmp_path):
+        code = main(["verify", "--config", write(tmp_path, VERIFY_NEAR_SINGULAR_3D)])
+        assert code in {EXIT_NOT_CERTIFIED, EXIT_NUMERIC}
+
+    def test_threads_echo_is_requested_value(self, tmp_path, monkeypatch):
+        unset = RunConfig.from_text(VERIFY_OK.replace("threads = 1\n", "")).echo()
+        one = RunConfig.from_text(VERIFY_OK).echo()
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert RunConfig.from_text(VERIFY_OK.replace("threads = 1\n", "")).echo() == unset
+        assert RunConfig.from_text(VERIFY_OK).echo() == one
+        assert unset["options"]["threads"] is None
+        assert one["options"]["threads"] == 1
+        out = tmp_path / "r.json"
+        main(
+            [
+                "verify", "--config", write(tmp_path, VERIFY_OK),
+                "--threads", "3", "--json", str(out),
+            ]
+        )
+        assert json.loads(out.read_text())["config"]["options"]["threads"] == 3
 
 
 class TestConstructCommand:

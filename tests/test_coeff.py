@@ -7,7 +7,6 @@ from wavecert.coeff import build, certify_positivity, partial_sign
 from wavecert.domain import region, sample
 from wavecert.linalg import (
     cholesky_spd,
-    jacobi_eigenvalues,
     leading_principal_minors,
     min_eigenvalue,
     pencil_min_eigenvalue,
@@ -110,22 +109,34 @@ class TestPartialSign:
 
 
 class TestLinalg:
-    def test_cholesky_agrees_with_jacobi_on_known_spectra(self):
-        # random symmetric matrices with prescribed eigenvalues: the two
-        # positivity routes (factorization success vs smallest eigenvalue)
-        # must agree
+    def test_cholesky_agrees_with_eigenvalues_on_known_spectra(self):
+        # one stack of random symmetric matrices with prescribed eigenvalues:
+        # the stacked smallest eigenvalues must match the spectra, and the
+        # two positivity routes (factorization success vs smallest
+        # eigenvalue) must agree matrix by matrix
         rng = np.random.default_rng(42)
-        for _ in range(100):
-            n = rng.integers(2, 6)
-            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            spectrum = rng.uniform(-2.0, 3.0, size=n)
-            # keep clearly away from singular
-            spectrum[np.abs(spectrum) < 1e-3] = 1e-3
-            mat = q @ np.diag(spectrum) @ q.T
-            mat = 0.5 * (mat + mat.T)
-            eigs = jacobi_eigenvalues(mat)
-            assert np.allclose(np.sort(spectrum), eigs, rtol=1e-9, atol=1e-9)
-            assert cholesky_spd(mat) == (eigs[0] > 0.0)
+        count, n = 100, 4
+        spectra = rng.uniform(-2.0, 3.0, size=(count, n))
+        # keep clearly away from singular
+        spectra[np.abs(spectra) < 1e-3] = 1e-3
+        q, _ = np.linalg.qr(rng.normal(size=(count, n, n)))
+        mats = q @ (spectra[:, :, None] * np.swapaxes(q, -1, -2))
+        mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+        eigs = min_eigenvalue(mats)
+        assert eigs.shape == (count,)
+        assert np.allclose(spectra.min(axis=1), eigs, rtol=1e-9, atol=1e-9)
+        assert [cholesky_spd(mat) for mat in mats] == list(eigs > 0.0)
+        assert eigs[0] == min_eigenvalue(mats[0])
+
+    def test_per_matrix_power_of_two_scaling_is_exact(self):
+        # each matrix of a stack keeps its own exact rescaling: one global
+        # factor would push the small matrix below double range
+        mat = np.array([[2.0, -0.7, 0.1], [-0.7, 1.3, 0.4], [0.1, 0.4, 0.9]])
+        stack = np.stack([2.0**900 * mat, 2.0**-900 * mat])
+        single = min_eigenvalue(mat)
+        got = min_eigenvalue(stack)
+        assert got[0] == 2.0**900 * single
+        assert got[1] == 2.0**-900 * single
 
     def test_min_eigenvalue_one_by_one(self):
         assert min_eigenvalue(np.array([[3.5]])) == 3.5
