@@ -36,6 +36,7 @@ domain error.
 
 import argparse
 import csv
+import math
 import sys
 import time
 
@@ -44,7 +45,7 @@ from .bundled import EXAMPLES
 from .coeff import CoefficientField, build
 from .condition import ConditionReport, check_condition, weight_function
 from .curvature import check_sign_change_window, classify_sign
-from .domain import Region, region, sample
+from .domain import Region, contains, region, sample
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -210,6 +211,11 @@ class RunConfig:
         self.options["horizon"] = float(self.options["horizon"])
         self.options["step"] = float(self.options["step"])
         self.options["count"] = int(self.options["count"])
+        for key in ("horizon", "step"):
+            if not 0.0 < self.options[key] < math.inf:
+                raise ConfigError(f"{key} must be a positive number")
+        if self.options["count"] < 0:
+            raise ConfigError("count must be nonnegative")
         if self.options["center"] is not None:
             self.options["center"] = [float(v) for v in self.options["center"]]
         if self.options["threads"] is not None:
@@ -480,10 +486,13 @@ def run_curvature(cfg: RunConfig, dump_path=None):
 def run_rays(cfg: RunConfig, dump_path=None):
     field = cfg.build_field()
     reg = cfg.build_region()
+    center = cfg.center()
+    if not contains(reg, center, cfg.constants):
+        raise ConfigError(f"center {center} is outside the region")
     outcomes = fan(
         field,
         reg,
-        cfg.center(),
+        center,
         cfg.options["count"],
         cfg.options["horizon"],
         cfg.options["step"],

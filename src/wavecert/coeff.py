@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import SampleGrid
-from .expr import Expression, Num, differentiate, evaluate, parse
+from .expr import Expression, Num, compile, differentiate, evaluate, parse
 from .linalg import min_eigenvalue
 
 _ZERO = Num(0.0)
@@ -39,82 +39,26 @@ class CoefficientField:
 
     def values(self, points, consts=None) -> np.ndarray:
         """Evaluate the full matrix: (n, n) at one point, (m, n, n) batched."""
-        return _eval_matrix(self.entries, self.dim, points, consts)
+        return compile(self.entries)(points, consts)
 
     def partial_values(self, points, consts=None) -> np.ndarray:
         """Evaluate all first derivatives: (..., n, n, n), last axis is k."""
-        points = np.asarray(points, dtype=float)
-        batched = points.ndim == 2
-        m = points.shape[0] if batched else 1
-        n = self.dim
-        out = np.empty((m, n, n, n))
-        pts = points if batched else points[None, :]
-        cache = {}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    e = self.partials[i][j][k]
-                    key = id(e)
-                    if key not in cache:
-                        cache[key] = _broadcast(evaluate(e, pts, consts), m)
-                    out[:, i, j, k] = cache[key]
-        return out if batched else out[0]
+        return compile(self.partials)(points, consts)
 
     def diag_values(self, points, consts=None) -> np.ndarray:
         """Diagonal entries only: (..., n).  Requires a diagonal field."""
         _require_diagonal(self)
-        points = np.asarray(points, dtype=float)
-        batched = points.ndim == 2
-        pts = points if batched else points[None, :]
-        m = pts.shape[0]
-        out = np.empty((m, self.dim))
-        for i in range(self.dim):
-            out[:, i] = _broadcast(evaluate(self.entries[i][i], pts, consts), m)
-        return out if batched else out[0]
+        return compile([self.entries[i][i] for i in range(self.dim)])(points, consts)
 
     def diag_partial_values(self, points, consts=None) -> np.ndarray:
         """Derivatives of the diagonal entries: (..., n, n), last axis is k."""
         _require_diagonal(self)
-        points = np.asarray(points, dtype=float)
-        batched = points.ndim == 2
-        pts = points if batched else points[None, :]
-        m = pts.shape[0]
-        n = self.dim
-        out = np.empty((m, n, n))
-        for i in range(n):
-            for k in range(n):
-                out[:, i, k] = _broadcast(
-                    evaluate(self.partials[i][i][k], pts, consts), m
-                )
-        return out if batched else out[0]
+        return compile([self.partials[i][i] for i in range(self.dim)])(points, consts)
 
 
 def _require_diagonal(field: CoefficientField):
     if not field.diagonal:
         raise ValueError("operation requires a diagonal coefficient field")
-
-
-def _broadcast(values, m):
-    if np.isscalar(values) or getattr(values, "ndim", 0) == 0:
-        return np.full(m, float(values))
-    return values
-
-
-def _eval_matrix(entries, n, points, consts):
-    points = np.asarray(points, dtype=float)
-    batched = points.ndim == 2
-    pts = points if batched else points[None, :]
-    m = pts.shape[0]
-    out = np.empty((m, n, n))
-    cache = {}
-    for i in range(n):
-        for j in range(n):
-            e = entries[i][j]
-            key = id(e)
-            if key not in cache:
-                cache[key] = _broadcast(evaluate(e, pts, consts), m)
-            out[:, i, j] = cache[key]
-    return out if batched else out[0]
 
 
 def build(entries, diagonal: bool, dim=None) -> CoefficientField:
@@ -210,5 +154,4 @@ def partial_sign(field: CoefficientField, i: int, k: int, grid: SampleGrid, cons
     """Grid min and max of the derivative of entry (i, i) along axis k."""
     _require_diagonal(field)
     values = evaluate(field.partial(i, i, k), grid.points, consts)
-    values = _broadcast(values, grid.points.shape[0])
     return SignReport(minimum=float(np.min(values)), maximum=float(np.max(values)))

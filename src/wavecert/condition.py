@@ -30,7 +30,7 @@ import numpy as np
 from .coeff import CoefficientField, certify_positivity
 from .domain import Region, sample
 from .errors import EvaluationError
-from .expr import Expression, differentiate, evaluate, parse
+from .expr import Expression, compile, differentiate, evaluate, parse
 from .linalg import (
     leading_principal_minors,
     min_eigenvalue,
@@ -55,34 +55,10 @@ class WeightFunction:
         return evaluate(self.expression, points, consts)
 
     def grad_values(self, points, consts=None) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        batched = points.ndim == 2
-        pts = points if batched else points[None, :]
-        m = pts.shape[0]
-        out = np.empty((m, self.dim))
-        for i in range(self.dim):
-            out[:, i] = _broadcast(evaluate(self.grad[i], pts, consts), m)
-        return out if batched else out[0]
+        return compile(self.grad)(points, consts)
 
     def hess_values(self, points, consts=None) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        batched = points.ndim == 2
-        pts = points if batched else points[None, :]
-        m = pts.shape[0]
-        n = self.dim
-        out = np.empty((m, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                vals = _broadcast(evaluate(self.hess[i][j], pts, consts), m)
-                out[:, i, j] = vals
-                out[:, j, i] = vals
-        return out if batched else out[0]
-
-
-def _broadcast(values, m):
-    if np.isscalar(values) or getattr(values, "ndim", 0) == 0:
-        return np.full(m, float(values))
-    return values
+        return compile(self.hess)(points, consts)
 
 
 def weight_function(expression, dim: int) -> WeightFunction:

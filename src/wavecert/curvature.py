@@ -120,7 +120,6 @@ def classify_sign(a1, a2, region: Region, resolution: int, consts=None, dump_pat
     pts = grid.points
     k_expr = gauss_curvature_expression(a1, a2)
     values = evaluate(k_expr, pts, consts)
-    values = np.broadcast_to(np.asarray(values, dtype=float), (pts.shape[0],))
     i_min = int(np.argmin(values))
     i_max = int(np.argmax(values))
     k_min = float(values[i_min])

@@ -20,9 +20,14 @@ otherwise ``x<digits>`` is a variable and anything else a named constant.
 ``^`` with an integer-literal exponent stays a power node; any other
 exponent is rewritten to ``exp(e*log(b))`` at parse time so differentiation
 is total on the whole tree.
+
+:func:`compile` hash-conses one or more trees into a tape that evaluates each
+structurally distinct node once over a whole batch of points; :func:`evaluate`
+runs a one-expression tape, a single point being a batch of one row.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -449,167 +454,188 @@ def _d(e: Expression, k: int) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-def evaluate(e: Expression, point, consts=None):
-    """Evaluate ``e`` at one point ``(x1..xn)`` or a batch of shape (m, n).
-
-    Returns a float for a single point and an (m,) array for a batch.
-    Raises :class:`DomainError` on log/sqrt of a non-positive value, division
-    by zero, or a non-finite result, :class:`ExpOverflowError` for
-    exponentials above 1e300, and :class:`UnboundConstantError` for missing
-    constants; all carry the offending point.
-    """
-    consts = consts or {}
-    arr = np.asarray(point, dtype=float)
-    if arr.ndim == 1:
-        pt = tuple(arr.tolist())
-        value = _eval_scalar(e, pt, consts)
-        if not math.isfinite(value):
-            raise DomainError("non-finite result", point=pt)
-        return value
-    if arr.ndim != 2:
-        raise EvaluationError("point must have shape (n,) or (m, n)")
-    out = _eval_array(e, arr, consts)
-    if np.isscalar(out) or getattr(out, "ndim", 0) == 0:
-        out = np.full(arr.shape[0], float(out))
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise DomainError("non-finite result", point=arr[int(np.argmax(bad))])
-    return out
-
-
-def _eval_scalar(e: Expression, pt, consts) -> float:
-    t = type(e)
-    if t is Num:
-        return e.value
-    if t is Var:
-        if e.index > len(pt):
-            raise EvaluationError(
-                f"variable x{e.index} exceeds point dimension {len(pt)}", point=pt
-            )
-        return pt[e.index - 1]
-    if t is Const:
-        try:
-            return float(consts[e.name])
-        except KeyError:
-            raise UnboundConstantError(f"unbound constant {e.name!r}", point=pt) from None
-    if t is Neg:
-        return -_eval_scalar(e.arg, pt, consts)
-    if t is BinOp:
-        l = _eval_scalar(e.left, pt, consts)
-        r = _eval_scalar(e.right, pt, consts)
-        op = e.op
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if r == 0.0:
-            raise DomainError("division by zero", point=pt)
-        return l / r
-    if t is Pow:
-        b = _eval_scalar(e.base, pt, consts)
-        if e.exponent < 0 and b == 0.0:
-            raise DomainError("zero raised to a negative power", point=pt)
-        return float(b**e.exponent)
-    if t is Call:
-        a = _eval_scalar(e.arg, pt, consts)
-        f = e.func
-        if f == "exp":
-            if a > _EXP_MAX_ARG:
-                raise ExpOverflowError("exponential exceeds 1e300", point=pt)
-            return math.exp(a)
-        if f == "log":
-            if a <= 0.0:
-                raise DomainError("log of non-positive value", point=pt)
-            return math.log(a)
-        if f == "sqrt":
-            if a <= 0.0:
-                raise DomainError("sqrt of non-positive value", point=pt)
-            return math.sqrt(a)
-        if f == "sin":
-            return math.sin(a)
-        return math.cos(a)
-    raise TypeError(f"cannot evaluate node {e!r}")
+# evaluation: expressions compile into one shared tape
 
 
 def _first_bad_point(mask, pts):
     mask = np.asarray(mask)
     if mask.ndim == 0:
-        return pts[0]
+        return pts[0] if len(pts) else None
     return pts[int(np.argmax(mask))]
 
 
-def _eval_array(e: Expression, pts, consts):
-    """Recursive batch evaluation; literals stay scalar so numpy broadcasts."""
-    t = type(e)
-    if t is Num:
-        return e.value
-    if t is Var:
-        if e.index > pts.shape[1]:
-            raise EvaluationError(
-                f"variable x{e.index} exceeds point dimension {pts.shape[1]}"
-            )
-        return pts[:, e.index - 1]
-    if t is Const:
-        try:
-            return float(consts[e.name])
-        except KeyError:
-            raise UnboundConstantError(f"unbound constant {e.name!r}") from None
-    if t is Neg:
-        return -_eval_array(e.arg, pts, consts)
-    if t is BinOp:
-        l = _eval_array(e.left, pts, consts)
-        r = _eval_array(e.right, pts, consts)
-        op = e.op
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        zero = r == 0.0
-        if np.any(zero):
-            raise DomainError("division by zero", point=_first_bad_point(zero, pts))
-        return l / r
-    if t is Pow:
-        b = _eval_array(e.base, pts, consts)
-        if e.exponent < 0:
-            zero = b == 0.0
-            if np.any(zero):
-                raise DomainError(
-                    "zero raised to a negative power", point=_first_bad_point(zero, pts)
-                )
+# op -> (function, guard); a guard is (test for a bad argument, error, message)
+_OPS = {
+    "+": (operator.add, None),
+    "-": (operator.sub, None),
+    "*": (operator.mul, None),
+    "^": (operator.pow, None),
+    "neg": (operator.neg, None),
+    "sin": (np.sin, None),
+    "cos": (np.cos, None),
+    "/": (operator.truediv, (lambda l, r: r == 0.0, DomainError, "division by zero")),
+    "^-": (operator.pow, (lambda b, k: b == 0.0, DomainError, "zero raised to a negative power")),
+    "exp": (np.exp, (lambda a: a > _EXP_MAX_ARG, ExpOverflowError, "exponential exceeds 1e300")),
+    "log": (np.log, (lambda a: a <= 0.0, DomainError, "log of non-positive value")),
+    "sqrt": (np.sqrt, (lambda a: a <= 0.0, DomainError, "sqrt of non-positive value")),
+}
+
+
+@dataclass(frozen=True)
+class Tape:
+    """Expressions compiled by :func:`compile` into one instruction per
+    structurally unique node; literals are scalar slots, not instructions."""
+
+    code: tuple  # (op, function, guard, slot, a, b, slots freed after it)
+    literals: tuple  # (slot, value)
+    outputs: tuple  # result slot of each expression
+    ends: tuple  # instructions run once each expression is complete
+    shape: tuple  # shape of the results at one point
+    size: int  # unique nodes, literals included
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __call__(self, points, consts=None) -> np.ndarray:
+        """Evaluate at one point ``(n,)`` or a batch ``(m, n)``; the result
+        has shape ``points.shape[:-1] + shape``.
+
+        Errors are those of :func:`evaluate`, raised where evaluating the
+        expressions one after another, each depth first, would first fail.
+        """
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim not in (1, 2):
+            raise EvaluationError("point must have shape (n,) or (m, n)")
+        batch = pts if pts.ndim == 2 else pts[None, :]
+        out = self._run(batch, consts or {}).reshape((batch.shape[0],) + self.shape)
+        return out if pts.ndim == 2 else out[0]
+
+    def _run(self, pts, consts):
+        vals = [None] * self.size
+        for slot, value in self.literals:
+            vals[slot] = value
         with np.errstate(over="ignore", invalid="ignore"):
-            return b ** float(e.exponent)
-    if t is Call:
-        a = _eval_array(e.arg, pts, consts)
-        f = e.func
-        if f == "exp":
-            over = a > _EXP_MAX_ARG
-            if np.any(over):
-                raise ExpOverflowError(
-                    "exponential exceeds 1e300", point=_first_bad_point(over, pts)
-                )
-            return np.exp(a)
-        if f == "log":
-            bad = a <= 0.0
-            if np.any(bad):
-                raise DomainError(
-                    "log of non-positive value", point=_first_bad_point(bad, pts)
-                )
-            return np.log(a)
-        if f == "sqrt":
-            bad = a <= 0.0
-            if np.any(bad):
-                raise DomainError(
-                    "sqrt of non-positive value", point=_first_bad_point(bad, pts)
-                )
-            return np.sqrt(a)
-        if f == "sin":
-            return np.sin(a)
-        return np.cos(a)
-    raise TypeError(f"cannot evaluate node {e!r}")
+            for i, (op, fn, guard, dst, a, b, free) in enumerate(self.code):
+                if fn is not None:
+                    args = (vals[a],) if b is None else (vals[a], vals[b])
+                    if guard is not None:
+                        bad = guard[0](*args)
+                        if bad.any():
+                            raise self._fail(i, vals, pts, guard[1], guard[2], bad)
+                    vals[dst] = fn(*args)
+                elif op == "var":
+                    if a >= pts.shape[1]:
+                        message = f"variable x{a + 1} exceeds point dimension {pts.shape[1]}"
+                        raise self._fail(i, vals, pts, EvaluationError, message)
+                    vals[dst] = pts[:, a]
+                elif a in consts:
+                    vals[dst] = np.float64(consts[a])
+                else:
+                    raise self._fail(i, vals, pts, UnboundConstantError, f"unbound constant {a!r}")
+                for slot in free:
+                    vals[slot] = None
+        out = np.empty((pts.shape[0], len(self.outputs)))
+        for col, slot in enumerate(self.outputs):
+            out[:, col] = vals[slot]
+        if not np.isfinite(out).all():
+            raise self._fail(len(self.code), vals, pts, DomainError, "non-finite result")
+        return out
+
+    def _fail(self, done, vals, pts, error, message, bad=True):
+        """The error to raise at instruction ``done``: a non-finite result of
+        an expression finished before it comes first, else ``error`` at the
+        first row where ``bad`` holds."""
+        for slot, end in zip(self.outputs, self.ends):
+            if end > done:
+                break
+            nonfinite = ~np.isfinite(vals[slot])
+            if nonfinite.any():
+                return DomainError("non-finite result", point=_first_bad_point(nonfinite, pts))
+        return error(message, point=_first_bad_point(bad, pts))
+
+
+def compile(exprs) -> Tape:
+    """Hash-cons an expression, or a nested sequence of them, into a tape.
+
+    Structurally equal subtrees, within one expression or across several,
+    become one node, so a shared subterm is evaluated once per batch.  Each
+    intermediate is released after its last use.
+    """
+    table = np.array(exprs, dtype=object)  # nodes are not sequences, so they stay cells
+    flat, shape = table.ravel().tolist(), table.shape
+    slots = {}  # structural key -> slot
+    seen = {}  # id(node) -> slot; every node stays alive in ``flat``
+    code, literals = [], []
+
+    def node(key, literal=None):
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(slots)
+            if literal is not None:
+                literals.append((slot, np.float64(literal)))
+            else:
+                code.append((key[0], slot, key[1], key[2] if len(key) > 2 else None))
+        return slot
+
+    def visit(e):
+        slot = seen.get(id(e))
+        if slot is None:
+            t = type(e)
+            if t is Num:
+                slot = node(("num", float(e.value).hex()), e.value)
+            elif t is Var:
+                slot = node(("var", e.index - 1))
+            elif t is Const:
+                slot = node(("const", e.name))
+            elif t is Neg:
+                slot = node(("neg", visit(e.arg)))
+            elif t is BinOp:
+                slot = node((e.op, visit(e.left), visit(e.right)))
+            elif t is Pow:
+                k = float(e.exponent)
+                op = "^" if k >= 0 else "^-"
+                slot = node((op, visit(e.base), node(("num", k.hex()), k)))
+            elif t is Call:
+                slot = node((e.func, visit(e.arg)))
+            else:
+                raise TypeError(f"cannot evaluate node {e!r}")
+            seen[id(e)] = slot
+        return slot
+
+    outputs, ends = [], []
+    for e in flat:
+        outputs.append(visit(e))
+        ends.append(len(code))
+    del visit  # it refers to itself
+    last_use = {
+        s: i for i, (op, _, a, b) in enumerate(code) if op not in ("var", "const") for s in (a, b)
+    }
+    frees = [[] for _ in code]
+    for slot, i in last_use.items():
+        if slot is not None and slot not in outputs:
+            frees[i].append(slot)
+    return Tape(
+        code=tuple([  # a generator's tuple is resized, and freed ones pile up in a free list
+            (op, *_OPS.get(op, (None, None)), slot, a, b, tuple(free))
+            for (op, slot, a, b), free in zip(code, frees)
+        ]),
+        literals=tuple(literals),
+        outputs=tuple(outputs),
+        ends=tuple(ends),
+        shape=shape,
+        size=len(slots),
+    )
+
+
+def evaluate(e: Expression, point, consts=None):
+    """Evaluate ``e`` at one point ``(x1..xn)`` or a batch of shape (m, n).
+
+    Returns a float for a single point and an (m,) array for a batch; a
+    single point is a batch of one row of :func:`compile`'s tape.  Raises
+    :class:`DomainError` on log/sqrt of a non-positive value, division by
+    zero, or a non-finite result, :class:`ExpOverflowError` for exponentials
+    above 1e300, and :class:`UnboundConstantError` for missing constants; all
+    carry the offending point.
+    """
+    values = compile(e)(point, consts)
+    return float(values) if values.ndim == 0 else values

@@ -7,22 +7,30 @@ fourth-order integration.  A trace ends at the first boundary contact
 (refined by bisection to 1e-9 in time) or at the horizon; rays are not
 reflected.  Relative Hamiltonian drift above 1e-6 triggers step halving and
 a full retry, up to eight times.
+
+A fan integrates all of its rays as one batch of ``(x, xi)`` rows, and each
+RK4 stage is one evaluation of a compiled tape of Hamilton's equations.  Rays
+that escape leave the batch and bisect their crossing together; rays that
+fail the drift check leave it and re-run together at half the step.  A ray's
+arithmetic does not depend on the rest of the batch, so :func:`trace` is a
+fan of one ray.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .coeff import CoefficientField
-from .domain import Region, contains
+from .domain import Region
 from .errors import StepCollapseError
-from .expr import differentiate
-from .expr import _eval_scalar as _ev
+from .expr import Num, Var, add, compile, differentiate, mul, neg
 
 DRIFT_TOLERANCE = 1e-6
 _TIME_REFINEMENT = 1e-9
 _MAX_HALVINGS = 8
+_DISTANCE_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -50,100 +58,116 @@ class RayOutcome:
         return "escaped" if self.escaped else "trapped_until_horizon"
 
 
-class _Flow:
-    """Prebuilt scalar evaluation tables for one field/region pair.
+def _total(terms):
+    """Sum of the terms left to right, as the ray equations accumulate them."""
+    return reduce(add, terms, Num(0.0))
 
-    Ray integration evaluates a handful of small trees millions of times, so
-    everything goes through the scalar expression evaluator on plain tuples.
+
+class _Flow:
+    """The Hamiltonian flow of one field/region pair over a batch of rays.
+
+    The state of a ray is one row ``(x, xi)`` of an ``(m, 2n)`` array, the
+    covector in the variables ``x(n+1)..x(2n)``.  Hamilton's equations and H
+    are written out as expressions over these 2n variables and compiled into
+    one tape, so an RK4 stage is one tape evaluation for the whole batch.
+    Terms with a literal zero coefficient fold away; the others are summed
+    in index order.
     """
 
     def __init__(self, field: CoefficientField, region: Region, consts):
-        n = field.dim
-        self.n = n
+        n = self.n = field.dim
         self.consts = consts or {}
-        self.entries = [[field.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        self.partials = [
-            [[field.partial(i, j, k) for k in range(1, n + 1)] for j in range(1, n + 1)]
-            for i in range(1, n + 1)
+        a, da, xi = field.entries, field.partials, [Var(n + i) for i in range(1, n + 1)]
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        dx = [_total(mul(a[i][j], xi[j]) for j in range(n)) for i in range(n)]
+        dxi = [
+            mul(neg(Num(0.5)), _total(mul(mul(da[i][j][k], xi[i]), xi[j]) for i, j in pairs))
+            for k in range(n)
         ]
-        self.region = region
-        self.constraints = region.constraints
-        self.constraint_grads = [
-            tuple(differentiate(g, k) for k in range(1, n + 1)) for g in region.constraints
-        ]
-
-    def matrix(self, x):
-        c = self.consts
-        return [[_ev(e, x, c) for e in row] for row in self.entries]
-
-    def hamiltonian(self, x, xi):
-        a = self.matrix(x)
-        total = 0.0
-        for i in range(self.n):
-            for j in range(self.n):
-                total += a[i][j] * xi[i] * xi[j]
-        return 0.5 * total
-
-    def rhs(self, x, xi):
-        """(dx/dt, dxi/dt) = (A xi, -0.5 * xi^T (dA/dx_k) xi per axis)."""
-        c = self.consts
-        n = self.n
-        a = self.matrix(x)
-        dx = tuple(sum(a[i][j] * xi[j] for j in range(n)) for i in range(n))
-        dxi = []
-        for k in range(n):
-            acc = 0.0
-            for i in range(n):
-                row = self.partials[i]
-                for j in range(n):
-                    acc += _ev(row[j][k], x, c) * xi[i] * xi[j]
-            dxi.append(-0.5 * acc)
-        return dx, tuple(dxi)
-
-    def step(self, x, xi, h):
-        n = self.n
-        k1x, k1p = self.rhs(x, xi)
-        x2 = tuple(x[i] + 0.5 * h * k1x[i] for i in range(n))
-        p2 = tuple(xi[i] + 0.5 * h * k1p[i] for i in range(n))
-        k2x, k2p = self.rhs(x2, p2)
-        x3 = tuple(x[i] + 0.5 * h * k2x[i] for i in range(n))
-        p3 = tuple(xi[i] + 0.5 * h * k2p[i] for i in range(n))
-        k3x, k3p = self.rhs(x3, p3)
-        x4 = tuple(x[i] + h * k3x[i] for i in range(n))
-        p4 = tuple(xi[i] + h * k3p[i] for i in range(n))
-        k4x, k4p = self.rhs(x4, p4)
-        x_new = tuple(
-            x[i] + (h / 6.0) * (k1x[i] + 2.0 * k2x[i] + 2.0 * k3x[i] + k4x[i])
-            for i in range(n)
+        energy = mul(Num(0.5), _total(mul(mul(a[i][j], xi[i]), xi[j]) for i, j in pairs))
+        self.equations = compile([*dx, *dxi, energy])
+        self.lo = np.array([lo for lo, _ in region.box])
+        self.hi = np.array([hi for _, hi in region.box])
+        self.bound = -region.margin if region.margin > 0 else 0.0
+        self.constraints = [compile(g) for g in region.constraints]
+        # each constraint followed by its gradient, for boundary distances
+        self.distance = compile(
+            [[g, *(differentiate(g, k) for k in range(1, n + 1))] for g in region.constraints]
         )
-        xi_new = tuple(
-            xi[i] + (h / 6.0) * (k1p[i] + 2.0 * k2p[i] + 2.0 * k3p[i] + k4p[i])
-            for i in range(n)
-        )
-        return x_new, xi_new
 
-    def inside(self, x):
-        bound = -self.region.margin if self.region.margin > 0 else 0.0
-        for (lo, hi), v in zip(self.region.box, x):
-            if not (lo <= v <= hi):
-                return False
+    def derivatives(self, y):
+        """Time derivatives (m, 2n) of the states y, and H (m,)."""
+        values = self.equations(y, self.consts)
+        return values[:, :-1], values[:, -1]
+
+    def step(self, y, h, dy=None):
+        """One RK4 step of size ``h``, a scalar or an (m, 1) column; ``dy``
+        is the derivative at ``y`` when already known."""
+        k1 = self.derivatives(y)[0] if dy is None else dy
+        k2 = self.derivatives(y + 0.5 * h * k1)[0]
+        k3 = self.derivatives(y + 0.5 * h * k2)[0]
+        k4 = self.derivatives(y + h * k3)[0]
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def inside(self, y, mask=True):
+        """Which rows, among those where ``mask`` holds, lie in the region.
+
+        A row's constraints are evaluated in order only while it is still
+        inside, so none is evaluated where an earlier test already failed.
+        """
+        x = y[:, : self.n]
+        ok = mask & ((x >= self.lo) & (x <= self.hi)).all(axis=1)
         for g in self.constraints:
-            if _ev(g, x, self.consts) > bound:
-                return False
-        return True
+            if ok.all():
+                ok = g(y, self.consts) <= self.bound
+            else:
+                rows = np.flatnonzero(ok)
+                ok[rows] = g(y[rows], self.consts) <= self.bound
+        return ok
 
-    def boundary_distance(self, x):
-        """First-order estimate of the distance to the region boundary."""
-        dist = math.inf
-        for (lo, hi), v in zip(self.region.box, x):
-            dist = min(dist, v - lo, hi - v)
-        c = self.consts
-        for g, grads in zip(self.constraints, self.constraint_grads):
-            val = _ev(g, x, c)
-            norm = math.sqrt(sum(_ev(ge, x, c) ** 2 for ge in grads))
-            if norm > 0.0:
-                dist = min(dist, max(0.0, -val) / norm)
-        return max(0.0, dist)
+    def boundary_distance(self, y):
+        """First-order estimate of the distance to the region boundary, per
+        row; the rows must lie inside the region."""
+        x = y[:, : self.n]
+        dist = np.minimum(x - self.lo, self.hi - x).min(axis=1)
+        if self.constraints:
+            values = self.distance(y, self.consts)  # (m, c, 1 + n)
+            squares = values[:, :, 1] ** 2
+            for k in range(2, self.n + 1):
+                squares = squares + values[:, :, k] ** 2
+            norm = np.sqrt(squares)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.maximum(0.0, -values[:, :, 0]) / norm
+            dist = np.minimum(dist, np.where(norm > 0.0, reach, np.inf).min(axis=1))
+        return np.maximum(0.0, dist)
+
+
+class _Visits:
+    """The positions each ray visits: their smallest boundary distance,
+    evaluated in batches of about ``_DISTANCE_BATCH`` buffered rows, and the
+    path when it is stored."""
+
+    def __init__(self, flow: _Flow, count: int, store_paths: bool):
+        self.flow = flow
+        self.nearest = np.full(count, np.inf)
+        self.paths = [[] for _ in range(count)] if store_paths else None
+        self.ids, self.rows, self.size = [], [], 0
+
+    def add(self, ids, y):
+        self.ids.append(ids)
+        self.rows.append(y)
+        self.size += len(ids)
+        if self.paths is not None:
+            for r, row in zip(ids.tolist(), y):
+                self.paths[r].append(row[: self.flow.n])
+        if self.size >= _DISTANCE_BATCH:
+            self.flush()
+
+    def flush(self):
+        if self.ids:
+            dist = self.flow.boundary_distance(np.concatenate(self.rows))
+            np.minimum.at(self.nearest, np.concatenate(self.ids), dist)
+            self.ids, self.rows, self.size = [], [], 0
 
 
 def trace(
@@ -163,88 +187,111 @@ def trace(
     restarting when it does not; :class:`StepCollapseError` is raised after
     eight halvings.
     """
+    flow = _Flow(field, region, consts)
+    return _launch(flow, [start.x], [start.xi], horizon, step, store_path)[0]
+
+
+def _launch(flow: _Flow, x0, xi0, horizon, step, store_paths):
+    """Check and normalize the start states (rows of ``x0``, ``xi0``), then
+    trace every ray; returns one outcome per row."""
     if step <= 0.0 or horizon <= 0.0:
         raise ValueError("horizon and step must be positive")
-    flow = _Flow(field, region, consts)
-    x0 = tuple(float(v) for v in start.x)
-    if len(x0) != region.dim:
+    x0 = np.array(x0, dtype=float)
+    xi0 = np.array(xi0, dtype=float)
+    if x0.shape[1] != flow.n:
         raise ValueError("start point dimension does not match the region")
-    if not contains(region, x0, consts):
-        raise ValueError(f"start point {x0} is outside the region")
-    h0 = flow.hamiltonian(x0, tuple(float(v) for v in start.xi))
-    if h0 <= 0.0:
+    if xi0.shape != x0.shape:
+        raise ValueError("covector dimension does not match the region")
+    y = np.hstack([x0, xi0])
+    outside = ~flow.inside(y)
+    if outside.any():
+        start = tuple(x0[int(np.argmax(outside))].tolist())
+        raise ValueError(f"start point {start} is outside the region")
+    energy = flow.derivatives(y)[1]
+    if (energy <= 0.0).any():
         raise ValueError("initial covector has nonpositive energy")
-    scale = 1.0 / math.sqrt(2.0 * h0)
-    xi0 = tuple(scale * float(v) for v in start.xi)
+    y[:, flow.n :] = (1.0 / np.sqrt(2.0 * energy))[:, None] * xi0
 
+    outcomes = [None] * len(y)
+    ids = np.arange(len(y))
     h = float(step)
     for _ in range(_MAX_HALVINGS + 1):
-        outcome = _trace_once(flow, x0, xi0, horizon, h, store_path)
-        if outcome is not None:
-            return outcome
+        ids = _trace_pass(flow, y[ids], ids, horizon, h, store_paths, outcomes)
+        if not ids.size:
+            return outcomes
         h *= 0.5
     raise StepCollapseError(
         f"drift above {DRIFT_TOLERANCE:g} even after {_MAX_HALVINGS} step halvings"
     )
 
 
-def _trace_once(flow: _Flow, x0, xi0, horizon, h, store_path):
-    """One fixed-step pass; returns None when the drift tolerance fails."""
-    h_ref = flow.hamiltonian(x0, xi0)
-    x, xi, t = x0, xi0, 0.0
-    drift_max = 0.0
-    min_dist = flow.boundary_distance(x)
-    path = [x] if store_path else None
+def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
+    """One fixed-step pass of the rays ``ids`` from the states ``y``.
 
-    while t < horizon - 1e-15:
+    Fills ``outcomes`` for the rays that escape or reach the horizon and
+    returns the ids of those whose drift exceeded the tolerance; they leave
+    the batch at that step.
+    """
+    dy, h_ref = flow.derivatives(y)
+    drift_max = np.zeros(len(ids))
+    visits = _Visits(flow, len(outcomes), store_paths)
+    visits.add(ids, y)
+    finished = {}  # id -> (escape time or None, largest drift)
+    failed = []
+
+    t = 0.0
+    while t < horizon - 1e-15 and ids.size:
         h_step = min(h, horizon - t)
-        x_new, xi_new = flow.step(x, xi, h_step)
-        drift = abs(flow.hamiltonian(x_new, xi_new) - h_ref) / h_ref
-        if drift > DRIFT_TOLERANCE:
-            return None
-        drift_max = max(drift_max, drift)
-        if not flow.inside(x_new):
-            t_cross, x_in = _refine_crossing(flow, x, xi, t, h_step)
-            min_dist = min(min_dist, flow.boundary_distance(x_in))
-            if path is not None:
-                path.append(x_in)
-            return RayOutcome(
-                escaped=True,
-                escape_time=t_cross,
-                min_boundary_distance=min_dist,
-                hamiltonian_drift=drift_max,
-                step_used=h,
-                path=np.array(path) if path is not None else None,
+        y_new = flow.step(y, h_step, dy)
+        dy_new, energy = flow.derivatives(y_new)
+        drift = np.abs(energy - h_ref) / h_ref
+        ok = ~(drift > DRIFT_TOLERANCE)
+        drift_max = np.maximum(drift_max, drift)
+        stay = flow.inside(y_new, ok)
+        out = ok & ~stay
+        if out.any():
+            t_cross, y_in = _refine_crossing(flow, y[out], dy[out], t, h_step)
+            visits.add(ids[out], y_in)
+            finished.update(zip(ids[out].tolist(), zip(t_cross.tolist(), drift_max[out].tolist())))
+        failed.extend(ids[~ok].tolist())
+        if not stay.all():
+            ids, y_new, dy_new, h_ref, drift_max = (
+                v[stay] for v in (ids, y_new, dy_new, h_ref, drift_max)
             )
-        x, xi, t = x_new, xi_new, t + h_step
-        min_dist = min(min_dist, flow.boundary_distance(x))
-        if path is not None:
-            path.append(x)
+        y, dy, t = y_new, dy_new, t + h_step
+        visits.add(ids, y)
 
-    return RayOutcome(
-        escaped=False,
-        escape_time=None,
-        min_boundary_distance=min_dist,
-        hamiltonian_drift=drift_max,
-        step_used=h,
-        path=np.array(path) if path is not None else None,
-    )
+    finished.update(zip(ids.tolist(), ((None, d) for d in drift_max.tolist())))
+    visits.flush()
+    for r, (t_end, d) in finished.items():
+        outcomes[r] = RayOutcome(
+            escaped=t_end is not None,
+            escape_time=t_end,
+            min_boundary_distance=float(visits.nearest[r]),
+            hamiltonian_drift=d,
+            step_used=h,
+            path=None if visits.paths is None else np.array(visits.paths[r]),
+        )
+    return np.array(failed, dtype=int)
 
 
-def _refine_crossing(flow: _Flow, x_in, xi_in, t_in, h_step):
-    """Bisect the crossing time inside one step to 1e-9, re-integrating from
-    the last interior state each round."""
-    lo, hi = 0.0, h_step
-    x_best = x_in
-    while hi - lo > _TIME_REFINEMENT:
-        mid = 0.5 * (lo + hi)
-        x_mid, _ = flow.step(x_in, xi_in, mid)
-        if flow.inside(x_mid):
-            lo = mid
-            x_best = x_mid
-        else:
-            hi = mid
-    return t_in + hi, x_best
+def _refine_crossing(flow: _Flow, y_in, dy_in, t_in, h_step):
+    """Bisect each row's crossing time inside one step to 1e-9,
+    re-integrating from the row's last interior state each round."""
+    lo = np.zeros(len(y_in))
+    hi = np.full(len(y_in), h_step)
+    y_best = y_in.copy()
+    pending = hi - lo > _TIME_REFINEMENT
+    while pending.any():
+        rows = np.flatnonzero(pending)
+        mid = 0.5 * (lo[rows] + hi[rows])
+        y_mid = flow.step(y_in[rows], mid[:, None], dy_in[rows])
+        inside = flow.inside(y_mid)
+        lo[rows[inside]] = mid[inside]
+        hi[rows[~inside]] = mid[~inside]
+        y_best[rows[inside]] = y_mid[inside]
+        pending = hi - lo > _TIME_REFINEMENT
+    return t_in + hi, y_best
 
 
 def fan(
@@ -264,24 +311,23 @@ def fan(
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    center = tuple(float(v) for v in center)
+    if count == 0:
+        return []
     dim = region.dim
-    outcomes = []
+    if dim not in (2, 3):
+        raise ValueError("fan directions are only enumerated for dim 2 or 3")
+    directions = []
     for k in range(count):
         if dim == 2:
             angle = 2.0 * math.pi * k / count
-            direction = (math.cos(angle), math.sin(angle))
-        elif dim == 3:
+            directions.append((math.cos(angle), math.sin(angle)))
+        else:
             # Fibonacci sphere: deterministic, near-uniform
             golden = (1.0 + math.sqrt(5.0)) / 2.0
             z = 1.0 - (2.0 * k + 1.0) / count
             r = math.sqrt(max(0.0, 1.0 - z * z))
             phi = 2.0 * math.pi * k / golden
-            direction = (r * math.cos(phi), r * math.sin(phi), z)
-        else:
-            raise ValueError("fan directions are only enumerated for dim 2 or 3")
-        state = RayState(x=center, xi=direction, t=0.0)
-        outcomes.append(
-            trace(field, region, state, horizon, step, consts, store_path=store_paths)
-        )
-    return outcomes
+            directions.append((r * math.cos(phi), r * math.sin(phi), z))
+    center = tuple(float(v) for v in center)
+    flow = _Flow(field, region, consts)
+    return _launch(flow, [center] * count, directions, horizon, step, store_paths)

@@ -356,6 +356,25 @@ class TestRaysCommand:
         assert lines[0] == "ray,t_index,x1,x2"
         assert len(lines) > 2
 
+    @pytest.mark.parametrize(
+        "edit,flags",
+        [
+            (("horizon = 5", "horizon = -1"), []),
+            (("step = 0.001", "step = 0"), []),
+            (None, ["--count", "-3"]),
+            (None, ["--center", "5,5"]),  # outside the region
+        ],
+    )
+    def test_bad_ray_options_are_config_errors(self, tmp_path, edit, flags):
+        text = RAYS_CFG if edit is None else RAYS_CFG.replace(*edit)
+        assert main(["rays", "--config", write(tmp_path, text), *flags]) == EXIT_CONFIG
+
+    def test_power_overflow_is_numeric_error(self, tmp_path):
+        text = RAYS_CFG.replace("x1^2 + x2^2 - 2", "(10*x1)^400 - 2").replace(
+            "center = [0, 0]", "center = [1, 0]"
+        )
+        assert main(["rays", "--config", write(tmp_path, text)]) == EXIT_NUMERIC
+
 
 class TestExamplesCommand:
     def test_unknown_name_lists_available(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from wavecert.errors import (
     DomainError,
+    EvaluationError,
     ExpOverflowError,
     ParseError,
     UnboundConstantError,
@@ -13,10 +14,12 @@ from wavecert.expr import (
     BinOp,
     Call,
     Const,
+    Expression,
     Neg,
     Num,
     Pow,
     Var,
+    compile,
     differentiate,
     evaluate,
     parse,
@@ -196,6 +199,10 @@ class TestEvaluate:
         with pytest.raises(ExpOverflowError):
             evaluate(parse("exp(x1)", 1), (800.0,))
 
+    def test_power_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            evaluate(parse("(10*x1)^400 - 2", 2), (1.0, 0.0))
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
         for dim, text, box, consts in CORPUS:
@@ -212,6 +219,64 @@ class TestEvaluate:
         with pytest.raises(DomainError) as err:
             evaluate(parse("x1/x2", 2), pts)
         assert err.value.point == (1.0, 0.0)
+
+
+def tree_size(e):
+    return 1 + sum(
+        tree_size(getattr(e, f)) for f in e.__dataclass_fields__
+        if isinstance(getattr(e, f), Expression)
+    )
+
+
+def raised(fn):
+    """(type, message, point) of the error ``fn`` raises."""
+    with pytest.raises(EvaluationError) as err:
+        fn()
+    return type(err.value), str(err.value), err.value.point
+
+
+class TestCompile:
+    def test_single_point_is_bitwise_a_batch_row(self):
+        for dim, text, box, consts in CORPUS:
+            e = parse(text, dim)
+            pts = interior_points(box, 20, seed=11)
+            batch = evaluate(e, pts, consts)
+            for row, value in zip(pts, batch):
+                assert evaluate(e, row, consts) == value
+
+    def test_fourth_derivative_shares_nodes(self):
+        e = parse("exp(sin(x1*x2)/(1+x1^2+x2^2))", 2)
+        for k in (1, 2, 1, 2):
+            e = differentiate(e, k)
+        assert tree_size(e) == 5152
+        assert len(compile(e)) <= 257
+
+    def test_nested_shape(self):
+        rows = [[parse("x1", 2), parse("x2", 2)], [parse("2", 2), parse("x1*x2", 2)]]
+        pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = compile(rows)(pts)
+        assert out.shape == (3, 2, 2)
+        assert out[2].tolist() == [[5.0, 6.0], [2.0, 30.0]]
+        assert compile(rows)(pts[1]).tolist() == [[3.0, 4.0], [2.0, 12.0]]
+
+    def test_first_failing_node_in_walk_order(self):
+        # the log fails on row 1 and the division on row 0; the log comes
+        # first in a depth-first walk, so its error and point are reported
+        pts = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        kind, message, point = raised(lambda: evaluate(parse("log(x1) + 1/x2", 2), pts))
+        assert kind is DomainError and "log" in message and point == (-1.0, 1.0)
+
+    def test_first_error_matches_one_expression_after_another(self):
+        pts = np.array([[0.5, 1.0], [1.0, 0.0]])
+        for exprs in (
+            ["(10*x1)^400", "1/x2"],  # a non-finite result before a failing node
+            ["1/x2", "(10*x1)^400"],
+            ["x1 + x2", "log(x1 - 1)", "mu*x1"],  # the log before the constant
+            ["x1 + x2", "mu*x1", "log(x1 - 1)"],
+        ):
+            trees = [parse(text, 2) for text in exprs]
+            sequential = raised(lambda: [evaluate(e, pts) for e in trees])
+            assert raised(lambda: compile(trees)(pts)) == sequential
 
 
 class TestDifferentiate:

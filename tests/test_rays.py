@@ -142,16 +142,16 @@ def _final_covector(field, reg, x0, xi0, horizon, step):
     from wavecert.rays import _Flow
 
     flow = _Flow(field, reg, None)
-    h0 = flow.hamiltonian(x0, xi0)
+    y = np.array([[*x0, *xi0]], dtype=float)  # a batch of one ray: x, then xi
+    h0 = flow.derivatives(y)[1][0]
     scale = 1.0 / math.sqrt(2.0 * h0)
-    xi = tuple(scale * v for v in xi0)
-    x = x0
+    y[:, 2:] = scale * y[:, 2:]
     t = 0.0
     while t < horizon - 1e-15:
         h_step = min(step, horizon - t)
-        x, xi = flow.step(x, xi, h_step)
+        y = flow.step(y, h_step)
         t += h_step
-    return xi
+    return tuple(y[0, 2:])
 
 
 class TestFan:
@@ -181,6 +181,36 @@ class TestFan:
         a = fan(example_field(), origin_disk(), (0.0, 0.0), 4, 5.0, 1e-2)
         b = fan(example_field(), origin_disk(), (0.0, 0.0), 4, 5.0, 1e-2)
         assert [o.escape_time for o in a] == [o.escape_time for o in b]
+
+    @pytest.mark.parametrize(
+        "entry,center,horizon,step,steps_used",
+        [
+            # drift forces a halving on some rays only
+            ("1 + x1^2 + x2^2", (0.3, 0.0), 20.0, 0.1, {0.05, 0.1}),
+            # escaping and trapped rays in one fan
+            ("exp(x1^2 + x2^2)", (1.0, 0.0), 5.0, 0.01, {0.01}),
+        ],
+    )
+    def test_matches_one_trace_per_direction(self, entry, center, horizon, step, steps_used):
+        field = build([entry, entry], diagonal=True)
+        outs = fan(field, origin_disk(), center, 8, horizon, step)
+        assert {o.step_used for o in outs} == steps_used
+        for k, out in enumerate(outs):
+            angle = 2.0 * math.pi * k / 8
+            alone = trace(
+                field, origin_disk(),
+                RayState(x=center, xi=(math.cos(angle), math.sin(angle))), horizon, step,
+            )
+            assert (out.escaped, out.step_used) == (alone.escaped, alone.step_used)
+            if out.escaped:
+                assert abs(out.escape_time - alone.escape_time) <= 1e-12
+
+    def test_fibonacci_fan_on_unit_ball(self):
+        ball = region(3, [(-1.0, 1.0)] * 3, ["x1^2 + x2^2 + x3^2 - 1"])
+        field = build(["1", "1", "1"], diagonal=True)
+        outs = fan(field, ball, (0.0, 0.0, 0.0), count=12, horizon=3.0, step=1e-2)
+        assert all(o.escaped for o in outs)
+        assert all(o.escape_time == pytest.approx(1.0, abs=1e-6) for o in outs)
 
     def test_unsupported_dimension(self):
         f = build(["1", "1", "1", "1"], diagonal=True)
