@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .coeff import CoefficientField, build, certify_positivity, partial_sign
 from .condition import (
     ConditionReport,
+    GridProblem,
     WeightFunction,
     check_condition,
     multiplier_matrix,
@@ -48,6 +49,7 @@ __all__ = [
     "ConditionReport",
     "CurvatureReport",
     "Expression",
+    "GridProblem",
     "RayOutcome",
     "RayState",
     "Region",

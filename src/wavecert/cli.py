@@ -43,9 +43,9 @@ import time
 from . import __version__
 from .bundled import EXAMPLES
 from .coeff import CoefficientField, build
-from .condition import ConditionReport, check_condition, weight_function
+from .condition import ConditionReport, GridProblem, check_condition, weight_function
 from .curvature import check_sign_change_window, classify_sign
-from .domain import Region, contains, region, sample
+from .domain import Region, contains, region
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -60,11 +60,11 @@ from .report import dumps_stable, fmt_float
 from .weight import (
     AdmissibleIndex,
     WeightCertificate,
+    admissible_indices,
     compute_shift,
-    detect_index,
     find_lambda,
-    index_sign_ranges,
     pick_index,
+    problem_sign_ranges,
 )
 
 EXIT_OK = 0
@@ -99,8 +99,33 @@ _DEFAULT_OPTIONS = {
 }
 
 
+_OPTION_TYPES = {
+    "resolution": int,
+    "lambda_max": float,
+    "target_margin": float,
+    "horizon": float,
+    "step": float,
+    "count": int,
+    "threads": int,
+    "force_j": int,
+}
+
+
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _convert(key, value, kind):
+    """``kind(value)``; a value that is not a number (for ``int``, not a whole
+    number) is a :class:`ConfigError`."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    try:
+        if isinstance(value, bool) or fractional:
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -183,7 +208,7 @@ class RunConfig:
             raise ConfigError("constants must be a table of name -> number") from None
 
         try:
-            self.dim = int(reg["dim"])
+            self.dim = _convert("dim", reg["dim"], int)
             box = reg["box"]
         except KeyError as exc:
             raise ConfigError(f"[region] is missing {exc.args[0]!r}") from None
@@ -193,35 +218,34 @@ class RunConfig:
             or not all(isinstance(b, list) and len(b) == 2 for b in box)
         ):
             raise ConfigError("box must be a list of [lo, hi] pairs, one per axis")
-        self.box = [[float(lo), float(hi)] for lo, hi in box]
+        self.box = [[_convert("box", v, float) for v in b] for b in box]
         raw_constraints = reg.get("constraints", [])
         if not isinstance(raw_constraints, list) or not all(
             isinstance(c, str) for c in raw_constraints
         ):
             raise ConfigError("constraints must be a list of expression strings")
         self.constraints = list(raw_constraints)
-        self.margin = float(reg.get("margin", 0.0))
+        self.margin = _convert("margin", reg.get("margin", 0.0), float)
 
         self.options = dict(_DEFAULT_OPTIONS)
-        for key, value in options.items():
-            self.options[key] = value
-        self.options["resolution"] = int(self.options["resolution"])
-        self.options["lambda_max"] = float(self.options["lambda_max"])
-        self.options["target_margin"] = float(self.options["target_margin"])
-        self.options["horizon"] = float(self.options["horizon"])
-        self.options["step"] = float(self.options["step"])
-        self.options["count"] = int(self.options["count"])
+        self.options.update(options)
+        for key, kind in _OPTION_TYPES.items():
+            if self.options[key] is not None:
+                self.options[key] = _convert(key, self.options[key], kind)
         for key in ("horizon", "step"):
             if not 0.0 < self.options[key] < math.inf:
                 raise ConfigError(f"{key} must be a positive number")
+        if not self.options["lambda_max"] >= 1.0:
+            raise ConfigError("lambda_max must be >= 1")
+        if not math.isfinite(self.options["target_margin"]):
+            raise ConfigError("target_margin must be a finite number")
         if self.options["count"] < 0:
             raise ConfigError("count must be nonnegative")
-        if self.options["center"] is not None:
-            self.options["center"] = [float(v) for v in self.options["center"]]
-        if self.options["threads"] is not None:
-            self.options["threads"] = int(self.options["threads"])
-        if self.options["force_j"] is not None:
-            self.options["force_j"] = int(self.options["force_j"])
+        center = self.options["center"]
+        if center is not None:
+            if not isinstance(center, list):
+                raise ConfigError("center must be a list of numbers")
+            self.options["center"] = [_convert("center", v, float) for v in center]
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -391,8 +415,9 @@ def run_construct(cfg: RunConfig, dump_path=None):
         raise ConfigError("construct requires diagonal coefficients")
     reg = cfg.build_region()
     resolution = cfg.options["resolution"]
-    grid = sample(reg, resolution, cfg.constants)
-    candidates = detect_index(field, grid, cfg.constants)
+    problem = GridProblem(field, reg, resolution, cfg.constants)
+    ranges = problem_sign_ranges(problem)
+    candidates = admissible_indices(ranges, field.dim)
     force_axis = cfg.options["force_j"]
     chosen = pick_index(candidates, force_axis=force_axis)
     if chosen is None and force_axis is not None:
@@ -400,13 +425,11 @@ def run_construct(cfg: RunConfig, dump_path=None):
         # case follows the dominant side of the measured ranges
         if not 1 <= force_axis <= field.dim:
             raise ConfigError(f"force_j={force_axis} out of range for dimension {field.dim}")
-        ranges = index_sign_ranges(field, grid, cfg.constants)
         lows = [ranges[(force_axis, i)][0] for i in range(1, field.dim + 1) if i != force_axis]
         highs = [ranges[(force_axis, i)][1] for i in range(1, field.dim + 1) if i != force_axis]
         sign_case = "positive" if min(lows) >= -max(highs) else "negative"
         chosen = AdmissibleIndex(force_axis, sign_case, min(lows))
     if chosen is None:
-        ranges = index_sign_ranges(field, grid, cfg.constants)
         result = {
             "sign_ranges": _sign_ranges_list(ranges),
             "candidates": [
@@ -416,7 +439,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
         }
         return EXIT_NOT_CERTIFIED, "no_admissible_index", result
 
-    shift = compute_shift(grid, chosen.axis, chosen.sign_case)
+    shift = compute_shift(problem.grid, chosen.axis, chosen.sign_case)
     try:
         cert = find_lambda(
             field,
@@ -428,6 +451,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
             target_margin=cfg.options["target_margin"],
             resolution=resolution,
             consts=cfg.constants,
+            problem=problem,
         )
     except LambdaMaxExceededError as exc:
         result = {
@@ -442,9 +466,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
         }
         return EXIT_NOT_CERTIFIED, "lambda_max_exceeded", result
     if dump_path is not None:
-        check_condition(
-            field, cert.weight, reg, resolution, consts=cfg.constants, dump_path=dump_path
-        )
+        problem.check(cert.weight, dump_path=dump_path)
     return EXIT_OK, "certified", certificate_dict(cert)
 
 
@@ -484,6 +506,8 @@ def run_curvature(cfg: RunConfig, dump_path=None):
 
 
 def run_rays(cfg: RunConfig, dump_path=None):
+    if cfg.dim not in (2, 3):
+        raise ConfigError("ray fans are enumerated in dimension 2 or 3 only")
     field = cfg.build_field()
     reg = cfg.build_region()
     center = cfg.center()
@@ -646,7 +670,7 @@ def _collect_overrides(args) -> dict:
     if getattr(args, "step", None) is not None:
         overrides["step"] = args.step
     if getattr(args, "center", None) is not None:
-        overrides["center"] = [float(v) for v in str(args.center).split(",")]
+        overrides["center"] = str(args.center).split(",")
     return overrides
 
 
@@ -673,13 +697,7 @@ def main(argv=None) -> int:
             }[args.command]
             code, verdict, result = runner(cfg, dump_path=args.dump_grid)
             echo = cfg.echo()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RegionError as exc:
+    except (ConfigError, RegionError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, WeightOverflowError, StepCollapseError) as exc:
@@ -695,8 +713,12 @@ def main(argv=None) -> int:
         "duration_seconds": time.perf_counter() - started,
     }
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(dumps_stable(report))
+        try:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                handle.write(dumps_stable(report))
+        except OSError as exc:
+            print(f"config error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     _print_human(report, sys.stdout)
     return code
 

@@ -119,17 +119,21 @@ def build(entries, diagonal: bool, dim=None) -> CoefficientField:
     )
 
 
-def certify_positivity(field: CoefficientField, grid: SampleGrid, consts=None):
+def certify_positivity(field: CoefficientField, grid: SampleGrid, consts=None, values=None):
     """Smallest eigenvalue of the coefficient matrix over the grid.
 
     Returns ``(alpha_min, worst_point)``; a nonpositive ``alpha_min`` rejects
     the field for every downstream certification.  The worst point is the
     first grid point (lexicographic order) attaining the minimum.
+    ``values``, when given, is ``field.values`` at the grid points, already
+    evaluated by the caller.
     """
     pts = grid.points
     if pts.shape[0] == 0:
         raise ValueError("empty grid")
-    lams = min_eigenvalue(field.values(pts, consts))
+    if values is None:
+        values = field.values(pts, consts)
+    lams = min_eigenvalue(values)
     idx = int(np.argmin(lams))
     return float(lams[idx]), tuple(pts[idx])
 

@@ -8,10 +8,13 @@ Two inequalities are certified for a coefficient field A and a scalar weight:
   eigenvalue of the pencil (2 * matrix, A) over the grid;
 * the no-critical-point inequality ``|grad d| > 0``.
 
-``check_condition`` assembles the matrices of all grid points as one
-``(m, n, n)`` stack and hands it to :mod:`wavecert.linalg`, whose routines
-return one pencil margin, smallest eigenvalue and row of leading minors per
-point; worst points are the first minimizers in grid order.
+A :class:`GridProblem` holds what a check needs that does not depend on the
+weight: the sample grid, A and its first derivatives there, the positivity
+certificate of A and its Cholesky factors.  Its ``check`` assembles the
+matrices of all grid points as one ``(m, n, n)`` stack and hands it to
+:mod:`wavecert.linalg`, whose routines return one pencil margin, smallest
+eigenvalue and row of leading minors per point; worst points are the first
+minimizers in grid order.  ``check_condition`` is a one-off check.
 
 ``quadratic_form_matrix`` assembles the (unsymmetrized) coefficient matrix of
 the quadratic form itself; its symmetric part equals twice the multiplier
@@ -24,6 +27,7 @@ toolkit constructs.
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +92,75 @@ def _batched(points):
     return points, True
 
 
+def _pq_sum(n, factors, out, tmp, block=None):
+    """Add ``(x * y) * z`` over ``(x, y, z) = factors(p, q)``, p and q < n, to ``out``.
+
+    Without ``block`` every term goes straight into ``out``, p outer and q
+    inner.  With a ``block`` buffer, the q-terms of one p are summed left to
+    right there first and the block is then added to ``out``.
+    """
+    for p in range(n):
+        for q in range(n):
+            x, y, z = factors(p, q)
+            dst = block if block is not None and q == 0 else tmp
+            np.multiply(x, y, out=dst)
+            dst *= z
+            if block is None:
+                out += tmp
+            elif q:
+                block += tmp
+        if block is not None:
+            out += block
+    return out
+
+
+def _terms(a, da, grad, hess):
+    """The three sums of the assembly, each an ``(m, n, n)`` stack.
+
+    ``term_h[i, j] = sum_{p,q} a^{iq} a^{pj} d_{x_p x_q}``,
+    ``t_a[i, j] = sum_{p,q} a^{iq} da^{pj}/dx_q d_{x_p}`` and
+    ``t_c[i, j] = sum_{p,q} da^{ij}/dx_q a^{pq} d_{x_p}``; the fourth sum,
+    ``a^{jq} da^{pi}/dx_q d_{x_p}``, is ``t_a`` transposed, bit for bit.
+
+    The summation order is fixed: each term is the product of its three
+    factors from left to right as written; ``term_h`` and ``t_a`` sum the
+    q-terms of each p left to right and then add that block to a running
+    total from zero, and ``t_c`` is one running total over p, then q.  This
+    is the order numpy 2.4's ``einsum`` uses for the same subscripts.  It
+    must not be reassociated: a rate-search attempt can fail by a margin of
+    a few 1e-14, so the last bits of the assembly decide its verdict.
+    """
+    m, n = grad.shape
+    shape = (m, n, n)
+    tmp, block = np.empty(shape), np.empty(shape)
+    g = grad[:, :, None, None]
+    term_h = _pq_sum(
+        n, lambda p, q: (a[:, :, q, None], a[:, None, p, :], hess[:, p, q, None, None]),
+        np.zeros(shape), tmp, block,
+    )
+    t_a = _pq_sum(
+        n, lambda p, q: (a[:, :, q, None], da[:, None, p, :, q], g[:, p]),
+        np.zeros(shape), tmp, block,
+    )
+    t_c = _pq_sum(
+        n, lambda p, q: (da[..., q], a[:, p, q, None, None], g[:, p]), np.zeros(shape), tmp
+    )
+    return term_h, t_a, t_c
+
+
+def _multiplier(a, da, grad, hess, symmetrize=True):
+    """``term_h + (t_a + t_a^T - t_c) / 2`` from :func:`_terms`, optionally symmetrized."""
+    term_h, t_a, t_c = _terms(a, da, grad, hess)
+    out = t_a + np.swapaxes(t_a, -1, -2)
+    out -= t_c
+    out *= 0.5
+    out += term_h
+    if symmetrize:
+        out = out + np.swapaxes(out, -1, -2)
+        out *= 0.5
+    return out
+
+
 def multiplier_matrix(
     field: CoefficientField, weight: WeightFunction, point, consts=None, symmetrize=True
 ) -> np.ndarray:
@@ -95,24 +168,19 @@ def multiplier_matrix(
 
     Entry (i, j) sums, over (p, q), the coefficient-weighted Hessian term
     ``a^{iq} a^{pj} d_{x_p x_q}`` plus half of
-    ``(a^{iq} da^{pj}/dx_q + a^{jq} da^{pi}/dx_q - da^{ij}/dx_q a^{pq}) d_{x_p}``.
-    Accepts a single point (n,) or a batch (m, n).  The raw assembly is
-    symmetric up to rounding; ``symmetrize=False`` skips the final exact
-    averaging with the transpose.
+    ``(a^{iq} da^{pj}/dx_q + a^{jq} da^{pi}/dx_q - da^{ij}/dx_q a^{pq}) d_{x_p}``,
+    in the order documented at :func:`_terms`.  Accepts a single point (n,)
+    or a batch (m, n).  The raw assembly is symmetric up to rounding;
+    ``symmetrize=False`` skips the final exact averaging with the transpose.
     """
     pts, batched = _batched(point)
-    a = field.values(pts, consts)
-    da = field.partial_values(pts, consts)
-    grad = weight.grad_values(pts, consts)
-    hess = weight.hess_values(pts, consts)
-
-    term_h = np.einsum("miq,mpj,mpq->mij", a, a, hess)
-    t_a = np.einsum("miq,mpjq,mp->mij", a, da, grad)
-    t_b = np.einsum("mjq,mpiq,mp->mij", a, da, grad)
-    t_c = np.einsum("mijq,mpq,mp->mij", da, a, grad)
-    out = term_h + 0.5 * (t_a + t_b - t_c)
-    if symmetrize:
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    out = _multiplier(
+        field.values(pts, consts),
+        field.partial_values(pts, consts),
+        weight.grad_values(pts, consts),
+        weight.hess_values(pts, consts),
+        symmetrize,
+    )
     return out if batched else out[0]
 
 
@@ -127,15 +195,15 @@ def quadratic_form_matrix(
     :func:`multiplier_matrix`.
     """
     pts, batched = _batched(point)
-    a = field.values(pts, consts)
-    da = field.partial_values(pts, consts)
-    grad = weight.grad_values(pts, consts)
-    hess = weight.hess_values(pts, consts)
-
-    term_h = np.einsum("miq,mpj,mpq->mij", a, a, hess)
-    t_a = np.einsum("miq,mpjq,mp->mij", a, da, grad)
-    t_c = np.einsum("mijq,mpq,mp->mij", da, a, grad)
-    out = 2.0 * (term_h + t_a) - t_c
+    out, t_a, t_c = _terms(
+        field.values(pts, consts),
+        field.partial_values(pts, consts),
+        weight.grad_values(pts, consts),
+        weight.hess_values(pts, consts),
+    )
+    out += t_a
+    out *= 2.0
+    out -= t_c
     return out if batched else out[0]
 
 
@@ -206,6 +274,97 @@ class ConditionReport:
         return self.verdict == VERDICT_CERTIFIED
 
 
+class GridProblem:
+    """The part of a grid check that does not depend on the weight.
+
+    Built once per (field, region, resolution, consts): it samples the grid,
+    evaluates A there and certifies its positivity.  The first derivatives
+    of A and the Cholesky factor of A are computed on first use and kept,
+    so a rate search pays for them once per grid, whatever the number of
+    attempts; a field that fails positivity never needs them in a check.
+    :meth:`check` then evaluates only the weight's gradient and Hessian.
+    """
+
+    def __init__(self, field: CoefficientField, region: Region, resolution: int, consts=None):
+        self.field = field
+        self.consts = consts
+        self.grid = sample(region, resolution, consts)
+        self.a = field.values(self.grid.points, consts)
+        self.alpha_min, self.worst_point_alpha = certify_positivity(
+            field, self.grid, consts, values=self.a
+        )
+
+    @cached_property
+    def da(self) -> np.ndarray:
+        """First derivatives of A at the grid points, ``(m, n, n, n)``."""
+        return self.field.partial_values(self.grid.points, self.consts)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factors of A at the grid points."""
+        return np.linalg.cholesky(self.a)
+
+    def check(self, weight: WeightFunction, dump_path=None) -> ConditionReport:
+        """Certify both inequalities for ``weight`` on this grid.
+
+        Same verdicts and report as :func:`check_condition`, which wraps it.
+        """
+        pts = self.grid.points
+        m = pts.shape[0]
+        if self.alpha_min <= 0.0:
+            return ConditionReport(
+                verdict=VERDICT_FAILED_COEFFICIENT,
+                alpha_min=self.alpha_min,
+                worst_point_alpha=self.worst_point_alpha,
+                resolution=self.grid.resolution,
+                point_count=m,
+            )
+
+        grads = weight.grad_values(pts, self.consts)
+        mats_b = _multiplier(self.a, self.da, grads, weight.hess_values(pts, self.consts))
+        grad_norms = row_norms(grads)
+
+        try:
+            pencil = pencil_min_eigenvalue(2.0 * mats_b, self.a, chol=self.chol)
+        except np.linalg.LinAlgError:
+            raise EvaluationError(
+                "coefficient matrix A is not numerically positive definite",
+                self.worst_point_alpha,
+            ) from None
+        mineig = min_eigenvalue(mats_b)
+        minors = leading_principal_minors(mats_b)
+
+        margin_idx = int(np.argmin(pencil))
+        grad_idx = int(np.argmin(grad_norms))
+        margin = float(pencil[margin_idx])
+        grad_min = float(grad_norms[grad_idx])
+
+        if margin > 0.0 and grad_min > 0.0:
+            verdict = VERDICT_CERTIFIED
+        elif margin <= 0.0:
+            verdict = VERDICT_FAILED_POSITIVITY
+        else:
+            verdict = VERDICT_FAILED_GRADIENT
+
+        if dump_path is not None:
+            _dump_grid(dump_path, pts, pencil, mineig, grad_norms, minors)
+
+        return ConditionReport(
+            verdict=verdict,
+            alpha_min=self.alpha_min,
+            worst_point_alpha=self.worst_point_alpha,
+            margin=margin,
+            matrix_min_eig=float(np.min(mineig)),
+            grad_min=grad_min,
+            worst_point_margin=tuple(pts[margin_idx]),
+            worst_point_grad=tuple(pts[grad_idx]),
+            minors_min=tuple(float(v) for v in np.min(minors, axis=0)),
+            resolution=self.grid.resolution,
+            point_count=m,
+            dump_path=None if dump_path is None else str(dump_path),
+        )
+
+
 def check_condition(
     field: CoefficientField,
     weight: WeightFunction,
@@ -218,68 +377,14 @@ def check_condition(
 
     The verdict is ``certified`` iff the coefficient matrix is positive
     definite on the grid, the pencil margin is strictly positive, and the
-    weight gradient never vanishes.  The spectral tests run once on the
-    grid's whole stack of matrices.  Raises :class:`EvaluationError` when A,
+    weight gradient never vanishes.  A one-off check: it prepares a
+    :class:`GridProblem` and checks the weight on it; to check several
+    weights on one grid, prepare the problem once and call its
+    :meth:`GridProblem.check`.  Raises :class:`EvaluationError` when A,
     though positive on the grid, is too close to singular for the pencil's
     Cholesky factorization.
     """
-    grid = sample(region, resolution, consts)
-    pts = grid.points
-    m = pts.shape[0]
-
-    alpha_min, worst_alpha = certify_positivity(field, grid, consts)
-    if alpha_min <= 0.0:
-        return ConditionReport(
-            verdict=VERDICT_FAILED_COEFFICIENT,
-            alpha_min=alpha_min,
-            worst_point_alpha=worst_alpha,
-            resolution=resolution,
-            point_count=m,
-        )
-
-    mats_a = field.values(pts, consts)
-    mats_b = multiplier_matrix(field, weight, pts, consts)
-    grads = weight.grad_values(pts, consts)
-    grad_norms = row_norms(grads)
-
-    try:
-        pencil = pencil_min_eigenvalue(2.0 * mats_b, mats_a)
-    except np.linalg.LinAlgError:
-        raise EvaluationError(
-            "coefficient matrix A is not numerically positive definite", worst_alpha
-        ) from None
-    mineig = min_eigenvalue(mats_b)
-    minors = leading_principal_minors(mats_b)
-
-    margin_idx = int(np.argmin(pencil))
-    grad_idx = int(np.argmin(grad_norms))
-    margin = float(pencil[margin_idx])
-    grad_min = float(grad_norms[grad_idx])
-
-    if margin > 0.0 and grad_min > 0.0:
-        verdict = VERDICT_CERTIFIED
-    elif margin <= 0.0:
-        verdict = VERDICT_FAILED_POSITIVITY
-    else:
-        verdict = VERDICT_FAILED_GRADIENT
-
-    if dump_path is not None:
-        _dump_grid(dump_path, pts, pencil, mineig, grad_norms, minors)
-
-    return ConditionReport(
-        verdict=verdict,
-        alpha_min=alpha_min,
-        worst_point_alpha=worst_alpha,
-        margin=margin,
-        matrix_min_eig=float(np.min(mineig)),
-        grad_min=grad_min,
-        worst_point_margin=tuple(pts[margin_idx]),
-        worst_point_grad=tuple(pts[grad_idx]),
-        minors_min=tuple(float(v) for v in np.min(minors, axis=0)),
-        resolution=resolution,
-        point_count=m,
-        dump_path=None if dump_path is None else str(dump_path),
-    )
+    return GridProblem(field, region, resolution, consts).check(weight, dump_path)
 
 
 def _dump_grid(path, pts, pencil, mineig, grad_norms, minors):

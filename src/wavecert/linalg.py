@@ -67,16 +67,18 @@ def leading_principal_minors(mats) -> np.ndarray:
         )
 
 
-def pencil_min_eigenvalue(m, a) -> np.ndarray:
+def pencil_min_eigenvalue(m, a, chol=None) -> np.ndarray:
     """Smallest generalized eigenvalue of each pencil (m, a), a positive definite.
 
     Computed as the smallest eigenvalue of ``L^-1 m L^-T`` for the Cholesky
     factor ``a = L L^T``, after exact power-of-two rescaling of ``m``.
-    Raises ``np.linalg.LinAlgError`` when some ``a`` is not numerically
-    positive definite.
+    ``chol``, when given, is that factor already computed, and ``a`` is not
+    factored again.  Raises ``np.linalg.LinAlgError`` when some ``a`` is not
+    numerically positive definite.
     """
     scaled, exp = _scaled(m)
-    chol = np.linalg.cholesky(np.asarray(a, dtype=float))
+    if chol is None:
+        chol = np.linalg.cholesky(np.asarray(a, dtype=float))
     y = np.linalg.solve(chol, scaled)
     c = np.swapaxes(np.linalg.solve(chol, np.swapaxes(y, -1, -2)), -1, -2)
     c = 0.5 * (c + np.swapaxes(c, -1, -2))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coeff import CoefficientField
 from .domain import Region
-from .errors import StepCollapseError
+from .errors import EvaluationError, StepCollapseError
 from .expr import Num, Var, add, compile, differentiate, mul, neg
 
 DRIFT_TOLERANCE = 1e-6
@@ -208,8 +208,9 @@ def _launch(flow: _Flow, x0, xi0, horizon, step, store_paths):
         start = tuple(x0[int(np.argmax(outside))].tolist())
         raise ValueError(f"start point {start} is outside the region")
     energy = flow.derivatives(y)[1]
-    if (energy <= 0.0).any():
-        raise ValueError("initial covector has nonpositive energy")
+    bad = ~(energy > 0.0)
+    if bad.any():
+        raise EvaluationError("initial covector has nonpositive energy", x0[int(np.argmax(bad))])
     y[:, flow.n :] = (1.0 / np.sqrt(2.0 * energy))[:, None] * xi0
 
     outcomes = [None] * len(y)

@@ -28,12 +28,12 @@ import numpy as np
 from .coeff import CoefficientField
 from .condition import (
     ConditionReport,
+    GridProblem,
     WeightFunction,
-    check_condition,
     multiplier_matrix_diagonal,
     weight_function,
 )
-from .domain import Region, SampleGrid, sample
+from .domain import Region, SampleGrid
 from .errors import (
     ExpOverflowError,
     LambdaMaxExceededError,
@@ -85,9 +85,18 @@ class WeightCertificate:
 
 def index_sign_ranges(field: CoefficientField, grid: SampleGrid, consts=None):
     """Grid range of every off-index partial: {(axis, entry): (min, max)}."""
-    n = field.dim
-    pts = grid.points
-    da = field.diag_partial_values(pts, consts)
+    return _sign_ranges(field.diag_partial_values(grid.points, consts))
+
+
+def problem_sign_ranges(problem: GridProblem):
+    """:func:`index_sign_ranges` from the partials a prepared grid holds."""
+    idx = np.arange(problem.field.dim)
+    return _sign_ranges(problem.da[:, idx, idx, :])
+
+
+def _sign_ranges(da):
+    """Ranges from the diagonal entries' partials ``(m, n, n)``, last axis k."""
+    n = da.shape[-1]
     ranges = {}
     for j in range(1, n + 1):
         for i in range(1, n + 1):
@@ -105,21 +114,30 @@ def detect_index(field: CoefficientField, grid: SampleGrid, consts=None):
     one-dimensional field the hypothesis is vacuous and both sign cases are
     admissible with an infinite margin sentinel.
     """
-    n = field.dim
-    if n == 1:
+    ranges = {} if field.dim == 1 else index_sign_ranges(field, grid, consts)
+    return admissible_indices(ranges, field.dim)
+
+
+def admissible_indices(ranges, dim: int):
+    """:func:`detect_index` from measured sign ranges of a ``dim``-field."""
+    if dim == 1:
         return [
             AdmissibleIndex(1, sign, float("inf")) for sign in _SIGN_ORDER
         ]
-    ranges = index_sign_ranges(field, grid, consts)
     found = []
-    for j in range(1, n + 1):
-        lows = [ranges[(j, i)][0] for i in range(1, n + 1) if i != j]
-        highs = [ranges[(j, i)][1] for i in range(1, n + 1) if i != j]
+    for j in range(1, dim + 1):
+        lows, highs = _axis_ranges(ranges, dim, j)
         if max(highs) < 0.0:
             found.append(AdmissibleIndex(j, SIGN_NEGATIVE, -max(highs)))
         if min(lows) > 0.0:
             found.append(AdmissibleIndex(j, SIGN_POSITIVE, min(lows)))
     return found
+
+
+def _axis_ranges(ranges, dim, axis):
+    """Lows and highs of the off-index partials along ``axis``."""
+    others = [ranges[(axis, i)] for i in range(1, dim + 1) if i != axis]
+    return [lo for lo, _ in others], [hi for _, hi in others]
 
 
 def compute_shift(grid: SampleGrid, axis: int, sign_case: str) -> float:
@@ -177,12 +195,10 @@ def construct_weight(
     return weight_function(expr, dim)
 
 
-def _measured_sign_margin(field, grid, axis, sign_case, consts):
-    if field.dim == 1:
+def _measured_sign_margin(problem, axis, sign_case):
+    if problem.field.dim == 1:
         return float("inf")
-    ranges = index_sign_ranges(field, grid, consts)
-    lows = [ranges[(axis, i)][0] for i in range(1, field.dim + 1) if i != axis]
-    highs = [ranges[(axis, i)][1] for i in range(1, field.dim + 1) if i != axis]
+    lows, highs = _axis_ranges(problem_sign_ranges(problem), problem.field.dim, axis)
     if sign_case == SIGN_NEGATIVE:
         return -max(highs)
     return min(lows)
@@ -198,6 +214,7 @@ def find_lambda(
     target_margin: float = 0.0,
     resolution: int = DEFAULT_RESOLUTION,
     consts=None,
+    problem: GridProblem | None = None,
 ) -> WeightCertificate:
     """Search the exponential rate by doubling, then sharpen by bisection.
 
@@ -208,6 +225,12 @@ def find_lambda(
     certificate also carries a re-check of that weight at doubled grid
     resolution (see :class:`WeightCertificate.refinement_report`).
 
+    Every attempt is checked on one :class:`GridProblem` of the search grid,
+    and the re-check on one of the refined grid, so the grid, A, its
+    partials and its Cholesky factors are computed once per grid, not once
+    per attempt.  ``problem``, when given, is the search grid's problem
+    already prepared for (field, region, resolution, consts).
+
     Raises :class:`LambdaMaxExceededError` (best failing report attached)
     when the budget runs out, and :class:`WeightOverflowError` when the
     weight's exponentials leave double range first; translating the domain
@@ -215,13 +238,14 @@ def find_lambda(
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    grid = sample(region, resolution, consts)
+    if problem is None:
+        problem = GridProblem(field, region, resolution, consts)
     if shift is None:
-        shift = compute_shift(grid, axis, sign_case)
+        shift = compute_shift(problem.grid, axis, sign_case)
 
     def attempt(lam):
         weight = construct_weight(axis, sign_case, shift, lam, field.dim)
-        report = check_condition(field, weight, region, resolution, consts=consts)
+        report = problem.check(weight)
         passed = report.certified and report.margin >= target_margin * report.alpha_min
         return weight, report, passed
 
@@ -266,7 +290,8 @@ def find_lambda(
                 lo = mid
         lam_pass = hi
 
-    refinement = check_condition(field, weight_pass, region, 2 * resolution - 1, consts=consts)
+    refined = GridProblem(field, region, 2 * problem.grid.resolution - 1, consts)
+    refinement = refined.check(weight_pass)
 
     return WeightCertificate(
         axis=axis,
@@ -275,7 +300,7 @@ def find_lambda(
         lam=float(lam_pass),
         weight=weight_pass,
         report=report_pass,
-        sign_margin=_measured_sign_margin(field, grid, axis, sign_case, consts),
+        sign_margin=_measured_sign_margin(problem, axis, sign_case),
         refinement_report=refinement,
     )
 

@@ -301,6 +301,20 @@ class TestConstructCommand:
         header = dump.read_text().splitlines()[0]
         assert header == "x1,x2,eig_min_pencil,eig_min_matrix,grad_norm,minor1,minor2"
 
+    def test_construct_dump_grid_matches_check_condition(self, tmp_path):
+        from wavecert.condition import check_condition
+        from wavecert.weight import find_lambda
+
+        dump = tmp_path / "cert_grid.csv"
+        cfg_path = write(tmp_path, CONSTRUCT_OK)
+        assert main(["construct", "--config", cfg_path, "--dump-grid", str(dump)]) == EXIT_OK
+        cfg = RunConfig.from_text(CONSTRUCT_OK)
+        field, reg = cfg.build_field(), cfg.build_region()
+        cert = find_lambda(field, reg, 1, "positive", resolution=17)
+        direct = tmp_path / "direct.csv"
+        check_condition(field, cert.weight, reg, 17, dump_path=direct)
+        assert dump.read_bytes() == direct.read_bytes()
+
     def test_nondiagonal_rejected(self, tmp_path):
         text = CONSTRUCT_OK.replace(
             'A.diagonal = true', 'A.diagonal = false'
@@ -369,11 +383,70 @@ class TestRaysCommand:
         text = RAYS_CFG if edit is None else RAYS_CFG.replace(*edit)
         assert main(["rays", "--config", write(tmp_path, text), *flags]) == EXIT_CONFIG
 
+    def test_start_where_a_is_not_positive_is_numeric_error(self, tmp_path, capsys):
+        text = RAYS_CFG.replace('A.entries = ["1", "1"]', 'A.entries = ["x1", "x1"]')
+        assert main(["rays", "--config", write(tmp_path, text)]) == EXIT_NUMERIC
+        assert "nonpositive energy at point (0.0, 0.0)" in capsys.readouterr().err
+
+    def test_four_dimensional_fan_is_config_error(self, tmp_path, capsys):
+        text = (
+            '[problem]\nA.diagonal = true\nA.entries = ["1", "1", "1", "1"]\n'
+            "[region]\ndim = 4\nbox = [[-1, 1], [-1, 1], [-1, 1], [-1, 1]]\n"
+            "[options]\ncount = 4\n"
+        )
+        assert main(["rays", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert "dimension 2 or 3" in capsys.readouterr().err
+
     def test_power_overflow_is_numeric_error(self, tmp_path):
         text = RAYS_CFG.replace("x1^2 + x2^2 - 2", "(10*x1)^400 - 2").replace(
             "center = [0, 0]", "center = [1, 0]"
         )
         assert main(["rays", "--config", write(tmp_path, text)]) == EXIT_NUMERIC
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize(
+        "key", ["resolution", "horizon", "step", "lambda_max", "target_margin", "count"]
+    )
+    def test_non_numeric_option(self, tmp_path, capsys, key):
+        lines = [line for line in RAYS_CFG.splitlines() if not line.startswith(f"{key} = ")]
+        text = "\n".join(lines) + f'\n{key} = "abc"\n'
+        assert main(["rays", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("resolution", "17.9"), ("count", "true")])
+    def test_non_integral_option(self, tmp_path, capsys, key, value):
+        lines = [line for line in RAYS_CFG.splitlines() if not line.startswith(f"{key} = ")]
+        text = "\n".join(lines) + f"\n{key} = {value}\n"
+        assert main(["rays", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_non_numeric_center_flag(self, tmp_path):
+        code = main(["rays", "--config", write(tmp_path, RAYS_CFG), "--center", "a,b"])
+        assert code == EXIT_CONFIG
+
+    def test_lambda_max_below_one(self, tmp_path):
+        code = main(
+            ["construct", "--config", write(tmp_path, CONSTRUCT_OK), "--lambda-max", "0.5"]
+        )
+        assert code == EXIT_CONFIG
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["verify", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_report_path_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["verify", "--config", write(tmp_path, VERIFY_OK), "--json", str(out)])
+        assert code == EXIT_CONFIG
+        assert "cannot write the report" in capsys.readouterr().err
+
+    def test_dump_path_in_missing_directory(self, tmp_path):
+        dump = tmp_path / "missing" / "grid.csv"
+        code = main(
+            ["verify", "--config", write(tmp_path, VERIFY_OK), "--dump-grid", str(dump)]
+        )
+        assert code == EXIT_CONFIG
 
 
 class TestExamplesCommand:

@@ -5,6 +5,9 @@ import pytest
 
 from wavecert.coeff import build
 from wavecert.condition import (
+    GridProblem,
+    _multiplier,
+    _terms,
     check_condition,
     multiplier_matrix,
     multiplier_matrix_diagonal,
@@ -325,3 +328,62 @@ class TestCheckCondition:
         )
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,eig_min_pencil,eig_min_matrix,grad_norm,minor1,minor2"
+
+
+def _einsum_terms(a, da, grad, hess):
+    """The assembly's sums written as einsum formulas, for comparison."""
+    return (
+        np.einsum("miq,mpj,mpq->mij", a, a, hess),
+        np.einsum("miq,mpjq,mp->mij", a, da, grad),
+        np.einsum("mjq,mpiq,mp->mij", a, da, grad),
+        np.einsum("mijq,mpq,mp->mij", da, a, grad),
+    )
+
+
+class TestAssemblyOrder:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 7, 797])
+    def test_matches_einsum_formulas(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        a = rng.standard_normal((m, n, n))
+        a = a + np.swapaxes(a, 1, 2)
+        da = rng.standard_normal((m, n, n, n))
+        da = da + np.swapaxes(da, 1, 2)
+        grad = rng.standard_normal((m, n)) * np.exp(rng.uniform(-5.0, 5.0, (m, 1)))
+        hess = rng.standard_normal((m, n, n))
+        hess = hess + np.swapaxes(hess, 1, 2)
+        ref_h, ref_a, ref_b, ref_c = _einsum_terms(a, da, grad, hess)
+        mag_h, mag_a, mag_b, mag_c = _einsum_terms(*map(np.abs, (a, da, grad, hess)))
+        term_h, t_a, t_c = _terms(a, da, grad, hess)
+        eps = np.finfo(float).eps
+        for got, ref, mag in (
+            (term_h, ref_h, mag_h),
+            (t_a, ref_a, mag_a),
+            (np.swapaxes(t_a, 1, 2), ref_b, mag_b),
+            (t_c, ref_c, mag_c),
+        ):
+            assert np.all(np.abs(got - ref) <= 4 * eps * mag)
+        want = ref_h + 0.5 * (ref_a + ref_b - ref_c)
+        want = 0.5 * (want + np.swapaxes(want, 1, 2))
+        bound = 8 * eps * (mag_h + 0.5 * (mag_a + mag_b + mag_c))
+        assert np.all(np.abs(_multiplier(a, da, grad, hess) - want) <= bound)
+
+
+class TestGridProblem:
+    def test_check_matches_check_condition(self, tmp_path):
+        f = isotropic_exp_field()
+        problem = GridProblem(f, offset_disk(), 17)
+        for lam in (1.0, 1.5, 3.0):
+            w = construct_weight(axis=1, sign_case="positive", shift=5.0, lam=lam, dim=2)
+            assert problem.check(w) == check_condition(f, w, offset_disk(), 17)
+        w = quadratic_weight()
+        problem.check(w, dump_path=tmp_path / "a.csv")
+        check_condition(f, w, offset_disk(), 17, dump_path=tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_failed_coefficient_skips_partials_and_factor(self):
+        f = build(["x1", "1"], diagonal=True)
+        problem = GridProblem(f, region(2, [(-1.0, 1.0), (-1.0, 1.0)]), 9)
+        report = problem.check(quadratic_weight())
+        assert report.verdict == "failed_coefficient"
+        assert "da" not in vars(problem) and "chol" not in vars(problem)

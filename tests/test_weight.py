@@ -169,6 +169,30 @@ class TestFindLambda:
             f"{cert.refinement_report.verdict} (margin {cert.refinement_report.margin:.3e})"
         )
 
+    def test_lambda_independent_work_runs_once_per_grid(self, monkeypatch):
+        import wavecert.condition as condition
+        from wavecert.coeff import CoefficientField
+
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(condition, "sample", counted("sample", condition.sample))
+        for name in ("values", "partial_values"):
+            monkeypatch.setattr(
+                CoefficientField, name, counted(name, getattr(CoefficientField, name))
+            )
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
+        assert cert.report.certified
+        # the search grid and the refinement grid, whatever the attempt count
+        assert counts == {"sample": 2, "values": 2, "partial_values": 2, "cholesky": 2}
+
     def test_inadmissible_forced_axis_exhausts_budget(self):
         with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
             find_lambda(
