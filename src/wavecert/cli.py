@@ -35,10 +35,11 @@ domain error.
 """
 
 import argparse
-import csv
 import math
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from .bundled import EXAMPLES
@@ -56,7 +57,7 @@ from .errors import (
     WeightOverflowError,
 )
 from .rays import fan
-from .report import dumps_stable, fmt_float
+from .report import dumps_stable, fmt_float, write_csv
 from .weight import (
     AdmissibleIndex,
     WeightCertificate,
@@ -71,6 +72,9 @@ EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
+
+# verdicts of runs in which no weight is fully checked, so no ``--dump-grid`` is written
+_NO_DUMP_VERDICTS = ("failed_coefficient", "no_admissible_index", "lambda_max_exceeded")
 
 _PROBLEM_KEYS = {"A.diagonal", "A.entries", "weight", "constants"}
 _REGION_KEYS = {"dim", "box", "constraints", "margin"}
@@ -524,16 +528,13 @@ def run_rays(cfg: RunConfig, dump_path=None):
         store_paths=dump_path is not None,
     )
     if dump_path is not None:
-        with open(dump_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["ray", "t_index"] + [f"x{k}" for k in range(1, cfg.dim + 1)])
-            for idx, out in enumerate(outcomes):
-                if out.path is None:
-                    continue
-                for t_index, row in enumerate(out.path):
-                    writer.writerow(
-                        [idx, t_index] + [format(v, ".17g") for v in row]
-                    )
+        paths = [out.path for out in outcomes]
+        lengths = [len(path) for path in paths]
+        ray = np.repeat(np.arange(len(paths)), lengths)
+        t_index = np.arange(ray.size) - np.cumsum([0] + lengths)[ray]
+        points = np.vstack(paths + [np.empty((0, cfg.dim))])  # empty fan: no rows
+        header = ["ray", "t_index"] + [f"x{k}" for k in range(1, cfg.dim + 1)]
+        write_csv(dump_path, header, [ray, t_index, points])
     summary = ray_summary_dict(outcomes)
     return EXIT_OK, "traced", summary
 
@@ -696,6 +697,8 @@ def main(argv=None) -> int:
                 "rays": run_rays,
             }[args.command]
             code, verdict, result = runner(cfg, dump_path=args.dump_grid)
+            if args.dump_grid is not None and verdict in _NO_DUMP_VERDICTS:
+                print(f"no grid dump written: {verdict}", file=sys.stderr)
             echo = cfg.echo()
     except (ConfigError, RegionError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ weight has no mixed second derivatives, which covers every weight family this
 toolkit constructs.
 """
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +40,7 @@ from .linalg import (
     pencil_min_eigenvalue,
     row_norms,
 )
+from .report import write_csv
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,10 @@ class GridProblem:
             verdict = VERDICT_FAILED_GRADIENT
 
         if dump_path is not None:
-            _dump_grid(dump_path, pts, pencil, mineig, grad_norms, minors)
+            axes = range(1, pts.shape[1] + 1)
+            header = [f"x{k}" for k in axes] + ["eig_min_pencil", "eig_min_matrix", "grad_norm"]
+            header += [f"minor{k}" for k in axes]
+            write_csv(dump_path, header, [pts, pencil, mineig, grad_norms, minors])
 
         return ConditionReport(
             verdict=verdict,
@@ -386,25 +389,3 @@ def check_condition(
     """
     return GridProblem(field, region, resolution, consts).check(weight, dump_path)
 
-
-def _dump_grid(path, pts, pencil, mineig, grad_norms, minors):
-    n = pts.shape[1]
-    header = (
-        [f"x{k}" for k in range(1, n + 1)]
-        + ["eig_min_pencil", "eig_min_matrix", "grad_norm"]
-        + [f"minor{k}" for k in range(1, n + 1)]
-    )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for idx in range(pts.shape[0]):
-            row = (
-                [format(v, ".17g") for v in pts[idx]]
-                + [
-                    format(pencil[idx], ".17g"),
-                    format(mineig[idx], ".17g"),
-                    format(grad_norms[idx], ".17g"),
-                ]
-                + [format(v, ".17g") for v in minors[idx]]
-            )
-            writer.writerow(row)

@@ -36,6 +36,7 @@ from .expr import (
     evaluate,
     parse,
 )
+from .report import write_csv
 
 DEGENERATE_TOLERANCE = 1e-12
 
@@ -140,7 +141,8 @@ def classify_sign(a1, a2, region: Region, resolution: int, consts=None, dump_pat
         classification = CLASS_NEGATIVE
 
     if dump_path is not None:
-        _dump_curvature(dump_path, pts, values)
+        header = [f"x{k}" for k in range(1, pts.shape[1] + 1)] + ["k"]
+        write_csv(dump_path, header, [pts, values])
 
     return CurvatureReport(
         classification=classification,
@@ -151,18 +153,6 @@ def classify_sign(a1, a2, region: Region, resolution: int, consts=None, dump_pat
         resolution=resolution,
         point_count=pts.shape[0],
     )
-
-
-def _dump_curvature(path, pts, values):
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"x{k}" for k in range(1, pts.shape[1] + 1)] + ["k"])
-        for idx in range(pts.shape[0]):
-            writer.writerow(
-                [format(v, ".17g") for v in pts[idx]] + [format(values[idx], ".17g")]
-            )
 
 
 @dataclass(frozen=True)

@@ -150,16 +150,15 @@ class _Visits:
     def __init__(self, flow: _Flow, count: int, store_paths: bool):
         self.flow = flow
         self.nearest = np.full(count, np.inf)
-        self.paths = [[] for _ in range(count)] if store_paths else None
+        self.steps = [] if store_paths else None  # (ids, positions) per add
         self.ids, self.rows, self.size = [], [], 0
 
     def add(self, ids, y):
         self.ids.append(ids)
         self.rows.append(y)
         self.size += len(ids)
-        if self.paths is not None:
-            for r, row in zip(ids.tolist(), y):
-                self.paths[r].append(row[: self.flow.n])
+        if self.steps is not None:
+            self.steps.append((ids, y[:, : self.flow.n]))
         if self.size >= _DISTANCE_BATCH:
             self.flush()
 
@@ -168,6 +167,13 @@ class _Visits:
             dist = self.flow.boundary_distance(np.concatenate(self.rows))
             np.minimum.at(self.nearest, np.concatenate(self.ids), dist)
             self.ids, self.rows, self.size = [], [], 0
+
+    def paths(self) -> dict:
+        """Each stored ray's positions in visiting order, ``{id: (k, n)}``."""
+        ids, rows = (np.concatenate(blocks) for blocks in zip(*self.steps))
+        order = np.argsort(ids, kind="stable")
+        cuts = np.flatnonzero(np.diff(ids[order])) + 1
+        return dict(zip(ids[order][np.r_[0, cuts]].tolist(), np.split(rows[order], cuts)))
 
 
 def trace(
@@ -264,6 +270,7 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
 
     finished.update(zip(ids.tolist(), ((None, d) for d in drift_max.tolist())))
     visits.flush()
+    paths = {} if visits.steps is None else visits.paths()
     for r, (t_end, d) in finished.items():
         outcomes[r] = RayOutcome(
             escaped=t_end is not None,
@@ -271,7 +278,7 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
             min_boundary_distance=float(visits.nearest[r]),
             hamiltonian_drift=d,
             step_used=h,
-            path=None if visits.paths is None else np.array(visits.paths[r]),
+            path=paths.get(r),
         )
     return np.array(failed, dtype=int)
 

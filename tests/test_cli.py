@@ -13,6 +13,7 @@ from wavecert.cli import (
     parse_config_text,
 )
 from wavecert.errors import ConfigError
+from wavecert.rays import fan
 from wavecert.report import dumps_stable, strip_duration
 
 VERIFY_OK = """
@@ -325,6 +326,28 @@ class TestConstructCommand:
         assert main(["construct", "--config", write(tmp_path, text)]) == EXIT_CONFIG
 
 
+class TestDumpNotWritten:
+    @pytest.mark.parametrize(
+        "command,text,flags,verdict",
+        [
+            ("construct", CONSTRUCT_HOPELESS, [], "no_admissible_index"),
+            ("construct", CONSTRUCT_HOPELESS, ["--force-j", "1"], "lambda_max_exceeded"),
+            (
+                "verify",
+                VERIFY_BAD_GRADIENT.replace('["1", "1"]', '["x1", "1"]'),
+                [],
+                "failed_coefficient",
+            ),
+        ],
+    )
+    def test_no_dump_is_reported(self, tmp_path, capsys, command, text, flags, verdict):
+        dump = tmp_path / "grid.csv"
+        argv = [command, "--config", write(tmp_path, text), "--dump-grid", str(dump), *flags]
+        assert main(argv) == EXIT_NOT_CERTIFIED
+        assert not dump.exists()
+        assert f"no grid dump written: {verdict}" in capsys.readouterr().err
+
+
 class TestCurvatureCommand:
     def test_sign_changing_with_window(self, tmp_path):
         out = tmp_path / "k.json"
@@ -369,6 +392,25 @@ class TestRaysCommand:
         lines = dump.read_text().splitlines()
         assert lines[0] == "ray,t_index,x1,x2"
         assert len(lines) > 2
+
+    def test_polyline_dump_lists_every_stored_path(self, tmp_path):
+        dump = tmp_path / "paths.csv"
+        flags = ["--count", "3", "--horizon", "1", "--step", "0.01", "--dump-grid", str(dump)]
+        assert main(["rays", "--config", write(tmp_path, RAYS_CFG), *flags]) == EXIT_OK
+        cfg = RunConfig.from_text(RAYS_CFG)
+        outs = fan(cfg.build_field(), cfg.build_region(), (0, 0), 3, 1.0, 0.01, store_paths=True)
+        rows = ["ray,t_index,x1,x2"] + [
+            f"{r},{t},{x:.17g},{y:.17g}"
+            for r, out in enumerate(outs)
+            for t, (x, y) in enumerate(out.path)
+        ]
+        assert dump.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
+
+    def test_empty_fan_dump_is_header_only(self, tmp_path):
+        dump = tmp_path / "paths.csv"
+        flags = ["--count", "0", "--dump-grid", str(dump)]
+        assert main(["rays", "--config", write(tmp_path, RAYS_CFG), *flags]) == EXIT_OK
+        assert dump.read_bytes() == b"ray,t_index,x1,x2\r\n"
 
     @pytest.mark.parametrize(
         "edit,flags",

@@ -18,6 +18,15 @@ def example_field():
     return build(["1 + x1^2 + x2^2", "1 + x1^2 + x2^2"], diagonal=True)
 
 
+# fans checked ray by ray against single traces
+FAN_CASES = [
+    # drift forces a halving on some rays only
+    ("1 + x1^2 + x2^2", (0.3, 0.0), 20.0, 0.1, {0.05, 0.1}),
+    # escaping and trapped rays in one fan
+    ("exp(x1^2 + x2^2)", (1.0, 0.0), 5.0, 0.01, {0.01}),
+]
+
+
 def origin_disk():
     return region(2, [(-SQRT2, SQRT2)] * 2, ["x1^2 + x2^2 - 2"])
 
@@ -182,15 +191,7 @@ class TestFan:
         b = fan(example_field(), origin_disk(), (0.0, 0.0), 4, 5.0, 1e-2)
         assert [o.escape_time for o in a] == [o.escape_time for o in b]
 
-    @pytest.mark.parametrize(
-        "entry,center,horizon,step,steps_used",
-        [
-            # drift forces a halving on some rays only
-            ("1 + x1^2 + x2^2", (0.3, 0.0), 20.0, 0.1, {0.05, 0.1}),
-            # escaping and trapped rays in one fan
-            ("exp(x1^2 + x2^2)", (1.0, 0.0), 5.0, 0.01, {0.01}),
-        ],
-    )
+    @pytest.mark.parametrize("entry,center,horizon,step,steps_used", FAN_CASES)
     def test_matches_one_trace_per_direction(self, entry, center, horizon, step, steps_used):
         field = build([entry, entry], diagonal=True)
         outs = fan(field, origin_disk(), center, 8, horizon, step)
@@ -204,6 +205,21 @@ class TestFan:
             assert (out.escaped, out.step_used) == (alone.escaped, alone.step_used)
             if out.escaped:
                 assert abs(out.escape_time - alone.escape_time) <= 1e-12
+
+    @pytest.mark.parametrize("entry,center,horizon,step,steps_used", FAN_CASES)
+    def test_stored_paths_match_one_trace_per_direction(
+        self, entry, center, horizon, step, steps_used
+    ):
+        field = build([entry, entry], diagonal=True)
+        outs = fan(field, origin_disk(), center, 8, horizon, step, store_paths=True)
+        for k, out in enumerate(outs):
+            angle = 2.0 * math.pi * k / 8
+            alone = trace(
+                field, origin_disk(),
+                RayState(x=center, xi=(math.cos(angle), math.sin(angle))), horizon, step,
+                store_path=True,
+            )
+            assert np.array_equal(out.path, alone.path)
 
     def test_fibonacci_fan_on_unit_ball(self):
         ball = region(3, [(-1.0, 1.0)] * 3, ["x1^2 + x2^2 + x3^2 - 1"])
