@@ -27,17 +27,22 @@ A run configuration is flat key-value text with three section headers::
     force_j = 1
 
 Values are JSON; full-line ``#`` comments are allowed; unknown keys are
-errors.  ``threads`` (and ``--threads``) is accepted and echoed in the report
-but has no effect: the grid's linear algebra runs on whole stacks.  Exit
-codes: 0 success or certified, 2 honest negative (not certified / no
-admissible axis / budget exhausted), 3 configuration error, 4 numeric or
-domain error.
+errors.  The table ``_OPTIONS`` gives each ``[options]`` key its type,
+default, range check and the subcommands that take it as a flag
+(``lambda_max`` is ``--lambda-max``); a flag overrides the file and is
+converted and checked the same way.  ``threads`` (and ``--threads``) is
+accepted and echoed in the report but has no effect: the grid's linear
+algebra runs on whole stacks.  Exit codes: 0 success or certified, 2 honest
+negative (not certified / no admissible axis / budget exhausted), 3
+configuration or usage error (including a grid above
+``domain.MAX_GRID_POINTS``), 4 numeric or domain error.
 """
 
 import argparse
 import math
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -76,42 +81,27 @@ EXIT_NUMERIC = 4
 # verdicts of runs in which no weight is fully checked, so no ``--dump-grid`` is written
 _NO_DUMP_VERDICTS = ("failed_coefficient", "no_admissible_index", "lambda_max_exceeded")
 
-_PROBLEM_KEYS = {"A.diagonal", "A.entries", "weight", "constants"}
-_REGION_KEYS = {"dim", "box", "constraints", "margin"}
-_OPTION_KEYS = {
-    "resolution",
-    "lambda_max",
-    "target_margin",
-    "horizon",
-    "step",
-    "count",
-    "center",
-    "threads",
-    "force_j",
+
+# One [options] key: ``kind`` is int, float or list (of numbers; its flag takes
+# them comma-separated); ``commands`` take the key as a flag; a set value must
+# pass ``check`` once converted, else the error is "{key} must be {rule}".
+_Option = namedtuple("_Option", "kind default commands check rule help", defaults=(None,) * 3)
+_ALL = ("verify", "construct", "curvature", "rays", "examples")
+_OPTIONS = {
+    "resolution": _Option(int, 33, _ALL),
+    "lambda_max": _Option(float, float(2**20), ("construct",), lambda v: v >= 1.0, ">= 1"),
+    "target_margin": _Option(float, 0.0, ("construct",), math.isfinite, "a finite number"),
+    "horizon": _Option(float, 20.0, ("rays",), lambda v: 0.0 < v < math.inf, "a positive number"),
+    "step": _Option(float, 0.01, ("rays",), lambda v: 0.0 < v < math.inf, "a positive number"),
+    "count": _Option(int, 32, ("rays",), lambda v: v >= 0, "nonnegative"),
+    "center": _Option(list, None, ("rays",), help="comma-separated start point"),
+    "threads": _Option(int, None, _ALL, help="accepted; has no effect"),
+    "force_j": _Option(int, None, ("construct",)),
 }
-
-_DEFAULT_OPTIONS = {
-    "resolution": 33,
-    "lambda_max": float(2**20),
-    "target_margin": 0.0,
-    "horizon": 20.0,
-    "step": 0.01,
-    "count": 32,
-    "center": None,
-    "threads": None,  # accepted and echoed; has no effect
-    "force_j": None,
-}
-
-
-_OPTION_TYPES = {
-    "resolution": int,
-    "lambda_max": float,
-    "target_margin": float,
-    "horizon": float,
-    "step": float,
-    "count": int,
-    "threads": int,
-    "force_j": int,
+_KEYS = {
+    "problem": {"A.diagonal", "A.entries", "weight", "constants"},
+    "region": {"dim", "box", "constraints", "margin"},
+    "options": _OPTIONS,
 }
 
 
@@ -120,8 +110,12 @@ _OPTION_TYPES = {
 
 
 def _convert(key, value, kind):
-    """``kind(value)``; a value that is not a number (for ``int``, not a whole
-    number) is a :class:`ConfigError`."""
+    """``kind(value)`` (a ``list`` kind: a list of floats); a value that is not
+    a number (for ``int``, not a whole number) is a :class:`ConfigError`."""
+    if kind is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list of numbers")
+        return [_convert(key, v, float) for v in value]
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
     try:
         if isinstance(value, bool) or fractional:
@@ -141,7 +135,7 @@ def parse_config_text(text: str) -> dict:
     """
     import json
 
-    sections = {"problem": {}, "region": {}, "options": {}}
+    sections = {name: {} for name in _KEYS}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -159,12 +153,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, _, value_text = line.partition("=")
         key = key.strip()
-        allowed = {
-            "problem": _PROBLEM_KEYS,
-            "region": _REGION_KEYS,
-            "options": _OPTION_KEYS,
-        }[current]
-        if key not in allowed:
+        if key not in _KEYS[current]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -176,22 +165,16 @@ def parse_config_text(text: str) -> dict:
 
 
 class RunConfig:
-    """Validated problem + region + options, ready to execute."""
+    """Validated problem + region + options, ready to execute.
 
-    def __init__(self, sections: dict):
-        problem = dict(sections.get("problem", {}))
-        reg = dict(sections.get("region", {}))
-        options = dict(sections.get("options", {}))
+    ``overrides`` (option key -> value, e.g. from flags) replace ``[options]``
+    values; an unset or ``null`` option takes its default.
+    """
 
-        for key in problem:
-            if key not in _PROBLEM_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [problem]")
-        for key in reg:
-            if key not in _REGION_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [region]")
-        for key in options:
-            if key not in _OPTION_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [options]")
+    def __init__(self, sections: dict, overrides=None):
+        problem = sections.get("problem", {})
+        reg = sections.get("region", {})
+        options = {**sections.get("options", {}), **(overrides or {})}
 
         try:
             self.diagonal = bool(problem["A.diagonal"])
@@ -231,33 +214,25 @@ class RunConfig:
         self.constraints = list(raw_constraints)
         self.margin = _convert("margin", reg.get("margin", 0.0), float)
 
-        self.options = dict(_DEFAULT_OPTIONS)
-        self.options.update(options)
-        for key, kind in _OPTION_TYPES.items():
-            if self.options[key] is not None:
-                self.options[key] = _convert(key, self.options[key], kind)
-        for key in ("horizon", "step"):
-            if not 0.0 < self.options[key] < math.inf:
-                raise ConfigError(f"{key} must be a positive number")
-        if not self.options["lambda_max"] >= 1.0:
-            raise ConfigError("lambda_max must be >= 1")
-        if not math.isfinite(self.options["target_margin"]):
-            raise ConfigError("target_margin must be a finite number")
-        if self.options["count"] < 0:
-            raise ConfigError("count must be nonnegative")
+        self.options = {}
+        for key, option in _OPTIONS.items():
+            value = options.get(key)
+            if value is None:
+                value = option.default
+            if value is not None:
+                value = _convert(key, value, option.kind)
+                if option.check is not None and not option.check(value):
+                    raise ConfigError(f"{key} must be {option.rule}")
+            self.options[key] = value
         center = self.options["center"]
-        if center is not None:
-            if not isinstance(center, list):
-                raise ConfigError("center must be a list of numbers")
-            self.options["center"] = [_convert("center", v, float) for v in center]
+        if center is None:
+            self.options["center"] = [0.5 * (lo + hi) for lo, hi in self.box]
+        elif len(center) != self.dim:
+            raise ConfigError("center dimension does not match the region")
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        return cls(parse_config_text(text))
-
-    @classmethod
-    def from_dict(cls, sections: dict) -> "RunConfig":
-        return cls(sections)
+    def from_text(cls, text: str, overrides=None) -> "RunConfig":
+        return cls(parse_config_text(text), overrides)
 
     def build_field(self) -> CoefficientField:
         try:
@@ -284,16 +259,7 @@ class RunConfig:
         except WavecertError as exc:
             raise ConfigError(f"bad weight expression: {exc}") from exc
 
-    def center(self):
-        if self.options["center"] is not None:
-            if len(self.options["center"]) != self.dim:
-                raise ConfigError("center dimension does not match the region")
-            return self.options["center"]
-        return [0.5 * (lo + hi) for lo, hi in self.box]
-
     def echo(self) -> dict:
-        options = dict(self.options)
-        options["center"] = self.center()
         problem = {
             "A.diagonal": self.diagonal,
             "A.entries": list(self.entries),
@@ -309,7 +275,7 @@ class RunConfig:
                 "constraints": list(self.constraints),
                 "margin": self.margin,
             },
-            "options": options,
+            "options": dict(self.options),
         }
 
 
@@ -514,7 +480,7 @@ def run_rays(cfg: RunConfig, dump_path=None):
         raise ConfigError("ray fans are enumerated in dimension 2 or 3 only")
     field = cfg.build_field()
     reg = cfg.build_region()
-    center = cfg.center()
+    center = cfg.options["center"]
     if not contains(reg, center, cfg.constants):
         raise ConfigError(f"center {center} is outside the region")
     outcomes = fan(
@@ -539,24 +505,24 @@ def run_rays(cfg: RunConfig, dump_path=None):
     return EXIT_OK, "traced", summary
 
 
+_COMMANDS = {  # subcommand -> (help, runner of a RunConfig)
+    "verify": ("certify a given weight", run_verify),
+    "construct": ("build and certify an exponential weight", run_construct),
+    "curvature": ("classify the curvature sign", run_curvature),
+    "rays": ("trace a bicharacteristic fan", run_rays),
+    "examples": ("run bundled reference problems", None),
+}
+
+
 def run_example(name: str, overrides):
     entry = EXAMPLES[name]
-    sections = {k: dict(v) for k, v in entry["config"].items()}
-    options = dict(sections.get("options", {}))
-    options.update(overrides)
-    sections["options"] = options
-    cfg = RunConfig.from_dict(sections)
+    cfg = RunConfig(entry["config"], overrides)
     command = entry["command"]
-    if command == "construct":
-        _, verdict, result = run_construct(cfg)
-    elif command == "curvature":
-        _, verdict, result = run_curvature(cfg)
-    elif command == "construct+rays":
-        _, verdict, construct_result = run_construct(cfg)
-        _, _, rays_result = run_rays(cfg)
-        result = {"construct": construct_result, "rays": rays_result}
-    else:
-        raise ConfigError(f"bundled example {name!r} has unknown command {command!r}")
+    # "construct+rays" runs both on one config; the first gives the verdict
+    runs = {part: _COMMANDS[part][1](cfg) for part in command.split("+")}
+    _, verdict, result = next(iter(runs.values()))
+    if len(runs) > 1:
+        result = {part: run[2] for part, run in runs.items()}
     matched = verdict == entry["expect"]
     return {
         "description": entry["description"],
@@ -571,11 +537,6 @@ def run_example(name: str, overrides):
 
 def run_examples(name: str, overrides):
     names = list(EXAMPLES) if name == "all" else [name]
-    unknown = [n for n in names if n not in EXAMPLES]
-    if unknown:
-        raise ConfigError(
-            f"unknown example {unknown[0]!r}; available: {', '.join(sorted(EXAMPLES))}"
-        )
     results = {n: run_example(n, overrides) for n in names}
     all_matched = all(r["matched"] for r in results.values())
     verdict = "all_matched" if all_matched else "mismatch"
@@ -610,93 +571,57 @@ def _print_human(report: dict, stream):
     print(f"  duration_seconds: {report['duration_seconds']:.3f}", file=stream)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are :class:`ConfigError` (exit 3)
+    instead of argparse's exit 2, which this tool reserves for honest
+    negatives."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wavecert",
         description="grid certification and construction of wave-equation multiplier weights",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_config=True):
-        if needs_config:
+    for command, (text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "examples":
+            p.add_argument("name", choices=[*EXAMPLES, "all"], metavar="name",
+                           help="example name or 'all'")
+        else:
             p.add_argument("--config", required=True, help="path to a run configuration")
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
-        p.add_argument("--dump-grid", default=None, help="write per-point CSV here")
-        p.add_argument("--json", default=None, help="write the machine report here")
-
-    p_verify = sub.add_parser("verify", help="certify a given weight")
-    common(p_verify)
-
-    p_construct = sub.add_parser("construct", help="build and certify an exponential weight")
-    common(p_construct)
-    p_construct.add_argument("--force-j", type=int, default=None)
-    p_construct.add_argument("--lambda-max", type=float, default=None)
-    p_construct.add_argument("--target-margin", type=float, default=None)
-
-    p_curv = sub.add_parser("curvature", help="classify the curvature sign")
-    common(p_curv)
-
-    p_rays = sub.add_parser("rays", help="trace a bicharacteristic fan")
-    common(p_rays)
-    p_rays.add_argument("--center", default=None, help="comma-separated start point")
-    p_rays.add_argument("--count", type=int, default=None)
-    p_rays.add_argument("--horizon", type=float, default=None)
-    p_rays.add_argument("--step", type=float, default=None)
-
-    p_examples = sub.add_parser("examples", help="run bundled reference problems")
-    p_examples.add_argument("name", help="example name or 'all'")
-    p_examples.add_argument("--resolution", type=int, default=None)
-    p_examples.add_argument("--threads", type=int, default=None, help="accepted; has no effect")
-    p_examples.add_argument("--json", default=None)
+            p.add_argument("--dump-grid", help="write per-point CSV here")
+        p.add_argument("--json", help="write the machine report here")
+        for key, option in _OPTIONS.items():
+            if command in option.commands:
+                p.add_argument("--" + key.replace("_", "-"), help=option.help)
     return parser
 
 
-def _collect_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "resolution", None) is not None:
-        overrides["resolution"] = args.resolution
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if getattr(args, "force_j", None) is not None:
-        overrides["force_j"] = args.force_j
-    if getattr(args, "lambda_max", None) is not None:
-        overrides["lambda_max"] = args.lambda_max
-    if getattr(args, "target_margin", None) is not None:
-        overrides["target_margin"] = args.target_margin
-    if getattr(args, "count", None) is not None:
-        overrides["count"] = args.count
-    if getattr(args, "horizon", None) is not None:
-        overrides["horizon"] = args.horizon
-    if getattr(args, "step", None) is not None:
-        overrides["step"] = args.step
-    if getattr(args, "center", None) is not None:
-        overrides["center"] = str(args.center).split(",")
-    return overrides
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        overrides = _collect_overrides(args)
+        args = _build_parser().parse_args(argv)
+        overrides = {
+            key: value.split(",") if option.kind is list else value
+            for key, option in _OPTIONS.items()
+            if (value := getattr(args, key, None)) is not None
+        }
         if args.command == "examples":
             code, verdict, result = run_examples(args.name, overrides)
             echo = {"examples": sorted(result["examples"])}
         else:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                sections = parse_config_text(handle.read())
-            options = dict(sections.get("options", {}))
-            options.update(overrides)
-            sections["options"] = options
-            cfg = RunConfig.from_dict(sections)
-            runner = {
-                "verify": run_verify,
-                "construct": run_construct,
-                "curvature": run_curvature,
-                "rays": run_rays,
-            }[args.command]
-            code, verdict, result = runner(cfg, dump_path=args.dump_grid)
+            try:
+                with open(args.config, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
+            cfg = RunConfig.from_text(text, overrides)
+            code, verdict, result = _COMMANDS[args.command][1](cfg, dump_path=args.dump_grid)
             if args.dump_grid is not None and verdict in _NO_DUMP_VERDICTS:
                 print(f"no grid dump written: {verdict}", file=sys.stderr)
             echo = cfg.echo()

@@ -14,6 +14,10 @@ import numpy as np
 from .errors import RegionError
 from .expr import Expression, evaluate, parse
 
+# largest tensor grid ``sample`` builds (resolution ** dim points): 2**22 admits
+# 129 points per axis in 3D and keeps one float64 coordinate array at 32 MiB
+MAX_GRID_POINTS = 2**22
+
 
 @dataclass(frozen=True)
 class Region:
@@ -35,8 +39,8 @@ class Region:
             raise RegionError("bounding box must have one [lo, hi] pair per axis")
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
         for lo, hi in box:
-            if not lo < hi:
-                raise RegionError(f"empty box axis [{lo}, {hi}]")
+            if not -np.inf < lo < hi < np.inf:
+                raise RegionError(f"empty or unbounded box axis [{lo}, {hi}]")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.margin < 0:
@@ -85,10 +89,17 @@ def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
 
     The grid includes the box faces (linspace endpoints); points failing a
     constraint are dropped.  Raises :class:`RegionError` when nothing at all
-    survives, which signals a region too thin for the resolution.
+    survives, which signals a region too thin for the resolution, or, before
+    allocating, when the tensor grid would exceed :data:`MAX_GRID_POINTS`.
     """
     if resolution < 2:
         raise RegionError("resolution must be >= 2")
+    count = int(resolution) ** r.dim
+    if count > MAX_GRID_POINTS:
+        raise RegionError(
+            f"resolution {resolution} in dimension {r.dim} asks for {count} grid points;"
+            f" the budget is {MAX_GRID_POINTS}"
+        )
     axes = [np.linspace(lo, hi, resolution) for lo, hi in r.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)

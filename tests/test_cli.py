@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -9,6 +10,7 @@ from wavecert.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     RunConfig,
+    _build_parser,
     main,
     parse_config_text,
 )
@@ -489,6 +491,95 @@ class TestExitCodeContract:
             ["verify", "--config", write(tmp_path, VERIFY_OK), "--dump-grid", str(dump)]
         )
         assert code == EXIT_CONFIG
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["verify", "--config", "{cfg}", "--bogus"],
+            ["nonesuch"],
+            ["verify", "--config", "{cfg}", "--resolution", "abc"],
+        ],
+        ids=["missing-config", "unknown-flag", "unknown-subcommand", "unconvertible-flag"],
+    )
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path, VERIFY_OK)
+        assert main([arg.format(cfg=cfg) for arg in argv]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "construct" in capsys.readouterr().out
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(VERIFY_OK.replace("classical", "caf\xe9").encode("latin-1"))
+        assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_infinite_box_bound(self, tmp_path, capsys):
+        text = VERIFY_OK.replace("box = [[1, 3]", "box = [[1, 1e400]")
+        assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert "unbounded box axis [1.0, inf]" in capsys.readouterr().err
+
+
+# option -> (a command taking its flag, a config, flag text, the same value in JSON)
+FLAG_VALUES = {
+    "resolution": ("verify", VERIFY_OK, "9", "9"),
+    "threads": ("curvature", CURVATURE_CFG, "3", "3"),
+    "force_j": ("construct", CONSTRUCT_OK, "1", "1"),
+    "lambda_max": ("construct", CONSTRUCT_OK, "64", "64"),
+    "target_margin": ("construct", CONSTRUCT_OK, "0.1", "0.1"),
+    "center": ("rays", RAYS_CFG, "0.1,0", "[0.1, 0]"),
+    "count": ("rays", RAYS_CFG, "4", "4"),
+    "horizon": ("rays", RAYS_CFG, "1", "1"),
+    "step": ("rays", RAYS_CFG, "0.02", "0.02"),
+}
+
+
+class TestOneOptionTable:
+    @pytest.mark.parametrize("key", sorted(FLAG_VALUES))
+    def test_flag_and_file_value_echo_alike(self, tmp_path, key):
+        command, text, flag_text, json_text = FLAG_VALUES[key]
+        unset = "\n".join(line for line in text.splitlines() if not line.startswith(f"{key} ="))
+        by_flag, by_file = tmp_path / "flag.json", tmp_path / "file.json"
+        flag = "--" + key.replace("_", "-")
+        main([command, "--config", write(tmp_path, unset), flag, flag_text, "--json", str(by_flag)])
+        in_file = write(tmp_path, f"{unset}\n{key} = {json_text}\n", "file.cfg")
+        main([command, "--config", in_file, "--json", str(by_file)])
+        echo = json.loads(by_flag.read_text())["config"]
+        assert echo == json.loads(by_file.read_text())["config"]
+        assert echo["options"][key] == json.loads(json_text)
+
+    def test_flag_sets_per_subcommand(self):
+        common = {"--resolution", "--threads", "--dump-grid", "--json"}
+        expected = {
+            "verify": common,
+            "construct": common | {"--force-j", "--lambda-max", "--target-margin"},
+            "curvature": common,
+            "rays": common | {"--center", "--count", "--horizon", "--step"},
+            "examples": {"--resolution", "--threads", "--json"},
+        }
+        (commands,) = [
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help", "--config"}
+            for name, p in commands.choices.items()
+        }
+        assert flags == expected
+        every_flag = set().union(*expected.values())
+        assert every_flag == {"--" + k.replace("_", "-") for k in FLAG_VALUES} | common
+
+    @pytest.mark.parametrize("key", ["resolution", "lambda_max", "horizon", "step", "count"])
+    def test_null_option_takes_its_default(self, key):
+        unset = "\n".join(line for line in RAYS_CFG.splitlines() if not line.startswith(key))
+        null = RunConfig.from_text(f"{unset}\n{key} = null\n").echo()
+        assert null == RunConfig.from_text(unset).echo()
 
 
 class TestExamplesCommand:

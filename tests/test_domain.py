@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wavecert import domain
 from wavecert.domain import Region, contains, disk, region, sample
 from wavecert.errors import RegionError
 
@@ -64,6 +65,21 @@ class TestSample:
         r = region(2, [(0.0, 1.0), (0.0, 1.0)], ["x1 + x2 + 1"])  # nothing passes
         with pytest.raises(RegionError, match="too thin"):
             sample(r, 5)
+
+    def test_grid_point_budget_checked_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        cube = region(3, [(0.0, 1.0)] * 3)
+        monkeypatch.setattr(np, "meshgrid", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(RegionError, match="budget"):
+            sample(cube, 1000)
+        monkeypatch.undo()
+        monkeypatch.setattr(domain, "MAX_GRID_POINTS", 27)
+        assert len(sample(cube, 3)) == 27
+        with pytest.raises(RegionError, match="budget"):
+            sample(cube, 4)
 
     def test_determinism(self, offset_disk):
         a = sample(offset_disk, 17)
