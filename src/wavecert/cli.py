@@ -40,9 +40,11 @@ configuration or usage error (including a grid above
 
 import argparse
 import math
+import re
 import sys
 import time
 from collections import namedtuple
+from dataclasses import asdict
 
 import numpy as np
 
@@ -70,7 +72,8 @@ from .weight import (
     compute_shift,
     find_lambda,
     pick_index,
-    problem_sign_ranges,
+    sign_margin,
+    sign_ranges,
 )
 
 EXIT_OK = 0
@@ -283,26 +286,10 @@ class RunConfig:
 # report dictionaries
 
 
-def _point(p):
-    return None if p is None else [float(v) for v in p]
-
-
 def condition_report_dict(rep: ConditionReport) -> dict:
-    out = {
-        "verdict": rep.verdict,
-        "alpha_min": rep.alpha_min,
-        "worst_point_alpha": _point(rep.worst_point_alpha),
-        "margin": rep.margin,
-        "matrix_min_eig": rep.matrix_min_eig,
-        "grad_min": rep.grad_min,
-        "worst_point_margin": _point(rep.worst_point_margin),
-        "worst_point_grad": _point(rep.worst_point_grad),
-        "minors_min": None if rep.minors_min is None else list(rep.minors_min),
-        "resolution": rep.resolution,
-        "point_count": rep.point_count,
-    }
-    if rep.dump_path is not None:
-        out["dump_path"] = rep.dump_path
+    out = asdict(rep)
+    if rep.dump_path is None:
+        del out["dump_path"]
     return out
 
 
@@ -386,19 +373,18 @@ def run_construct(cfg: RunConfig, dump_path=None):
     reg = cfg.build_region()
     resolution = cfg.options["resolution"]
     problem = GridProblem(field, reg, resolution, cfg.constants)
-    ranges = problem_sign_ranges(problem)
+    ranges = sign_ranges(problem.da)
     candidates = admissible_indices(ranges, field.dim)
     force_axis = cfg.options["force_j"]
     chosen = pick_index(candidates, force_axis=force_axis)
     if chosen is None and force_axis is not None:
-        # a forced axis runs even when its partials straddle zero; the sign
-        # case follows the dominant side of the measured ranges
+        # a forced axis runs even when its partials straddle zero, in the sign
+        # case with the larger measured margin (positive on a tie)
         if not 1 <= force_axis <= field.dim:
             raise ConfigError(f"force_j={force_axis} out of range for dimension {field.dim}")
-        lows = [ranges[(force_axis, i)][0] for i in range(1, field.dim + 1) if i != force_axis]
-        highs = [ranges[(force_axis, i)][1] for i in range(1, field.dim + 1) if i != force_axis]
-        sign_case = "positive" if min(lows) >= -max(highs) else "negative"
-        chosen = AdmissibleIndex(force_axis, sign_case, min(lows))
+        margins = {s: sign_margin(ranges, field.dim, force_axis, s) for s in ("positive", "negative")}
+        sign_case = max(margins, key=margins.get)  # the first on a tie
+        chosen = AdmissibleIndex(force_axis, sign_case, margins[sign_case])
     if chosen is None:
         result = {
             "sign_ranges": _sign_ranges_list(ranges),
@@ -454,24 +440,10 @@ def run_curvature(cfg: RunConfig, dump_path=None):
         cfg.constants,
         dump_path=dump_path,
     )
-    result = {
-        "classification": rep.classification,
-        "k_min": rep.k_min,
-        "k_max": rep.k_max,
-        "witness_positive": _point(rep.witness_positive),
-        "witness_negative": _point(rep.witness_negative),
-        "resolution": rep.resolution,
-        "point_count": rep.point_count,
-    }
+    result = asdict(rep)
     if "mu1" in cfg.constants and "mu2" in cfg.constants:
         window = check_sign_change_window(cfg.constants["mu1"], cfg.constants["mu2"])
-        result["parameter_window"] = {
-            "ok": window.ok,
-            "mu1_positive": window.mu1_positive,
-            "mu2_positive": window.mu2_positive,
-            "sum_below_two": window.sum_below_two,
-            "weighted_above_two": window.weighted_above_two,
-        }
+        result["parameter_window"] = {**asdict(window), "ok": window.ok}
     return EXIT_OK, rep.classification, result
 
 
@@ -602,10 +574,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv):
+    """Each ``--flag -value`` as ``--flag=-value``: argparse reads a value such
+    as ``-0.5,0`` or ``-1e-3`` as a flag of its own.  Every long flag of this
+    tool but ``--help`` takes a value."""
+    out = []
+    for arg in argv:
+        value = arg.startswith("-") and not arg.startswith("--")
+        if value and out and re.fullmatch(r"--[a-z-]+", out[-1]) and out[-1] != "--help":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
         overrides = {
             key: value.split(",") if option.kind is list else value
             for key, option in _OPTIONS.items()

@@ -1,6 +1,7 @@
 """Coefficient matrices: symmetric fields of expressions, their symbolic
 first derivatives, and the uniform positive-definiteness certificate that
-gates everything downstream.
+gates everything downstream.  Diagonal-only code reads the diagonal of the
+full ``values``/``partial_values`` stacks: zero entries add no work there.
 """
 
 import math
@@ -45,18 +46,9 @@ class CoefficientField:
         """Evaluate all first derivatives: (..., n, n, n), last axis is k."""
         return compile(self.partials)(points, consts)
 
-    def diag_values(self, points, consts=None) -> np.ndarray:
-        """Diagonal entries only: (..., n).  Requires a diagonal field."""
-        _require_diagonal(self)
-        return compile([self.entries[i][i] for i in range(self.dim)])(points, consts)
 
-    def diag_partial_values(self, points, consts=None) -> np.ndarray:
-        """Derivatives of the diagonal entries: (..., n, n), last axis is k."""
-        _require_diagonal(self)
-        return compile([self.partials[i][i] for i in range(self.dim)])(points, consts)
-
-
-def _require_diagonal(field: CoefficientField):
+def require_diagonal(field: CoefficientField):
+    """Raise ValueError unless ``field`` is diagonal."""
     if not field.diagonal:
         raise ValueError("operation requires a diagonal coefficient field")
 
@@ -156,6 +148,6 @@ class SignReport:
 
 def partial_sign(field: CoefficientField, i: int, k: int, grid: SampleGrid, consts=None) -> SignReport:
     """Grid min and max of the derivative of entry (i, i) along axis k."""
-    _require_diagonal(field)
+    require_diagonal(field)
     values = evaluate(field.partial(i, i, k), grid.points, consts)
     return SignReport(minimum=float(np.min(values)), maximum=float(np.max(values)))

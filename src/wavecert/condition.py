@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeff import CoefficientField, certify_positivity
+from .coeff import CoefficientField, certify_positivity, require_diagonal
 from .domain import Region, sample
 from .errors import EvaluationError
 from .expr import Expression, compile, differentiate, evaluate, parse
@@ -217,9 +217,11 @@ def multiplier_matrix_diagonal(
     Agrees with :func:`multiplier_matrix` whenever the weight has no mixed
     second derivatives.
     """
+    require_diagonal(field)
     pts, batched = _batched(point)
-    a = field.diag_values(pts, consts)
-    da = field.diag_partial_values(pts, consts)
+    idx = np.arange(field.dim)
+    a = field.values(pts, consts)[:, idx, idx]
+    da = field.partial_values(pts, consts)[:, idx, idx, :]
     grad = weight.grad_values(pts, consts)
     hess = weight.hess_values(pts, consts)
 
@@ -227,9 +229,7 @@ def multiplier_matrix_diagonal(
     sym = 0.5 * (cross + np.swapaxes(cross, -1, -2))
     hd = np.einsum("mii->mi", hess)
     diag = a * a * hd - 0.5 * np.einsum("mk,mik,mk->mi", a, da, grad)
-    m, n = a.shape
     out = sym.copy()
-    idx = np.arange(n)
     out[:, idx, idx] += diag
     return out if batched else out[0]
 

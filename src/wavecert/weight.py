@@ -9,10 +9,11 @@ partial along some axis j, an explicit weight of the form
   (positive case: the partials are > 0)
 
 certifies the condition once the rate ``lambda`` is large enough.  This
-module detects admissible axes, picks the smallest grid-feasible shift,
-searches the rate by doubling plus bisection, and exposes the row-scaled
-matrix together with its explicit rate-to-infinity limit so the proof
-asymptotics can be checked numerically.
+module detects admissible axes by one rule, :func:`sign_margin`, which also
+gives a certificate's margin and a forced axis's sign case; it picks the
+smallest grid-feasible shift, searches the rate by doubling plus bisection,
+and exposes the row-scaled matrix together with its explicit rate-to-infinity
+limit so the proof asymptotics can be checked numerically.
 
 Note on the shift in the positive case: the bound actually used mirrors the
 negative case, ``shift >= 1 + max sum_{i != j} |x_i| + max x_j``, because a
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoefficientField
+from .coeff import CoefficientField, require_diagonal
 from .condition import (
     ConditionReport,
     GridProblem,
@@ -83,28 +84,36 @@ class WeightCertificate:
         return self.refinement_report is not None and self.refinement_report.certified
 
 
-def index_sign_ranges(field: CoefficientField, grid: SampleGrid, consts=None):
-    """Grid range of every off-index partial: {(axis, entry): (min, max)}."""
-    return _sign_ranges(field.diag_partial_values(grid.points, consts))
-
-
-def problem_sign_ranges(problem: GridProblem):
-    """:func:`index_sign_ranges` from the partials a prepared grid holds."""
-    idx = np.arange(problem.field.dim)
-    return _sign_ranges(problem.da[:, idx, idx, :])
-
-
-def _sign_ranges(da):
-    """Ranges from the diagonal entries' partials ``(m, n, n)``, last axis k."""
+def sign_ranges(da):
+    """Grid range of every off-index partial, ``{(axis, entry): (min, max)}``,
+    from the partials of A at the grid points, ``(m, n, n, n)``, last axis k."""
     n = da.shape[-1]
     ranges = {}
     for j in range(1, n + 1):
         for i in range(1, n + 1):
             if i == j:
                 continue
-            vals = da[:, i - 1, j - 1]
+            vals = da[:, i - 1, i - 1, j - 1]
             ranges[(j, i)] = (float(np.min(vals)), float(np.max(vals)))
     return ranges
+
+
+def index_sign_ranges(field: CoefficientField, grid: SampleGrid, consts=None):
+    """:func:`sign_ranges` of a diagonal field over a sample grid."""
+    require_diagonal(field)
+    return sign_ranges(field.partial_values(grid.points, consts))
+
+
+def sign_margin(ranges, dim: int, axis: int, sign_case: str) -> float:
+    """The admissibility rule: ``-max`` of the maxima of the off-index partials
+    along ``axis`` (negative case) or ``min`` of their minima (positive case);
+    the pair is admissible iff it is > 0.  Infinite in one dimension."""
+    others = [ranges[(axis, i)] for i in range(1, dim + 1) if i != axis]
+    if not others:
+        return float("inf")
+    if sign_case == SIGN_NEGATIVE:
+        return -max(hi for _, hi in others)
+    return min(lo for lo, _ in others)
 
 
 def detect_index(field: CoefficientField, grid: SampleGrid, consts=None):
@@ -114,30 +123,18 @@ def detect_index(field: CoefficientField, grid: SampleGrid, consts=None):
     one-dimensional field the hypothesis is vacuous and both sign cases are
     admissible with an infinite margin sentinel.
     """
-    ranges = {} if field.dim == 1 else index_sign_ranges(field, grid, consts)
-    return admissible_indices(ranges, field.dim)
+    return admissible_indices(index_sign_ranges(field, grid, consts), field.dim)
 
 
 def admissible_indices(ranges, dim: int):
     """:func:`detect_index` from measured sign ranges of a ``dim``-field."""
-    if dim == 1:
-        return [
-            AdmissibleIndex(1, sign, float("inf")) for sign in _SIGN_ORDER
-        ]
     found = []
     for j in range(1, dim + 1):
-        lows, highs = _axis_ranges(ranges, dim, j)
-        if max(highs) < 0.0:
-            found.append(AdmissibleIndex(j, SIGN_NEGATIVE, -max(highs)))
-        if min(lows) > 0.0:
-            found.append(AdmissibleIndex(j, SIGN_POSITIVE, min(lows)))
+        for sign in _SIGN_ORDER:
+            margin = sign_margin(ranges, dim, j, sign)
+            if margin > 0.0:
+                found.append(AdmissibleIndex(j, sign, margin))
     return found
-
-
-def _axis_ranges(ranges, dim, axis):
-    """Lows and highs of the off-index partials along ``axis``."""
-    others = [ranges[(axis, i)] for i in range(1, dim + 1) if i != axis]
-    return [lo for lo, _ in others], [hi for _, hi in others]
 
 
 def compute_shift(grid: SampleGrid, axis: int, sign_case: str) -> float:
@@ -193,15 +190,6 @@ def construct_weight(
     for t in terms[1:]:
         expr = BinOp("+", expr, t)
     return weight_function(expr, dim)
-
-
-def _measured_sign_margin(problem, axis, sign_case):
-    if problem.field.dim == 1:
-        return float("inf")
-    lows, highs = _axis_ranges(problem_sign_ranges(problem), problem.field.dim, axis)
-    if sign_case == SIGN_NEGATIVE:
-        return -max(highs)
-    return min(lows)
 
 
 def find_lambda(
@@ -300,7 +288,7 @@ def find_lambda(
         lam=float(lam_pass),
         weight=weight_pass,
         report=report_pass,
-        sign_margin=_measured_sign_margin(problem, axis, sign_case),
+        sign_margin=sign_margin(sign_ranges(problem.da), field.dim, axis, sign_case),
         refinement_report=refinement,
     )
 
@@ -360,8 +348,10 @@ def limit_matrix(
     pts = np.asarray(point, dtype=float)
     batched = pts.ndim == 2
     pts2 = pts if batched else pts[None, :]
-    a = field.diag_values(pts2, consts)
-    da = field.diag_partial_values(pts2, consts)
+    require_diagonal(field)
+    idx = np.arange(field.dim)
+    a = field.values(pts2, consts)[:, idx, idx]
+    da = field.partial_values(pts2, consts)[:, idx, idx, :]
     m, n = a.shape
     j = axis - 1
     if sign_case == SIGN_NEGATIVE:

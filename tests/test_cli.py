@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,9 @@ constraints = ["(x1 - 2)^2 + x2^2 + x3^2 - 1"]
 [options]
 resolution = 5
 """
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -291,6 +295,49 @@ class TestConstructCommand:
         )
         assert code == EXIT_NUMERIC
         assert "translate the domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,sign_case",
+        [
+            (None, "positive"),  # symmetric ranges: a tie goes to the positive case
+            (
+                (
+                    "box = [[-1.4142135623730951, 1.4142135623730951], "
+                    "[-1.4142135623730951, 1.4142135623730951]]\n"
+                    'constraints = ["x1^2 + x2^2 - 2"]',
+                    "box = [[-1.4, 0.4], [-1.4, 1.4]]",
+                ),
+                "negative",
+            ),
+        ],
+        ids=["tie", "asymmetric-box"],
+    )
+    def test_forced_axis_takes_the_larger_sign_margin(self, tmp_path, edit, sign_case):
+        text = CONSTRUCT_HOPELESS if edit is None else CONSTRUCT_HOPELESS.replace(*edit)
+        out = tmp_path / "forced.json"
+        argv = ["construct", "--config", write(tmp_path, text), "--force-j", "1"]
+        assert main([*argv, "--lambda-max", "8", "--json", str(out)]) == EXIT_NOT_CERTIFIED
+        result = json.loads(out.read_text())["result"]
+        assert (result["axis"], result["sign_case"]) == (1, sign_case)
+
+    def test_forced_axis_out_of_range(self, tmp_path, capsys):
+        argv = ["construct", "--config", write(tmp_path, CONSTRUCT_HOPELESS), "--force-j", "3"]
+        assert main(argv) == EXIT_CONFIG
+        assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["construct-isotropic", "construct-cubic"])
+    def test_certificate_replays_through_verify(self, tmp_path, name):
+        text = (DEMO_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
+        cert_out, verify_out = tmp_path / "cert.json", tmp_path / "verify.json"
+        argv = ["construct", "--config", write(tmp_path, text), "--json", str(cert_out)]
+        assert main(argv) == EXIT_OK
+        cert = json.loads(cert_out.read_text())["result"]
+        replay = text.replace("[region]", f"weight = {json.dumps(cert['weight'])}\n\n[region]")
+        argv = ["verify", "--config", write(tmp_path, replay, "replay.cfg"), "--json", str(verify_out)]
+        assert main(argv) == EXIT_OK
+        verified = json.loads(verify_out.read_text())["result"]
+        keys = ("margin", "matrix_min_eig", "worst_point_margin", "grad_min", "minors_min")
+        assert {k: verified[k] for k in keys} == {k: cert["report"][k] for k in keys}
 
     def test_construct_dump_grid(self, tmp_path):
         dump = tmp_path / "cert_grid.csv"
@@ -499,10 +546,17 @@ class TestUsageErrors:
         [
             ["verify"],
             ["verify", "--config", "{cfg}", "--bogus"],
+            ["verify", "--config", "{cfg}", "--bogus", "-0.5,0"],
             ["nonesuch"],
             ["verify", "--config", "{cfg}", "--resolution", "abc"],
         ],
-        ids=["missing-config", "unknown-flag", "unknown-subcommand", "unconvertible-flag"],
+        ids=[
+            "missing-config",
+            "unknown-flag",
+            "unknown-flag-negative-value",
+            "unknown-subcommand",
+            "unconvertible-flag",
+        ],
     )
     def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
         cfg = write(tmp_path, VERIFY_OK)
@@ -554,6 +608,21 @@ class TestOneOptionTable:
         echo = json.loads(by_flag.read_text())["config"]
         assert echo == json.loads(by_file.read_text())["config"]
         assert echo["options"][key] == json.loads(json_text)
+
+    @pytest.mark.parametrize(
+        "command,text,flag,value",
+        [
+            ("rays", RAYS_CFG, "--center", "-0.5,0"),
+            ("construct", CONSTRUCT_OK, "--target-margin", "-1e-3"),
+        ],
+        ids=["rays-center", "construct-target-margin"],
+    )
+    def test_negative_flag_value_reads_as_attached(self, tmp_path, command, text, flag, value):
+        cfg = write(tmp_path, text)
+        apart, attached = tmp_path / "apart.json", tmp_path / "attached.json"
+        assert main([command, "--config", cfg, flag, value, "--json", str(apart)]) == EXIT_OK
+        assert main([command, "--config", cfg, f"{flag}={value}", "--json", str(attached)]) == EXIT_OK
+        assert strip_duration(apart.read_text()) == strip_duration(attached.read_text())
 
     def test_flag_sets_per_subcommand(self):
         common = {"--resolution", "--threads", "--dump-grid", "--json"}

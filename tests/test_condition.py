@@ -97,6 +97,11 @@ class TestMultiplierMatrix:
         diagonal = multiplier_matrix_diagonal(f, w, (1.0, 1.0))
         assert rel_frobenius(general, diagonal) < 1e-10
 
+    def test_diagonal_path_requires_diagonal(self):
+        f = build(["2", "x1", "3"], diagonal=False)
+        with pytest.raises(ValueError, match="requires a diagonal"):
+            multiplier_matrix_diagonal(f, quadratic_weight(), (1.0, 1.0))
+
     def test_hand_expanded_entries(self):
         # field 1 + |x|^2 at (1, 0) with weight d = x1: the only nonzero
         # weight derivative is d_x1 = 1, so the four entries reduce to

@@ -81,6 +81,12 @@ class TestDetectIndex:
         assert forced.axis == 2
         assert pick_index(found, force_axis=3) is None
 
+    def test_requires_diagonal(self):
+        f = build(["2", "x1", "3"], diagonal=False)
+        grid = sample(origin_disk(), 5)
+        with pytest.raises(ValueError, match="requires a diagonal"):
+            detect_index(f, grid)
+
 
 class TestComputeShift:
     def test_unit_square_negative_case(self):
@@ -237,6 +243,11 @@ class TestScaledAndLimitMatrices:
         lim = limit_matrix(f, 1, "negative", (0.4, 0.4))
         assert np.allclose(lim, np.diag([4.0, 0.0]), atol=1e-14)
         assert leading_principal_minors(lim)[-1] == 0.0
+
+    def test_limit_matrix_requires_diagonal(self):
+        f = build(["2", "x1", "3"], diagonal=False)
+        with pytest.raises(ValueError, match="requires a diagonal"):
+            limit_matrix(f, 1, "negative", (0.4, 0.4))
 
     def test_scaled_rows_converge_to_limit_constant_field(self):
         f = build(["2", "3"], diagonal=True)
