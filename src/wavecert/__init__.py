@@ -11,7 +11,7 @@ bicharacteristic rays as a geometric diagnostic.
 
 __version__ = "0.1.0"
 
-from .coeff import CoefficientField, build, certify_positivity, partial_sign
+from .coeff import CoefficientField, build, certify_positivity
 from .condition import (
     ConditionReport,
     GridProblem,
@@ -75,7 +75,6 @@ __all__ = [
     "multiplier_matrix",
     "multiplier_matrix_diagonal",
     "parse",
-    "partial_sign",
     "quadratic_form_matrix",
     "render",
     "sample",

@@ -373,15 +373,18 @@ def run_construct(cfg: RunConfig, dump_path=None):
     reg = cfg.build_region()
     resolution = cfg.options["resolution"]
     problem = GridProblem(field, reg, resolution, cfg.constants)
+    force_axis = cfg.options["force_j"]
+    if force_axis is not None and not 1 <= force_axis <= field.dim:
+        raise ConfigError(f"force_j={force_axis} out of range for dimension {field.dim}")
+    failure = problem.coefficient_failure
+    if failure is not None:  # no weight can pass, so no axis or rate is searched
+        return EXIT_NOT_CERTIFIED, failure.verdict, condition_report_dict(failure)
     ranges = sign_ranges(problem.da)
     candidates = admissible_indices(ranges, field.dim)
-    force_axis = cfg.options["force_j"]
     chosen = pick_index(candidates, force_axis=force_axis)
     if chosen is None and force_axis is not None:
         # a forced axis runs even when its partials straddle zero, in the sign
         # case with the larger measured margin (positive on a tie)
-        if not 1 <= force_axis <= field.dim:
-            raise ConfigError(f"force_j={force_axis} out of range for dimension {field.dim}")
         margins = {s: sign_margin(ranges, field.dim, force_axis, s) for s in ("positive", "negative")}
         sign_case = max(margins, key=margins.get)  # the first on a tie
         chosen = AdmissibleIndex(force_axis, sign_case, margins[sign_case])

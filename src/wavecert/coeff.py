@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import SampleGrid
-from .expr import Expression, Num, compile, differentiate, evaluate, parse
+from .expr import Expression, Num, compile, differentiate, parse
 from .linalg import min_eigenvalue
 
 _ZERO = Num(0.0)
@@ -129,25 +129,3 @@ def certify_positivity(field: CoefficientField, grid: SampleGrid, consts=None, v
     idx = int(np.argmin(lams))
     return float(lams[idx]), tuple(pts[idx])
 
-
-@dataclass(frozen=True)
-class SignReport:
-    """Grid range of one diagonal-entry partial and its uniform-sign verdict."""
-
-    minimum: float
-    maximum: float
-
-    @property
-    def uniform_positive(self) -> bool:
-        return self.minimum > 0.0
-
-    @property
-    def uniform_negative(self) -> bool:
-        return self.maximum < 0.0
-
-
-def partial_sign(field: CoefficientField, i: int, k: int, grid: SampleGrid, consts=None) -> SignReport:
-    """Grid min and max of the derivative of entry (i, i) along axis k."""
-    require_diagonal(field)
-    values = evaluate(field.partial(i, i, k), grid.points, consts)
-    return SignReport(minimum=float(np.min(values)), maximum=float(np.max(values)))

@@ -304,21 +304,29 @@ class GridProblem:
         """Lower Cholesky factors of A at the grid points."""
         return np.linalg.cholesky(self.a)
 
-    def check(self, weight: WeightFunction, dump_path=None) -> ConditionReport:
-        """Certify both inequalities for ``weight`` on this grid.
-
-        Same verdicts and report as :func:`check_condition`, which wraps it.
-        """
-        pts = self.grid.points
-        m = pts.shape[0]
+    @cached_property
+    def coefficient_failure(self) -> ConditionReport | None:
+        """The ``failed_coefficient`` report, whatever the weight, when A is
+        not positive definite on the grid; None when it is."""
         if self.alpha_min <= 0.0:
             return ConditionReport(
                 verdict=VERDICT_FAILED_COEFFICIENT,
                 alpha_min=self.alpha_min,
                 worst_point_alpha=self.worst_point_alpha,
                 resolution=self.grid.resolution,
-                point_count=m,
+                point_count=len(self.grid),
             )
+        return None
+
+    def check(self, weight: WeightFunction, dump_path=None) -> ConditionReport:
+        """Certify both inequalities for ``weight`` on this grid.
+
+        Same verdicts and report as :func:`check_condition`, which wraps it.
+        """
+        if self.coefficient_failure is not None:
+            return self.coefficient_failure
+        pts = self.grid.points
+        m = pts.shape[0]
 
         grads = weight.grad_values(pts, self.consts)
         mats_b = _multiplier(self.a, self.da, grads, weight.hess_values(pts, self.consts))

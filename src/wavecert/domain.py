@@ -8,11 +8,12 @@ identical inputs see the identical point list.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import RegionError
-from .expr import Expression, evaluate, parse
+from .expr import Expression, compile, differentiate, parse
 
 # largest tensor grid ``sample`` builds (resolution ** dim points): 2**22 admits
 # 129 points per axis in 3D and keeps one float64 coordinate array at 32 MiB
@@ -21,10 +22,13 @@ MAX_GRID_POINTS = 2**22
 
 @dataclass(frozen=True)
 class Region:
-    """Box plus constraints; a point is inside iff every constraint is <= 0.
+    """Box plus constraints; a point is inside iff it lies in the box and
+    every constraint is <= 0.
 
     ``margin > 0`` tightens every constraint to ``g(x) <= -margin``, the
-    grid analogue of testing strictly interior uniformity.
+    grid analogue of testing strictly interior uniformity.  This class alone
+    evaluates the constraints: grids, :func:`contains` and ray tracing all
+    ask :meth:`inside`.
     """
 
     dim: int
@@ -43,8 +47,61 @@ class Region:
                 raise RegionError(f"empty or unbounded box axis [{lo}, {hi}]")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.margin < 0:
+        if not self.margin >= 0:  # NaN too, so ``<= -margin`` tests what it says
             raise RegionError("margin must be nonnegative")
+
+    @cached_property
+    def _corners(self):
+        """The box's lower and upper corners, two (dim,) arrays."""
+        return np.array(self.box).T
+
+    @cached_property
+    def _tapes(self):
+        """One compiled tape per constraint, in order."""
+        return [compile(g) for g in self.constraints]
+
+    @cached_property
+    def _distance(self):
+        """Each constraint followed by its gradient, for boundary distances."""
+        return compile(
+            [[g, *(differentiate(g, k) for k in range(1, self.dim + 1))] for g in self.constraints]
+        )
+
+    def inside(self, points, consts=None, mask=True):
+        """Which rows of ``points``, among those where ``mask`` holds, lie in
+        the region; a row's first ``dim`` columns are its position.
+
+        The box is tested first, then each constraint in order, and a
+        constraint is evaluated only at the rows every earlier test admitted,
+        so a constraint may guard the domain of the next one.
+        """
+        lo, hi = self._corners
+        x = points[:, : self.dim]
+        ok = mask & ((x >= lo) & (x <= hi)).all(axis=1)
+        for g in self._tapes:
+            if ok.all():
+                ok = g(points, consts) <= -self.margin
+            else:
+                rows = np.flatnonzero(ok)
+                ok[rows] = g(points[rows], consts) <= -self.margin
+        return ok
+
+    def boundary_distance(self, points, consts=None):
+        """First-order estimate of the distance to the region boundary, per
+        row; the rows must lie inside the region."""
+        lo, hi = self._corners
+        x = points[:, : self.dim]
+        dist = np.minimum(x - lo, hi - x).min(axis=1)
+        if self.constraints:
+            values = self._distance(points, consts)  # (m, c, 1 + n)
+            squares = values[:, :, 1] ** 2
+            for k in range(2, self.dim + 1):
+                squares = squares + values[:, :, k] ** 2
+            norm = np.sqrt(squares)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = np.maximum(0.0, -values[:, :, 0]) / norm
+            dist = np.minimum(dist, np.where(norm > 0.0, reach, np.inf).min(axis=1))
+        return np.maximum(0.0, dist)
 
 
 @dataclass(frozen=True)
@@ -74,14 +131,7 @@ def contains(r: Region, p, consts=None) -> bool:
     p = np.asarray(p, dtype=float)
     if p.shape != (r.dim,):
         raise RegionError(f"point has dimension {p.shape}, region has {r.dim}")
-    for (lo, hi), v in zip(r.box, p):
-        if not (lo <= v <= hi):
-            return False
-    bound = -r.margin if r.margin > 0 else 0.0
-    for g in r.constraints:
-        if evaluate(g, p, consts) > bound:
-            return False
-    return True
+    return bool(r.inside(p[None, :], consts)[0])
 
 
 def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
@@ -103,30 +153,10 @@ def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
     axes = [np.linspace(lo, hi, resolution) for lo, hi in r.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    keep = np.ones(pts.shape[0], dtype=bool)
-    bound = -r.margin if r.margin > 0 else 0.0
-    for g in r.constraints:
-        keep &= evaluate(g, pts, consts) <= bound
-    pts = pts[keep]
+    pts = pts[r.inside(pts, consts)]
     if pts.shape[0] == 0:
         raise RegionError(
             f"region too thin for resolution {resolution}: no grid point passes the constraints"
         )
     pts.setflags(write=False)
     return SampleGrid(resolution=resolution, points=pts)
-
-
-def disk(center, radius, dim=2, margin=0.0) -> Region:
-    """Convenience disk/ball region: tight box plus one quadratic constraint."""
-    center = tuple(float(c) for c in center)
-    if len(center) != dim:
-        raise RegionError("center dimension mismatch")
-    box = tuple((c - radius, c + radius) for c in center)
-    terms = []
-    for k, c in enumerate(center, start=1):
-        if c == 0.0:
-            terms.append(f"x{k}^2")
-        else:
-            terms.append(f"(x{k} - {c!r})^2")
-    text = " + ".join(terms) + f" - {float(radius) ** 2!r}"
-    return region(dim, box, [text], margin=margin)

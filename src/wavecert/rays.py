@@ -25,7 +25,7 @@ import numpy as np
 from .coeff import CoefficientField
 from .domain import Region
 from .errors import EvaluationError, StepCollapseError
-from .expr import Num, Var, add, compile, differentiate, mul, neg
+from .expr import Num, Var, add, compile, mul, neg
 
 DRIFT_TOLERANCE = 1e-6
 _TIME_REFINEMENT = 1e-9
@@ -71,11 +71,12 @@ class _Flow:
     are written out as expressions over these 2n variables and compiled into
     one tape, so an RK4 stage is one tape evaluation for the whole batch.
     Terms with a literal zero coefficient fold away; the others are summed
-    in index order.
+    in index order.  The region tests these rows by their first n columns.
     """
 
     def __init__(self, field: CoefficientField, region: Region, consts):
         n = self.n = field.dim
+        self.region = region
         self.consts = consts or {}
         a, da, xi = field.entries, field.partials, [Var(n + i) for i in range(1, n + 1)]
         pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -86,14 +87,6 @@ class _Flow:
         ]
         energy = mul(Num(0.5), _total(mul(mul(a[i][j], xi[i]), xi[j]) for i, j in pairs))
         self.equations = compile([*dx, *dxi, energy])
-        self.lo = np.array([lo for lo, _ in region.box])
-        self.hi = np.array([hi for _, hi in region.box])
-        self.bound = -region.margin if region.margin > 0 else 0.0
-        self.constraints = [compile(g) for g in region.constraints]
-        # each constraint followed by its gradient, for boundary distances
-        self.distance = compile(
-            [[g, *(differentiate(g, k) for k in range(1, n + 1))] for g in region.constraints]
-        )
 
     def derivatives(self, y):
         """Time derivatives (m, 2n) of the states y, and H (m,)."""
@@ -108,38 +101,6 @@ class _Flow:
         k3 = self.derivatives(y + 0.5 * h * k2)[0]
         k4 = self.derivatives(y + h * k3)[0]
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def inside(self, y, mask=True):
-        """Which rows, among those where ``mask`` holds, lie in the region.
-
-        A row's constraints are evaluated in order only while it is still
-        inside, so none is evaluated where an earlier test already failed.
-        """
-        x = y[:, : self.n]
-        ok = mask & ((x >= self.lo) & (x <= self.hi)).all(axis=1)
-        for g in self.constraints:
-            if ok.all():
-                ok = g(y, self.consts) <= self.bound
-            else:
-                rows = np.flatnonzero(ok)
-                ok[rows] = g(y[rows], self.consts) <= self.bound
-        return ok
-
-    def boundary_distance(self, y):
-        """First-order estimate of the distance to the region boundary, per
-        row; the rows must lie inside the region."""
-        x = y[:, : self.n]
-        dist = np.minimum(x - self.lo, self.hi - x).min(axis=1)
-        if self.constraints:
-            values = self.distance(y, self.consts)  # (m, c, 1 + n)
-            squares = values[:, :, 1] ** 2
-            for k in range(2, self.n + 1):
-                squares = squares + values[:, :, k] ** 2
-            norm = np.sqrt(squares)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reach = np.maximum(0.0, -values[:, :, 0]) / norm
-            dist = np.minimum(dist, np.where(norm > 0.0, reach, np.inf).min(axis=1))
-        return np.maximum(0.0, dist)
 
 
 class _Visits:
@@ -164,7 +125,8 @@ class _Visits:
 
     def flush(self):
         if self.ids:
-            dist = self.flow.boundary_distance(np.concatenate(self.rows))
+            flow = self.flow
+            dist = flow.region.boundary_distance(np.concatenate(self.rows), flow.consts)
             np.minimum.at(self.nearest, np.concatenate(self.ids), dist)
             self.ids, self.rows, self.size = [], [], 0
 
@@ -209,7 +171,7 @@ def _launch(flow: _Flow, x0, xi0, horizon, step, store_paths):
     if xi0.shape != x0.shape:
         raise ValueError("covector dimension does not match the region")
     y = np.hstack([x0, xi0])
-    outside = ~flow.inside(y)
+    outside = ~flow.region.inside(y, flow.consts)
     if outside.any():
         start = tuple(x0[int(np.argmax(outside))].tolist())
         raise ValueError(f"start point {start} is outside the region")
@@ -254,7 +216,7 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
         drift = np.abs(energy - h_ref) / h_ref
         ok = ~(drift > DRIFT_TOLERANCE)
         drift_max = np.maximum(drift_max, drift)
-        stay = flow.inside(y_new, ok)
+        stay = flow.region.inside(y_new, flow.consts, ok)
         out = ok & ~stay
         if out.any():
             t_cross, y_in = _refine_crossing(flow, y[out], dy[out], t, h_step)
@@ -294,7 +256,7 @@ def _refine_crossing(flow: _Flow, y_in, dy_in, t_in, h_step):
         rows = np.flatnonzero(pending)
         mid = 0.5 * (lo[rows] + hi[rows])
         y_mid = flow.step(y_in[rows], mid[:, None], dy_in[rows])
-        inside = flow.inside(y_mid)
+        inside = flow.region.inside(y_mid, flow.consts)
         lo[rows[inside]] = mid[inside]
         hi[rows[~inside]] = mid[~inside]
         y_best[rows[inside]] = y_mid[inside]

@@ -15,6 +15,7 @@ from wavecert.cli import (
     main,
     parse_config_text,
 )
+from wavecert.bundled import EXAMPLES
 from wavecert.errors import ConfigError
 from wavecert.rays import fan
 from wavecert.report import dumps_stable, strip_duration
@@ -51,6 +52,21 @@ A.entries = ["exp(x1 + x2)", "exp(x1 + x2)"]
 dim = 2
 box = [[1, 3], [-1, 1]]
 constraints = ["(x1 - 2)^2 + x2^2 - 1"]
+
+[options]
+resolution = 17
+threads = 1
+"""
+
+# a diagonal field that is not positive definite on the unit square
+CONSTRUCT_NOT_DEFINITE = """
+[problem]
+A.diagonal = true
+A.entries = ["x2 - 0.5", "x1 - 0.5"]
+
+[region]
+dim = 2
+box = [[0, 1], [0, 1]]
 
 [options]
 resolution = 17
@@ -127,6 +143,14 @@ resolution = 5
 """
 
 
+# the first constraint keeps the second's log to x1 >= 0.5
+VERIFY_GUARDED = VERIFY_OK.replace(
+    'box = [[1, 3], [-1, 1]]', 'box = [[-1, 3], [-1, 1]]'
+).replace(
+    'constraints = ["(x1 - 2)^2 + x2^2 - 1"]',
+    'constraints = ["0.5 - x1", "log(x1) - 1 + x2^2"]',
+)
+
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
@@ -182,6 +206,12 @@ class TestVerifyCommand:
     def test_failed_gradient_exit_two(self, tmp_path):
         code = main(["verify", "--config", write(tmp_path, VERIFY_BAD_GRADIENT)])
         assert code == EXIT_NOT_CERTIFIED
+
+    def test_guarding_constraint_is_evaluated_in_order(self, tmp_path):
+        out = tmp_path / "guarded.json"
+        code = main(["verify", "--config", write(tmp_path, VERIFY_GUARDED), "--json", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["verdict"] == "certified"
 
     def test_missing_weight_is_config_error(self, tmp_path):
         code = main(["verify", "--config", write(tmp_path, CONSTRUCT_OK)])
@@ -284,6 +314,24 @@ class TestConstructCommand:
         assert code == EXIT_NOT_CERTIFIED
         assert '"verdict": "lambda_max_exceeded"' in out.read_text()
 
+    @pytest.mark.parametrize("flags", [[], ["--force-j", "1"]])
+    def test_field_not_definite_checks_no_weight(self, tmp_path, monkeypatch, flags):
+        from wavecert.coeff import CoefficientField
+        from wavecert.condition import GridProblem
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a weight or a partial of A was evaluated")
+
+        monkeypatch.setattr(GridProblem, "check", refuse)
+        monkeypatch.setattr(CoefficientField, "partial_values", refuse)
+        out = tmp_path / "npd.json"
+        argv = ["construct", "--config", write(tmp_path, CONSTRUCT_NOT_DEFINITE), *flags]
+        assert main([*argv, "--json", str(out)]) == EXIT_NOT_CERTIFIED
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "failed_coefficient"
+        assert report["result"]["alpha_min"] == -0.5
+        assert report["result"]["margin"] is None
+
     def test_forced_axis_overflow_is_numeric_error(self, tmp_path, capsys):
         code = main(
             [
@@ -381,6 +429,7 @@ class TestDumpNotWritten:
         [
             ("construct", CONSTRUCT_HOPELESS, [], "no_admissible_index"),
             ("construct", CONSTRUCT_HOPELESS, ["--force-j", "1"], "lambda_max_exceeded"),
+            ("construct", CONSTRUCT_NOT_DEFINITE, [], "failed_coefficient"),
             (
                 "verify",
                 VERIFY_BAD_GRADIENT.replace('["1", "1"]', '["x1", "1"]'),
@@ -652,6 +701,19 @@ class TestOneOptionTable:
 
 
 class TestExamplesCommand:
+    @pytest.mark.parametrize(
+        "config,name",
+        [
+            ("construct-isotropic", "isotropic-exp"),
+            ("construct-cubic", "cubic-exp"),
+            ("disk-trap", "disk-trap"),
+            ("curvature-signchange", "curvature-signchange"),
+        ],
+    )
+    def test_demo_config_restates_bundled_example(self, config, name):
+        text = (DEMO_CONFIGS / f"{config}.cfg").read_text(encoding="utf-8")
+        assert RunConfig.from_text(text).echo() == RunConfig(EXAMPLES[name]["config"]).echo()
+
     def test_unknown_name_lists_available(self, tmp_path, capsys):
         code = main(["examples", "nonesuch"])
         assert code == EXIT_CONFIG

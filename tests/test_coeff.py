@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wavecert.coeff import build, certify_positivity, partial_sign
+from wavecert.coeff import build, certify_positivity
 from wavecert.domain import region, sample
 from wavecert.linalg import (
     cholesky_spd,
@@ -78,34 +78,6 @@ class TestCertifyPositivity:
         alpha, worst = certify_positivity(f, grid)
         assert alpha < 0.0
         assert worst[0] < 0.0
-
-
-class TestPartialSign:
-    def test_isotropic_exponential_positive(self):
-        f = build(["exp(x1 + x2)", "exp(x1 + x2)"], diagonal=True)
-        grid = sample(region(2, [(1.0, 3.0), (-1.0, 1.0)], ["(x1 - 2)^2 + x2^2 - 1"]), 17)
-        report = partial_sign(f, 2, 1, grid)
-        assert report.uniform_positive
-        assert report.minimum > 0.0
-
-    def test_example_field_straddles_zero(self):
-        f = example_bad_field()
-        grid = sample(origin_disk(), 17)
-        report = partial_sign(f, 1, 2, grid)  # da^1/dx2 = 2*x2
-        assert report.minimum < 0.0 < report.maximum
-        assert not report.uniform_positive and not report.uniform_negative
-
-    def test_constant_field_identically_zero(self):
-        f = build(["2", "3"], diagonal=True)
-        grid = sample(origin_disk(), 9)
-        report = partial_sign(f, 1, 1, grid)
-        assert report.minimum == 0.0 == report.maximum
-
-    def test_requires_diagonal(self):
-        f = build(["2", "x1", "3"], diagonal=False)
-        grid = sample(origin_disk(), 5)
-        with pytest.raises(ValueError):
-            partial_sign(f, 1, 1, grid)
 
 
 class TestLinalg:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from wavecert import domain
-from wavecert.domain import Region, contains, disk, region, sample
+from wavecert.domain import Region, contains, region, sample
 from wavecert.errors import RegionError
 
 SQRT_15 = math.sqrt(1.5)
+
+# the first constraint keeps the second's log to x1 >= 0.5
+GUARDED = ((-1.0, 3.0), (-1.0, 1.0)), ["0.5 - x1", "log(x1) - 1 + x2^2"]
 
 
 @pytest.fixture
@@ -56,6 +59,17 @@ class TestSample:
         grid = sample(r, 3)
         assert [tuple(p) for p in grid.points] == expected
         assert len(grid) == 1  # only the origin survives
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    def test_guarding_constraint_oracle(self, margin):
+        # oracle: every tensor point of the box that ``contains`` admits
+        box, constraints = GUARDED
+        r = region(2, box, constraints, margin=margin)
+        axes = [np.linspace(lo, hi, 17) for lo, hi in box]
+        expected = [(a, b) for a in axes[0] for b in axes[1] if contains(r, (a, b))]
+        grid = sample(r, 17)
+        assert [tuple(p) for p in grid.points] == expected
+        assert 0 < len(grid) < 17 * 17
 
     def test_resolution_below_two_rejected(self):
         with pytest.raises(RegionError):
@@ -126,9 +140,48 @@ class TestRegionValidation:
         with pytest.raises(RegionError):
             Region(dim=1, box=((0.0, 1.0),), margin=-0.1)
 
-    def test_disk_helper_matches_region(self):
-        d = disk((2.0, 0.0), 1.0)
-        assert contains(d, (2.5, 0.0))
-        assert not contains(d, (3.5, 0.0))
-        grid = sample(d, 5)
-        assert all(contains(d, p) for p in grid.points)
+    def test_nan_margin_rejected(self):
+        with pytest.raises(RegionError, match="nonnegative"):
+            Region(dim=1, box=((0.0, 1.0),), margin=float("nan"))
+
+
+class TestInside:
+    @pytest.fixture(params=[0.0, 0.1], ids=["no-margin", "margin"])
+    def regions(self, request):
+        box, constraints = GUARDED
+        return [
+            region(2, box, constraints, margin=request.param),
+            region(
+                2,
+                [(2 - SQRT_15, 2 + SQRT_15), (-SQRT_15, SQRT_15)],
+                ["(x1 - 2)^2 + x2^2 - 1.5"],
+                margin=request.param,
+            ),
+        ]
+
+    def test_agrees_with_contains_on_and_off_the_grid(self, regions):
+        rng = np.random.default_rng(7)
+        for r in regions:
+            lo, hi = np.array(r.box).T
+            axes = [np.linspace(a, b, 9) for a, b in r.box]
+            grid = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+            # off-grid points, a quarter of them outside the box
+            spread = 0.25 * (hi - lo)
+            scattered = rng.uniform(lo - spread, hi + spread, size=(400, 2))
+            for pts in (grid, scattered):
+                got = r.inside(pts)
+                assert got.tolist() == [contains(r, p) for p in pts]
+                assert got.any() and not got.all()
+
+    def test_mask_and_extra_columns(self, regions):
+        # rows may carry more columns than the region's dimension (a ray's
+        # covector); only the first ``dim`` are a position
+        r = regions[0]
+        pts = np.array([[1.0, 0.0], [0.0, 0.0], [1.5, 0.5], [-2.0, 0.0]])
+        expected = [contains(r, p) for p in pts]
+        assert r.inside(pts).tolist() == expected == [True, False, True, False]
+        mask = np.array([False, True, True, True])
+        assert r.inside(pts, mask=mask).tolist() == [False, False, True, False]
+        wide = np.hstack([pts, np.full((4, 2), -5.0)])
+        assert r.inside(wide).tolist() == expected
+

@@ -13,6 +13,7 @@ from wavecert.weight import (
     derivative_ratio_maxima,
     detect_index,
     find_lambda,
+    index_sign_ranges,
     limit_matrix,
     pick_index,
     scaled_limit_distance,
@@ -44,6 +45,18 @@ def shifted_disk():
 
 def origin_disk():
     return region(2, [(-SQRT2, SQRT2)] * 2, ["x1^2 + x2^2 - 2"])
+
+
+class TestIndexSignRanges:
+    def test_isotropic_exponential_positive(self):
+        ranges = index_sign_ranges(isotropic_exp_field(), sample(offset_disk(), 17))
+        lo, hi = ranges[(1, 2)]  # da^22/dx1 = exp(x1 + x2)
+        assert 0.0 < lo <= hi
+
+    def test_example_field_straddles_zero(self):
+        ranges = index_sign_ranges(example_bad_field(), sample(origin_disk(), 17))
+        lo, hi = ranges[(2, 1)]  # da^11/dx2 = 2*x2
+        assert lo < 0.0 < hi
 
 
 class TestDetectIndex:
