@@ -531,8 +531,8 @@ def _print_human(report: dict, stream):
         for key in ("margin", "grad_min", "alpha_min", "lambda", "shift", "axis",
                     "sign_case", "classification", "k_min", "k_max", "escaped",
                     "trapped_until_horizon"):
-            if key in result and not isinstance(result[key], (dict, list)):
-                value = result[key]
+            value = result.get(key)
+            if value is not None and not isinstance(value, (dict, list)):
                 if isinstance(value, float):
                     value = fmt_float(value)
                 print(f"  {key}: {value}", file=stream)

@@ -6,6 +6,7 @@ full ``values``/``partial_values`` stacks: zero entries add no work there.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,8 @@ class CoefficientField:
 
     Off-diagonal entries are stored once and shared between the (i, j) and
     (j, i) slots, so symmetry is structural.  ``partials[i][j][k]`` is the
-    symbolic derivative of entry (i, j) along axis k+1.
+    symbolic derivative of entry (i, j) along axis k+1.  Both tables are
+    compiled once, on first evaluation, and the tapes are kept.
     """
 
     dim: int
@@ -38,13 +40,21 @@ class CoefficientField:
         """Symbolic derivative of a^{ij} along x_k, 1-based indices."""
         return self.partials[i - 1][j - 1][k - 1]
 
+    @cached_property
+    def _entries_tape(self):
+        return compile(self.entries)
+
+    @cached_property
+    def _partials_tape(self):
+        return compile(self.partials)
+
     def values(self, points, consts=None) -> np.ndarray:
         """Evaluate the full matrix: (n, n) at one point, (m, n, n) batched."""
-        return compile(self.entries)(points, consts)
+        return self._entries_tape(points, consts)
 
     def partial_values(self, points, consts=None) -> np.ndarray:
         """Evaluate all first derivatives: (..., n, n, n), last axis is k."""
-        return compile(self.partials)(points, consts)
+        return self._partials_tape(points, consts)
 
 
 def require_diagonal(field: CoefficientField):

@@ -14,7 +14,8 @@ certificate of A and its Cholesky factors.  Its ``check`` assembles the
 matrices of all grid points as one ``(m, n, n)`` stack and hands it to
 :mod:`wavecert.linalg`, whose routines return one pencil margin, smallest
 eigenvalue and row of leading minors per point; worst points are the first
-minimizers in grid order.  ``check_condition`` is a one-off check.
+minimizers in grid order.  A rate search runs only the part that decides
+the verdict on each attempt.  ``check_condition`` is a one-off check.
 
 ``quadratic_form_matrix`` assembles the (unsymmetrized) coefficient matrix of
 the quadratic form itself; its symmetric part equals twice the multiplier
@@ -45,7 +46,13 @@ from .report import write_csv
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A scalar weight with its exact symbolic gradient and Hessian."""
+    """A scalar weight with its exact symbolic gradient and Hessian.
+
+    The gradient and the Hessian are each compiled once, on first
+    evaluation, and the tapes are kept: a weight with a named constant (the
+    rate search's ``lambda``) is evaluated at many values of it without being
+    differentiated or compiled again.
+    """
 
     expression: Expression
     grad: tuple  # n expressions
@@ -55,14 +62,22 @@ class WeightFunction:
     def dim(self) -> int:
         return len(self.grad)
 
+    @cached_property
+    def _grad_tape(self):
+        return compile(self.grad)
+
+    @cached_property
+    def _hess_tape(self):
+        return compile(self.hess)
+
     def value(self, points, consts=None):
         return evaluate(self.expression, points, consts)
 
     def grad_values(self, points, consts=None) -> np.ndarray:
-        return compile(self.grad)(points, consts)
+        return self._grad_tape(points, consts)
 
     def hess_values(self, points, consts=None) -> np.ndarray:
-        return compile(self.hess)(points, consts)
+        return self._hess_tape(points, consts)
 
 
 def weight_function(expression, dim: int) -> WeightFunction:
@@ -274,6 +289,24 @@ class ConditionReport:
         return self.verdict == VERDICT_CERTIFIED
 
 
+@dataclass(frozen=True)
+class _Margins:
+    """The part of a grid check that decides its verdict: the assembled
+    multiplier matrices, the pencil margin and the gradient norm at every
+    point, the first minimizers of both, and the verdict."""
+
+    mats: np.ndarray  # (m, n, n)
+    pencil: np.ndarray  # (m,)
+    grad_norms: np.ndarray  # (m,)
+    margin_idx: int
+    grad_idx: int
+    verdict: str
+
+    @property
+    def margin(self) -> float:
+        return float(self.pencil[self.margin_idx])
+
+
 class GridProblem:
     """The part of a grid check that does not depend on the weight.
 
@@ -282,7 +315,13 @@ class GridProblem:
     of A and the Cholesky factor of A are computed on first use and kept,
     so a rate search pays for them once per grid, whatever the number of
     attempts; a field that fails positivity never needs them in a check.
-    :meth:`check` then evaluates only the weight's gradient and Hessian.
+
+    :meth:`check` is :meth:`_margins` (the weight's gradient and Hessian,
+    the assembly, the pencil, the gradient norms and the verdict) followed
+    by :meth:`_report` (the matrices' minimum eigenvalue and leading minors,
+    the optional dump and the report).  A rate search runs only
+    :meth:`_margins` per attempt and :meth:`_report` for the attempt whose
+    report it returns.
     """
 
     def __init__(self, field: CoefficientField, region: Region, resolution: int, consts=None):
@@ -325,53 +364,60 @@ class GridProblem:
         """
         if self.coefficient_failure is not None:
             return self.coefficient_failure
-        pts = self.grid.points
-        m = pts.shape[0]
+        return self._report(self._margins(weight, self.consts), dump_path)
 
-        grads = weight.grad_values(pts, self.consts)
-        mats_b = _multiplier(self.a, self.da, grads, weight.hess_values(pts, self.consts))
+    def _margins(self, weight: WeightFunction, consts) -> _Margins:
+        """The weight-dependent part of :meth:`check`, with the weight
+        evaluated under ``consts``; A must be positive definite on the grid."""
+        pts = self.grid.points
+        grads = weight.grad_values(pts, consts)
+        mats = _multiplier(self.a, self.da, grads, weight.hess_values(pts, consts))
         grad_norms = row_norms(grads)
 
         try:
-            pencil = pencil_min_eigenvalue(2.0 * mats_b, self.a, chol=self.chol)
+            pencil = pencil_min_eigenvalue(2.0 * mats, self.a, chol=self.chol)
         except np.linalg.LinAlgError:
             raise EvaluationError(
                 "coefficient matrix A is not numerically positive definite",
                 self.worst_point_alpha,
             ) from None
-        mineig = min_eigenvalue(mats_b)
-        minors = leading_principal_minors(mats_b)
 
         margin_idx = int(np.argmin(pencil))
         grad_idx = int(np.argmin(grad_norms))
-        margin = float(pencil[margin_idx])
-        grad_min = float(grad_norms[grad_idx])
-
-        if margin > 0.0 and grad_min > 0.0:
+        margin = pencil[margin_idx]
+        if margin > 0.0 and grad_norms[grad_idx] > 0.0:
             verdict = VERDICT_CERTIFIED
         elif margin <= 0.0:
             verdict = VERDICT_FAILED_POSITIVITY
         else:
             verdict = VERDICT_FAILED_GRADIENT
+        return _Margins(mats, pencil, grad_norms, margin_idx, grad_idx, verdict)
+
+    def _report(self, margins: _Margins, dump_path=None) -> ConditionReport:
+        """The full report of one :meth:`_margins` result, with its grid dump
+        written to ``dump_path`` when given."""
+        pts = self.grid.points
+        mineig = min_eigenvalue(margins.mats)
+        minors = leading_principal_minors(margins.mats)
 
         if dump_path is not None:
             axes = range(1, pts.shape[1] + 1)
             header = [f"x{k}" for k in axes] + ["eig_min_pencil", "eig_min_matrix", "grad_norm"]
             header += [f"minor{k}" for k in axes]
-            write_csv(dump_path, header, [pts, pencil, mineig, grad_norms, minors])
+            write_csv(dump_path, header, [pts, margins.pencil, mineig, margins.grad_norms, minors])
 
         return ConditionReport(
-            verdict=verdict,
+            verdict=margins.verdict,
             alpha_min=self.alpha_min,
             worst_point_alpha=self.worst_point_alpha,
-            margin=margin,
+            margin=margins.margin,
             matrix_min_eig=float(np.min(mineig)),
-            grad_min=grad_min,
-            worst_point_margin=tuple(pts[margin_idx]),
-            worst_point_grad=tuple(pts[grad_idx]),
+            grad_min=float(margins.grad_norms[margins.grad_idx]),
+            worst_point_margin=tuple(pts[margins.margin_idx]),
+            worst_point_grad=tuple(pts[margins.grad_idx]),
             minors_min=tuple(float(v) for v in np.min(minors, axis=0)),
             resolution=self.grid.resolution,
-            point_count=m,
+            point_count=pts.shape[0],
             dump_path=None if dump_path is None else str(dump_path),
         )
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .coeff import CoefficientField, require_diagonal
 from .condition import (
+    VERDICT_CERTIFIED,
     ConditionReport,
     GridProblem,
     WeightFunction,
@@ -40,7 +41,7 @@ from .errors import (
     LambdaMaxExceededError,
     WeightOverflowError,
 )
-from .expr import BinOp, Call, Neg, Num, Var
+from .expr import BinOp, Call, Const, Neg, Num, Var
 
 SIGN_NEGATIVE = "negative"
 SIGN_POSITIVE = "positive"
@@ -49,6 +50,7 @@ _SIGN_ORDER = (SIGN_NEGATIVE, SIGN_POSITIVE)
 DEFAULT_LAMBDA_MAX = 2**20
 DEFAULT_RESOLUTION = 33
 _BISECTION_ROUNDS = 10
+_RATE = "lambda"  # the rate's constant name in the search weight
 
 
 @dataclass(frozen=True)
@@ -164,9 +166,18 @@ def construct_weight(
     """
     if lam <= 0.0:
         raise ValueError("rate must be positive")
+    return _exponential_weight(axis, sign_case, shift, Num(float(lam)), dim)
+
+
+def _exponential_weight(axis, sign_case, shift, rate, dim) -> WeightFunction:
+    """:func:`construct_weight` with the rate given as an expression: a
+    literal, or the constant ``_RATE`` that the rate search binds per attempt.
+
+    Differentiation folds neither, so both give trees of the same shape
+    (``rate*(rate*e)`` in the Hessian) and the same values bit for bit.
+    """
     if not 1 <= axis <= dim:
         raise ValueError(f"axis {axis} out of range for dimension {dim}")
-    rate = Num(float(lam))
     shift_lit = Num(float(shift))
     if sign_case == SIGN_NEGATIVE:
         terms = [Call("exp", BinOp("*", rate, BinOp("+", shift_lit, Var(axis))))]
@@ -213,16 +224,23 @@ def find_lambda(
     certificate also carries a re-check of that weight at doubled grid
     resolution (see :class:`WeightCertificate.refinement_report`).
 
-    Every attempt is checked on one :class:`GridProblem` of the search grid,
-    and the re-check on one of the refined grid, so the grid, A, its
-    partials and its Cholesky factors are computed once per grid, not once
-    per attempt.  ``problem``, when given, is the search grid's problem
-    already prepared for (field, region, resolution, consts).
+    Only the work that depends on the rate runs per attempt.  Every attempt
+    is checked on one :class:`GridProblem` of the search grid, and the
+    re-check on one of the refined grid, so the grid, A, its partials and
+    its Cholesky factors are computed once per grid.  The weight is built,
+    differentiated and compiled once per search, with the rate as a named
+    constant bound per attempt.  An attempt computes only the pencil margin
+    and the gradient minimum; the minimum eigenvalue and the minors are
+    computed once, for the report returned.  ``problem``, when given, is the
+    search grid's problem already prepared for (field, region, resolution,
+    consts).
 
     Raises :class:`LambdaMaxExceededError` (best failing report attached)
-    when the budget runs out, and :class:`WeightOverflowError` when the
+    when the budget runs out, or before any attempt (with the
+    ``failed_coefficient`` report and no rate) when A is not positive
+    definite on the grid.  Raises :class:`WeightOverflowError` when the
     weight's exponentials leave double range first; translating the domain
-    toward the origin shrinks the exponent range in the latter case.
+    toward the origin shrinks the exponent range in that case.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
@@ -230,54 +248,63 @@ def find_lambda(
         problem = GridProblem(field, region, resolution, consts)
     if shift is None:
         shift = compute_shift(problem.grid, axis, sign_case)
+    weight = _exponential_weight(axis, sign_case, shift, Const(_RATE), field.dim)
+    if problem.coefficient_failure is not None:
+        raise LambdaMaxExceededError(
+            "no rate can certify: the coefficient matrix is not positive definite on the grid",
+            best_report=problem.coefficient_failure,
+        )
+    margin_of_sign = sign_margin(sign_ranges(problem.da), field.dim, axis, sign_case)
 
     def attempt(lam):
-        weight = construct_weight(axis, sign_case, shift, lam, field.dim)
-        report = problem.check(weight)
-        passed = report.certified and report.margin >= target_margin * report.alpha_min
-        return weight, report, passed
+        found = problem._margins(weight, {_RATE: lam})
+        passed = (
+            found.verdict == VERDICT_CERTIFIED
+            and found.margin >= target_margin * problem.alpha_min
+        )
+        return found, passed
 
-    best_fail = (None, None)  # (lambda, report) with the largest margin seen
+    best_lam = best_margin = None  # the failing rate with the largest margin seen
+
+    def best_report():
+        return None if best_lam is None else problem._report(attempt(best_lam)[0])
+
     lam = 1.0
     lam_fail = None
     while True:
         try:
-            weight, report, passed = attempt(lam)
+            found, passed = attempt(lam)
         except ExpOverflowError as exc:
             raise WeightOverflowError(
                 f"weight exponential exceeded 1e300 at lambda={lam:g}; "
                 "translate the domain toward the origin and retry",
-                best_report=best_fail[1],
-                best_lambda=best_fail[0],
+                best_report=best_report(),
+                best_lambda=best_lam,
             ) from exc
         if passed:
             break
-        if best_fail[1] is None or (
-            report.margin is not None
-            and (best_fail[1].margin is None or report.margin > best_fail[1].margin)
-        ):
-            best_fail = (lam, report)
+        if best_lam is None or found.margin > best_margin:
+            best_lam, best_margin = lam, found.margin
         lam_fail = lam
         lam *= 2.0
         if lam > lambda_max:
             raise LambdaMaxExceededError(
-                "lambda_max exceeded",
-                best_report=best_fail[1],
-                best_lambda=best_fail[0],
+                "lambda_max exceeded", best_report=best_report(), best_lambda=best_lam
             )
 
-    lam_pass, weight_pass, report_pass = lam, weight, report
+    lam_pass, found_pass = lam, found
     if lam_fail is not None:
         lo, hi = lam_fail, lam_pass
         for _ in range(_BISECTION_ROUNDS):
             mid = 0.5 * (lo + hi)
-            weight_mid, report_mid, passed = attempt(mid)
+            found, passed = attempt(mid)
             if passed:
-                hi, weight_pass, report_pass = mid, weight_mid, report_mid
+                hi, found_pass = mid, found
             else:
                 lo = mid
         lam_pass = hi
 
+    weight_pass = construct_weight(axis, sign_case, shift, lam_pass, field.dim)
     refined = GridProblem(field, region, 2 * problem.grid.resolution - 1, consts)
     refinement = refined.check(weight_pass)
 
@@ -287,8 +314,8 @@ def find_lambda(
         shift=float(shift),
         lam=float(lam_pass),
         weight=weight_pass,
-        report=report_pass,
-        sign_margin=sign_margin(sign_ranges(problem.da), field.dim, axis, sign_case),
+        report=problem._report(found_pass),
+        sign_margin=margin_of_sign,
         refinement_report=refinement,
     )
 

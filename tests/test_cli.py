@@ -332,6 +332,15 @@ class TestConstructCommand:
         assert report["result"]["alpha_min"] == -0.5
         assert report["result"]["margin"] is None
 
+    def test_field_not_definite_prints_no_null_values(self, tmp_path, capsys):
+        argv = ["construct", "--config", write(tmp_path, CONSTRUCT_NOT_DEFINITE)]
+        assert main(argv) == EXIT_NOT_CERTIFIED
+        out = capsys.readouterr().out
+        assert "wavecert construct: failed_coefficient" in out
+        assert "alpha_min: " in out
+        assert "None" not in out
+        assert "margin" not in out and "grad_min" not in out
+
     def test_forced_axis_overflow_is_numeric_error(self, tmp_path, capsys):
         code = main(
             [

@@ -237,6 +237,121 @@ class TestFindLambda:
         assert math.isinf(cert.sign_margin)
 
 
+def _counting(monkeypatch, counts, owner, name):
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestSearchWork:
+    """A rate-search attempt runs only the work that depends on the rate."""
+
+    @pytest.mark.parametrize("sign_case", ["negative", "positive"])
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 3.0, 48.21875])
+    def test_rate_constant_matches_literal_bit_for_bit(self, sign_case, lam):
+        from wavecert.expr import Const
+        from wavecert.weight import _RATE, _exponential_weight
+
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 3))
+        literal = construct_weight(2, sign_case, 4.0, lam, 3)
+        named = _exponential_weight(2, sign_case, 4.0, Const(_RATE), 3)
+        bound = {_RATE: lam}
+        assert np.array_equal(named.grad_values(pts, bound), literal.grad_values(pts))
+        assert np.array_equal(named.hess_values(pts, bound), literal.hess_values(pts))
+
+    def test_attempts_neither_differentiate_nor_compile(self, monkeypatch):
+        import wavecert.coeff as coeff
+        import wavecert.condition as condition
+        import wavecert.expr as expr
+        from wavecert.condition import GridProblem
+
+        counts = {}
+        for module in (expr, coeff, condition):
+            for name in ("differentiate", "compile"):
+                _counting(monkeypatch, counts, module, name)
+        deltas = []
+        margins = GridProblem._margins
+
+        def attempt(self, weight, consts):
+            before = dict(counts)
+            found = margins(self, weight, consts)
+            if self.grid.resolution == 17:  # not the refinement's re-check
+                grown = {k: v - before.get(k, 0) for k, v in counts.items()}
+                deltas.append({k: d for k, d in grown.items() if d})
+            return found
+
+        monkeypatch.setattr(GridProblem, "_margins", attempt)
+        cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
+        assert cert.report.certified
+        assert len(deltas) > 10
+        # the first attempt compiles the search weight's gradient and Hessian
+        # tapes, built before it with A's partials; no later attempt compiles
+        # or differentiates anything
+        assert deltas[0] == {"compile": 2}
+        assert all(delta == {} for delta in deltas[1:])
+
+    def test_spectral_tests_run_once_for_certificate_and_once_for_refinement(
+        self, monkeypatch
+    ):
+        import wavecert.condition as condition
+
+        counts = {}
+        for name in ("min_eigenvalue", "leading_principal_minors", "pencil_min_eigenvalue"):
+            _counting(monkeypatch, counts, condition, name)
+        cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
+        assert cert.report.certified and cert.refinement_report is not None
+        attempts = counts["pencil_min_eigenvalue"] - 1  # one pencil is the refinement's
+        assert attempts > 10
+        assert counts["min_eigenvalue"] == 2
+        assert counts["leading_principal_minors"] == 2
+
+    def test_best_failing_report_equals_a_full_check(self):
+        from pathlib import Path
+
+        from wavecert.cli import RunConfig, parse_config_text
+        from wavecert.condition import GridProblem
+        from wavecert.weight import admissible_indices, sign_ranges
+
+        path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "construct-cubic.cfg"
+        cfg = RunConfig(parse_config_text(path.read_text(encoding="utf-8")), {"lambda_max": 8})
+        field, reg = cfg.build_field(), cfg.build_region()
+        resolution = cfg.options["resolution"]
+        problem = GridProblem(field, reg, resolution)
+        chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
+        shift = compute_shift(problem.grid, chosen.axis, chosen.sign_case)
+        with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
+            find_lambda(
+                field, reg, chosen.axis, chosen.sign_case, shift=shift,
+                lambda_max=8, resolution=resolution, problem=problem,
+            )
+        exc = err.value
+        assert exc.best_lambda is not None
+        weight = construct_weight(chosen.axis, chosen.sign_case, shift, exc.best_lambda, 2)
+        full = GridProblem(field, reg, resolution).check(weight)
+        assert not full.certified
+        assert repr(exc.best_report) == repr(full)
+        assert exc.best_report == full
+
+    def test_field_not_definite_makes_no_attempt(self, monkeypatch):
+        from wavecert.condition import GridProblem
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search attempt ran")
+
+        monkeypatch.setattr(GridProblem, "_margins", refuse)
+        field = build(["x2 - 0.5", "x1 - 0.5"], diagonal=True)
+        square = region(2, [(0.0, 1.0), (0.0, 1.0)])
+        with pytest.raises(LambdaMaxExceededError, match="not positive definite") as err:
+            find_lambda(field, square, 1, "positive", resolution=17)
+        assert err.value.best_lambda is None
+        assert err.value.best_report.verdict == "failed_coefficient"
+        assert err.value.best_report.alpha_min == -0.5
+
+
 class TestScaledAndLimitMatrices:
     def test_limit_matrix_example_field(self):
         # isotropic 1 + |x|^2 field at (1, 1), first axis, negative case:
