@@ -411,6 +411,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
             resolution=resolution,
             consts=cfg.constants,
             problem=problem,
+            dump_path=dump_path,
         )
     except LambdaMaxExceededError as exc:
         result = {
@@ -424,8 +425,6 @@ def run_construct(cfg: RunConfig, dump_path=None):
             else condition_report_dict(exc.best_report),
         }
         return EXIT_NOT_CERTIFIED, "lambda_max_exceeded", result
-    if dump_path is not None:
-        problem.check(cert.weight, dump_path=dump_path)
     return EXIT_OK, "certified", certificate_dict(cert)
 
 

@@ -10,7 +10,8 @@ Two inequalities are certified for a coefficient field A and a scalar weight:
 
 A :class:`GridProblem` holds what a check needs that does not depend on the
 weight: the sample grid, A and its first derivatives there, the positivity
-certificate of A and its Cholesky factors.  Its ``check`` assembles the
+certificate of A and the operand that whitens the pencil by A's Cholesky
+factors.  Its ``check`` assembles the
 matrices of all grid points as one ``(m, n, n)`` stack and hands it to
 :mod:`wavecert.linalg`, whose routines return one pencil margin, smallest
 eigenvalue and row of leading minors per point; worst points are the first
@@ -26,14 +27,14 @@ weight has no mixed second derivatives, which covers every weight family this
 toolkit constructs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .coeff import CoefficientField, certify_positivity, require_diagonal
 from .domain import Region, sample
-from .errors import EvaluationError
+from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, evaluate, parse
 from .linalg import (
     leading_principal_minors,
@@ -312,9 +313,9 @@ class GridProblem:
 
     Built once per (field, region, resolution, consts): it samples the grid,
     evaluates A there and certifies its positivity.  The first derivatives
-    of A and the Cholesky factor of A are computed on first use and kept,
-    so a rate search pays for them once per grid, whatever the number of
-    attempts; a field that fails positivity never needs them in a check.
+    of A and the pencil's :attr:`whitening` operand are computed on first
+    use and kept, so a rate search pays for them once per grid, whatever the
+    number of attempts; a field that fails positivity never needs them.
 
     :meth:`check` is :meth:`_margins` (the weight's gradient and Hessian,
     the assembly, the pencil, the gradient norms and the verdict) followed
@@ -339,9 +340,15 @@ class GridProblem:
         return self.field.partial_values(self.grid.points, self.consts)
 
     @cached_property
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factors of A at the grid points."""
-        return np.linalg.cholesky(self.a)
+    def whitening(self) -> dict:
+        """The keyword :func:`pencil_min_eigenvalue` whitens by: for a
+        diagonal field, ``inv_diag``, ``1 / diag(L)`` of the (diagonal) lower
+        Cholesky factors L of A, so an attempt whitens by two broadcast
+        multiplies; else ``chol``, the factors, for two triangular solves."""
+        chol = np.linalg.cholesky(self.a)
+        if not self.field.diagonal:
+            return {"chol": chol}
+        return {"inv_diag": 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)}
 
     @cached_property
     def coefficient_failure(self) -> ConditionReport | None:
@@ -364,18 +371,28 @@ class GridProblem:
         """
         if self.coefficient_failure is not None:
             return self.coefficient_failure
-        return self._report(self._margins(weight, self.consts), dump_path)
+        report = self._report(self._margins(weight, self.consts), dump_path)
+        return report if dump_path is None else replace(report, dump_path=str(dump_path))
 
     def _margins(self, weight: WeightFunction, consts) -> _Margins:
         """The weight-dependent part of :meth:`check`, with the weight
-        evaluated under ``consts``; A must be positive definite on the grid."""
+        evaluated under ``consts``; A must be positive definite on the grid.
+
+        Raises :class:`DomainError` at the first grid point whose pencil
+        matrix is not finite: the weight's derivatives times A left double
+        range there, and no margin can be read from it."""
         pts = self.grid.points
         grads = weight.grad_values(pts, consts)
-        mats = _multiplier(self.a, self.da, grads, weight.hess_values(pts, consts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = _multiplier(self.a, self.da, grads, weight.hess_values(pts, consts))
+            doubled = 2.0 * mats
+        if not np.isfinite(doubled).all():
+            first = np.argmin(np.isfinite(doubled).all(axis=(-2, -1)))
+            raise DomainError("multiplier matrix is not finite", pts[first])
         grad_norms = row_norms(grads)
 
         try:
-            pencil = pencil_min_eigenvalue(2.0 * mats, self.a, chol=self.chol)
+            pencil = pencil_min_eigenvalue(doubled, self.a, **self.whitening)
         except np.linalg.LinAlgError:
             raise EvaluationError(
                 "coefficient matrix A is not numerically positive definite",
@@ -395,7 +412,8 @@ class GridProblem:
 
     def _report(self, margins: _Margins, dump_path=None) -> ConditionReport:
         """The full report of one :meth:`_margins` result, with its grid dump
-        written to ``dump_path`` when given."""
+        written to ``dump_path`` when given; the report does not name the
+        dump (:meth:`check` does)."""
         pts = self.grid.points
         mineig = min_eigenvalue(margins.mats)
         minors = leading_principal_minors(margins.mats)
@@ -418,7 +436,6 @@ class GridProblem:
             minors_min=tuple(float(v) for v in np.min(minors, axis=0)),
             resolution=self.grid.resolution,
             point_count=pts.shape[0],
-            dump_path=None if dump_path is None else str(dump_path),
         )
 
 
@@ -439,7 +456,8 @@ def check_condition(
     weights on one grid, prepare the problem once and call its
     :meth:`GridProblem.check`.  Raises :class:`EvaluationError` when A,
     though positive on the grid, is too close to singular for the pencil's
-    Cholesky factorization.
+    Cholesky factorization, and :class:`DomainError` when some multiplier
+    matrix is not finite.
     """
     return GridProblem(field, region, resolution, consts).check(weight, dump_path)
 

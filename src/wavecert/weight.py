@@ -37,6 +37,7 @@ from .condition import (
 )
 from .domain import Region, SampleGrid
 from .errors import (
+    DomainError,
     ExpOverflowError,
     LambdaMaxExceededError,
     WeightOverflowError,
@@ -214,6 +215,7 @@ def find_lambda(
     resolution: int = DEFAULT_RESOLUTION,
     consts=None,
     problem: GridProblem | None = None,
+    dump_path=None,
 ) -> WeightCertificate:
     """Search the exponential rate by doubling, then sharpen by bisection.
 
@@ -233,14 +235,17 @@ def find_lambda(
     and the gradient minimum; the minimum eigenvalue and the minors are
     computed once, for the report returned.  ``problem``, when given, is the
     search grid's problem already prepared for (field, region, resolution,
-    consts).
+    consts).  ``dump_path``, when given, receives the search grid's per-point
+    CSV of the certified attempt, as :meth:`GridProblem.check` writes it for
+    the certificate's weight.
 
     Raises :class:`LambdaMaxExceededError` (best failing report attached)
     when the budget runs out, or before any attempt (with the
     ``failed_coefficient`` report and no rate) when A is not positive
     definite on the grid.  Raises :class:`WeightOverflowError` when the
-    weight's exponentials leave double range first; translating the domain
-    toward the origin shrinks the exponent range in that case.
+    weight's exponentials, or the multiplier matrices built from them, leave
+    double range first; translating the domain toward the origin shrinks the
+    exponent range in that case.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
@@ -274,10 +279,14 @@ def find_lambda(
     while True:
         try:
             found, passed = attempt(lam)
-        except ExpOverflowError as exc:
+        except (ExpOverflowError, DomainError) as exc:
+            what = (
+                "weight exponential exceeded 1e300"
+                if isinstance(exc, ExpOverflowError)
+                else "multiplier matrix left double range"
+            )
             raise WeightOverflowError(
-                f"weight exponential exceeded 1e300 at lambda={lam:g}; "
-                "translate the domain toward the origin and retry",
+                f"{what} at lambda={lam:g}; translate the domain toward the origin and retry",
                 best_report=best_report(),
                 best_lambda=best_lam,
             ) from exc
@@ -314,7 +323,7 @@ def find_lambda(
         shift=float(shift),
         lam=float(lam_pass),
         weight=weight_pass,
-        report=problem._report(found_pass),
+        report=problem._report(found_pass, dump_path),
         sign_margin=margin_of_sign,
         refinement_report=refinement,
     )

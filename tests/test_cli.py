@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,24 @@ constraints = ["(x1 - 2)^2 + x2^2 + x3^2 - 1"]
 
 [options]
 resolution = 5
+"""
+
+
+# the weight's Hessian times A^2 leaves double range inside the disk, though
+# every exponential stays below the 1e300 guard
+VERIFY_OVERFLOW = """
+[problem]
+A.diagonal = true
+A.entries = ["exp(x1^3 + x2^3)", "exp(x1^3 + x2^3)"]
+weight = "exp(230*x1)"
+
+[region]
+dim = 2
+box = [[1, 3], [1, 3]]
+constraints = ["(x1 - 2)^2 + (x2 - 2)^2 - 1"]
+
+[options]
+resolution = 33
 """
 
 
@@ -386,15 +405,45 @@ class TestConstructCommand:
     def test_certificate_replays_through_verify(self, tmp_path, name):
         text = (DEMO_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
         cert_out, verify_out = tmp_path / "cert.json", tmp_path / "verify.json"
+        cert_dump, verify_dump = tmp_path / "cert.csv", tmp_path / "verify.csv"
         argv = ["construct", "--config", write(tmp_path, text), "--json", str(cert_out)]
-        assert main(argv) == EXIT_OK
+        assert main([*argv, "--dump-grid", str(cert_dump)]) == EXIT_OK
         cert = json.loads(cert_out.read_text())["result"]
+        assert "dump_path" not in cert["report"]
         replay = text.replace("[region]", f"weight = {json.dumps(cert['weight'])}\n\n[region]")
         argv = ["verify", "--config", write(tmp_path, replay, "replay.cfg"), "--json", str(verify_out)]
-        assert main(argv) == EXIT_OK
+        assert main([*argv, "--dump-grid", str(verify_dump)]) == EXIT_OK
         verified = json.loads(verify_out.read_text())["result"]
         keys = ("margin", "matrix_min_eig", "worst_point_margin", "grad_min", "minors_min")
         assert {k: verified[k] for k in keys} == {k: cert["report"][k] for k in keys}
+        # the search's certified attempt writes the same grid dump verify does
+        assert cert_dump.read_bytes() == verify_dump.read_bytes()
+
+    def test_grid_dump_adds_no_spectral_work(self, tmp_path, monkeypatch):
+        import wavecert.condition as condition
+
+        argv = ["construct", "--config", str(DEMO_CONFIGS / "construct-cubic.cfg")]
+        names = ("pencil_min_eigenvalue", "leading_principal_minors")
+        runs = []
+        for extra in ([], ["--dump-grid", str(tmp_path / "grid.csv")]):
+            counts = dict.fromkeys(names, 0)
+
+            def counted(name, fn):
+                def wrapper(*args, **kwargs):
+                    counts[name] += 1
+                    return fn(*args, **kwargs)
+
+                return wrapper
+
+            for name in names:
+                monkeypatch.setattr(condition, name, counted(name, getattr(condition, name)))
+            assert main([*argv, *extra]) == EXIT_OK
+            monkeypatch.undo()
+            runs.append(counts)
+        # the dump comes from the certified attempt's margins, not a re-check:
+        # the minors run for the certificate and the refinement only
+        assert runs[1] == runs[0]
+        assert runs[1]["leading_principal_minors"] == 2
 
     def test_construct_dump_grid(self, tmp_path):
         dump = tmp_path / "cert_grid.csv"
@@ -589,6 +638,15 @@ class TestExitCodeContract:
         code = main(["verify", "--config", write(tmp_path, VERIFY_OK), "--json", str(out)])
         assert code == EXIT_CONFIG
         assert "cannot write the report" in capsys.readouterr().err
+
+    def test_non_finite_multiplier_is_numeric_error(self, tmp_path, capsys):
+        dump = tmp_path / "grid.csv"
+        argv = ["verify", "--config", write(tmp_path, VERIFY_OVERFLOW), "--dump-grid", str(dump)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == EXIT_NUMERIC
+        assert "multiplier matrix is not finite at point" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_dump_path_in_missing_directory(self, tmp_path):
         dump = tmp_path / "missing" / "grid.csv"

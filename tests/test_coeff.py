@@ -121,6 +121,32 @@ class TestLinalg:
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert pencil_min_eigenvalue(mat, np.eye(2)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_diagonal_factor_scaling_matches_two_solves(self, n):
+        # the two-solve path is the reference; bit equality depends on how
+        # the BLAS divides by a pivot, so compare to a few ulps of the
+        # pencil's spectral radius.  m is scaled by sqrt(a_ii * a_jj), so
+        # entries of m and a span 1e-300..1e300 while every generalized
+        # eigenvalue stays in double range
+        rng = np.random.default_rng(n)
+        k = 300
+        diag = 10.0 ** rng.uniform(-290.0, 290.0, size=(k, n))
+        a = np.zeros((k, n, n))
+        a[:, range(n), range(n)] = diag
+        sign = rng.choice([-1.0, 1.0], size=(k, n, n))
+        m = sign * 10.0 ** rng.uniform(-12.0, 4.0, size=(k, n, n))
+        root = np.sqrt(diag)
+        m *= root[:, :, None] * root[:, None, :]
+        m[rng.random((k, n, n)) < 0.15] = 0.0
+        m[rng.random((k, n, n)) < 0.15] = -0.0
+        m = np.triu(m) + np.swapaxes(np.triu(m, 1), -1, -2)
+        chol = np.linalg.cholesky(a)
+        inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
+        ref = pencil_min_eigenvalue(m, a, chol=chol)
+        got = pencil_min_eigenvalue(m, a, inv_diag=inv_diag)
+        radius = np.maximum(np.abs(ref), np.abs(pencil_min_eigenvalue(-m, a, chol=chol)))
+        assert np.all(np.abs(got - ref) <= 8 * n * np.finfo(float).eps * radius)
+
     def test_pencil_diagonal_case(self):
         # pencil (2*diag(4,9), diag(2,3)) has eigenvalues (4, 6)
         assert pencil_min_eigenvalue(

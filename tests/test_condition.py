@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wavecert.condition import (
     weight_function,
 )
 from wavecert.domain import region, sample
+from wavecert.errors import DomainError
 from wavecert.weight import construct_weight
 
 SQRT2 = math.sqrt(2.0)
@@ -386,9 +388,38 @@ class TestGridProblem:
         check_condition(f, w, offset_disk(), 17, dump_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_non_finite_multiplier_raises_at_first_point(self):
+        f = build(["exp(x1^3 + x2^3)", "exp(x1^3 + x2^3)"], diagonal=True)
+        disk = region(2, [(1.0, 3.0), (1.0, 3.0)], ["(x1 - 2)^2 + (x2 - 2)^2 - 1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="multiplier matrix is not finite") as err:
+                check_condition(f, weight_function("exp(230*x1)", 2), disk, 33)
+        pts = sample(disk, 33).points
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = 2.0 * multiplier_matrix(f, weight_function("exp(230*x1)", 2), pts)
+        first = int(np.argmin(np.isfinite(mats).all(axis=(1, 2))))
+        assert err.value.point == tuple(pts[first])
+
+    def test_whitening_follows_the_factor_shape(self, monkeypatch):
+        counts = {}
+        solve = np.linalg.solve
+
+        def counted(*args, **kwargs):
+            counts["solve"] = counts.get("solve", 0) + 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        diagonal = GridProblem(isotropic_exp_field(), offset_disk(), 17)
+        diagonal.check(quadratic_weight())
+        assert set(diagonal.whitening) == {"inv_diag"} and counts == {}
+        full = GridProblem(build(["2", "0.5", "3"], diagonal=False), offset_disk(), 17)
+        full.check(quadratic_weight())
+        assert set(full.whitening) == {"chol"} and counts == {"solve": 2}
+
     def test_failed_coefficient_skips_partials_and_factor(self):
         f = build(["x1", "1"], diagonal=True)
         problem = GridProblem(f, region(2, [(-1.0, 1.0), (-1.0, 1.0)]), 9)
         report = problem.check(quadratic_weight())
         assert report.verdict == "failed_coefficient"
-        assert "da" not in vars(problem) and "chol" not in vars(problem)
+        assert "da" not in vars(problem) and "whitening" not in vars(problem)

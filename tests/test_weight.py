@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,16 @@ class TestFindLambda:
                 example_bad_field(), origin_disk(), 1, "positive", resolution=17
             )
 
+    def test_non_finite_multiplier_is_weight_overflow(self):
+        # the exponentials stay below 1e300 at rate 64, but the Hessian
+        # times A^2 does not stay below double range
+        disk = region(2, [(3.0, 5.0), (3.0, 5.0)], ["(x1 - 4)^2 + (x2 - 4)^2 - 1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(WeightOverflowError, match="at lambda=64; translate") as err:
+                find_lambda(cubic_exp_field(), disk, 1, "positive", resolution=33)
+        assert err.value.best_lambda is not None
+
     def test_one_dimensional_construction_certifies(self):
         f = build(["1 + x1^2"], diagonal=True)
         r = region(1, [(1.0, 2.0)])
@@ -308,6 +319,32 @@ class TestSearchWork:
         assert attempts > 10
         assert counts["min_eigenvalue"] == 2
         assert counts["leading_principal_minors"] == 2
+
+    def test_attempts_whiten_by_one_reciprocal_per_grid(self, monkeypatch):
+        import wavecert.condition as condition
+        from wavecert.condition import GridProblem
+
+        counts, operands = {}, []
+        _counting(monkeypatch, counts, np.linalg, "solve")
+        pencil = condition.pencil_min_eigenvalue
+
+        def recorded(m, a, **whitening):
+            operands.append(whitening["inv_diag"])
+            return pencil(m, a, **whitening)
+
+        monkeypatch.setattr(condition, "pencil_min_eigenvalue", recorded)
+        problem = GridProblem(cubic_exp_field(), shifted_disk(), 17)
+        cert = find_lambda(
+            cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17, problem=problem
+        )
+        assert cert.report.certified
+        assert counts == {}
+        # every attempt scales by the search grid's one reciprocal; the last
+        # pencil is the refinement's, on its own grid
+        *attempts, refinement = operands
+        assert len(attempts) > 10
+        assert all(r is problem.whitening["inv_diag"] for r in attempts)
+        assert refinement.shape[0] > attempts[0].shape[0]
 
     def test_best_failing_report_equals_a_full_check(self):
         from pathlib import Path
