@@ -1,105 +1,29 @@
-"""Bundled reference problems with their expected verdicts.
+"""Bundled reference problems: ``EXAMPLES`` maps each name to the command
+that runs it, the verdict it must give and a one-line description
+(``construct+rays`` runs both commands on one config; the first gives the
+verdict).  The problem itself is the ``.cfg`` file of the same name in the
+package's ``examples`` directory, whose comments describe it."""
 
-Each entry is a full run configuration for one of the worked instances the
-toolkit reproduces:
+from pathlib import Path
 
-* ``isotropic-exp``: diag(e^{x1+x2}, e^{x1+x2}) on the unit disk at (2, 0);
-  both off-index partials are uniformly positive, so the weight construction
-  certifies.
-* ``cubic-exp``: diag(e^{x1^3+x2^3}, ...) on the unit disk at (2, 2).  The
-  off-index partials 3*x^2*e^(...) vanish on the coordinate axes, so the
-  domain is placed away from them to keep the sign uniform; direct
-  differentiation gives 3*x1^2 (not a function of x2) for the first-axis
-  partial of the second entry.
-* ``disk-trap``: diag(1 + |x|^2, 1 + |x|^2) on the disk of radius sqrt(2).
-  Every off-index partial changes sign, no axis is admissible, and the run
-  also traces a ray fan from the center as a geometric diagnostic.
-* ``curvature-signchange``: a1 = e^{mu1*x1}, a2 = e^{-mu2*x1^2} with
-  (mu1, mu2) = (0.5, 0.1) inside the parameter window; the curvature changes
-  sign across the disk although the first-axis partials keep one sign, which
-  is the point of the comparison.
-"""
-
-import math
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT15 = math.sqrt(1.5)
-
-EXAMPLES = {
-    "isotropic-exp": {
-        "description": "isotropic exponential coefficients; construction certifies",
-        "command": "construct",
-        "expect": "certified",
-        "config": {
-            "problem": {
-                "A.diagonal": True,
-                "A.entries": ["exp(x1 + x2)", "exp(x1 + x2)"],
-            },
-            "region": {
-                "dim": 2,
-                "box": [[1.0, 3.0], [-1.0, 1.0]],
-                "constraints": ["(x1 - 2)^2 + x2^2 - 1"],
-            },
-            "options": {"resolution": 33},
-        },
-    },
-    "cubic-exp": {
-        "description": "cubic exponential coefficients on a domain off the axes",
-        "command": "construct",
-        "expect": "certified",
-        "config": {
-            "problem": {
-                "A.diagonal": True,
-                "A.entries": ["exp(x1^3 + x2^3)", "exp(x1^3 + x2^3)"],
-            },
-            "region": {
-                "dim": 2,
-                "box": [[1.0, 3.0], [1.0, 3.0]],
-                "constraints": ["(x1 - 2)^2 + (x2 - 2)^2 - 1"],
-            },
-            "options": {"resolution": 33},
-        },
-    },
-    "disk-trap": {
-        "description": "radially growing coefficients; no admissible axis, ray fan attached",
-        "command": "construct+rays",
-        "expect": "no_admissible_index",
-        "config": {
-            "problem": {
-                "A.diagonal": True,
-                "A.entries": ["1 + x1^2 + x2^2", "1 + x1^2 + x2^2"],
-            },
-            "region": {
-                "dim": 2,
-                "box": [[-_SQRT2, _SQRT2], [-_SQRT2, _SQRT2]],
-                "constraints": ["x1^2 + x2^2 - 2"],
-            },
-            "options": {
-                "resolution": 33,
-                "lambda_max": 64,
-                "count": 32,
-                "center": [0.0, 0.0],
-                "horizon": 20.0,
-                "step": 0.01,
-            },
-        },
-    },
-    "curvature-signchange": {
-        "description": "admissible coefficients whose curvature changes sign",
-        "command": "curvature",
-        "expect": "sign_changing",
-        "config": {
-            "problem": {
-                "A.diagonal": True,
-                "A.entries": ["exp(mu1*x1)", "exp(-mu2*x1^2)"],
-                "constants": {"mu1": 0.5, "mu2": 0.1},
-            },
-            "region": {
-                "dim": 2,
-                "box": [[2.0 - _SQRT15, 2.0 + _SQRT15], [-_SQRT15, _SQRT15]],
-                "constraints": ["(x1 - 2)^2 + x2^2 - 1.5"],
-            },
-            "options": {"resolution": 33},
-        },
-    },
+EXAMPLES = {  # name -> (command, expect, description)
+    "isotropic-exp": (
+        "construct", "certified", "isotropic exponential coefficients; construction certifies"
+    ),
+    "cubic-exp": (
+        "construct", "certified", "cubic exponential coefficients on a domain off the axes"
+    ),
+    "disk-trap": (
+        "construct+rays",
+        "no_admissible_index",
+        "radially growing coefficients; no admissible axis, ray fan attached",
+    ),
+    "curvature-signchange": (
+        "curvature", "sign_changing", "admissible coefficients whose curvature changes sign"
+    ),
 }
+
+
+def config_text(name: str) -> str:
+    """The run configuration of the bundled problem ``name``."""
+    return (Path(__file__).parent / "examples" / f"{name}.cfg").read_text(encoding="utf-8")

@@ -49,7 +49,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bundled import EXAMPLES
+from .bundled import EXAMPLES, config_text
 from .coeff import CoefficientField, build
 from .condition import ConditionReport, GridProblem, check_condition, weight_function
 from .curvature import check_sign_change_window, classify_sign
@@ -489,22 +489,20 @@ _COMMANDS = {  # subcommand -> (help, runner of a RunConfig)
 
 
 def run_example(name: str, overrides):
-    entry = EXAMPLES[name]
-    cfg = RunConfig(entry["config"], overrides)
-    command = entry["command"]
+    command, expect, description = EXAMPLES[name]
+    cfg = RunConfig.from_text(config_text(name), overrides)
     # "construct+rays" runs both on one config; the first gives the verdict
     runs = {part: _COMMANDS[part][1](cfg) for part in command.split("+")}
     _, verdict, result = next(iter(runs.values()))
     if len(runs) > 1:
         result = {part: run[2] for part, run in runs.items()}
-    matched = verdict == entry["expect"]
     return {
-        "description": entry["description"],
+        "description": description,
         "command": command,
         "config": cfg.echo(),
-        "expect": entry["expect"],
+        "expect": expect,
         "verdict": verdict,
-        "matched": matched,
+        "matched": verdict == expect,
         "result": result,
     }
 

@@ -164,21 +164,18 @@ def _terms(a, da, grad, hess):
     return term_h, t_a, t_c
 
 
-def _multiplier(a, da, grad, hess, symmetrize=True):
-    """``term_h + (t_a + t_a^T - t_c) / 2`` from :func:`_terms`, optionally symmetrized."""
+def _multiplier(a, da, grad, hess):
+    """``term_h + (t_a + t_a^T - t_c) / 2`` from :func:`_terms`, symmetrized."""
     term_h, t_a, t_c = _terms(a, da, grad, hess)
     out = t_a + np.swapaxes(t_a, -1, -2)
     out -= t_c
     out *= 0.5
     out += term_h
-    if symmetrize:
-        out = out + np.swapaxes(out, -1, -2)
-        out *= 0.5
-    return out
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def multiplier_matrix(
-    field: CoefficientField, weight: WeightFunction, point, consts=None, symmetrize=True
+    field: CoefficientField, weight: WeightFunction, point, consts=None
 ) -> np.ndarray:
     """Symmetric matrix whose uniform positivity is the certified condition.
 
@@ -186,8 +183,8 @@ def multiplier_matrix(
     ``a^{iq} a^{pj} d_{x_p x_q}`` plus half of
     ``(a^{iq} da^{pj}/dx_q + a^{jq} da^{pi}/dx_q - da^{ij}/dx_q a^{pq}) d_{x_p}``,
     in the order documented at :func:`_terms`.  Accepts a single point (n,)
-    or a batch (m, n).  The raw assembly is symmetric up to rounding;
-    ``symmetrize=False`` skips the final exact averaging with the transpose.
+    or a batch (m, n).  The raw assembly is symmetric up to rounding, and a
+    final exact averaging with the transpose makes it symmetric.
     """
     pts, batched = _batched(point)
     out = _multiplier(
@@ -195,7 +192,6 @@ def multiplier_matrix(
         field.partial_values(pts, consts),
         weight.grad_values(pts, consts),
         weight.hess_values(pts, consts),
-        symmetrize,
     )
     return out if batched else out[0]
 
@@ -340,15 +336,13 @@ class GridProblem:
         return self.field.partial_values(self.grid.points, self.consts)
 
     @cached_property
-    def whitening(self) -> dict:
-        """The keyword :func:`pencil_min_eigenvalue` whitens by: for a
-        diagonal field, ``inv_diag``, ``1 / diag(L)`` of the (diagonal) lower
-        Cholesky factors L of A, so an attempt whitens by two broadcast
-        multiplies; else ``chol``, the factors, for two triangular solves."""
+    def whitening(self) -> np.ndarray:
+        """The operand :func:`pencil_min_eigenvalue` whitens by: the lower
+        Cholesky factors L of A, for two triangular solves, or, for a
+        diagonal field, ``1 / diag(L)``, so an attempt whitens by two
+        broadcast multiplies."""
         chol = np.linalg.cholesky(self.a)
-        if not self.field.diagonal:
-            return {"chol": chol}
-        return {"inv_diag": 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)}
+        return 1.0 / np.diagonal(chol, axis1=-2, axis2=-1) if self.field.diagonal else chol
 
     @cached_property
     def coefficient_failure(self) -> ConditionReport | None:
@@ -392,7 +386,7 @@ class GridProblem:
         grad_norms = row_norms(grads)
 
         try:
-            pencil = pencil_min_eigenvalue(doubled, self.a, **self.whitening)
+            pencil = pencil_min_eigenvalue(doubled, self.whitening)
         except np.linalg.LinAlgError:
             raise EvaluationError(
                 "coefficient matrix A is not numerically positive definite",

@@ -134,6 +134,17 @@ def contains(r: Region, p, consts=None) -> bool:
     return bool(r.inside(p[None, :], consts)[0])
 
 
+def check_grid_budget(dim: int, resolution: int):
+    """Raise :class:`RegionError` when the tensor grid of ``resolution`` points
+    per axis in ``dim`` dimensions exceeds :data:`MAX_GRID_POINTS`."""
+    count = int(resolution) ** dim
+    if count > MAX_GRID_POINTS:
+        raise RegionError(
+            f"resolution {resolution} in dimension {dim} asks for {count} grid points;"
+            f" the budget is {MAX_GRID_POINTS}"
+        )
+
+
 def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
     """Tensor grid of the box filtered by the constraints.
 
@@ -144,12 +155,7 @@ def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
     """
     if resolution < 2:
         raise RegionError("resolution must be >= 2")
-    count = int(resolution) ** r.dim
-    if count > MAX_GRID_POINTS:
-        raise RegionError(
-            f"resolution {resolution} in dimension {r.dim} asks for {count} grid points;"
-            f" the budget is {MAX_GRID_POINTS}"
-        )
+    check_grid_budget(r.dim, resolution)
     axes = [np.linspace(lo, hi, resolution) for lo, hi in r.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)

@@ -377,7 +377,10 @@ def powi(base: Expression, exponent: int) -> Expression:
         return Num(1.0)
     v = _lit(base)
     if v is not None and (exponent > 0 or v != 0.0):
-        folded = float(v) ** exponent
+        try:
+            folded = float(v) ** exponent
+        except OverflowError:  # kept unfolded, as a non-finite result is
+            return Pow(base, exponent)
         if math.isfinite(folded):
             return _num(folded)
     return Pow(base, exponent)

@@ -2,8 +2,8 @@
 
 Every routine takes a stack ``(..., n, n)`` and returns one value (or one
 row) per matrix; a single ``(n, n)`` matrix is a stack of one.  Eigenvalues
-come from LAPACK through ``np.linalg.eigvalsh``, the pencil is whitened by a
-batched Cholesky factorization (a two-sided reciprocal scaling when the
+come from LAPACK through ``np.linalg.eigvalsh``, the pencil is whitened by
+the caller's Cholesky factors (a two-sided reciprocal scaling when the
 factors are diagonal), and leading principal minors come from batched
 determinants.  Cholesky success (``cholesky_spd``) and the minors
 (Sylvester's criterion) are independent cross-checks of positive
@@ -68,28 +68,24 @@ def leading_principal_minors(mats) -> np.ndarray:
         )
 
 
-def pencil_min_eigenvalue(m, a, chol=None, inv_diag=None) -> np.ndarray:
-    """Smallest generalized eigenvalue of each pencil (m, a), a positive definite.
+def pencil_min_eigenvalue(m, whitening) -> np.ndarray:
+    """Smallest generalized eigenvalue of each pencil (m, a), a = L L^T
+    positive definite with lower Cholesky factor L.
 
-    Computed as the smallest eigenvalue of ``L^-1 m L^-T`` for the Cholesky
-    factor ``a = L L^T``, after exact power-of-two rescaling of ``m``.
-    ``chol``, when given, is that factor already computed, and ``a`` is not
-    factored again.  ``inv_diag``, given instead for diagonal factors, is
-    ``r = 1 / diag(L)``, ``(..., n)``: the reduction is then the scaling
-    ``(m_ij * r_i) * r_j``, the triangular solves' values bit for bit where
-    the BLAS solve multiplies by the pivot's reciprocal (OpenBLAS, n >= 2)
-    and ``m`` holds no negative zero.  When ``a`` is factored here, raises
-    ``np.linalg.LinAlgError`` if some ``a`` is not numerically positive
-    definite.
+    Computed as the smallest eigenvalue of ``L^-1 m L^-T``, after exact
+    power-of-two rescaling of ``m``.  ``whitening`` is either ``L``, of the
+    shape of ``m``, reduced by two triangular solves, or, for diagonal
+    factors, ``r = 1 / diag(L)``, ``(..., n)``, reduced by the scaling
+    ``(m_ij * r_i) * r_j``: the solves' values bit for bit where the BLAS
+    solve multiplies by the pivot's reciprocal (OpenBLAS, n >= 2) and ``m``
+    holds no negative zero.
     """
     scaled, exp = _scaled(m)
-    if inv_diag is not None:
-        c = (scaled * inv_diag[..., :, None]) * inv_diag[..., None, :]
+    if np.ndim(whitening) < scaled.ndim:
+        c = (scaled * whitening[..., :, None]) * whitening[..., None, :]
     else:
-        if chol is None:
-            chol = np.linalg.cholesky(np.asarray(a, dtype=float))
-        y = np.linalg.solve(chol, scaled)
-        c = np.swapaxes(np.linalg.solve(chol, np.swapaxes(y, -1, -2)), -1, -2)
+        y = np.linalg.solve(whitening, scaled)
+        c = np.swapaxes(np.linalg.solve(whitening, np.swapaxes(y, -1, -2)), -1, -2)
     c = 0.5 * (c + np.swapaxes(c, -1, -2))
     return np.ldexp(np.linalg.eigvalsh(c)[..., 0], exp)
 

@@ -35,7 +35,7 @@ from .condition import (
     multiplier_matrix_diagonal,
     weight_function,
 )
-from .domain import Region, SampleGrid
+from .domain import Region, SampleGrid, check_grid_budget
 from .errors import (
     DomainError,
     ExpOverflowError,
@@ -101,12 +101,6 @@ def sign_ranges(da):
     return ranges
 
 
-def index_sign_ranges(field: CoefficientField, grid: SampleGrid, consts=None):
-    """:func:`sign_ranges` of a diagonal field over a sample grid."""
-    require_diagonal(field)
-    return sign_ranges(field.partial_values(grid.points, consts))
-
-
 def sign_margin(ranges, dim: int, axis: int, sign_case: str) -> float:
     """The admissibility rule: ``-max`` of the maxima of the off-index partials
     along ``axis`` (negative case) or ``min`` of their minima (positive case);
@@ -126,7 +120,8 @@ def detect_index(field: CoefficientField, grid: SampleGrid, consts=None):
     one-dimensional field the hypothesis is vacuous and both sign cases are
     admissible with an infinite margin sentinel.
     """
-    return admissible_indices(index_sign_ranges(field, grid, consts), field.dim)
+    require_diagonal(field)
+    return admissible_indices(sign_ranges(field.partial_values(grid.points, consts)), field.dim)
 
 
 def admissible_indices(ranges, dim: int):
@@ -245,7 +240,8 @@ def find_lambda(
     definite on the grid.  Raises :class:`WeightOverflowError` when the
     weight's exponentials, or the multiplier matrices built from them, leave
     double range first; translating the domain toward the origin shrinks the
-    exponent range in that case.
+    exponent range in that case.  Raises :class:`RegionError`, before any
+    attempt, when the re-check's grid would exceed the grid budget.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
@@ -260,6 +256,8 @@ def find_lambda(
             best_report=problem.coefficient_failure,
         )
     margin_of_sign = sign_margin(sign_ranges(problem.da), field.dim, axis, sign_case)
+    refined_resolution = 2 * problem.grid.resolution - 1
+    check_grid_budget(region.dim, refined_resolution)
 
     def attempt(lam):
         found = problem._margins(weight, {_RATE: lam})
@@ -314,7 +312,7 @@ def find_lambda(
         lam_pass = hi
 
     weight_pass = construct_weight(axis, sign_case, shift, lam_pass, field.dim)
-    refined = GridProblem(field, region, 2 * problem.grid.resolution - 1, consts)
+    refined = GridProblem(field, region, refined_resolution, consts)
     refinement = refined.check(weight_pass)
 
     return WeightCertificate(

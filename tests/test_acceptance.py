@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from wavecert.bundled import EXAMPLES
-from wavecert.cli import main
+from wavecert.bundled import EXAMPLES, config_text
+from wavecert.cli import RunConfig, main
 from wavecert.coeff import build
 from wavecert.condition import (
     check_condition,
@@ -41,6 +41,7 @@ from wavecert.weight import (
     find_lambda,
     limit_matrix,
     scaled_multiplier_matrix,
+    sign_ranges,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -108,13 +109,11 @@ def test_criterion_02_assembly_identities():
     rng = np.random.default_rng(20250808)
     checked = 0
     worst = 0.0
-    for name, entry in EXAMPLES.items():
-        problem = entry["config"]["problem"]
-        reg = entry["config"]["region"]
-        consts = problem.get("constants", {})
-        field = build(problem["A.entries"], problem["A.diagonal"])
-        lows = np.array([b[0] for b in reg["box"]])
-        highs = np.array([b[1] for b in reg["box"]])
+    for name in EXAMPLES:
+        cfg = RunConfig.from_text(config_text(name))
+        field = cfg.build_field()
+        lows = np.array([b[0] for b in cfg.box])
+        highs = np.array([b[1] for b in cfg.box])
         for k in range(100):
             pt = rng.uniform(lows, highs)
             if k % 2 == 0:
@@ -126,9 +125,9 @@ def test_criterion_02_assembly_identities():
                 lam = float(rng.uniform(0.5, 2.5))
                 case = "positive" if k % 4 == 1 else "negative"
                 w = construct_weight(1, case, float(rng.uniform(4.0, 7.0)), lam, 2)
-            m = quadratic_form_matrix(field, w, pt, consts)
-            b = multiplier_matrix(field, w, pt, consts)
-            bd = multiplier_matrix_diagonal(field, w, pt, consts)
+            m = quadratic_form_matrix(field, w, pt, cfg.constants)
+            b = multiplier_matrix(field, w, pt, cfg.constants)
+            bd = multiplier_matrix_diagonal(field, w, pt, cfg.constants)
             worst = max(worst, rel_frobenius(0.5 * (m + m.T), 2.0 * b))
             worst = max(worst, rel_frobenius(bd, b))
             checked += 1
@@ -213,9 +212,7 @@ def test_criterion_06_honest_negative():
     field = example_bad_field()
     grid = sample(origin_disk(), 33)
     candidates = detect_index(field, grid)
-    from wavecert.weight import index_sign_ranges
-
-    ranges = index_sign_ranges(field, grid)
+    ranges = sign_ranges(field.partial_values(grid.points))
     straddle = all(lo <= -0.05 and hi >= 0.05 for lo, hi in ranges.values())
     exhausted = False
     try:

@@ -2,7 +2,6 @@ import argparse
 import json
 import os
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +15,7 @@ from wavecert.cli import (
     main,
     parse_config_text,
 )
-from wavecert.bundled import EXAMPLES
+from wavecert.bundled import config_text
 from wavecert.errors import ConfigError
 from wavecert.rays import fan
 from wavecert.report import dumps_stable, strip_duration
@@ -162,6 +161,28 @@ resolution = 33
 """
 
 
+# the search grid (82 per axis) fits the grid budget; the re-check's (163) does not
+CONSTRUCT_3D_OVER_BUDGET = """
+[problem]
+A.diagonal = true
+A.entries = ["exp(x1 + x2 + x3)", "exp(x1 + x2 + x3)", "exp(x1 + x2 + x3)"]
+
+[region]
+dim = 3
+box = [[1, 3], [-1, 1], [-1, 1]]
+constraints = ["(x1 - 2)^2 + x2^2 + x3^2 - 1"]
+
+[options]
+resolution = 82
+"""
+
+# a power literal beyond double range: not folded at parse time, it evaluates
+# to a non-finite coefficient
+VERIFY_HUGE_POWER = VERIFY_OK.replace(
+    'A.entries = ["1", "1"]', 'A.entries = ["1 + 1e-300^-2*0", "1"]'
+)
+
+
 # the first constraint keeps the second's log to x1 >= 0.5
 VERIFY_GUARDED = VERIFY_OK.replace(
     'box = [[1, 3], [-1, 1]]', 'box = [[-1, 3], [-1, 1]]'
@@ -169,9 +190,6 @@ VERIFY_GUARDED = VERIFY_OK.replace(
     'constraints = ["(x1 - 2)^2 + x2^2 - 1"]',
     'constraints = ["0.5 - x1", "log(x1) - 1 + x2^2"]',
 )
-
-DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
-
 
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -396,14 +414,30 @@ class TestConstructCommand:
         result = json.loads(out.read_text())["result"]
         assert (result["axis"], result["sign_case"]) == (1, sign_case)
 
+    def test_refinement_grid_over_budget_exits_before_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from wavecert.condition import GridProblem
+
+        def attempt(*args):
+            raise AssertionError("the rate search ran")
+
+        monkeypatch.setattr(GridProblem, "_margins", attempt)
+        argv = ["construct", "--config", write(tmp_path, CONSTRUCT_3D_OVER_BUDGET)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "resolution 163 in dimension 3 asks for 4330747 grid points" in err
+
     def test_forced_axis_out_of_range(self, tmp_path, capsys):
         argv = ["construct", "--config", write(tmp_path, CONSTRUCT_HOPELESS), "--force-j", "3"]
         assert main(argv) == EXIT_CONFIG
         assert "out of range" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["construct-isotropic", "construct-cubic"])
+    @pytest.mark.parametrize(
+        "name", ["isotropic-exp", "cubic-exp"], ids=["construct-isotropic", "construct-cubic"]
+    )
     def test_certificate_replays_through_verify(self, tmp_path, name):
-        text = (DEMO_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
+        text = config_text(name)
         cert_out, verify_out = tmp_path / "cert.json", tmp_path / "verify.json"
         cert_dump, verify_dump = tmp_path / "cert.csv", tmp_path / "verify.csv"
         argv = ["construct", "--config", write(tmp_path, text), "--json", str(cert_out)]
@@ -422,7 +456,7 @@ class TestConstructCommand:
     def test_grid_dump_adds_no_spectral_work(self, tmp_path, monkeypatch):
         import wavecert.condition as condition
 
-        argv = ["construct", "--config", str(DEMO_CONFIGS / "construct-cubic.cfg")]
+        argv = ["construct", "--config", write(tmp_path, config_text("cubic-exp"))]
         names = ("pencil_min_eigenvalue", "leading_principal_minors")
         runs = []
         for extra in ([], ["--dump-grid", str(tmp_path / "grid.csv")]):
@@ -640,13 +674,18 @@ class TestExitCodeContract:
         assert "cannot write the report" in capsys.readouterr().err
 
     def test_non_finite_multiplier_is_numeric_error(self, tmp_path, capsys):
-        dump = tmp_path / "grid.csv"
-        argv = ["verify", "--config", write(tmp_path, VERIFY_OVERFLOW), "--dump-grid", str(dump)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(argv) == EXIT_NUMERIC
-        assert "multiplier matrix is not finite at point" in capsys.readouterr().err
-        assert not dump.exists()
+        cases = [
+            (VERIFY_OVERFLOW, "multiplier matrix is not finite at point"),
+            (VERIFY_HUGE_POWER, "non-finite result at point"),
+        ]
+        for text, message in cases:
+            dump = tmp_path / "grid.csv"
+            argv = ["verify", "--config", write(tmp_path, text), "--dump-grid", str(dump)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(argv) == EXIT_NUMERIC
+            assert message in capsys.readouterr().err
+            assert not dump.exists()
 
     def test_dump_path_in_missing_directory(self, tmp_path):
         dump = tmp_path / "missing" / "grid.csv"
@@ -768,19 +807,6 @@ class TestOneOptionTable:
 
 
 class TestExamplesCommand:
-    @pytest.mark.parametrize(
-        "config,name",
-        [
-            ("construct-isotropic", "isotropic-exp"),
-            ("construct-cubic", "cubic-exp"),
-            ("disk-trap", "disk-trap"),
-            ("curvature-signchange", "curvature-signchange"),
-        ],
-    )
-    def test_demo_config_restates_bundled_example(self, config, name):
-        text = (DEMO_CONFIGS / f"{config}.cfg").read_text(encoding="utf-8")
-        assert RunConfig.from_text(text).echo() == RunConfig(EXAMPLES[name]["config"]).echo()
-
     def test_unknown_name_lists_available(self, tmp_path, capsys):
         code = main(["examples", "nonesuch"])
         assert code == EXIT_CONFIG

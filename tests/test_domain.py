@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from wavecert import domain
+from wavecert.bundled import EXAMPLES, config_text
+from wavecert.cli import RunConfig
 from wavecert.domain import Region, contains, region, sample
 from wavecert.errors import RegionError
 
@@ -117,18 +119,9 @@ class TestSample:
 
     @pytest.mark.parametrize("resolution", [17, 33])
     def test_bundled_regions_nonempty(self, resolution):
-        bundled = [
-            region(2, [(-math.sqrt(2), math.sqrt(2))] * 2, ["x1^2 + x2^2 - 2"]),
-            region(2, [(1.0, 3.0), (-1.0, 1.0)], ["(x1 - 2)^2 + x2^2 - 1"]),
-            region(2, [(1.0, 3.0), (1.0, 3.0)], ["(x1 - 2)^2 + (x2 - 2)^2 - 1"]),
-            region(
-                2,
-                [(2 - SQRT_15, 2 + SQRT_15), (-SQRT_15, SQRT_15)],
-                ["(x1 - 2)^2 + x2^2 - 1.5"],
-            ),
-        ]
-        for r in bundled:
-            assert len(sample(r, resolution)) > 0
+        for name in EXAMPLES:
+            cfg = RunConfig.from_text(config_text(name))
+            assert len(sample(cfg.build_region(), resolution, cfg.constants)) > 0
 
 
 class TestRegionValidation:

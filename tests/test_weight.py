@@ -14,11 +14,11 @@ from wavecert.weight import (
     derivative_ratio_maxima,
     detect_index,
     find_lambda,
-    index_sign_ranges,
     limit_matrix,
     pick_index,
     scaled_limit_distance,
     scaled_multiplier_matrix,
+    sign_ranges,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -50,12 +50,14 @@ def origin_disk():
 
 class TestIndexSignRanges:
     def test_isotropic_exponential_positive(self):
-        ranges = index_sign_ranges(isotropic_exp_field(), sample(offset_disk(), 17))
+        grid = sample(offset_disk(), 17)
+        ranges = sign_ranges(isotropic_exp_field().partial_values(grid.points))
         lo, hi = ranges[(1, 2)]  # da^22/dx1 = exp(x1 + x2)
         assert 0.0 < lo <= hi
 
     def test_example_field_straddles_zero(self):
-        ranges = index_sign_ranges(example_bad_field(), sample(origin_disk(), 17))
+        grid = sample(origin_disk(), 17)
+        ranges = sign_ranges(example_bad_field().partial_values(grid.points))
         lo, hi = ranges[(2, 1)]  # da^11/dx2 = 2*x2
         assert lo < 0.0 < hi
 
@@ -328,9 +330,9 @@ class TestSearchWork:
         _counting(monkeypatch, counts, np.linalg, "solve")
         pencil = condition.pencil_min_eigenvalue
 
-        def recorded(m, a, **whitening):
-            operands.append(whitening["inv_diag"])
-            return pencil(m, a, **whitening)
+        def recorded(m, whitening):
+            operands.append(whitening)
+            return pencil(m, whitening)
 
         monkeypatch.setattr(condition, "pencil_min_eigenvalue", recorded)
         problem = GridProblem(cubic_exp_field(), shifted_disk(), 17)
@@ -343,18 +345,17 @@ class TestSearchWork:
         # pencil is the refinement's, on its own grid
         *attempts, refinement = operands
         assert len(attempts) > 10
-        assert all(r is problem.whitening["inv_diag"] for r in attempts)
+        assert all(r is problem.whitening for r in attempts)
+        assert attempts[0].ndim == 2  # (m, n): the reciprocal diagonal
         assert refinement.shape[0] > attempts[0].shape[0]
 
     def test_best_failing_report_equals_a_full_check(self):
-        from pathlib import Path
-
-        from wavecert.cli import RunConfig, parse_config_text
+        from wavecert.bundled import config_text
+        from wavecert.cli import RunConfig
         from wavecert.condition import GridProblem
-        from wavecert.weight import admissible_indices, sign_ranges
+        from wavecert.weight import admissible_indices
 
-        path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "construct-cubic.cfg"
-        cfg = RunConfig(parse_config_text(path.read_text(encoding="utf-8")), {"lambda_max": 8})
+        cfg = RunConfig.from_text(config_text("cubic-exp"), {"lambda_max": 8})
         field, reg = cfg.build_field(), cfg.build_region()
         resolution = cfg.options["resolution"]
         problem = GridProblem(field, reg, resolution)
