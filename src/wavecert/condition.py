@@ -18,13 +18,13 @@ eigenvalue and row of leading minors per point; worst points are the first
 minimizers in grid order.  A rate search runs only the part that decides
 the verdict on each attempt.  ``check_condition`` is a one-off check.
 
-``quadratic_form_matrix`` assembles the (unsymmetrized) coefficient matrix of
-the quadratic form itself; its symmetric part equals twice the multiplier
-matrix, which the tests exercise as an algebraic cross-check.  For diagonal
-fields ``multiplier_matrix_diagonal`` assembles the specialized form used by
-the constructive proof machinery; it matches the general path whenever the
-weight has no mixed second derivatives, which covers every weight family this
-toolkit constructs.
+A full field is assembled by matrix products, a diagonal one entrywise
+(:func:`_terms`).  ``quadratic_form_matrix`` assembles the (unsymmetrized)
+coefficient matrix of the quadratic form itself; its symmetric part equals
+twice the multiplier matrix, which the tests exercise as an algebraic
+cross-check.  ``multiplier_matrix_diagonal``, the form the constructive proof
+machinery uses, drops the weight's mixed second derivatives; it matches the
+general path for every weight family this toolkit constructs.
 """
 
 from dataclasses import dataclass, replace
@@ -108,65 +108,50 @@ def _batched(points):
     return points, True
 
 
-def _pq_sum(n, factors, out, tmp, block=None):
-    """Add ``(x * y) * z`` over ``(x, y, z) = factors(p, q)``, p and q < n, to ``out``.
-
-    Without ``block`` every term goes straight into ``out``, p outer and q
-    inner.  With a ``block`` buffer, the q-terms of one p are summed left to
-    right there first and the block is then added to ``out``.
-    """
-    for p in range(n):
-        for q in range(n):
-            x, y, z = factors(p, q)
-            dst = block if block is not None and q == 0 else tmp
-            np.multiply(x, y, out=dst)
-            dst *= z
-            if block is None:
-                out += tmp
-            elif q:
-                block += tmp
-        if block is not None:
-            out += block
-    return out
+def _operands(field, weight, pts, consts):
+    """A, its first derivatives, and the weight's gradient and Hessian at ``pts``."""
+    return (
+        field.values(pts, consts),
+        field.partial_values(pts, consts),
+        weight.grad_values(pts, consts),
+        weight.hess_values(pts, consts),
+    )
 
 
-def _terms(a, da, grad, hess):
+def _terms(a, da, grad, hess, diagonal):
     """The three sums of the assembly, each an ``(m, n, n)`` stack.
 
-    ``term_h[i, j] = sum_{p,q} a^{iq} a^{pj} d_{x_p x_q}``,
-    ``t_a[i, j] = sum_{p,q} a^{iq} da^{pj}/dx_q d_{x_p}`` and
-    ``t_c[i, j] = sum_{p,q} da^{ij}/dx_q a^{pq} d_{x_p}``; the fourth sum,
-    ``a^{jq} da^{pi}/dx_q d_{x_p}``, is ``t_a`` transposed, bit for bit.
+    ``term_h[i, j] = sum_{p,q} a^{iq} a^{pj} d_{x_p x_q}``, that is A H A;
+    ``t_a[i, j] = sum_{p,q} a^{iq} da^{pj}/dx_q d_{x_p}``, that is A M with
+    ``M[q, j] = sum_p d_{x_p} da^{pj}/dx_q``; and
+    ``t_c[i, j] = sum_q da^{ij}/dx_q (A grad d)_q``.  The fourth sum,
+    ``a^{jq} da^{pi}/dx_q d_{x_p}``, is ``t_a`` transposed.
 
-    The summation order is fixed: each term is the product of its three
-    factors from left to right as written; ``term_h`` and ``t_a`` sum the
-    q-terms of each p left to right and then add that block to a running
-    total from zero, and ``t_c`` is one running total over p, then q.  This
-    is the order numpy 2.4's ``einsum`` uses for the same subscripts.  It
-    must not be reassociated: a rate-search attempt can fail by a margin of
-    a few 1e-14, so the last bits of the assembly decide its verdict.
+    A full field takes them as matrix products.  A ``diagonal`` field keeps
+    only the products that are not exact zeros, with ``a_i = a^{ii}``:
+    ``(a_i a_j) d_{x_j x_i}``, ``(a_i da_j/dx_i) d_{x_j}`` and, on the
+    diagonal of ``t_c``, ``sum_q (da_i/dx_q a_q) d_{x_q}`` in q order, each
+    sum started from zero as the full sums are; that is their values bit for
+    bit, signed zeros included.
     """
-    m, n = grad.shape
-    shape = (m, n, n)
-    tmp, block = np.empty(shape), np.empty(shape)
-    g = grad[:, :, None, None]
-    term_h = _pq_sum(
-        n, lambda p, q: (a[:, :, q, None], a[:, None, p, :], hess[:, p, q, None, None]),
-        np.zeros(shape), tmp, block,
-    )
-    t_a = _pq_sum(
-        n, lambda p, q: (a[:, :, q, None], da[:, None, p, :, q], g[:, p]),
-        np.zeros(shape), tmp, block,
-    )
-    t_c = _pq_sum(
-        n, lambda p, q: (da[..., q], a[:, p, q, None, None], g[:, p]), np.zeros(shape), tmp
-    )
+    if not diagonal:
+        m_qj = np.matmul(grad[:, None, None, :], np.moveaxis(da, -1, 1))[:, :, 0]
+        ag = np.matmul(a, grad[:, :, None])[:, None]  # (A grad d)_q as (m, 1, n, 1)
+        return a @ hess @ a, a @ m_qj, np.matmul(da, ag)[..., 0]
+    n = grad.shape[1]
+    ad = np.diagonal(a, axis1=1, axis2=2)  # a_i
+    dd = np.diagonal(da, axis1=1, axis2=2)  # [q, i]: da_i/dx_q
+    term_h = 0.0 + (ad[:, :, None] * ad[:, None, :]) * np.swapaxes(hess, 1, 2)
+    t_a = 0.0 + (ad[:, :, None] * dd) * grad[:, None, :]
+    t_c = np.zeros(term_h.shape)
+    for q in range(n):
+        t_c[:, range(n), range(n)] += (dd[:, q] * ad[:, q, None]) * grad[:, q, None]
     return term_h, t_a, t_c
 
 
-def _multiplier(a, da, grad, hess):
+def _multiplier(a, da, grad, hess, diagonal):
     """``term_h + (t_a + t_a^T - t_c) / 2`` from :func:`_terms`, symmetrized."""
-    term_h, t_a, t_c = _terms(a, da, grad, hess)
+    term_h, t_a, t_c = _terms(a, da, grad, hess, diagonal)
     out = t_a + np.swapaxes(t_a, -1, -2)
     out -= t_c
     out *= 0.5
@@ -182,17 +167,12 @@ def multiplier_matrix(
     Entry (i, j) sums, over (p, q), the coefficient-weighted Hessian term
     ``a^{iq} a^{pj} d_{x_p x_q}`` plus half of
     ``(a^{iq} da^{pj}/dx_q + a^{jq} da^{pi}/dx_q - da^{ij}/dx_q a^{pq}) d_{x_p}``,
-    in the order documented at :func:`_terms`.  Accepts a single point (n,)
+    assembled as documented at :func:`_terms`.  Accepts a single point (n,)
     or a batch (m, n).  The raw assembly is symmetric up to rounding, and a
     final exact averaging with the transpose makes it symmetric.
     """
     pts, batched = _batched(point)
-    out = _multiplier(
-        field.values(pts, consts),
-        field.partial_values(pts, consts),
-        weight.grad_values(pts, consts),
-        weight.hess_values(pts, consts),
-    )
+    out = _multiplier(*_operands(field, weight, pts, consts), field.diagonal)
     return out if batched else out[0]
 
 
@@ -207,12 +187,7 @@ def quadratic_form_matrix(
     :func:`multiplier_matrix`.
     """
     pts, batched = _batched(point)
-    out, t_a, t_c = _terms(
-        field.values(pts, consts),
-        field.partial_values(pts, consts),
-        weight.grad_values(pts, consts),
-        weight.hess_values(pts, consts),
-    )
+    out, t_a, t_c = _terms(*_operands(field, weight, pts, consts), field.diagonal)
     out += t_a
     out *= 2.0
     out -= t_c
@@ -225,24 +200,15 @@ def multiplier_matrix_diagonal(
     """Diagonal-field multiplier matrix in its specialized form.
 
     ``0.5 * (a^i da^j/dx_i d_{x_j} + a^j da^i/dx_j d_{x_i})`` plus the
-    diagonal ``(a^i)^2 d_{x_i x_i} - 0.5 * sum_k a^k da^i/dx_k d_{x_k}``.
-    Agrees with :func:`multiplier_matrix` whenever the weight has no mixed
-    second derivatives.
+    diagonal ``(a^i)^2 d_{x_i x_i} - 0.5 * sum_k a^k da^i/dx_k d_{x_k}``: the
+    diagonal assembly of :func:`multiplier_matrix` with the weight's mixed
+    second derivatives dropped, so the two agree whenever the weight has
+    none.
     """
     require_diagonal(field)
     pts, batched = _batched(point)
-    idx = np.arange(field.dim)
-    a = field.values(pts, consts)[:, idx, idx]
-    da = field.partial_values(pts, consts)[:, idx, idx, :]
-    grad = weight.grad_values(pts, consts)
-    hess = weight.hess_values(pts, consts)
-
-    cross = np.einsum("mi,mji,mj->mij", a, da, grad)
-    sym = 0.5 * (cross + np.swapaxes(cross, -1, -2))
-    hd = np.einsum("mii->mi", hess)
-    diag = a * a * hd - 0.5 * np.einsum("mk,mik,mk->mi", a, da, grad)
-    out = sym.copy()
-    out[:, idx, idx] += diag
+    a, da, grad, hess = _operands(field, weight, pts, consts)
+    out = _multiplier(a, da, grad, hess * np.eye(field.dim), diagonal=True)
     return out if batched else out[0]
 
 
@@ -378,7 +344,9 @@ class GridProblem:
         pts = self.grid.points
         grads = weight.grad_values(pts, consts)
         with np.errstate(over="ignore", invalid="ignore"):
-            mats = _multiplier(self.a, self.da, grads, weight.hess_values(pts, consts))
+            mats = _multiplier(
+                self.a, self.da, grads, weight.hess_values(pts, consts), self.field.diagonal
+            )
             doubled = 2.0 * mats
         if not np.isfinite(doubled).all():
             first = np.argmin(np.isfinite(doubled).all(axis=(-2, -1)))

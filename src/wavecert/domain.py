@@ -94,11 +94,12 @@ class Region:
         dist = np.minimum(x - lo, hi - x).min(axis=1)
         if self.constraints:
             values = self._distance(points, consts)  # (m, c, 1 + n)
-            squares = values[:, :, 1] ** 2
-            for k in range(2, self.dim + 1):
-                squares = squares + values[:, :, k] ** 2
-            norm = np.sqrt(squares)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # a gradient whose squared norm overflows is infinitely steep: reach 0
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                squares = values[:, :, 1] ** 2
+                for k in range(2, self.dim + 1):
+                    squares = squares + values[:, :, k] ** 2
+                norm = np.sqrt(squares)
                 reach = np.maximum(0.0, -values[:, :, 0]) / norm
             dist = np.minimum(dist, np.where(norm > 0.0, reach, np.inf).min(axis=1))
         return np.maximum(0.0, dist)

@@ -4,7 +4,7 @@ Reports are emitted as a stable key-value tree: keys sorted, floats printed
 with 17 significant digits, two-space indentation.  Identical inputs yield
 byte-identical documents, which CI snapshot tests rely on; the wall-clock
 duration field is the single intentionally nondeterministic entry and
-consumers strip it before comparing.
+consumers strip it (``strip_duration``) before comparing.
 """
 
 import math
@@ -108,9 +108,11 @@ def write_csv(path, header, columns):
 
 
 def strip_duration(text: str) -> str:
-    """Drop the duration line so two runs of the same config compare equal."""
-    return "".join(
-        line
-        for line in text.splitlines(keepends=True)
-        if "\"duration_seconds\"" not in line
-    )
+    """The report re-serialized without its top-level ``duration_seconds``,
+    so two runs of the same config compare equal.  Integers parse as floats,
+    so a ``-0`` keeps its sign; both print as they were written."""
+    import json  # only report comparisons need it; the CLI never imports it
+
+    report = json.loads(text, parse_int=float)
+    report.pop("duration_seconds", None)
+    return dumps_stable(report)

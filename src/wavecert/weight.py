@@ -32,7 +32,9 @@ from .condition import (
     ConditionReport,
     GridProblem,
     WeightFunction,
-    multiplier_matrix_diagonal,
+    _batched,
+    _multiplier,
+    _operands,
     weight_function,
 )
 from .domain import Region, SampleGrid, check_grid_budget
@@ -346,23 +348,15 @@ def scaled_multiplier_matrix(
     the axis row is divided by the axis second partial.  Exponential weights
     make both divisors nonvanishing.
     """
-    pts = np.asarray(point, dtype=float)
-    batched = pts.ndim == 2
-    mats = multiplier_matrix_diagonal(field, weight, pts, consts)
-    if not batched:
-        mats = mats[None, :, :]
-        pts2 = pts[None, :]
-    else:
-        pts2 = pts
-    grad = weight.grad_values(pts2, consts)
-    hess = weight.hess_values(pts2, consts)
+    require_diagonal(field)
+    pts, batched = _batched(point)
+    a, da, grad, hess = _operands(field, weight, pts, consts)
+    mats = _multiplier(a, da, grad, hess * np.eye(field.dim), diagonal=True)
     j = axis - 1
-    dj = grad[:, j]
+    scale = np.repeat(grad[:, j, None], field.dim, axis=1)
     if sign_case == SIGN_POSITIVE:
-        dj = -dj
-    djj = hess[:, j, j]
-    scale = np.repeat(dj[:, None], field.dim, axis=1)
-    scale[:, j] = djj
+        scale = -scale
+    scale[:, j] = hess[:, j, j]
     out = mats / scale[:, :, None]
     return out if batched else out[0]
 
@@ -379,28 +373,23 @@ def limit_matrix(
     * entry (i, i), i != axis, is ``s/2 * a^axis * da^i/dx_axis``,
     * entry (i, axis), i != axis, is ``-s/2 * a^i * da^axis/dx_i``.
     """
-    pts = np.asarray(point, dtype=float)
-    batched = pts.ndim == 2
-    pts2 = pts if batched else pts[None, :]
     require_diagonal(field)
+    pts, batched = _batched(point)
     idx = np.arange(field.dim)
-    a = field.values(pts2, consts)[:, idx, idx]
-    da = field.partial_values(pts2, consts)[:, idx, idx, :]
+    a = field.values(pts, consts)[:, idx, idx]
+    da = field.partial_values(pts, consts)[:, idx, idx, :]
     m, n = a.shape
     j = axis - 1
-    if sign_case == SIGN_NEGATIVE:
-        s = -1.0
-    elif sign_case == SIGN_POSITIVE:
-        s = 1.0
-    else:
+    if sign_case not in _SIGN_ORDER:
         raise ValueError(f"unknown sign case {sign_case!r}")
+    half = 0.5 if sign_case == SIGN_POSITIVE else -0.5  # s/2
     out = np.zeros((m, n, n))
     for i in range(n):
         if i == j:
             out[:, j, j] = a[:, j] ** 2
         else:
-            out[:, i, i] = 0.5 * s * a[:, j] * da[:, i, j]
-            out[:, i, j] = -0.5 * s * a[:, i] * da[:, j, i]
+            out[:, i, i] = half * a[:, j] * da[:, i, j]
+            out[:, i, j] = -half * a[:, i] * da[:, j, i]
     return out if batched else out[0]
 
 
@@ -428,7 +417,7 @@ def derivative_ratio_maxima(
     Returns ``(max |d_i / d_jj| over all i, max |d_i / d_j| over i != j,
     max |d_ii / d_j| over i != j)`` with j the given axis.
     """
-    pts = np.asarray(points, dtype=float)
+    pts, _ = _batched(points)
     grad = weight.grad_values(pts, consts)
     hess = weight.hess_values(pts, consts)
     j = axis - 1

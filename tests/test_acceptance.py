@@ -112,6 +112,8 @@ def test_criterion_02_assembly_identities():
     for name in EXAMPLES:
         cfg = RunConfig.from_text(config_text(name))
         field = cfg.build_field()
+        # the same field stated in full takes the matrix-product assembly
+        full = build([cfg.entries[0], "0", cfg.entries[1]], diagonal=False)
         lows = np.array([b[0] for b in cfg.box])
         highs = np.array([b[1] for b in cfg.box])
         for k in range(100):
@@ -130,6 +132,7 @@ def test_criterion_02_assembly_identities():
             bd = multiplier_matrix_diagonal(field, w, pt, cfg.constants)
             worst = max(worst, rel_frobenius(0.5 * (m + m.T), 2.0 * b))
             worst = max(worst, rel_frobenius(bd, b))
+            worst = max(worst, rel_frobenius(multiplier_matrix(full, w, pt, cfg.constants), b))
             checked += 1
     ok = worst < 1e-10 and checked == 400
     report_line(

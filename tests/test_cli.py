@@ -842,3 +842,22 @@ class TestStableSerialization:
         stripped = strip_duration(doc)
         assert "duration_seconds" not in stripped
         assert '"x": 1' in stripped
+
+    def test_strip_duration_keeps_negative_zero(self):
+        doc = dumps_stable({"duration_seconds": 1.23, "x": -0.0, "y": [2, 0.5]})
+        assert strip_duration(doc) == dumps_stable({"x": -0.0, "y": [2, 0.5]})
+
+    def test_strip_duration_drops_only_the_top_level_key(self, tmp_path, capsys):
+        # a constant named duration_seconds is echoed inside the config and
+        # stays; dropping every line with the name left invalid JSON
+        text = VERIFY_OK.replace(
+            'weight = "(x1^2 + x2^2)/2"',
+            'weight = "(x1^2 + x2^2)/2"\nconstants = {"a": 1, "duration_seconds": 2}',
+        )
+        out = tmp_path / "out.json"
+        assert main(["verify", "--config", write(tmp_path, text), "--json", str(out)]) == EXIT_OK
+        full = json.loads(out.read_text())
+        stripped = json.loads(strip_duration(out.read_text()))
+        del full["duration_seconds"]
+        assert stripped == full
+        assert stripped["config"]["problem"]["constants"] == {"a": 1, "duration_seconds": 2}

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from wavecert.bundled import EXAMPLES, config_text
+from wavecert.cli import RunConfig
 from wavecert.coeff import build
 from wavecert.condition import (
     GridProblem,
@@ -66,20 +68,11 @@ def rel_frobenius(x, y):
     return np.linalg.norm(x - y) / denom
 
 
-BUNDLED_FIELDS = [
-    (example_bad_field, [(-1.3, 1.3), (-1.3, 1.3)], {}),
-    (isotropic_exp_field, [(1.0, 3.0), (-1.0, 1.0)], {}),
-    (
-        lambda: build(["exp(x1^3 + x2^3)", "exp(x1^3 + x2^3)"], diagonal=True),
-        [(1.0, 3.0), (1.0, 3.0)],
-        {},
-    ),
-    (
-        lambda: build(["exp(mu1*x1)", "exp(-mu2*x1^2)"], diagonal=True),
-        [(0.8, 3.2), (-1.2, 1.2)],
-        {"mu1": 0.5, "mu2": 0.1},
-    ),
-]
+def as_full(entries):
+    """The upper-triangle entries of the diagonal field ``entries`` as a full
+    field, so the matrix-product assembly sees the same coefficients."""
+    n = len(entries)
+    return [entries[i] if i == j else "0" for i in range(n) for j in range(i, n)]
 
 
 class TestMultiplierMatrix:
@@ -98,6 +91,8 @@ class TestMultiplierMatrix:
         general = multiplier_matrix(f, w, (1.0, 1.0))
         diagonal = multiplier_matrix_diagonal(f, w, (1.0, 1.0))
         assert rel_frobenius(general, diagonal) < 1e-10
+        full = build(as_full(["1 + x1^2 + x2^2"] * 2), diagonal=False)
+        assert rel_frobenius(general, multiplier_matrix(full, w, (1.0, 1.0))) < 1e-10
 
     def test_diagonal_path_requires_diagonal(self):
         f = build(["2", "x1", "3"], diagonal=False)
@@ -119,12 +114,10 @@ class TestMultiplierMatrix:
         f = isotropic_exp_field()
         w = construct_weight(axis=1, sign_case="positive", shift=5.0, lam=1.7, dim=2)
         pt = (0.0, 0.0)
-        assert (
-            rel_frobenius(
-                multiplier_matrix(f, w, pt), multiplier_matrix_diagonal(f, w, pt)
-            )
-            < 1e-10
-        )
+        general = multiplier_matrix(f, w, pt)
+        assert rel_frobenius(general, multiplier_matrix_diagonal(f, w, pt)) < 1e-10
+        full = build(as_full(["exp(x1 + x2)"] * 2), diagonal=False)
+        assert rel_frobenius(general, multiplier_matrix(full, w, pt)) < 1e-10
 
     def test_batched_equals_pointwise(self):
         f = isotropic_exp_field()
@@ -141,7 +134,7 @@ class TestMultiplierMatrix:
         w = random_coupled_weight(np.random.default_rng(0))
         pts = np.array([[0.8, -0.6]])
         term_h, _, t_c = _terms(
-            f.values(pts), f.partial_values(pts), w.grad_values(pts), w.hess_values(pts)
+            f.values(pts), f.partial_values(pts), w.grad_values(pts), w.hess_values(pts), False
         )
         for term in (term_h, t_c):
             assert np.max(np.abs(term - np.swapaxes(term, -1, -2))) < 1e-12
@@ -218,12 +211,16 @@ class TestQuadraticFormOracle:
 
 
 class TestIdentities:
-    @pytest.mark.parametrize("make_field,box,consts", BUNDLED_FIELDS)
-    def test_half_sum_and_diagonal_identities(self, make_field, box, consts):
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_half_sum_and_diagonal_identities(self, name):
+        # the bundled problem's field on its box, and the same field stated
+        # in full, which takes the matrix-product assembly
         rng = np.random.default_rng(2024)
-        f = make_field()
-        lows = np.array([b[0] for b in box])
-        highs = np.array([b[1] for b in box])
+        cfg = RunConfig.from_text(config_text(name))
+        f, consts = cfg.build_field(), cfg.constants
+        full = build(as_full(cfg.entries), diagonal=False)
+        lows = np.array([b[0] for b in cfg.box])
+        highs = np.array([b[1] for b in cfg.box])
         pts = rng.uniform(lows, highs, size=(100, 2))
         for k in range(pts.shape[0]):
             pt = pts[k]
@@ -239,6 +236,7 @@ class TestIdentities:
             assert rel_frobenius(0.5 * (m + m.T), 2.0 * b) < 1e-10
             bd = multiplier_matrix_diagonal(f, w, pt, consts)
             assert rel_frobenius(bd, b) < 1e-10
+            assert rel_frobenius(multiplier_matrix(full, w, pt, consts), b) < 1e-10
 
     def test_half_sum_identity_general_field(self):
         rng = np.random.default_rng(55)
@@ -357,6 +355,9 @@ class TestAssemblyOrder:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [1, 7, 797])
     def test_matches_einsum_formulas(self, n, m):
+        # full stacks through the matrix products, and their diagonal
+        # pattern (A and its partials zero off the diagonal) through both
+        # the matrix products and the elementwise diagonal assembly
         rng = np.random.default_rng(100 * n + m)
         a = rng.standard_normal((m, n, n))
         a = a + np.swapaxes(a, 1, 2)
@@ -365,21 +366,56 @@ class TestAssemblyOrder:
         grad = rng.standard_normal((m, n)) * np.exp(rng.uniform(-5.0, 5.0, (m, 1)))
         hess = rng.standard_normal((m, n, n))
         hess = hess + np.swapaxes(hess, 1, 2)
-        ref_h, ref_a, ref_b, ref_c = _einsum_terms(a, da, grad, hess)
-        mag_h, mag_a, mag_b, mag_c = _einsum_terms(*map(np.abs, (a, da, grad, hess)))
-        term_h, t_a, t_c = _terms(a, da, grad, hess)
+        eye = np.eye(n)
+        pattern = (a * eye, da * eye[:, :, None], grad, hess)
         eps = np.finfo(float).eps
-        for got, ref, mag in (
-            (term_h, ref_h, mag_h),
-            (t_a, ref_a, mag_a),
-            (np.swapaxes(t_a, 1, 2), ref_b, mag_b),
-            (t_c, ref_c, mag_c),
+        for args, diagonal in (
+            ((a, da, grad, hess), False),
+            (pattern, False),
+            (pattern, True),
         ):
-            assert np.all(np.abs(got - ref) <= 4 * eps * mag)
-        want = ref_h + 0.5 * (ref_a + ref_b - ref_c)
-        want = 0.5 * (want + np.swapaxes(want, 1, 2))
-        bound = 8 * eps * (mag_h + 0.5 * (mag_a + mag_b + mag_c))
-        assert np.all(np.abs(_multiplier(a, da, grad, hess) - want) <= bound)
+            ref_h, ref_a, ref_b, ref_c = _einsum_terms(*args)
+            mag_h, mag_a, mag_b, mag_c = _einsum_terms(*map(np.abs, args))
+            term_h, t_a, t_c = _terms(*args, diagonal)
+            for got, ref, mag in (
+                (term_h, ref_h, mag_h),
+                (t_a, ref_a, mag_a),
+                (np.swapaxes(t_a, 1, 2), ref_b, mag_b),
+                (t_c, ref_c, mag_c),
+            ):
+                assert np.all(np.abs(got - ref) <= 4 * eps * mag)
+            want = ref_h + 0.5 * (ref_a + ref_b - ref_c)
+            want = 0.5 * (want + np.swapaxes(want, 1, 2))
+            bound = 8 * eps * (mag_h + 0.5 * (mag_a + mag_b + mag_c))
+            assert np.all(np.abs(_multiplier(*args, diagonal) - want) <= bound)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_diagonal_branch_is_the_full_sums_bit_for_bit(self, n):
+        # the (p, q) sums as running totals from zero, each product left to
+        # right, on diagonal-pattern stacks with signed zeros among the factors
+        rng = np.random.default_rng(n)
+        m = 200
+
+        def factor(shape):
+            signs = rng.choice([1.0, 0.0, -0.0], shape, p=[0.8, 0.1, 0.1])
+            return rng.standard_normal(shape) * signs
+
+        eye = np.eye(n)
+        a = (rng.uniform(0.5, 2.0, (m, n, n)) + eye) * eye
+        da = factor((m, n, n, n)) * eye[:, :, None]
+        grad = factor((m, n))
+        hess = factor((m, n, n))
+        hess = hess + np.swapaxes(hess, 1, 2)
+        sums = [np.zeros((m, n, n)) for _ in range(3)]
+        for p in range(n):
+            for q in range(n):
+                sums[0] += (a[:, :, q, None] * a[:, None, p, :]) * hess[:, p, q, None, None]
+                sums[1] += (a[:, :, q, None] * da[:, None, p, :, q]) * grad[:, p, None, None]
+                sums[2] += (da[..., q] * a[:, p, q, None, None]) * grad[:, p, None, None]
+        for got, want in zip(_terms(a, da, grad, hess, diagonal=True), sums):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestGridProblem:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,3 +179,18 @@ class TestInside:
         wide = np.hstack([pts, np.full((4, 2), -5.0)])
         assert r.inside(wide).tolist() == expected
 
+
+class TestBoundaryDistance:
+    def test_gradient_whose_square_overflows_reaches_zero(self):
+        # |grad g|^2 = 2e600 overflows; the estimate is 0, without a warning
+        r = region(2, [(0.0, 1.0), (0.0, 1.0)], ["1e300*x1 + 1e300*x2 - 1e300"])
+        pts = np.array([[0.1, 0.1], [0.3, 0.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert r.boundary_distance(pts).tolist() == [0.0, 0.0]
+
+    def test_first_order_estimate_on_a_disk(self):
+        r = region(2, [(-1.0, 1.0), (-1.0, 1.0)], ["x1^2 + x2^2 - 1"])
+        # g = -0.75 and |grad g| = 1 at (0.5, 0): reach 0.75, box distance 0.5
+        assert r.boundary_distance(np.array([[0.5, 0.0]])).tolist() == [0.5]
+        assert r.boundary_distance(np.array([[0.0, 0.0]])).tolist() == [1.0]

@@ -276,6 +276,26 @@ class TestSearchWork:
         assert np.array_equal(named.grad_values(pts, bound), literal.grad_values(pts))
         assert np.array_equal(named.hess_values(pts, bound), literal.hess_values(pts))
 
+    @pytest.mark.parametrize(
+        "axis,margin", [(1, -2.842170943040401e-14), (2, -5.684341886080802e-14)]
+    )
+    def test_isotropic_rate_one_verdict_rests_on_the_assembly_order(self, axis, margin):
+        # on the bundled isotropic-exp problem the rate-1 attempt fails by a
+        # few ulps of its matrices; a reassociated diagonal assembly could
+        # certify it instead and move the certified rate
+        from wavecert.bundled import config_text
+        from wavecert.cli import RunConfig
+        from wavecert.condition import GridProblem
+
+        cfg = RunConfig.from_text(config_text("isotropic-exp"))
+        field, disk = cfg.build_field(), cfg.build_region()
+        problem = GridProblem(field, disk, cfg.options["resolution"])
+        shift = compute_shift(problem.grid, axis, "positive")
+        weight = construct_weight(axis, "positive", shift, 1.0, 2)
+        assert problem._margins(weight, None).margin == margin
+        cert = find_lambda(field, disk, axis, "positive", problem=problem)
+        assert cert.lam == 1.0009765625
+
     def test_attempts_neither_differentiate_nor_compile(self, monkeypatch):
         import wavecert.coeff as coeff
         import wavecert.condition as condition
