@@ -88,7 +88,8 @@ class Region:
 
     def boundary_distance(self, points, consts=None):
         """First-order estimate of the distance to the region boundary, per
-        row; the rows must lie inside the region."""
+        row; the rows must lie inside the region.  A constraint's boundary
+        is where ``g = -margin``, as for :meth:`inside`."""
         lo, hi = self._corners
         x = points[:, : self.dim]
         dist = np.minimum(x - lo, hi - x).min(axis=1)
@@ -100,7 +101,7 @@ class Region:
                 for k in range(2, self.dim + 1):
                     squares = squares + values[:, :, k] ** 2
                 norm = np.sqrt(squares)
-                reach = np.maximum(0.0, -values[:, :, 0]) / norm
+                reach = np.maximum(0.0, -values[:, :, 0] - self.margin) / norm
             dist = np.minimum(dist, np.where(norm > 0.0, reach, np.inf).min(axis=1))
         return np.maximum(0.0, dist)
 

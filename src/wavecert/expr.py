@@ -23,13 +23,17 @@ is total on the whole tree.
 
 :func:`compile` hash-conses one or more trees into a tape that evaluates each
 structurally distinct node once over a whole batch of points; :func:`evaluate`
-runs a one-expression tape, a single point being a batch of one row.
+runs a one-expression tape, a single point being a batch of one row.  For
+callers of many small batches, :attr:`Tape.kernel` is the same tape as one
+generated straight-line function.
 """
 
+import builtins
 import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -543,6 +547,48 @@ class Tape:
         if not np.isfinite(out).all():
             raise self._fail(len(self.code), vals, pts, DomainError, "non-finite result")
         return out
+
+    @cached_property
+    def kernel(self):
+        """The tape as one straight-line function ``kernel(pts, consts, out)``
+        of a batch ``pts`` (m, n): it writes the flat results into the
+        columns of ``out`` (m, outputs) and returns ``out``, or returns None
+        where :meth:`_run` would raise before its finiteness check.
+
+        Each line calls the tape's own function, guard or literal, in tape
+        order, so every value is bitwise the interpreter's.  The kernel
+        enters no ``errstate`` and leaves the finiteness of the results to
+        the caller, who replays a failed batch through the tape for its
+        error.  Built on first use: compiling the source costs about ten
+        interpreted calls, which only a caller of many small batches earns
+        back.
+        """
+        names = {"_f64": np.float64}
+        names.update((f"s{slot}", value) for slot, value in self.literals)
+        literal_slots = {slot for slot, _ in self.literals}
+        width = max((a + 1 for op, _, _, _, a, _, _ in self.code if op == "var"), default=0)
+        lines = ["def kernel(pts, consts, out):", f"    if pts.shape[1] < {width}: return None"]
+        for i, (op, fn, guard, dst, a, b, free) in enumerate(self.code):
+            if fn is not None:
+                args = f"s{a}" if b is None else f"s{a}, s{b}"
+                names[f"f{i}"] = fn
+                if guard is not None:
+                    names[f"g{i}"] = guard[0]
+                    lines.append(f"    if g{i}({args}).any(): return None")
+                lines.append(f"    s{dst} = f{i}({args})")
+            elif op == "var":
+                lines.append(f"    s{dst} = pts[:, {a}]")
+            else:
+                names[f"c{i}"] = a
+                lines.append(f"    if c{i} not in consts: return None")
+                lines.append(f"    s{dst} = _f64(consts[c{i}])")
+            dead = [f"s{slot}" for slot in free if slot not in literal_slots]
+            if dead:
+                lines.append(f"    del {', '.join(dead)}")
+        lines += [f"    out[:, {col}] = s{slot}" for col, slot in enumerate(self.outputs)]
+        lines.append("    return out")
+        exec(builtins.compile("\n".join(lines), "<tape kernel>", "exec"), names)
+        return names.pop("kernel")  # so the function and its globals form no cycle
 
     def _fail(self, done, vals, pts, error, message, bad=True):
         """The error to raise at instruction ``done``: a non-finite result of

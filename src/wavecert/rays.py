@@ -9,11 +9,12 @@ reflected.  Relative Hamiltonian drift above 1e-6 triggers step halving and
 a full retry, up to eight times.
 
 A fan integrates all of its rays as one batch of ``(x, xi)`` rows, and each
-RK4 stage is one evaluation of a compiled tape of Hamilton's equations.  Rays
-that escape leave the batch and bisect their crossing together; rays that
-fail the drift check leave it and re-run together at half the step.  A ray's
-arithmetic does not depend on the rest of the batch, so :func:`trace` is a
-fan of one ray.
+RK4 stage is one call of the straight-line kernel generated from a compiled
+tape of Hamilton's equations; a step that fails is replayed through the
+interpreted tape, which raises the error.  Rays that escape leave the batch
+and bisect their crossing together; rays that fail the drift check leave it
+and re-run together at half the step.  A ray's arithmetic does not depend
+on the rest of the batch, so :func:`trace` is a fan of one ray.
 """
 
 import math
@@ -69,7 +70,7 @@ class _Flow:
     The state of a ray is one row ``(x, xi)`` of an ``(m, 2n)`` array, the
     covector in the variables ``x(n+1)..x(2n)``.  Hamilton's equations and H
     are written out as expressions over these 2n variables and compiled into
-    one tape, so an RK4 stage is one tape evaluation for the whole batch.
+    one tape, so an RK4 stage is one kernel call for the whole batch.
     Terms with a literal zero coefficient fold away; the others are summed
     in index order.  The region tests these rows by their first n columns.
     """
@@ -94,13 +95,44 @@ class _Flow:
         return values[:, :-1], values[:, -1]
 
     def step(self, y, h, dy=None):
-        """One RK4 step of size ``h``, a scalar or an (m, 1) column; ``dy``
-        is the derivative at ``y`` when already known."""
+        """One RK4 step of size ``h``, a scalar or an (m, 1) column, through
+        the interpreted tape; ``dy`` is the derivative at ``y`` when already
+        known.  :meth:`advance` replays a failed step through it."""
         k1 = self.derivatives(y)[0] if dy is None else dy
         k2 = self.derivatives(y + 0.5 * h * k1)[0]
         k3 = self.derivatives(y + 0.5 * h * k2)[0]
         k4 = self.derivatives(y + h * k3)[0]
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def advance(self, y, h, dy, derive=True):
+        """``step(y, h, dy)`` and, when ``derive``, ``derivatives`` at the
+        new states: ``(y_new, dy_new, H)``, else ``(y_new,)``.
+
+        The stages run through the tape's kernel under one ``errstate``, and
+        the kernel's results and the new states are checked for finiteness
+        once: a non-finite stage reaches the new states, as does an overflow
+        in the step's own arithmetic.  A guard hit or a non-finite value
+        replays the step through :meth:`step` and :meth:`derivatives`, so
+        the tape raises its error at its row, with the same warnings.
+        """
+        kernel, consts = self.equations.kernel, self.consts
+        values = np.empty((4 if derive else 3, len(y), y.shape[1] + 1))
+        k = values[:, :, :-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            done = (
+                kernel(y + 0.5 * h * dy, consts, values[0]) is not None
+                and kernel(y + 0.5 * h * k[0], consts, values[1]) is not None
+                and kernel(y + h * k[1], consts, values[2]) is not None
+            )
+            if done:
+                y_new = y + (h / 6.0) * (dy + 2.0 * k[0] + 2.0 * k[1] + k[2])
+                done = (not derive or kernel(y_new, consts, values[3]) is not None) and (
+                    np.isfinite(values).all() and np.isfinite(y_new).all()
+                )
+        if not done:
+            y_new = self.step(y, h, dy)
+            return (y_new, *self.derivatives(y_new)) if derive else (y_new,)
+        return (y_new, k[3], values[3, :, -1]) if derive else (y_new,)
 
 
 class _Visits:
@@ -156,29 +188,29 @@ def trace(
     eight halvings.
     """
     flow = _Flow(field, region, consts)
-    return _launch(flow, [start.x], [start.xi], horizon, step, store_path)[0]
+    return _launch(flow, start.x, [start.xi], horizon, step, store_path)[0]
 
 
-def _launch(flow: _Flow, x0, xi0, horizon, step, store_paths):
-    """Check and normalize the start states (rows of ``x0``, ``xi0``), then
-    trace every ray; returns one outcome per row."""
+def _launch(flow: _Flow, x, xi0, horizon, step, store_paths):
+    """Check the start point ``x`` and normalize the covectors (rows of
+    ``xi0``), then trace a ray from ``x`` along each; returns one outcome per
+    row."""
     if step <= 0.0 or horizon <= 0.0:
         raise ValueError("horizon and step must be positive")
-    x0 = np.array(x0, dtype=float)
+    x = np.array(x, dtype=float)
     xi0 = np.array(xi0, dtype=float)
-    if x0.shape[1] != flow.n:
+    if x.shape != (flow.n,):
         raise ValueError("start point dimension does not match the region")
-    if xi0.shape != x0.shape:
+    if xi0.shape[1:] != x.shape:
         raise ValueError("covector dimension does not match the region")
-    y = np.hstack([x0, xi0])
-    outside = ~flow.region.inside(y, flow.consts)
-    if outside.any():
-        start = tuple(x0[int(np.argmax(outside))].tolist())
-        raise ValueError(f"start point {start} is outside the region")
+    if not flow.region.inside(x[None, :], flow.consts)[0]:
+        raise ValueError(f"start point {tuple(x.tolist())} is outside the region")
+    if not len(xi0):
+        return []
+    y = np.hstack([np.tile(x, (len(xi0), 1)), xi0])
     energy = flow.derivatives(y)[1]
-    bad = ~(energy > 0.0)
-    if bad.any():
-        raise EvaluationError("initial covector has nonpositive energy", x0[int(np.argmax(bad))])
+    if not (energy > 0.0).all():
+        raise EvaluationError("initial covector has nonpositive energy", x)
     y[:, flow.n :] = (1.0 / np.sqrt(2.0 * energy))[:, None] * xi0
 
     outcomes = [None] * len(y)
@@ -211,8 +243,7 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
     t = 0.0
     while t < horizon - 1e-15 and ids.size:
         h_step = min(h, horizon - t)
-        y_new = flow.step(y, h_step, dy)
-        dy_new, energy = flow.derivatives(y_new)
+        y_new, dy_new, energy = flow.advance(y, h_step, dy)
         drift = np.abs(energy - h_ref) / h_ref
         ok = ~(drift > DRIFT_TOLERANCE)
         drift_max = np.maximum(drift_max, drift)
@@ -222,7 +253,8 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
             t_cross, y_in = _refine_crossing(flow, y[out], dy[out], t, h_step)
             visits.add(ids[out], y_in)
             finished.update(zip(ids[out].tolist(), zip(t_cross.tolist(), drift_max[out].tolist())))
-        failed.extend(ids[~ok].tolist())
+        if not ok.all():
+            failed.extend(ids[~ok].tolist())
         if not stay.all():
             ids, y_new, dy_new, h_ref, drift_max = (
                 v[stay] for v in (ids, y_new, dy_new, h_ref, drift_max)
@@ -255,7 +287,7 @@ def _refine_crossing(flow: _Flow, y_in, dy_in, t_in, h_step):
     while pending.any():
         rows = np.flatnonzero(pending)
         mid = 0.5 * (lo[rows] + hi[rows])
-        y_mid = flow.step(y_in[rows], mid[:, None], dy_in[rows])
+        (y_mid,) = flow.advance(y_in[rows], mid[:, None], dy_in[rows], derive=False)
         inside = flow.region.inside(y_mid, flow.consts)
         lo[rows[inside]] = mid[inside]
         hi[rows[~inside]] = mid[~inside]
@@ -281,8 +313,6 @@ def fan(
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return []
     dim = region.dim
     if dim not in (2, 3):
         raise ValueError("fan directions are only enumerated for dim 2 or 3")
@@ -298,6 +328,6 @@ def fan(
             r = math.sqrt(max(0.0, 1.0 - z * z))
             phi = 2.0 * math.pi * k / golden
             directions.append((r * math.cos(phi), r * math.sin(phi), z))
-    center = tuple(float(v) for v in center)
     flow = _Flow(field, region, consts)
-    return _launch(flow, [center] * count, directions, horizon, step, store_paths)
+    directions = np.reshape(directions, (count, dim))  # (0, dim) when there are none
+    return _launch(flow, center, directions, horizon, step, store_paths)

@@ -244,6 +244,33 @@ class TestCompile:
             for row, value in zip(pts, batch):
                 assert evaluate(e, row, consts) == value
 
+    def test_kernel_is_bitwise_the_tape(self):
+        for dim, text, box, consts in CORPUS:
+            e = parse(text, dim)
+            tape = compile([e, differentiate(e, 1), parse("2", dim), parse("x1", dim)])
+            pts = interior_points(box, 20, seed=5)
+            out = np.empty((20, 4))
+            assert tape.kernel(pts, consts, out) is out
+            assert out.tobytes() == tape(pts, consts).tobytes()
+
+    def test_kernel_returns_none_where_the_tape_raises(self):
+        pts = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        for text, consts, points in (
+            ("log(x1) + 1/x2", {}, pts),  # a guard
+            ("mu*x1", {}, pts),  # an unbound constant
+            ("x1 + x2", {}, pts[:, :1]),  # a point narrower than the variables
+        ):
+            tape = compile(parse(text, 2))
+            raised(lambda: tape(points, consts))
+            assert tape.kernel(points, consts, np.empty((2, 1))) is None
+
+    def test_kernel_leaves_finiteness_to_the_caller(self):
+        tape = compile(parse("(10*x1)^400", 1))
+        pts = np.array([[1.0]])
+        assert raised(lambda: tape(pts))[0] is DomainError
+        with np.errstate(over="ignore"):
+            assert tape.kernel(pts, {}, np.empty((1, 1)))[0, 0] == np.inf
+
     def test_fourth_derivative_shares_nodes(self):
         e = parse("exp(sin(x1*x2)/(1+x1^2+x2^2))", 2)
         for k in (1, 2, 1, 2):

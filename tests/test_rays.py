@@ -1,11 +1,15 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
+from test_fuzz import coefficient, expression
 
 from wavecert.coeff import build
 from wavecert.domain import region
-from wavecert.rays import RayState, fan, trace
+from wavecert.errors import DomainError, EvaluationError, ExpOverflowError
+from wavecert.rays import RayState, _Flow, fan, trace
 
 SQRT2 = math.sqrt(2.0)
 
@@ -176,6 +180,23 @@ class TestFan:
     def test_count_zero(self):
         assert fan(identity_field(), origin_disk(), (0.0, 0.0), 0, 1.0, 1e-2) == []
 
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_arguments_checked_for_any_count(self, count):
+        with pytest.raises(ValueError, match="positive"):
+            fan(identity_field(), origin_disk(), (0.0, 0.0), count, -1.0, 1e-2)
+        with pytest.raises(ValueError, match="outside"):
+            fan(identity_field(), origin_disk(), (1.5, 1.5), count, 1.0, 1e-2)
+        with pytest.raises(ValueError, match="start point dimension"):
+            fan(identity_field(), origin_disk(), (0.0, 0.0, 0.0), count, 1.0, 1e-2)
+
+    def test_boundary_distance_measured_to_the_margin(self):
+        # inside the margin the rays escape at r = 0.9, so they end on the
+        # boundary the region tests, not 0.1 inside the unit circle
+        disk = region(2, [(-1.0, 1.0)] * 2, ["x1^2 + x2^2 - 1"], margin=0.19)
+        outs = fan(identity_field(), disk, (0.0, 0.0), 4, 2.0, 1e-2)
+        assert all(o.escape_time == pytest.approx(0.9, abs=1e-6) for o in outs)
+        assert all(o.min_boundary_distance < 1e-6 for o in outs)
+
     def test_example_field_summary(self):
         outs = fan(
             example_field(), origin_disk(), (0.0, 0.0),
@@ -233,3 +254,137 @@ class TestFan:
         r = region(4, [(-1.0, 1.0)] * 4)
         with pytest.raises(ValueError, match="dim 2 or 3"):
             fan(f, r, (0.0,) * 4, 4, 1.0, 1e-2)
+
+
+# fields whose compiled RK4 step is checked against the interpreted tape:
+# the ray-gallery benchmark's, disk-trap's, the full 3-D field of the
+# verify-3d benchmark, and one with a named constant
+KERNEL_FIELDS = {
+    "radial-exp": (["exp(x1^2 + x2^2)"] * 2, True, None),
+    "disk-trap": (["1 + x1^2 + x2^2"] * 2, True, None),
+    "full-3d": (
+        [
+            "2 + 0.3*sin(x1*x2)", "0.1*cos(x2)", "0.05*x3",
+            "2 + 0.3*exp(-x2^2)", "0.1*sin(x1*x3)", "1.5 + log(1 + x1^2)/8",
+        ],
+        False,
+        None,
+    ),
+    "named-constant": (["1 + mu*x1^2", "2 + mu*sin(x1*x2)"], True, {"mu": 0.5}),
+}
+
+
+def kernel_flow(entries, diagonal, consts):
+    field = build(entries, diagonal=diagonal)
+    return _Flow(field, region(field.dim, [(-2.0, 2.0)] * field.dim), consts)
+
+
+def tape_advance(flow, y, h, dy, derive):
+    """What ``_Flow.advance`` must return: the step through the interpreted
+    tape and, when ``derive``, the derivatives at its end."""
+    y_new = flow.step(y, h, dy)
+    return (y_new, *flow.derivatives(y_new)) if derive else (y_new,)
+
+
+def outcome(run):
+    """The arrays ``run()`` returns, bit for bit, or its error's class,
+    message and point; and the RuntimeWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [(v.shape, v.tobytes()) for v in run()]
+        except EvaluationError as exc:
+            result = (type(exc), str(exc), exc.point)
+    return result, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def step_sizes(rng, rows):
+    """A scalar step and a per-row (m, 1) column of steps, as the crossing
+    bisection uses."""
+    return [0.01, rng.uniform(1e-4, 0.1, size=(rows, 1))]
+
+
+class TestCompiledStep:
+    @pytest.mark.parametrize("name", KERNEL_FIELDS)
+    def test_matches_the_tape_bit_for_bit(self, monkeypatch, name):
+        flow = kernel_flow(*KERNEL_FIELDS[name])
+        rng = np.random.default_rng(7)
+        y = rng.uniform(-1.0, 1.0, size=(16, 2 * flow.n))
+        dy = flow.derivatives(y)[0]
+        cases = [(h, derive) for h in step_sizes(rng, len(y)) for derive in (True, False)]
+        expected = [outcome(lambda: tape_advance(flow, y, h, dy, d)) for h, d in cases]
+
+        def replay(*args):
+            raise AssertionError("the compiled step replayed a sound step")
+
+        monkeypatch.setattr(flow, "step", replay)
+        assert [outcome(lambda: flow.advance(y, h, dy, d)) for h, d in cases] == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_tape_on_random_fields(self, seed):
+        # fields from the config fuzzer: some steps succeed, some trip a
+        # guard or go non-finite at some stage, and steps up to 1e12
+        # overflow the step's own arithmetic
+        rng, np_rng = random.Random(seed), np.random.default_rng(seed)
+        compared = 0
+        for _ in range(30):
+            dim = rng.choice((2, 3))
+            diagonal = rng.random() < 0.5
+            if diagonal:
+                entries = [coefficient(rng, dim) for _ in range(dim)]
+            else:  # upper triangle, small off-diagonal parts
+                entries = [
+                    coefficient(rng, dim) if i == j else f"0.1*{expression(rng, dim, 2)}"
+                    for i in range(dim)
+                    for j in range(i, dim)
+                ]
+            flow = kernel_flow(entries, diagonal, {"c": rng.choice((0.5, -2.0, 1e300))})
+            y = np_rng.uniform(-2.0, 2.0, size=(8, 2 * dim))
+            try:
+                dy = flow.derivatives(y)[0]
+            except EvaluationError:
+                continue
+            for h in [*step_sizes(np_rng, len(y)), 10.0 ** np_rng.uniform(-3, 12, size=(8, 1))]:
+                for derive in (True, False):
+                    expected = outcome(lambda: tape_advance(flow, y, h, dy, derive))
+                    assert outcome(lambda: flow.advance(y, h, dy, derive)) == expected
+            compared += 1
+        assert compared >= 10
+
+    def test_overflowing_step_warns_as_the_tape(self):
+        # a constant field's derivatives stay finite at an overflowed state,
+        # so only the new states show that the step's arithmetic overflowed
+        flow = kernel_flow(["1e290", "1e290"], True, None)
+        y = np.array([[0.5, 0.0, 1.0, 0.0], [0.0, 0.0, 1e8, 0.0]])
+        dy = flow.derivatives(y)[0]
+        for derive in (True, False):
+            expected = outcome(lambda: tape_advance(flow, y, 1e12, dy, derive))
+            assert expected[1] and "overflow" in expected[1][0]
+            assert outcome(lambda: flow.advance(y, 1e12, dy, derive)) == expected
+
+    @pytest.mark.parametrize(
+        "entry,rows,h,error,stage",
+        [
+            # the third stage's state passes x1 = log(1e300) on the middle row
+            ("exp(x1)", [[0.0, 0.0, 1.0, 0.0], [690.0, 0.0, 1.0, 0.0], [689.0, 0.0, 1.0, 0.0]],
+             1.4 * math.exp(-690.0), ExpOverflowError, 3),
+            # the fourth stage's state crosses x1 = 0 on the last row
+            ("1 + log(x1)^2", [[0.5, 0.0, -1.0, 0.0], [0.01, 0.0, -1.0, 0.0]],
+             5e-4, DomainError, 4),
+        ],
+        ids=["exp-guard-at-stage-3", "log-non-positive-at-stage-4"],
+    )
+    def test_errors_are_the_tapes(self, monkeypatch, entry, rows, h, error, stage):
+        flow = kernel_flow([entry, "1"], True, None)
+        y = np.array(rows)
+        dy = flow.derivatives(y)[0]
+        calls = []
+        derivatives = flow.derivatives
+        monkeypatch.setattr(flow, "derivatives", lambda y: calls.append(y) or derivatives(y))
+        with pytest.raises(error) as tape:
+            flow.step(y, h, dy)
+        assert len(calls) == stage - 1  # the stage whose evaluation raised
+        for derive in (True, False):
+            with pytest.raises(error) as compiled:
+                flow.advance(y, h, dy, derive)
+            assert (str(compiled.value), compiled.value.point) == (str(tape.value), tape.value.point)
