@@ -63,7 +63,7 @@ def require_diagonal(field: CoefficientField):
         raise ValueError("operation requires a diagonal coefficient field")
 
 
-def build(entries, diagonal: bool, dim=None) -> CoefficientField:
+def build(entries, diagonal: bool) -> CoefficientField:
     """Assemble a coefficient field from expressions or expression text.
 
     ``entries`` holds the n diagonal entries for a diagonal field, otherwise
@@ -82,8 +82,6 @@ def build(entries, diagonal: bool, dim=None) -> CoefficientField:
             raise ValueError(
                 f"{len(entries)} entries do not form an upper triangle of any size"
             )
-    if dim is not None and dim != n:
-        raise ValueError(f"entry count implies dimension {n}, got dim={dim}")
     parsed = [parse(e, n) if isinstance(e, str) else e for e in entries]
     for e in parsed:
         if not isinstance(e, Expression):

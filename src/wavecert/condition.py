@@ -10,13 +10,13 @@ Two inequalities are certified for a coefficient field A and a scalar weight:
 
 A :class:`GridProblem` holds what a check needs that does not depend on the
 weight: the sample grid, A and its first derivatives there, the positivity
-certificate of A and the operand that whitens the pencil by A's Cholesky
-factors.  Its ``check`` assembles the
-matrices of all grid points as one ``(m, n, n)`` stack and hands it to
-:mod:`wavecert.linalg`, whose routines return one pencil margin, smallest
-eigenvalue and row of leading minors per point; worst points are the first
-minimizers in grid order.  A rate search runs only the part that decides
-the verdict on each attempt.  ``check_condition`` is a one-off check.
+certificate of A and the inverse ``L^-1`` of A's Cholesky factors, which
+whitens the pencil.  Its ``check`` assembles the matrices of all grid
+points as one ``(m, n, n)`` stack and hands it to :mod:`wavecert.linalg`,
+whose routines return one pencil margin, smallest eigenvalue and row of
+leading minors per point; worst points are the first minimizers in grid
+order.  A rate search runs only the part that decides the verdict on each
+attempt.  ``check_condition`` is a one-off check.
 
 A full field is assembled by matrix products, a diagonal one entrywise
 (:func:`_terms`).  ``quadratic_form_matrix`` assembles the (unsymmetrized)
@@ -303,12 +303,12 @@ class GridProblem:
 
     @cached_property
     def whitening(self) -> np.ndarray:
-        """The operand :func:`pencil_min_eigenvalue` whitens by: the lower
-        Cholesky factors L of A, for two triangular solves, or, for a
-        diagonal field, ``1 / diag(L)``, so an attempt whitens by two
-        broadcast multiplies."""
-        chol = np.linalg.cholesky(self.a)
-        return 1.0 / np.diagonal(chol, axis1=-2, axis2=-1) if self.field.diagonal else chol
+        """``W = L^-1`` for the lower Cholesky factors L of A, which
+        :func:`pencil_min_eigenvalue` whitens by: for a diagonal field, its
+        diagonal ``1 / sqrt(diag(A))``, with no factorization."""
+        if self.field.diagonal:
+            return 1.0 / np.sqrt(np.diagonal(self.a, axis1=-2, axis2=-1))
+        return np.linalg.inv(np.linalg.cholesky(self.a))
 
     @cached_property
     def coefficient_failure(self) -> ConditionReport | None:
@@ -417,9 +417,9 @@ def check_condition(
     :class:`GridProblem` and checks the weight on it; to check several
     weights on one grid, prepare the problem once and call its
     :meth:`GridProblem.check`.  Raises :class:`EvaluationError` when A,
-    though positive on the grid, is too close to singular for the pencil's
-    Cholesky factorization, and :class:`DomainError` when some multiplier
-    matrix is not finite.
+    though positive on the grid, is too close to singular to whiten the
+    pencil, and :class:`DomainError` when some multiplier matrix is not
+    finite.
     """
     return GridProblem(field, region, resolution, consts).check(weight, dump_path)
 

@@ -130,15 +130,9 @@ def classify_sign(a1, a2, region: Region, resolution: int, consts=None, dump_pat
         classification = CLASS_DEGENERATE
     elif k_min < 0.0 < k_max:
         classification = CLASS_SIGN_CHANGING
-    elif k_min > 0.0:
-        classification = CLASS_POSITIVE
-    elif k_max < 0.0:
-        classification = CLASS_NEGATIVE
-    elif k_min >= 0.0:
-        # an exact zero at the minimum with positive values elsewhere
-        classification = CLASS_POSITIVE
     else:
-        classification = CLASS_NEGATIVE
+        # an exact zero at the minimum, with positive values elsewhere, is positive
+        classification = CLASS_POSITIVE if k_min >= 0.0 else CLASS_NEGATIVE
 
     if dump_path is not None:
         header = [f"x{k}" for k in range(1, pts.shape[1] + 1)] + ["k"]

@@ -3,8 +3,8 @@
 Every routine takes a stack ``(..., n, n)`` and returns one value (or one
 row) per matrix; a single ``(n, n)`` matrix is a stack of one.  Eigenvalues
 come from LAPACK through ``np.linalg.eigvalsh``, the pencil is whitened by
-the caller's Cholesky factors (a two-sided reciprocal scaling when the
-factors are diagonal), and leading principal minors come from batched
+multiplying with the caller's inverse Cholesky factors (a two-sided scaling
+when they are diagonal), and leading principal minors come from batched
 determinants.  Cholesky success (``cholesky_spd``) and the minors
 (Sylvester's criterion) are independent cross-checks of positive
 definiteness.
@@ -68,24 +68,20 @@ def leading_principal_minors(mats) -> np.ndarray:
         )
 
 
-def pencil_min_eigenvalue(m, whitening) -> np.ndarray:
+def pencil_min_eigenvalue(m, w) -> np.ndarray:
     """Smallest generalized eigenvalue of each pencil (m, a), a = L L^T
     positive definite with lower Cholesky factor L.
 
-    Computed as the smallest eigenvalue of ``L^-1 m L^-T``, after exact
-    power-of-two rescaling of ``m``.  ``whitening`` is either ``L``, of the
-    shape of ``m``, reduced by two triangular solves, or, for diagonal
-    factors, ``r = 1 / diag(L)``, ``(..., n)``, reduced by the scaling
-    ``(m_ij * r_i) * r_j``: the solves' values bit for bit where the BLAS
-    solve multiplies by the pivot's reciprocal (OpenBLAS, n >= 2) and ``m``
-    holds no negative zero.
+    Computed as the smallest eigenvalue of ``W m W^T`` for ``W = L^-1``,
+    after exact power-of-two rescaling of ``m``.  ``w`` is W, of the shape
+    of ``m``, or, when a is diagonal, W's diagonal ``1 / sqrt(diag(a))``,
+    ``(..., n)``, which whitens by the scaling ``(m_ij * w_i) * w_j``.
     """
     scaled, exp = _scaled(m)
-    if np.ndim(whitening) < scaled.ndim:
-        c = (scaled * whitening[..., :, None]) * whitening[..., None, :]
+    if np.ndim(w) < scaled.ndim:
+        c = (scaled * w[..., :, None]) * w[..., None, :]
     else:
-        y = np.linalg.solve(whitening, scaled)
-        c = np.swapaxes(np.linalg.solve(whitening, np.swapaxes(y, -1, -2)), -1, -2)
+        c = w @ scaled @ np.swapaxes(w, -1, -2)
     c = 0.5 * (c + np.swapaxes(c, -1, -2))
     return np.ldexp(np.linalg.eigvalsh(c)[..., 0], exp)
 

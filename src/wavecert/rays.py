@@ -4,9 +4,10 @@ diagnostic.
 The Hamiltonian is ``H(x, xi) = 0.5 * sum a^{ij}(x) xi_i xi_j``; trajectories
 follow ``dx/dt = dH/dxi`` and ``dxi/dt = -dH/dx`` under classical fixed-step
 fourth-order integration.  A trace ends at the first boundary contact
-(refined by bisection to 1e-9 in time) or at the horizon; rays are not
-reflected.  Relative Hamiltonian drift above 1e-6 triggers step halving and
-a full retry, up to eight times.
+(refined by bisection to 1e-9 in time, or to the spacing of doubles where
+that is coarser) or at the horizon; rays are not reflected.  Relative
+Hamiltonian drift above 1e-6 triggers step halving and a full retry, up to
+eight times.
 
 A fan integrates all of its rays as one batch of ``(x, xi)`` rows, and each
 RK4 stage is one call of the straight-line kernel generated from a compiled
@@ -36,11 +37,10 @@ _DISTANCE_BATCH = 4096
 
 @dataclass(frozen=True)
 class RayState:
-    """Position, covector, and time along a bicharacteristic."""
+    """Position and covector on a bicharacteristic."""
 
     x: tuple
     xi: tuple
-    t: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,9 @@ class _Flow:
         the kernel's results and the new states are checked for finiteness
         once: a non-finite stage reaches the new states, as does an overflow
         in the step's own arithmetic.  A guard hit or a non-finite value
-        replays the step through :meth:`step` and :meth:`derivatives`, so
-        the tape raises its error at its row, with the same warnings.
+        replays the step through :meth:`step` and :meth:`derivatives` under
+        the same ``errstate``, so the tape raises its error at its row and
+        the step's own overflow warns nowhere.
         """
         kernel, consts = self.equations.kernel, self.consts
         values = np.empty((4 if derive else 3, len(y), y.shape[1] + 1))
@@ -129,9 +130,9 @@ class _Flow:
                 done = (not derive or kernel(y_new, consts, values[3]) is not None) and (
                     np.isfinite(values).all() and np.isfinite(y_new).all()
                 )
-        if not done:
-            y_new = self.step(y, h, dy)
-            return (y_new, *self.derivatives(y_new)) if derive else (y_new,)
+            if not done:
+                y_new = self.step(y, h, dy)
+                return (y_new, *self.derivatives(y_new)) if derive else (y_new,)
         return (y_new, k[3], values[3, :, -1]) if derive else (y_new,)
 
 
@@ -278,8 +279,9 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
 
 
 def _refine_crossing(flow: _Flow, y_in, dy_in, t_in, h_step):
-    """Bisect each row's crossing time inside one step to 1e-9,
-    re-integrating from the row's last interior state each round."""
+    """Bisect each row's crossing time inside one step to 1e-9, or until
+    the midpoint no longer moves in double precision, re-integrating from
+    the row's last interior state each round."""
     lo = np.zeros(len(y_in))
     hi = np.full(len(y_in), h_step)
     y_best = y_in.copy()
@@ -287,12 +289,13 @@ def _refine_crossing(flow: _Flow, y_in, dy_in, t_in, h_step):
     while pending.any():
         rows = np.flatnonzero(pending)
         mid = 0.5 * (lo[rows] + hi[rows])
+        moves = (lo[rows] < mid) & (mid < hi[rows])
         (y_mid,) = flow.advance(y_in[rows], mid[:, None], dy_in[rows], derive=False)
         inside = flow.region.inside(y_mid, flow.consts)
         lo[rows[inside]] = mid[inside]
         hi[rows[~inside]] = mid[~inside]
         y_best[rows[inside]] = y_mid[inside]
-        pending = hi - lo > _TIME_REFINEMENT
+        pending[rows] = moves & (hi[rows] - lo[rows] > _TIME_REFINEMENT)
     return t_in + hi, y_best
 
 

@@ -6,6 +6,7 @@ import pytest
 from wavecert.coeff import build, certify_positivity
 from wavecert.domain import region, sample
 from wavecert.linalg import (
+    _scaled,
     cholesky_spd,
     leading_principal_minors,
     min_eigenvalue,
@@ -17,6 +18,22 @@ SQRT2 = math.sqrt(2.0)
 
 def origin_disk():
     return region(2, [(-SQRT2, SQRT2)] * 2, ["x1^2 + x2^2 - 2"])
+
+
+def solved_pencil(m, a):
+    """The smallest generalized eigenvalue of each pencil (m, a), whitened by
+    two solves against the Cholesky factors L of a after the same exact
+    power-of-two scaling, and the pencil's spectral radius."""
+    scaled, exp = _scaled(m)
+    chol = np.linalg.cholesky(a)
+
+    def whitened(sign):
+        y = np.linalg.solve(chol, sign * scaled)
+        c = np.swapaxes(np.linalg.solve(chol, np.swapaxes(y, -1, -2)), -1, -2)
+        return np.ldexp(np.linalg.eigvalsh(0.5 * (c + np.swapaxes(c, -1, -2)))[..., 0], exp)
+
+    low = whitened(1.0)
+    return low, np.maximum(np.abs(low), np.abs(whitened(-1.0)))
 
 
 def example_bad_field():
@@ -124,31 +141,57 @@ class TestLinalg:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_diagonal_factor_scaling_matches_two_solves(self, n):
-        # the two-solve path is the reference; bit equality depends on how
-        # the BLAS divides by a pivot, so compare to a few ulps of the
-        # pencil's spectral radius.  m is scaled by sqrt(a_ii * a_jj), so
-        # entries of m and a span 1e-300..1e300 while every generalized
-        # eigenvalue stays in double range
+        # the reference whitens by two solves against the Cholesky factors;
+        # the routine multiplies by W = L^-1.  m = L c L^T, so the pencil's
+        # eigenvalues are c's.  Diagonal A spans 1e-290..1e290 and is
+        # compared to a few ulps of the pencil's spectral radius; full A
+        # has cond(A) up to 1e8, and the two whitenings differ by at most
+        # 1.85 * eps * cond(A) * radius over 12000 matrices per n, so the
+        # bound is 4n times that
         rng = np.random.default_rng(n)
         k = 300
+        sign = rng.choice([-1.0, 1.0], size=(2, k, n, n))
+        c = sign * 10.0 ** rng.uniform(-12.0, 4.0, size=(2, k, n, n))
+        c[rng.random(c.shape) < 0.15] = 0.0
+        c[rng.random(c.shape) < 0.15] = -0.0
+        c = np.triu(c) + np.swapaxes(np.triu(c, 1), -1, -2)
+
         diag = 10.0 ** rng.uniform(-290.0, 290.0, size=(k, n))
         a = np.zeros((k, n, n))
         a[:, range(n), range(n)] = diag
-        sign = rng.choice([-1.0, 1.0], size=(k, n, n))
-        m = sign * 10.0 ** rng.uniform(-12.0, 4.0, size=(k, n, n))
         root = np.sqrt(diag)
-        m *= root[:, :, None] * root[:, None, :]
-        m[rng.random((k, n, n)) < 0.15] = 0.0
-        m[rng.random((k, n, n)) < 0.15] = -0.0
-        m = np.triu(m) + np.swapaxes(np.triu(m, 1), -1, -2)
-        chol = np.linalg.cholesky(a)
-        inv_diag = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
-        ref = pencil_min_eigenvalue(m, chol)
-        got = pencil_min_eigenvalue(m, inv_diag)
-        radius = np.maximum(np.abs(ref), np.abs(pencil_min_eigenvalue(-m, chol)))
+        m = c[0] * (root[:, :, None] * root[:, None, :])
+        got = pencil_min_eigenvalue(m, 1.0 / np.sqrt(diag))
+        ref, radius = solved_pencil(m, a)
         assert np.all(np.abs(got - ref) <= 8 * n * np.finfo(float).eps * radius)
+
+        q = np.linalg.qr(rng.normal(size=(k, n, n)))[0]
+        spectrum = 10.0 ** rng.uniform(0.0, 8.0, size=(k, n))
+        a = 10.0 ** rng.uniform(-250.0, 250.0, size=(k, 1, 1)) * (
+            (q * spectrum[:, None, :]) @ np.swapaxes(q, -1, -2)
+        )
+        a = 0.5 * (a + np.swapaxes(a, -1, -2))
+        chol = np.linalg.cholesky(a)
+        m = chol @ c[1] @ np.swapaxes(chol, -1, -2)
+        m = 0.5 * (m + np.swapaxes(m, -1, -2))
+        got = pencil_min_eigenvalue(m, np.linalg.inv(chol))
+        ref, radius = solved_pencil(m, a)
+        bound = 4 * n * np.finfo(float).eps * np.linalg.cond(a) * radius
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_diagonal_whitening_is_the_reciprocal_cholesky_diagonal(self):
+        # W's diagonal without a factorization: bit for bit what the
+        # Cholesky factors of a diagonal A give
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 4):
+            diag = 10.0 ** rng.uniform(-300.0, 300.0, size=(5000, n))
+            a = np.zeros((len(diag), n, n))
+            a[:, range(n), range(n)] = diag
+            chol = np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1)
+            assert np.array_equal(1.0 / np.sqrt(diag), 1.0 / chol)
 
     def test_pencil_diagonal_case(self):
         # pencil (2*diag(4,9), diag(2,3)) has eigenvalues (4, 6)
-        chol = np.diag(np.sqrt([2.0, 3.0]))
-        assert pencil_min_eigenvalue(2.0 * np.diag([4.0, 9.0]), chol) == pytest.approx(4.0)
+        w = 1.0 / np.sqrt([2.0, 3.0])
+        for whitening in (w, np.diag(w)):
+            assert pencil_min_eigenvalue(2.0 * np.diag([4.0, 9.0]), whitening) == pytest.approx(4.0)

@@ -444,20 +444,32 @@ class TestGridProblem:
         assert err.value.point == tuple(pts[first])
 
     def test_whitening_follows_the_factor_shape(self, monkeypatch):
+        linalg = {name: getattr(np.linalg, name) for name in ("solve", "cholesky", "inv")}
         counts = {}
-        solve = np.linalg.solve
 
-        def counted(*args, **kwargs):
-            counts["solve"] = counts.get("solve", 0) + 1
-            return solve(*args, **kwargs)
+        def counting(name):
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return linalg[name](*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+            return counted
+
+        for name in linalg:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        # a diagonal field is whitened by 1 / sqrt(diag A), with no factorization
         diagonal = GridProblem(isotropic_exp_field(), offset_disk(), 17)
         diagonal.check(quadratic_weight())
         assert diagonal.whitening.shape == (len(diagonal.grid), 2) and counts == {}
+        chol = linalg["cholesky"](diagonal.a)
+        assert np.array_equal(diagonal.whitening, 1.0 / np.diagonal(chol, axis1=1, axis2=2))
+        # a full field is factored and inverted once per grid, not per check
         full = GridProblem(build(["2", "0.5", "3"], diagonal=False), offset_disk(), 17)
         full.check(quadratic_weight())
-        assert full.whitening.shape == (len(full.grid), 2, 2) and counts == {"solve": 2}
+        assert full.whitening.shape == (len(full.grid), 2, 2)
+        assert counts == {"cholesky": 1, "inv": 1}
+        full.check(weight_function("exp(x1)", 2))
+        assert counts == {"cholesky": 1, "inv": 1}
+        assert np.array_equal(full.whitening, linalg["inv"](linalg["cholesky"](full.a)))
 
     def test_failed_coefficient_skips_partials_and_factor(self):
         f = build(["x1", "1"], diagonal=True)

@@ -165,6 +165,16 @@ class TestClassifySign:
         neg = classify_sign(bowl, bowl, r, 9)
         assert neg.classification == "uniformly_negative"
 
+    def test_exact_zero_extremes_keep_the_sign_of_the_rest(self):
+        # the curvature is an exact (signed) zero on the grid line x1 = 0
+        r = region(2, [(-1.0, 1.0), (0.0, 1.0)])
+        pos = classify_sign("1/(1 + x1^4)", "1/(1 + x1^4)", r, 9)
+        assert pos.k_min == 0.0 and pos.k_max > 0.0
+        assert pos.classification == "uniformly_positive" and pos.witness_negative is None
+        neg = classify_sign("1 + x1^4", "1 + x1^4", r, 9)
+        assert neg.k_max == 0.0 and neg.k_min < 0.0
+        assert neg.classification == "uniformly_negative" and neg.witness_positive is None
+
     def test_isotropic_exponential_classified(self):
         # flat instance handled by the weight construction as well; the
         # comparison point is that its curvature carries no sign information

@@ -118,6 +118,38 @@ horizon = 0.5
 step = 0.1
 """,
     ),
+    # a crossing ~6.7e7 into a step, where doubles are coarser than the
+    # bisection's 1e-9: the midpoint stopped moving and the fan never ended
+    "ray-crossing-below-double-spacing": (
+        "rays",
+        """[problem]
+A.diagonal = true
+A.entries = ["1", "1"]
+[region]
+dim = 2
+box = [[-1e9, 1e9], [-1e9, 1e9]]
+[options]
+count = 4
+horizon = 1e10
+step = 1e8
+center = [33000000.5, 0]
+""",
+    ),
+    # a step whose own arithmetic overflows warned when it was replayed
+    # through the interpreted tape
+    "ray-step-replay-overflow": (
+        "rays",
+        """[problem]
+A.diagonal = true
+A.entries = ["1e290", "1e290"]
+[region]
+dim = 2
+box = [[-1e300, 1e300], [-1e300, 1e300]]
+[options]
+horizon = 1e171
+step = 1e170
+""",
+    ),
 }
 
 

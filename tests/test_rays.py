@@ -189,6 +189,23 @@ class TestFan:
         with pytest.raises(ValueError, match="start point dimension"):
             fan(identity_field(), origin_disk(), (0.0, 0.0, 0.0), count, 1.0, 1e-2)
 
+    def test_crossing_bisection_stops_at_the_spacing_of_doubles(self, monkeypatch):
+        # the crossings lie ~6.7e7 into a step of 1e8, where doubles are
+        # coarser than 1e-9: the bisection ends once its midpoint stops
+        # moving, within a budget of steps instead of never
+        advance, calls = _Flow.advance, []
+
+        def budgeted(self, *args, **kwargs):
+            calls.append(None)
+            assert len(calls) <= 1000, "the crossing bisection does not end"
+            return advance(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Flow, "advance", budgeted)
+        box = region(2, [(-1e9, 1e9)] * 2)
+        outs = fan(identity_field(), box, (33000000.5, 0.0), 4, 1e10, 1e8)
+        expected = [1e9 - 33000000.5, 1e9, 1e9 + 33000000.5, 1e9]
+        assert [o.escape_time for o in outs] == pytest.approx(expected, rel=1e-15)
+
     def test_boundary_distance_measured_to_the_margin(self):
         # inside the margin the rays escape at r = 0.9, so they end on the
         # boundary the region tests, not 0.1 inside the unit circle
@@ -346,21 +363,22 @@ class TestCompiledStep:
                 continue
             for h in [*step_sizes(np_rng, len(y)), 10.0 ** np_rng.uniform(-3, 12, size=(8, 1))]:
                 for derive in (True, False):
-                    expected = outcome(lambda: tape_advance(flow, y, h, dy, derive))
-                    assert outcome(lambda: flow.advance(y, h, dy, derive)) == expected
+                    expected = outcome(lambda: tape_advance(flow, y, h, dy, derive))[0]
+                    assert outcome(lambda: flow.advance(y, h, dy, derive)) == (expected, [])
             compared += 1
         assert compared >= 10
 
-    def test_overflowing_step_warns_as_the_tape(self):
+    def test_overflowing_step_matches_the_tape_without_warning(self):
         # a constant field's derivatives stay finite at an overflowed state,
-        # so only the new states show that the step's arithmetic overflowed
+        # so only the new states show that the step's arithmetic overflowed;
+        # the replay repeats that arithmetic under the step's errstate
         flow = kernel_flow(["1e290", "1e290"], True, None)
         y = np.array([[0.5, 0.0, 1.0, 0.0], [0.0, 0.0, 1e8, 0.0]])
         dy = flow.derivatives(y)[0]
         for derive in (True, False):
-            expected = outcome(lambda: tape_advance(flow, y, 1e12, dy, derive))
-            assert expected[1] and "overflow" in expected[1][0]
-            assert outcome(lambda: flow.advance(y, 1e12, dy, derive)) == expected
+            expected, warned = outcome(lambda: tape_advance(flow, y, 1e12, dy, derive))
+            assert warned and "overflow" in warned[0]
+            assert outcome(lambda: flow.advance(y, 1e12, dy, derive)) == (expected, [])
 
     @pytest.mark.parametrize(
         "entry,rows,h,error,stage",

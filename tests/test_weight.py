@@ -195,11 +195,11 @@ class TestFindLambda:
         import wavecert.condition as condition
         from wavecert.coeff import CoefficientField
 
-        counts = {}
+        counts = dict.fromkeys(("sample", "values", "partial_values", "cholesky"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
+                counts[name] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -212,8 +212,9 @@ class TestFindLambda:
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
         assert cert.report.certified
-        # the search grid and the refinement grid, whatever the attempt count
-        assert counts == {"sample": 2, "values": 2, "partial_values": 2, "cholesky": 2}
+        # the search grid and the refinement grid, whatever the attempt count;
+        # the diagonal field is whitened without a factorization
+        assert counts == {"sample": 2, "values": 2, "partial_values": 2, "cholesky": 0}
 
     def test_inadmissible_forced_axis_exhausts_budget(self):
         with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
@@ -366,7 +367,7 @@ class TestSearchWork:
         *attempts, refinement = operands
         assert len(attempts) > 10
         assert all(r is problem.whitening for r in attempts)
-        assert attempts[0].ndim == 2  # (m, n): the reciprocal diagonal
+        assert attempts[0].ndim == 2  # (m, n): W's diagonal
         assert refinement.shape[0] > attempts[0].shape[0]
 
     def test_best_failing_report_equals_a_full_check(self):
