@@ -28,7 +28,8 @@ class Region:
     ``margin > 0`` tightens every constraint to ``g(x) <= -margin``, the
     grid analogue of testing strictly interior uniformity.  This class alone
     evaluates the constraints: grids, :func:`contains` and ray tracing all
-    ask :meth:`inside`.
+    ask :meth:`inside`, which runs each constraint through its tape's
+    straight-line kernel.
     """
 
     dim: int
@@ -73,17 +74,23 @@ class Region:
 
         The box is tested first, then each constraint in order, and a
         constraint is evaluated only at the rows every earlier test admitted,
-        so a constraint may guard the domain of the next one.
+        so a constraint may guard the domain of the next one.  A constraint
+        runs through its tape's kernel; a batch the kernel cannot finish, or
+        whose values are not all finite, is replayed through the tape, which
+        raises the error.
         """
         lo, hi = self._corners
         x = points[:, : self.dim]
         ok = mask & ((x >= lo) & (x <= hi)).all(axis=1)
+        consts = consts or {}
         for g in self._tapes:
-            if ok.all():
-                ok = g(points, consts) <= -self.margin
-            else:
-                rows = np.flatnonzero(ok)
-                ok[rows] = g(points[rows], consts) <= -self.margin
+            rows = slice(None) if ok.all() else np.flatnonzero(ok)
+            pts = points[rows]
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = g.kernel(pts, consts, np.empty((len(pts), 1)))
+            if values is None or not np.isfinite(values).all():
+                values = g(pts, consts)[:, None]
+            ok[rows] = values[:, 0] <= -self.margin
         return ok
 
     def boundary_distance(self, points, consts=None):

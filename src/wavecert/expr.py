@@ -556,25 +556,31 @@ class Tape:
         where :meth:`_run` would raise before its finiteness check.
 
         Each line calls the tape's own function, guard or literal, in tape
-        order, so every value is bitwise the interpreter's.  The kernel
-        enters no ``errstate`` and leaves the finiteness of the results to
-        the caller, who replays a failed batch through the tape for its
-        error.  Built on first use: compiling the source costs about ten
-        interpreted calls, which only a caller of many small batches earns
-        back.
+        order, so every value is bitwise the interpreter's.  A literal is
+        bound as a 0-d array, which numpy combines with a batch faster than
+        a scalar, except in a power, where the tape's scalar keeps
+        ``ndarray.__pow__`` on its fast path; a guard is tested by
+        ``np.count_nonzero``, cheaper than ``.any()``.  The kernel enters no
+        ``errstate`` and leaves the finiteness of the results to the caller,
+        who replays a failed batch through the tape for its error.  Built on
+        first use: compiling the source costs about ten interpreted calls,
+        which only a caller of many small batches earns back.
         """
-        names = {"_f64": np.float64}
-        names.update((f"s{slot}", value) for slot, value in self.literals)
-        literal_slots = {slot for slot, _ in self.literals}
+        names = {"_f64": np.float64, "_nonzero": np.count_nonzero}
+        literals = dict(self.literals)
+        names.update((f"s{slot}", np.array(value)) for slot, value in literals.items())
+        names.update((f"p{slot}", value) for slot, value in literals.items())
         width = max((a + 1 for op, _, _, _, a, _, _ in self.code if op == "var"), default=0)
         lines = ["def kernel(pts, consts, out):", f"    if pts.shape[1] < {width}: return None"]
         for i, (op, fn, guard, dst, a, b, free) in enumerate(self.code):
             if fn is not None:
-                args = f"s{a}" if b is None else f"s{a}, s{b}"
+                kind = "p" if op in ("^", "^-") else "s"  # a power takes scalar literals
+                operands = (a,) if b is None else (a, b)
+                args = ", ".join(f"{kind if s in literals else 's'}{s}" for s in operands)
                 names[f"f{i}"] = fn
                 if guard is not None:
                     names[f"g{i}"] = guard[0]
-                    lines.append(f"    if g{i}({args}).any(): return None")
+                    lines.append(f"    if _nonzero(g{i}({args})): return None")
                 lines.append(f"    s{dst} = f{i}({args})")
             elif op == "var":
                 lines.append(f"    s{dst} = pts[:, {a}]")
@@ -582,7 +588,7 @@ class Tape:
                 names[f"c{i}"] = a
                 lines.append(f"    if c{i} not in consts: return None")
                 lines.append(f"    s{dst} = _f64(consts[c{i}])")
-            dead = [f"s{slot}" for slot in free if slot not in literal_slots]
+            dead = [f"s{slot}" for slot in free if slot not in literals]
             if dead:
                 lines.append(f"    del {', '.join(dead)}")
         lines += [f"    out[:, {col}] = s{slot}" for col, slot in enumerate(self.outputs)]

@@ -5,17 +5,20 @@ The Hamiltonian is ``H(x, xi) = 0.5 * sum a^{ij}(x) xi_i xi_j``; trajectories
 follow ``dx/dt = dH/dxi`` and ``dxi/dt = -dH/dx`` under classical fixed-step
 fourth-order integration.  A trace ends at the first boundary contact
 (refined by bisection to 1e-9 in time, or to the spacing of doubles where
-that is coarser) or at the horizon; rays are not reflected.  Relative
-Hamiltonian drift above 1e-6 triggers step halving and a full retry, up to
-eight times.
+that is coarser) or at the horizon, to within 1e-15 of it, relative below a
+horizon of 1; rays are not reflected.  Relative Hamiltonian drift above
+1e-6 triggers step halving and a full retry, up to eight times.
 
-A fan integrates all of its rays as one batch of ``(x, xi)`` rows, and each
+A fan integrates all of its rays as one batch of ``(x, xi)`` rows.  Each
 RK4 stage is one call of the straight-line kernel generated from a compiled
-tape of Hamilton's equations; a step that fails is replayed through the
-interpreted tape, which raises the error.  Rays that escape leave the batch
-and bisect their crossing together; rays that fail the drift check leave it
-and re-run together at half the step.  A ray's arithmetic does not depend
-on the rest of the batch, so :func:`trace` is a fan of one ray.
+tape of Hamilton's equations without H, and the derivative at the new
+states comes with H from a second tape, for the drift check; H is evaluated
+only there, so an H that overflows at an intermediate stage alone does not
+end the fan.  A step that fails is replayed through the interpreted tapes,
+which raise the error.  Rays that escape leave the batch and bisect their
+crossing together; rays that fail the drift check leave it and re-run
+together at half the step.  A ray's arithmetic does not depend on the rest
+of the batch, so :func:`trace` is a fan of one ray.
 """
 
 import math
@@ -33,6 +36,7 @@ DRIFT_TOLERANCE = 1e-6
 _TIME_REFINEMENT = 1e-9
 _MAX_HALVINGS = 8
 _DISTANCE_BATCH = 4096
+_TWO = np.array(2.0)  # a 0-d array multiplies a batch faster than a scalar
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,7 @@ class _Flow:
         ]
         energy = mul(Num(0.5), _total(mul(mul(a[i][j], xi[i]), xi[j]) for i, j in pairs))
         self.equations = compile([*dx, *dxi, energy])
+        self.stages = compile([*dx, *dxi])  # the same code without H's tail
 
     def derivatives(self, y):
         """Time derivatives (m, 2n) of the states y, and H (m,)."""
@@ -96,44 +101,47 @@ class _Flow:
 
     def step(self, y, h, dy=None):
         """One RK4 step of size ``h``, a scalar or an (m, 1) column, through
-        the interpreted tape; ``dy`` is the derivative at ``y`` when already
-        known.  :meth:`advance` replays a failed step through it."""
-        k1 = self.derivatives(y)[0] if dy is None else dy
-        k2 = self.derivatives(y + 0.5 * h * k1)[0]
-        k3 = self.derivatives(y + 0.5 * h * k2)[0]
-        k4 = self.derivatives(y + h * k3)[0]
+        the interpreted stage tape, which skips H; ``dy`` is the derivative
+        at ``y`` when already known.  :meth:`advance` replays a failed step
+        through it."""
+        k1 = self.stages(y, self.consts) if dy is None else dy
+        k2 = self.stages(y + 0.5 * h * k1, self.consts)
+        k3 = self.stages(y + 0.5 * h * k2, self.consts)
+        k4 = self.stages(y + h * k3, self.consts)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def advance(self, y, h, dy, derive=True):
         """``step(y, h, dy)`` and, when ``derive``, ``derivatives`` at the
         new states: ``(y_new, dy_new, H)``, else ``(y_new,)``.
 
-        The stages run through the tape's kernel under one ``errstate``, and
-        the kernel's results and the new states are checked for finiteness
-        once: a non-finite stage reaches the new states, as does an overflow
-        in the step's own arithmetic.  A guard hit or a non-finite value
-        replays the step through :meth:`step` and :meth:`derivatives` under
-        the same ``errstate``, so the tape raises its error at its row and
-        the step's own overflow warns nowhere.
+        The stages run through the stage tape's kernel and the end
+        derivative through the full tape's, under one ``errstate``.  Only
+        the new states and the end derivative are checked for finiteness: a
+        non-finite stage reaches the new states, as does an overflow in the
+        step's own arithmetic.  A guard hit or a non-finite value replays
+        the step through :meth:`step` and :meth:`derivatives` under the same
+        ``errstate``, so the tape raises its error at its row and the step's
+        own overflow warns nowhere.
         """
-        kernel, consts = self.equations.kernel, self.consts
-        values = np.empty((4 if derive else 3, len(y), y.shape[1] + 1))
-        k = values[:, :, :-1]
+        stage, consts = self.stages.kernel, self.consts
+        k = np.empty((3, *y.shape))
+        half, whole, sixth = np.asarray(0.5 * h), np.asarray(h), np.asarray(h / 6.0)
         with np.errstate(over="ignore", invalid="ignore"):
             done = (
-                kernel(y + 0.5 * h * dy, consts, values[0]) is not None
-                and kernel(y + 0.5 * h * k[0], consts, values[1]) is not None
-                and kernel(y + h * k[1], consts, values[2]) is not None
+                stage(y + half * dy, consts, k[0]) is not None
+                and stage(y + half * k[0], consts, k[1]) is not None
+                and stage(y + whole * k[1], consts, k[2]) is not None
             )
             if done:
-                y_new = y + (h / 6.0) * (dy + 2.0 * k[0] + 2.0 * k[1] + k[2])
-                done = (not derive or kernel(y_new, consts, values[3]) is not None) and (
-                    np.isfinite(values).all() and np.isfinite(y_new).all()
-                )
+                y_new = y + sixth * (dy + _TWO * k[0] + _TWO * k[1] + k[2])
+                done = np.isfinite(y_new).all()
+            if done and derive:
+                end = self.equations.kernel(y_new, consts, np.empty((len(y), y.shape[1] + 1)))
+                done = end is not None and np.isfinite(end).all()
             if not done:
                 y_new = self.step(y, h, dy)
                 return (y_new, *self.derivatives(y_new)) if derive else (y_new,)
-        return (y_new, k[3], values[3, :, -1]) if derive else (y_new,)
+        return (y_new, end[:, :-1], end[:, -1]) if derive else (y_new,)
 
 
 class _Visits:
@@ -241,22 +249,23 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
     finished = {}  # id -> (escape time or None, largest drift)
     failed = []
 
-    t = 0.0
-    while t < horizon - 1e-15 and ids.size:
+    t, t_stop = 0.0, horizon - 1e-15 * min(1.0, horizon)  # relative below a horizon of 1
+    while t < t_stop and ids.size:
         h_step = min(h, horizon - t)
         y_new, dy_new, energy = flow.advance(y, h_step, dy)
         drift = np.abs(energy - h_ref) / h_ref
         ok = ~(drift > DRIFT_TOLERANCE)
         drift_max = np.maximum(drift_max, drift)
         stay = flow.region.inside(y_new, flow.consts, ok)
-        out = ok & ~stay
-        if out.any():
-            t_cross, y_in = _refine_crossing(flow, y[out], dy[out], t, h_step)
-            visits.add(ids[out], y_in)
-            finished.update(zip(ids[out].tolist(), zip(t_cross.tolist(), drift_max[out].tolist())))
-        if not ok.all():
+        if np.count_nonzero(stay) < len(stay):  # some ray escapes or drifts
+            out = ok & ~stay
+            if out.any():
+                t_cross, y_in = _refine_crossing(flow, y[out], dy[out], t, h_step)
+                visits.add(ids[out], y_in)
+                finished.update(
+                    zip(ids[out].tolist(), zip(t_cross.tolist(), drift_max[out].tolist()))
+                )
             failed.extend(ids[~ok].tolist())
-        if not stay.all():
             ids, y_new, dy_new, h_ref, drift_max = (
                 v[stay] for v in (ids, y_new, dy_new, h_ref, drift_max)
             )

@@ -1,14 +1,18 @@
 import math
+import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from test_fuzz import expression
 
 from wavecert import domain
 from wavecert.bundled import EXAMPLES, config_text
 from wavecert.cli import RunConfig
 from wavecert.domain import Region, contains, region, sample
-from wavecert.errors import RegionError
+from wavecert.errors import EvaluationError, RegionError
+from wavecert.expr import compile
 
 SQRT_15 = math.sqrt(1.5)
 
@@ -178,6 +182,61 @@ class TestInside:
         assert r.inside(pts, mask=mask).tolist() == [False, False, True, False]
         wide = np.hstack([pts, np.full((4, 2), -5.0)])
         assert r.inside(wide).tolist() == expected
+
+
+def interpreted_inside(r, points, consts, mask):
+    """What ``Region.inside`` must return: each constraint evaluated through
+    its interpreted tape at the rows every earlier test admitted."""
+    lo, hi = np.array(r.box).T
+    x = points[:, : r.dim]
+    ok = mask & ((x >= lo) & (x <= hi)).all(axis=1)
+    for g in r.constraints:
+        rows = np.flatnonzero(ok)
+        ok[rows] = compile(g)(points[rows], consts) <= -r.margin
+    return ok
+
+
+def mask_or_error(run):
+    """The mask ``run()`` returns, bit for bit, or its error's class,
+    message and point."""
+    try:
+        return run().tobytes()
+    except EvaluationError as exc:
+        return type(exc), str(exc), exc.point
+
+
+class TestInsideKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_interpreted_tapes_on_random_constraints(self, seed):
+        # fuzzer constraints over points with exact zeros and extra columns:
+        # guards hit at various rows, values overflow, and ``c`` is unbound
+        # in a quarter of the cases
+        rng, np_rng = random.Random(seed), np.random.default_rng(seed)
+        seen, guard_rows = Counter(), set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(150):
+                dim = rng.choice((1, 2, 3))
+                constraints = [expression(rng, dim, 3) for _ in range(rng.randint(1, 3))]
+                scale = rng.choice((1.0, 1.0, 1e160))  # squares of 1e160 overflow
+                box = [(-2.0 * scale, 2.0 * scale)] * dim
+                r = region(dim, box, constraints, margin=rng.choice((0.0, 0.1)))
+                consts = rng.choice(({}, {"c": 0.5}, {"c": -2.0}, {"c": 1e300}))
+                shape = (rng.randint(1, 24), rng.choice((dim, 2 * dim)))
+                points = scale * np_rng.uniform(-2.5, 2.5, size=shape)
+                points[np_rng.random(points.shape) < 0.15] = 0.0
+                mask = rng.choice((True, np_rng.random(len(points)) < 0.7))
+                expected = mask_or_error(lambda: interpreted_inside(r, points, consts, mask))
+                assert mask_or_error(lambda: r.inside(points, consts, mask)) == expected
+                if isinstance(expected, bytes):
+                    seen["mask"] += 1
+                else:
+                    seen[expected[1].split(" at point")[0]] += 1
+                    if expected[2] is not None and expected[0] is not EvaluationError:
+                        rows = [tuple(p) for p in points.tolist()]
+                        guard_rows.add(rows.index(expected[2]))
+        assert seen["mask"] >= 50 and seen["non-finite result"] and seen["unbound constant 'c'"]
+        assert len(guard_rows) >= 2
 
 
 class TestBoundaryDistance:

@@ -245,13 +245,21 @@ class TestCompile:
                 assert evaluate(e, row, consts) == value
 
     def test_kernel_is_bitwise_the_tape(self):
-        for dim, text, box, consts in CORPUS:
+        # the corpus, and a tape with many literals: multiplicands, addends,
+        # divisors and exponents, one literal both in a product and as an
+        # exponent, and negative powers
+        coefficients = (0.37, 1.25e-3, -2.5, 7e5, 3.0, 2.0)
+        terms = [f"{c!r}*x1^{k}*x2" for k, c in enumerate(coefficients, start=1)]
+        terms += ["3.5/x1", "2*x2^2", "(x1 + 0.125)^-3", "1e-7*exp(0.3*x2)", "-0.5*sqrt(2 + x1)"]
+        literals = (2, " + ".join(terms), [(0.5, 2.0), (-1.5, 1.5)], {})
+        for dim, text, box, consts in [*CORPUS, literals]:
             e = parse(text, dim)
             tape = compile([e, differentiate(e, 1), parse("2", dim), parse("x1", dim)])
             pts = interior_points(box, 20, seed=5)
             out = np.empty((20, 4))
             assert tape.kernel(pts, consts, out) is out
             assert out.tobytes() == tape(pts, consts).tobytes()
+        assert len(tape.literals) >= 15
 
     def test_kernel_returns_none_where_the_tape_raises(self):
         pts = np.array([[1.0, 0.0], [-1.0, 1.0]])

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_expr import raised
 from test_fuzz import coefficient, expression
 
 from wavecert.coeff import build
@@ -165,6 +166,18 @@ def _final_covector(field, reg, x0, xi0, horizon, step):
         y = flow.step(y, h_step)
         t += h_step
     return tuple(y[0, 2:])
+
+
+class TestShortHorizon:
+    def test_horizon_below_the_old_absolute_tolerance_integrates(self):
+        # the step loop ran while t < horizon - 1e-15, so a horizon of 1e-15
+        # took no step and every ray was reported trapped at its start point
+        box = region(2, [(-1e-16, 1e-16)] * 2)
+        for horizon in (1e-15, 3e-15):
+            outs = fan(identity_field(), box, (0.0, 0.0), 4, horizon, 1e-17, store_paths=True)
+            assert all(o.escaped for o in outs)
+            assert all(o.escape_time == pytest.approx(1e-16, rel=1e-6) for o in outs)
+            assert all(len(o.path) > 1 for o in outs)
 
 
 class TestFan:
@@ -380,6 +393,34 @@ class TestCompiledStep:
             assert warned and "overflow" in warned[0]
             assert outcome(lambda: flow.advance(y, 1e12, dy, derive)) == (expected, [])
 
+    def test_intermediate_stage_h_is_not_evaluated(self):
+        # at |xi|^2 = 1.2e308 the sum inside H overflows at the fourth stage,
+        # where the coefficient reaches 1.2, but not at the step's end; the
+        # stages skip H, so the step goes through
+        flow = kernel_flow(["1 + 0.2*sin(x1)^2"] * 2, True, None)
+        xi = math.sqrt(0.6e308)
+        y, h = np.array([[0.0, 0.0, xi, xi]]), math.pi / xi
+        dy = flow.stages(y, {})
+        stage4 = y + h * flow.stages(y + 0.5 * h * flow.stages(y + 0.5 * h * dy, {}), {})
+        assert raised(lambda: flow.derivatives(stage4))[1].startswith("non-finite result")
+        for derive in (True, False):
+            result, warned = outcome(lambda: flow.advance(y, h, dy, derive))
+            assert result == outcome(lambda: tape_advance(flow, y, h, dy, derive))[0]
+            assert isinstance(result, list) and not warned
+        assert 0.0 < flow.advance(y, h, dy)[2][0] < np.inf
+
+    def test_non_finite_h_at_the_step_end_raises(self):
+        # the sum inside H overflows at every state of this step, so the end
+        # derivative raises the tape's error, while a step without it passes
+        flow = kernel_flow(["1", "1"], True, None)
+        xi = math.sqrt(0.95e308)
+        y = np.array([[0.0, 0.0, xi, xi]])
+        dy = flow.stages(y, {})
+        expected = raised(lambda: tape_advance(flow, y, 1e-160, dy, True))
+        assert expected[0] is DomainError and expected[1].startswith("non-finite result")
+        assert raised(lambda: flow.advance(y, 1e-160, dy, True)) == expected
+        assert isinstance(outcome(lambda: flow.advance(y, 1e-160, dy, False))[0], list)
+
     @pytest.mark.parametrize(
         "entry,rows,h,error,stage",
         [
@@ -397,10 +438,11 @@ class TestCompiledStep:
         y = np.array(rows)
         dy = flow.derivatives(y)[0]
         calls = []
-        derivatives = flow.derivatives
-        monkeypatch.setattr(flow, "derivatives", lambda y: calls.append(y) or derivatives(y))
-        with pytest.raises(error) as tape:
-            flow.step(y, h, dy)
+        stages = flow.stages
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "stages", lambda y, consts: calls.append(y) or stages(y, consts))
+            with pytest.raises(error) as tape:
+                flow.step(y, h, dy)
         assert len(calls) == stage - 1  # the stage whose evaluation raised
         for derive in (True, False):
             with pytest.raises(error) as compiled:
