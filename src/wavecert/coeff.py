@@ -126,14 +126,20 @@ def certify_positivity(field: CoefficientField, grid: SampleGrid, consts=None, v
     the field for every downstream certification.  The worst point is the
     first grid point (lexicographic order) attaining the minimum.
     ``values``, when given, is ``field.values`` at the grid points, already
-    evaluated by the caller.
+    evaluated by the caller.  A diagonal field's smallest eigenvalue is its
+    smallest diagonal entry, read off exactly whatever the entries' range;
+    of tied entries (0.0 and -0.0) the first, as the sorted eigenvalues give.
     """
     pts = grid.points
     if pts.shape[0] == 0:
         raise ValueError("empty grid")
     if values is None:
         values = field.values(pts, consts)
-    lams = min_eigenvalue(values)
+    if field.diagonal:
+        diag = np.diagonal(values, axis1=-2, axis2=-1)
+        lams = diag[np.arange(len(diag)), np.argmin(diag, axis=-1)]
+    else:
+        lams = min_eigenvalue(values)
     idx = int(np.argmin(lams))
     return float(lams[idx]), tuple(pts[idx])
 

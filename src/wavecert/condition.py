@@ -101,25 +101,20 @@ def weight_function(expression, dim: int) -> WeightFunction:
 # matrix assembly
 
 
-def _batched(points):
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        return points[None, :], False
-    return points, True
-
-
-def _operands(field, weight, pts, consts):
-    """A, its first derivatives, and the weight's gradient and Hessian at ``pts``."""
+def _operands(field, weight, points, consts):
+    """A, its first derivatives, and the weight's gradient and Hessian at
+    one point ``(n,)`` or a batch ``(m, n)``."""
     return (
-        field.values(pts, consts),
-        field.partial_values(pts, consts),
-        weight.grad_values(pts, consts),
-        weight.hess_values(pts, consts),
+        field.values(points, consts),
+        field.partial_values(points, consts),
+        weight.grad_values(points, consts),
+        weight.hess_values(points, consts),
     )
 
 
 def _terms(a, da, grad, hess, diagonal):
-    """The three sums of the assembly, each an ``(m, n, n)`` stack.
+    """The three sums of the assembly, each of shape ``(..., n, n)`` for
+    operands at one point or a batch of them.
 
     ``term_h[i, j] = sum_{p,q} a^{iq} a^{pj} d_{x_p x_q}``, that is A H A;
     ``t_a[i, j] = sum_{p,q} a^{iq} da^{pj}/dx_q d_{x_p}``, that is A M with
@@ -135,17 +130,17 @@ def _terms(a, da, grad, hess, diagonal):
     bit, signed zeros included.
     """
     if not diagonal:
-        m_qj = np.matmul(grad[:, None, None, :], np.moveaxis(da, -1, 1))[:, :, 0]
-        ag = np.matmul(a, grad[:, :, None])[:, None]  # (A grad d)_q as (m, 1, n, 1)
+        m_qj = np.matmul(grad[..., None, None, :], np.moveaxis(da, -1, -3))[..., 0, :]
+        ag = np.matmul(a, grad[..., None])[..., None, :, :]  # (A grad d)_q as (..., 1, n, 1)
         return a @ hess @ a, a @ m_qj, np.matmul(da, ag)[..., 0]
-    n = grad.shape[1]
-    ad = np.diagonal(a, axis1=1, axis2=2)  # a_i
-    dd = np.diagonal(da, axis1=1, axis2=2)  # [q, i]: da_i/dx_q
-    term_h = 0.0 + (ad[:, :, None] * ad[:, None, :]) * np.swapaxes(hess, 1, 2)
-    t_a = 0.0 + (ad[:, :, None] * dd) * grad[:, None, :]
+    n = grad.shape[-1]
+    ad = np.diagonal(a, axis1=-2, axis2=-1)  # a_i
+    dd = np.diagonal(da, axis1=-3, axis2=-2)  # [q, i]: da_i/dx_q
+    term_h = 0.0 + (ad[..., :, None] * ad[..., None, :]) * np.swapaxes(hess, -1, -2)
+    t_a = 0.0 + (ad[..., :, None] * dd) * grad[..., None, :]
     t_c = np.zeros(term_h.shape)
     for q in range(n):
-        t_c[:, range(n), range(n)] += (dd[:, q] * ad[:, q, None]) * grad[:, q, None]
+        t_c[..., range(n), range(n)] += (dd[..., q, :] * ad[..., q, None]) * grad[..., q, None]
     return term_h, t_a, t_c
 
 
@@ -167,13 +162,12 @@ def multiplier_matrix(
     Entry (i, j) sums, over (p, q), the coefficient-weighted Hessian term
     ``a^{iq} a^{pj} d_{x_p x_q}`` plus half of
     ``(a^{iq} da^{pj}/dx_q + a^{jq} da^{pi}/dx_q - da^{ij}/dx_q a^{pq}) d_{x_p}``,
-    assembled as documented at :func:`_terms`.  Accepts a single point (n,)
-    or a batch (m, n).  The raw assembly is symmetric up to rounding, and a
-    final exact averaging with the transpose makes it symmetric.
+    assembled as documented at :func:`_terms`.  A single point (n,) gives
+    one (n, n) matrix and a batch (m, n) an (m, n, n) stack.  The raw
+    assembly is symmetric up to rounding, and a final exact averaging with
+    the transpose makes it symmetric.
     """
-    pts, batched = _batched(point)
-    out = _multiplier(*_operands(field, weight, pts, consts), field.diagonal)
-    return out if batched else out[0]
+    return _multiplier(*_operands(field, weight, point, consts), field.diagonal)
 
 
 def quadratic_form_matrix(
@@ -186,12 +180,11 @@ def quadratic_form_matrix(
     the symbolic derivatives.  Its symmetric part equals twice
     :func:`multiplier_matrix`.
     """
-    pts, batched = _batched(point)
-    out, t_a, t_c = _terms(*_operands(field, weight, pts, consts), field.diagonal)
+    out, t_a, t_c = _terms(*_operands(field, weight, point, consts), field.diagonal)
     out += t_a
     out *= 2.0
     out -= t_c
-    return out if batched else out[0]
+    return out
 
 
 def multiplier_matrix_diagonal(
@@ -206,10 +199,8 @@ def multiplier_matrix_diagonal(
     none.
     """
     require_diagonal(field)
-    pts, batched = _batched(point)
-    a, da, grad, hess = _operands(field, weight, pts, consts)
-    out = _multiplier(a, da, grad, hess * np.eye(field.dim), diagonal=True)
-    return out if batched else out[0]
+    a, da, grad, hess = _operands(field, weight, point, consts)
+    return _multiplier(a, da, grad, hess * np.eye(field.dim), diagonal=True)
 
 
 # ---------------------------------------------------------------------------

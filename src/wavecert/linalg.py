@@ -5,9 +5,8 @@ row) per matrix; a single ``(n, n)`` matrix is a stack of one.  Eigenvalues
 come from LAPACK through ``np.linalg.eigvalsh``, the pencil is whitened by
 multiplying with the caller's inverse Cholesky factors (a two-sided scaling
 when they are diagonal), and leading principal minors come from batched
-determinants.  Cholesky success (``cholesky_spd``) and the minors
-(Sylvester's criterion) are independent cross-checks of positive
-definiteness.
+determinants; the minors (Sylvester's criterion) are an independent
+cross-check of positive definiteness.
 
 Exponential weights at large rates produce matrices whose entries approach
 the double-precision range, so each matrix is first rescaled by its own
@@ -37,19 +36,6 @@ def min_eigenvalue(mats) -> np.ndarray:
     """Smallest eigenvalue of each symmetric matrix in the stack."""
     scaled, exp = _scaled(mats)
     return np.ldexp(np.linalg.eigvalsh(scaled)[..., 0], exp)
-
-
-def cholesky_spd(mat) -> bool:
-    """Positive definiteness of one matrix via Cholesky success.
-
-    The independent cross-check of the eigenvalue routes.
-    """
-    scaled, _ = _scaled(mat)
-    try:
-        np.linalg.cholesky(scaled)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 def leading_principal_minors(mats) -> np.ndarray:

@@ -32,9 +32,7 @@ from .condition import (
     ConditionReport,
     GridProblem,
     WeightFunction,
-    _batched,
-    _multiplier,
-    _operands,
+    multiplier_matrix_diagonal,
     weight_function,
 )
 from .domain import Region, SampleGrid, check_grid_budget
@@ -348,17 +346,14 @@ def scaled_multiplier_matrix(
     the axis row is divided by the axis second partial.  Exponential weights
     make both divisors nonvanishing.
     """
-    require_diagonal(field)
-    pts, batched = _batched(point)
-    a, da, grad, hess = _operands(field, weight, pts, consts)
-    mats = _multiplier(a, da, grad, hess * np.eye(field.dim), diagonal=True)
+    mats = multiplier_matrix_diagonal(field, weight, point, consts)
+    grad = weight.grad_values(point, consts)
     j = axis - 1
-    scale = np.repeat(grad[:, j, None], field.dim, axis=1)
+    scale = np.repeat(grad[..., j, None], field.dim, axis=-1)
     if sign_case == SIGN_POSITIVE:
         scale = -scale
-    scale[:, j] = hess[:, j, j]
-    out = mats / scale[:, :, None]
-    return out if batched else out[0]
+    scale[..., j] = weight.hess_values(point, consts)[..., j, j]
+    return mats / scale[..., :, None]
 
 
 def limit_matrix(
@@ -374,23 +369,22 @@ def limit_matrix(
     * entry (i, axis), i != axis, is ``-s/2 * a^i * da^axis/dx_i``.
     """
     require_diagonal(field)
-    pts, batched = _batched(point)
-    idx = np.arange(field.dim)
-    a = field.values(pts, consts)[:, idx, idx]
-    da = field.partial_values(pts, consts)[:, idx, idx, :]
-    m, n = a.shape
+    n = field.dim
+    idx = np.arange(n)
+    a = field.values(point, consts)[..., idx, idx]
+    da = field.partial_values(point, consts)[..., idx, idx, :]
     j = axis - 1
     if sign_case not in _SIGN_ORDER:
         raise ValueError(f"unknown sign case {sign_case!r}")
     half = 0.5 if sign_case == SIGN_POSITIVE else -0.5  # s/2
-    out = np.zeros((m, n, n))
+    out = np.zeros(a.shape + (n,))
     for i in range(n):
         if i == j:
-            out[:, j, j] = a[:, j] ** 2
+            out[..., j, j] = a[..., j] ** 2
         else:
-            out[:, i, i] = half * a[:, j] * da[:, i, j]
-            out[:, i, j] = -half * a[:, i] * da[:, j, i]
-    return out if batched else out[0]
+            out[..., i, i] = half * a[..., j] * da[..., i, j]
+            out[..., i, j] = -half * a[..., i] * da[..., j, i]
+    return out
 
 
 def scaled_limit_distance(
@@ -417,19 +411,17 @@ def derivative_ratio_maxima(
     Returns ``(max |d_i / d_jj| over all i, max |d_i / d_j| over i != j,
     max |d_ii / d_j| over i != j)`` with j the given axis.
     """
-    pts, _ = _batched(points)
-    grad = weight.grad_values(pts, consts)
-    hess = weight.hess_values(pts, consts)
+    grad = weight.grad_values(points, consts)
+    hess = weight.hess_values(points, consts)
     j = axis - 1
-    dj = grad[:, j]
-    djj = hess[:, j, j]
-    fam1 = float(np.max(np.abs(grad / djj[:, None])))
+    dj = grad[..., j, None]
+    fam1 = float(np.max(np.abs(grad / hess[..., j, j, None])))
     others = [i for i in range(weight.dim) if i != j]
     if not others:  # one-dimensional: the off-axis families are empty
         return fam1, 0.0, 0.0
-    fam2 = float(np.max(np.abs(grad[:, others] / dj[:, None])))
-    diag2 = np.stack([hess[:, i, i] for i in others], axis=1)
-    fam3 = float(np.max(np.abs(diag2 / dj[:, None])))
+    fam2 = float(np.max(np.abs(grad[..., others] / dj)))
+    diag2 = np.diagonal(hess, axis1=-2, axis2=-1)[..., others]
+    fam3 = float(np.max(np.abs(diag2 / dj)))
     return fam1, fam2, fam3
 
 

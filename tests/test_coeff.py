@@ -7,7 +7,6 @@ from wavecert.coeff import build, certify_positivity
 from wavecert.domain import region, sample
 from wavecert.linalg import (
     _scaled,
-    cholesky_spd,
     leading_principal_minors,
     min_eigenvalue,
     pencil_min_eigenvalue,
@@ -97,6 +96,29 @@ class TestCertifyPositivity:
         assert worst[0] < 0.0
 
 
+    def test_diagonal_entries_across_double_range(self):
+        # rescaled by its 1e200 peak, the 1e-200 entry underflows to zero in
+        # the eigenvalue route; the diagonal itself is exact
+        f = build(["1e-200", "1e200"], diagonal=True)
+        alpha, _ = certify_positivity(f, sample(region(2, [(1.0, 3.0)] * 2), 5))
+        assert alpha == 1e-200
+
+    def test_diagonal_exponential_minimum_is_the_smallest_entry(self):
+        f = build(["exp(-600*x1)", "exp(600*x1)"], diagonal=True)
+        grid = sample(region(2, [(0.0, 1.0)] * 2), 5)
+        alpha, worst = certify_positivity(f, grid)
+        entries = np.diagonal(f.values(grid.points), axis1=-2, axis2=-1)
+        assert alpha > 0.0 and alpha == np.min(entries)
+        assert worst[0] == 1.0
+
+    def test_diagonal_signed_zero_tie_takes_the_first_entry(self):
+        # as the sorted eigenvalues of diag(0.0, -0.0) do
+        f = build(["x1", "-(0*x1)"], diagonal=True)
+        alpha, worst = certify_positivity(f, sample(region(2, [(0.0, 1.0)] * 2), 5))
+        assert alpha == 0.0 and math.copysign(1.0, alpha) == 1.0
+        assert worst == (0.0, 0.0)
+
+
 class TestLinalg:
     def test_cholesky_agrees_with_eigenvalues_on_known_spectra(self):
         # one stack of random symmetric matrices with prescribed eigenvalues:
@@ -114,7 +136,15 @@ class TestLinalg:
         eigs = min_eigenvalue(mats)
         assert eigs.shape == (count,)
         assert np.allclose(spectra.min(axis=1), eigs, rtol=1e-9, atol=1e-9)
-        assert [cholesky_spd(mat) for mat in mats] == list(eigs > 0.0)
+
+        def factors(mat):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        assert [factors(mat) for mat in mats] == list(eigs > 0.0)
         assert eigs[0] == min_eigenvalue(mats[0])
 
     def test_per_matrix_power_of_two_scaling_is_exact(self):

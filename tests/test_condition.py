@@ -19,7 +19,12 @@ from wavecert.condition import (
 )
 from wavecert.domain import region, sample
 from wavecert.errors import DomainError
-from wavecert.weight import construct_weight
+from wavecert.weight import (
+    construct_weight,
+    derivative_ratio_maxima,
+    limit_matrix,
+    scaled_multiplier_matrix,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,6 +80,47 @@ def as_full(entries):
     return [entries[i] if i == j else "0" for i in range(n) for j in range(i, n)]
 
 
+DIAGONAL_2D = build(["exp(x1 + x2)", "2 + x1*x2^2"], diagonal=True)
+FULL_3D = build(
+    ["2 + 0.3*sin(x1*x2)", "0.1*cos(x2)", "0.05*x3", "2 + x2^2", "0.1*sin(x1*x3)", "1.5 + x1^2"],
+    diagonal=False,
+)
+DIAGONAL_1D = build(["2 + x1^2"], diagonal=True)
+EXP_2D = construct_weight(axis=1, sign_case="positive", shift=5.0, lam=1.7, dim=2)
+EXP_1D = construct_weight(axis=1, sign_case="negative", shift=2.0, lam=1.3, dim=1)
+COUPLED_3D = weight_function("(x1^2 + x2^2 + x3^2)/2 + x1*x3/4", 3)
+POINTS = {
+    1: np.array([[0.3], [1.1], [-0.7]]),
+    2: np.array([[1.2, -0.4], [2.5, 0.3], [2.0, 0.9]]),
+    3: np.array([[1.2, -0.4, 0.5], [2.5, 0.3, -0.9], [2.0, 0.9, 0.1]]),
+}
+# each assembly helper at a point (n,) or a batch (m, n), with the field
+# dimension n
+HELPERS = [
+    pytest.param(
+        lambda p: multiplier_matrix(isotropic_exp_field(), quadratic_weight(), p),
+        2,
+        id="multiplier-diag2",
+    ),
+    pytest.param(lambda p: multiplier_matrix(DIAGONAL_2D, EXP_2D, p), 2, id="multiplier-exp2"),
+    pytest.param(lambda p: multiplier_matrix(FULL_3D, COUPLED_3D, p), 3, id="multiplier-full3"),
+    pytest.param(lambda p: quadratic_form_matrix(DIAGONAL_2D, EXP_2D, p), 2, id="form-diag2"),
+    pytest.param(lambda p: quadratic_form_matrix(FULL_3D, COUPLED_3D, p), 3, id="form-full3"),
+    pytest.param(
+        lambda p: multiplier_matrix_diagonal(DIAGONAL_2D, EXP_2D, p), 2, id="diagonal-diag2"
+    ),
+    pytest.param(
+        lambda p: scaled_multiplier_matrix(DIAGONAL_2D, EXP_2D, 1, "positive", p),
+        2,
+        id="scaled-diag2",
+    ),
+    pytest.param(lambda p: limit_matrix(DIAGONAL_2D, 2, "negative", p), 2, id="limit-diag2"),
+    pytest.param(lambda p: limit_matrix(DIAGONAL_1D, 1, "positive", p), 1, id="limit-diag1"),
+    pytest.param(lambda p: derivative_ratio_maxima(EXP_2D, 1, p), 2, id="ratios-2d"),
+    pytest.param(lambda p: derivative_ratio_maxima(EXP_1D, 1, p), 1, id="ratios-1d"),
+]
+
+
 class TestMultiplierMatrix:
     def test_identity_field_gives_weight_hessian(self):
         b = multiplier_matrix(identity_field(), quadratic_weight(), (0.7, -0.4))
@@ -119,13 +165,19 @@ class TestMultiplierMatrix:
         full = build(as_full(["exp(x1 + x2)"] * 2), diagonal=False)
         assert rel_frobenius(general, multiplier_matrix(full, w, pt)) < 1e-10
 
-    def test_batched_equals_pointwise(self):
-        f = isotropic_exp_field()
-        w = quadratic_weight()
-        pts = np.array([[1.2, -0.4], [2.5, 0.3], [2.0, 0.9]])
-        batch = multiplier_matrix(f, w, pts)
-        for row, mat in zip(pts, batch):
-            assert np.allclose(mat, multiplier_matrix(f, w, row), atol=1e-12)
+    @pytest.mark.parametrize("helper, n", HELPERS)
+    def test_batched_equals_pointwise(self, helper, n):
+        # a point is a batch of one: each batch row is the single-point
+        # result bit for bit
+        pts = POINTS[n]
+        batch = helper(pts)
+        singles = [helper(row) for row in pts]
+        if isinstance(batch, tuple):  # grid maxima of the derivative ratios
+            assert batch == tuple(max(values) for values in zip(*singles))
+            return
+        assert batch.shape == (len(pts), n, n)
+        for single, mat in zip(singles, batch):
+            assert single.shape == (n, n) and np.array_equal(single, mat)
 
     def test_presymmetrization_asymmetry_small(self):
         # the assembly before its final averaging is term_h + (t_a + t_a^T - t_c) / 2,
