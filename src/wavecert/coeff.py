@@ -12,7 +12,7 @@ import numpy as np
 
 from .domain import SampleGrid
 from .expr import Expression, Num, compile, differentiate, parse
-from .linalg import min_eigenvalue
+from .linalg import eigen_bounds, min_eigenvalue, screened
 
 _ZERO = Num(0.0)
 
@@ -139,7 +139,7 @@ def certify_positivity(field: CoefficientField, grid: SampleGrid, consts=None, v
         diag = np.diagonal(values, axis1=-2, axis2=-1)
         lams = diag[np.arange(len(diag)), np.argmin(diag, axis=-1)]
     else:
-        lams = min_eigenvalue(values)
+        lams = screened(min_eigenvalue, eigen_bounds, values)
     idx = int(np.argmin(lams))
     return float(lams[idx]), tuple(pts[idx])
 

@@ -13,10 +13,11 @@ weight: the sample grid, A and its first derivatives there, the positivity
 certificate of A and the inverse ``L^-1`` of A's Cholesky factors, which
 whitens the pencil.  Its ``check`` assembles the matrices of all grid
 points as one ``(m, n, n)`` stack and hands it to :mod:`wavecert.linalg`,
-whose routines return one pencil margin, smallest eigenvalue and row of
+whose routines give one pencil margin, smallest eigenvalue and row of
 leading minors per point; worst points are the first minimizers in grid
-order.  A rate search runs only the part that decides the verdict on each
-attempt.  ``check_condition`` is a one-off check.
+order.  For 2x2 matrices they run only where a minimum can be, and a grid
+dump runs them on every row.  A rate search runs only the part that
+decides the verdict on each attempt.  ``check_condition`` is a one-off check.
 
 A full field is assembled by matrix products, a diagonal one entrywise
 (:func:`_terms`).  ``quadratic_form_matrix`` assembles the (unsymmetrized)
@@ -36,12 +37,8 @@ from .coeff import CoefficientField, certify_positivity, require_diagonal
 from .domain import Region, sample
 from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, evaluate, parse
-from .linalg import (
-    leading_principal_minors,
-    min_eigenvalue,
-    pencil_min_eigenvalue,
-    row_norms,
-)
+from .linalg import eigen_bounds, leading_principal_minors, min_eigenvalue, minor_bounds
+from .linalg import pencil_min_eigenvalue, row_norms, screened
 from .report import write_csv
 
 
@@ -246,19 +243,17 @@ class ConditionReport:
 @dataclass(frozen=True)
 class _Margins:
     """The part of a grid check that decides its verdict: the assembled
-    multiplier matrices, the pencil margin and the gradient norm at every
-    point, the first minimizers of both, and the verdict."""
+    multiplier matrices, the gradient norm at every point, the pencil margin
+    (at every point too, unless only the rows that can attain it ran), the
+    first minimizers of both, and the verdict."""
 
     mats: np.ndarray  # (m, n, n)
-    pencil: np.ndarray  # (m,)
+    pencil: np.ndarray | None  # (m,), None when screened (n = 2)
     grad_norms: np.ndarray  # (m,)
+    margin: float
     margin_idx: int
     grad_idx: int
     verdict: str
-
-    @property
-    def margin(self) -> float:
-        return float(self.pencil[self.margin_idx])
 
 
 class GridProblem:
@@ -345,7 +340,7 @@ class GridProblem:
         grad_norms = row_norms(grads)
 
         try:
-            pencil = pencil_min_eigenvalue(doubled, self.whitening)
+            pencil = screened(pencil_min_eigenvalue, eigen_bounds, doubled, self.whitening)
         except np.linalg.LinAlgError:
             raise EvaluationError(
                 "coefficient matrix A is not numerically positive definite",
@@ -354,28 +349,32 @@ class GridProblem:
 
         margin_idx = int(np.argmin(pencil))
         grad_idx = int(np.argmin(grad_norms))
-        margin = pencil[margin_idx]
+        margin = float(pencil[margin_idx])
         if margin > 0.0 and grad_norms[grad_idx] > 0.0:
             verdict = VERDICT_CERTIFIED
         elif margin <= 0.0:
             verdict = VERDICT_FAILED_POSITIVITY
         else:
             verdict = VERDICT_FAILED_GRADIENT
-        return _Margins(mats, pencil, grad_norms, margin_idx, grad_idx, verdict)
+        pencil = None if mats.shape[-1] == 2 else pencil  # 2x2: only the kept rows ran
+        return _Margins(mats, pencil, grad_norms, margin, margin_idx, grad_idx, verdict)
 
     def _report(self, margins: _Margins, dump_path=None) -> ConditionReport:
         """The full report of one :meth:`_margins` result, with its grid dump
         written to ``dump_path`` when given; the report does not name the
-        dump (:meth:`check` does)."""
-        pts = self.grid.points
-        mineig = min_eigenvalue(margins.mats)
-        minors = leading_principal_minors(margins.mats)
+        dump (:meth:`check` does).  A dump runs every row once."""
+        pts, mats, dump = self.grid.points, margins.mats, dump_path is not None
+        mineig = screened(min_eigenvalue, None if dump else eigen_bounds, mats)
+        minors = screened(leading_principal_minors, None if dump else minor_bounds, mats)
 
-        if dump_path is not None:
+        if dump:
+            pencil = margins.pencil
+            if pencil is None:
+                pencil = pencil_min_eigenvalue(2.0 * mats, self.whitening)
             axes = range(1, pts.shape[1] + 1)
             header = [f"x{k}" for k in axes] + ["eig_min_pencil", "eig_min_matrix", "grad_norm"]
             header += [f"minor{k}" for k in axes]
-            write_csv(dump_path, header, [pts, margins.pencil, mineig, margins.grad_norms, minors])
+            write_csv(dump_path, header, [pts, pencil, mineig, margins.grad_norms, minors])
 
         return ConditionReport(
             verdict=margins.verdict,

@@ -8,6 +8,13 @@ when they are diagonal), and leading principal minors come from batched
 determinants; the minors (Sylvester's criterion) are an independent
 cross-check of positive definiteness.
 
+A grid check needs only minima over the rows.  :func:`screened` runs a
+routine only on the rows whose closed-form interval (2x2 only) reaches the
+smallest upper end: ``2**-40`` of the value's scale, far above the rounding
+of LAPACK and of the closed form, plus a floor for what the rescaling below
+loses to underflow.  LAPACK acts per matrix, so the minimum and its first
+row are the full stack's bit for bit.
+
 Exponential weights at large rates produce matrices whose entries approach
 the double-precision range, so each matrix is first rescaled by its own
 exact power of two (a lossless mantissa-preserving operation) and the
@@ -64,12 +71,58 @@ def pencil_min_eigenvalue(m, w) -> np.ndarray:
     ``(..., n)``, which whitens by the scaling ``(m_ij * w_i) * w_j``.
     """
     scaled, exp = _scaled(m)
-    if np.ndim(w) < scaled.ndim:
-        c = (scaled * w[..., :, None]) * w[..., None, :]
-    else:
-        c = w @ scaled @ np.swapaxes(w, -1, -2)
+    c = _whiten(scaled, w)
     c = 0.5 * (c + np.swapaxes(c, -1, -2))
     return np.ldexp(np.linalg.eigvalsh(c)[..., 0], exp)
+
+
+def _whiten(m, w):
+    """``W m W^T``, or ``(m_ij * w_i) * w_j`` for W's diagonal ``w``."""
+    if np.ndim(w) < np.ndim(m):
+        return (m * w[..., :, None]) * w[..., None, :]
+    return w @ m @ np.swapaxes(w, -1, -2)
+
+
+def screened(routine, bounds, *stacks) -> np.ndarray:
+    """``routine(*stacks)``, +inf at the rows (axis 0) that cannot attain its
+    minimum: for 2x2 stacks, the rows whose ``lo`` is above the smallest
+    ``hi`` in every column, for ``(lo, hi) = bounds(*stacks)`` (a NaN runs a
+    row).  The minimum, first minimizer and its value along axis 0 are the
+    full values' bit for bit, a 0.0/-0.0 tie included."""
+    if bounds is None or stacks[0].shape[-1] != 2:
+        return routine(*stacks)
+    with np.errstate(all="ignore"):
+        lo, hi = bounds(*stacks)
+    keep = ~(lo > np.min(hi, axis=0))
+    rows = np.flatnonzero(keep.reshape(len(keep), -1).any(axis=1))
+    part = routine(*(s[rows] for s in stacks))
+    out = np.full((len(keep),) + part.shape[1:], np.inf)
+    out[rows] = part
+    return out
+
+
+def eigen_bounds(m, w=None):
+    """Intervals around :func:`pencil_min_eigenvalue` ``(m, w)`` (or
+    :func:`min_eigenvalue` ``(m)``) of a 2x2 stack: ``h - hypot((p - q) / 2,
+    r)`` for the whitened diagonal ``p``, ``q``, their mean ``h`` and the
+    symmetrized ``r``; the floor is infinite where LAPACK's copy can overflow."""
+    c, wmax = (m, 1.0) if w is None else (_whiten(m, w), np.max(np.abs(w)))
+    p, q = c[..., 0, 0], c[..., 1, 1]
+    h, s = 0.5 * (p + q), np.hypot(0.5 * (p - q), 0.5 * (c[..., 0, 1] + c[..., 1, 0]))
+    floor = (2.0**-1070 * (1.0 + np.max(np.abs(m)))) * (4.0 + 4.0 * wmax) ** 2
+    band = 2.0**-40 * (np.abs(h) + s) + 2.0**-1000 + floor
+    return h - s - band, h - s + band
+
+
+def minor_bounds(m):
+    """Intervals around :func:`leading_principal_minors` of a 2x2 stack
+    ``[[p, r], [t, q]]``, ``p`` and ``p q - r t``."""
+    p, pq, rt = m[..., 0, 0], m[..., 0, 0] * m[..., 1, 1], m[..., 0, 1] * m[..., 1, 0]
+    peak = 1.0 + np.max(np.abs(m))
+    value = np.stack([p, pq - rt], axis=-1)
+    band = 2.0**-40 * np.stack([np.abs(p), np.abs(pq) + np.abs(rt)], axis=-1)
+    band += 2.0**-1000 + (2.0**-1070 * peak) * peak
+    return value - band, value + band
 
 
 def row_norms(rows) -> np.ndarray:

@@ -453,14 +453,17 @@ class TestConstructCommand:
         # the search's certified attempt writes the same grid dump verify does
         assert cert_dump.read_bytes() == verify_dump.read_bytes()
 
-    def test_grid_dump_adds_no_spectral_work(self, tmp_path, monkeypatch):
+    def test_grid_dump_reruns_no_tape_or_assembly(self, tmp_path, monkeypatch):
         import wavecert.condition as condition
+        from wavecert.expr import Tape
 
         argv = ["construct", "--config", write(tmp_path, config_text("cubic-exp"))]
-        names = ("pencil_min_eigenvalue", "leading_principal_minors")
+        names = (
+            "pencil_min_eigenvalue", "min_eigenvalue", "leading_principal_minors", "_multiplier"
+        )
         runs = []
         for extra in ([], ["--dump-grid", str(tmp_path / "grid.csv")]):
-            counts = dict.fromkeys(names, 0)
+            counts = dict.fromkeys(names + ("tape",), 0)
 
             def counted(name, fn):
                 def wrapper(*args, **kwargs):
@@ -471,12 +474,17 @@ class TestConstructCommand:
 
             for name in names:
                 monkeypatch.setattr(condition, name, counted(name, getattr(condition, name)))
+            monkeypatch.setattr(Tape, "__call__", counted("tape", Tape.__call__))
             assert main([*argv, *extra]) == EXIT_OK
             monkeypatch.undo()
             runs.append(counts)
-        # the dump comes from the certified attempt's margins, not a re-check:
-        # the minors run for the certificate and the refinement only
-        assert runs[1] == runs[0]
+        # the dump comes from the certified attempt's matrices, not a re-check:
+        # it re-runs no tape and no assembly, and adds only the one per-row
+        # pencil pass its CSV needs, since the attempts ran only the rows that
+        # could attain their margin; the minors run for the certificate and the
+        # refinement only
+        assert runs[0]["tape"] > 0 and runs[0]["_multiplier"] > 10
+        assert runs[1] == {**runs[0], "pencil_min_eigenvalue": runs[0]["pencil_min_eigenvalue"] + 1}
         assert runs[1]["leading_principal_minors"] == 2
 
     def test_construct_dump_grid(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from wavecert.coeff import build, certify_positivity
 from wavecert.domain import region, sample
 from wavecert.linalg import (
     _scaled,
+    eigen_bounds,
     leading_principal_minors,
     min_eigenvalue,
+    minor_bounds,
     pencil_min_eigenvalue,
+    screened,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -225,3 +229,126 @@ class TestLinalg:
         w = 1.0 / np.sqrt([2.0, 3.0])
         for whitening in (w, np.diag(w)):
             assert pencil_min_eigenvalue(2.0 * np.diag([4.0, 9.0]), whitening) == pytest.approx(4.0)
+
+
+def spread_stack(rng, count):
+    """Symmetric 2x2 matrices with entries of either sign over e^+-700, exact
+    and signed zeros, all-zero rows of either sign, identity rows (exact
+    ties) and rows one ulp apart."""
+    mags = np.exp(rng.uniform(-700.0, 700.0, size=(count, 3)))
+    vals = rng.choice([-1.0, 1.0], size=(count, 3)) * mags
+    vals[rng.random((count, 3)) < 0.15] = 0.0
+    vals[rng.random((count, 3)) < 0.1] = -0.0
+    kind = rng.integers(0, 6, size=count)
+    vals[kind == 0] = 0.0
+    vals[kind == 1] = -0.0
+    vals[kind == 2] = (1.0, 0.0, 1.0)
+    for row in np.flatnonzero(kind == 3):  # a neighbour one ulp away
+        vals[row] = vals[row - 1]
+        vals[row, 0] = np.nextafter(vals[row, 0], -np.inf)
+    mats = np.empty((count, 2, 2))
+    mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1] = vals.T
+    mats[:, 1, 0] = mats[:, 0, 1]
+    return mats
+
+
+def whitenings(rng, count):
+    """W's diagonal and a full lower-triangular W, entries over e^+-350."""
+    diag = np.exp(rng.uniform(-350.0, 350.0, size=(count, 2)))
+    full = np.zeros((count, 2, 2))
+    full[:, 0, 0], full[:, 1, 1] = diag.T
+    full[:, 1, 0] = rng.uniform(-1.0, 1.0, size=count) * diag.min(axis=1)
+    return diag, full
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def run(routine, *stacks):
+    """``routine`` on the stacks, or the class of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return routine(*stacks)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+class TestScreened:
+    """The closed-form screen changes no bit of a minimum or its first row."""
+
+    def check(self, routine, bounds, *stacks):
+        full = run(routine, *stacks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # none may escape the screen
+            part = run(lambda *s: screened(routine, bounds, *s), *stacks)
+        with np.errstate(all="ignore"):  # as screened calls it
+            lo, hi = bounds(*stacks) if stacks[0].shape[-1] == 2 else (None, None)
+        if full is np.linalg.LinAlgError:
+            assert part is np.linalg.LinAlgError
+            return
+        first = np.argmin(full, axis=0)
+        assert same_bits(np.min(part, axis=0), np.min(full, axis=0))
+        assert same_bits(np.argmin(part, axis=0), first)
+        at_first = [np.take_along_axis(v, first[None], axis=0) for v in (part, full)]
+        assert same_bits(*at_first)
+        if lo is not None:  # each interval holds LAPACK's value, or has a NaN end
+            unknown = np.isnan(lo) | np.isnan(hi)
+            assert np.all(unknown | ((lo <= full) & (full <= hi)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spread_stacks_are_bitwise_the_full_minima(self, seed):
+        rng = np.random.default_rng(seed)
+        for count in [1, 2, 3, 5, 8] * 40 + [400]:
+            mats = spread_stack(rng, count)
+            diag, full = whitenings(rng, count)
+            self.check(min_eigenvalue, eigen_bounds, mats)
+            self.check(leading_principal_minors, minor_bounds, mats)
+            self.check(pencil_min_eigenvalue, eigen_bounds, mats, diag)
+            self.check(pencil_min_eigenvalue, eigen_bounds, mats, full)
+
+    def test_whitened_overflow_has_no_finite_interval(self):
+        # whitened without rescaling, the entries overflow: the interval is
+        # NaN, so every row runs, and LAPACK's rescaled copy stays finite
+        mats = np.array([[[1e300, 2e299], [2e299, 3e299]], [[1.0, 0.0], [0.0, 1.0]]])
+        w = np.array([[1e10, 1e-10], [1.0, 1.0]])
+        with np.errstate(all="ignore"):
+            lo, hi = eigen_bounds(mats, w)
+        assert np.isnan(hi[0]) and np.isfinite(hi[1])
+        self.check(pencil_min_eigenvalue, eigen_bounds, mats, w)
+        assert np.isfinite(pencil_min_eigenvalue(mats, w)).all()
+
+    def test_rows_one_ulp_apart(self):
+        base = np.array([[2.0, 0.5], [0.5, 1.0]])
+        mats = np.stack([base] * 6)
+        mats[[1, 4], 1, 1] = np.nextafter(1.0, 0.0)  # the two smallest, tied
+        mats[3, 1, 1] = np.nextafter(1.0, 2.0)
+        self.check(min_eigenvalue, eigen_bounds, mats)
+        self.check(leading_principal_minors, minor_bounds, mats)
+        assert np.argmin(screened(min_eigenvalue, eigen_bounds, mats)) == 1
+
+    def test_separated_rows_run_only_the_minimum(self):
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return min_eigenvalue(m)
+
+        mats = np.stack([np.diag([k, k + 1.0]) for k in (3.0, 1.0, 2.0, 5.0)])
+        out = screened(counted, eigen_bounds, mats)
+        assert calls == [1] and out[1] == 1.0 and np.isinf(np.delete(out, 1)).all()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_other_sizes_run_every_row(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(7, n, n))
+        mats = a @ np.swapaxes(a, -1, -2)
+        rows = []
+
+        def counted(m):
+            rows.append(len(m))
+            return min_eigenvalue(m)
+
+        assert same_bits(screened(counted, eigen_bounds, mats), min_eigenvalue(mats))
+        assert rows == [7]

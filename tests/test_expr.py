@@ -261,6 +261,17 @@ class TestCompile:
             assert out.tobytes() == tape(pts, consts).tobytes()
         assert len(tape.literals) >= 15
 
+    def test_kernel_inlines_single_use_values(self):
+        # a ball constraint names no intermediate; a sum of 400 products nests
+        # its calls no deeper than the parser allows; both stay the tape's bits
+        ball = compile(parse("(x1 - 2.05)^2 + (x2 + 0.5)^2 + x3^2 - 1", 3))
+        assert ball.kernel.__code__.co_varnames == ("pts", "consts", "out", f"s{ball.outputs[0]}")
+        chain = compile(parse(" + ".join(f"{k}.5*x{1 + k % 3}" for k in range(400)), 3))
+        for tape in (ball, chain):
+            pts = interior_points([(-1.0, 1.0)] * 3, 20, seed=2)
+            out = np.empty((20, 1))
+            assert tape.kernel(pts, {}, out).tobytes() == tape(pts).tobytes()
+
     def test_kernel_returns_none_where_the_tape_raises(self):
         pts = np.array([[1.0, 0.0], [-1.0, 1.0]])
         for text, consts, points in (

@@ -349,13 +349,14 @@ class TestSearchWork:
 
         counts, operands = {}, []
         _counting(monkeypatch, counts, np.linalg, "solve")
-        pencil = condition.pencil_min_eigenvalue
+        screened = condition.screened
 
-        def recorded(m, whitening):
-            operands.append(whitening)
-            return pencil(m, whitening)
+        def recorded(routine, bounds, *stacks):
+            if routine is condition.pencil_min_eigenvalue:
+                operands.append(stacks[1])  # the whitening, as the attempt passes it
+            return screened(routine, bounds, *stacks)
 
-        monkeypatch.setattr(condition, "pencil_min_eigenvalue", recorded)
+        monkeypatch.setattr(condition, "screened", recorded)
         problem = GridProblem(cubic_exp_field(), shifted_disk(), 17)
         cert = find_lambda(
             cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17, problem=problem
@@ -369,6 +370,25 @@ class TestSearchWork:
         assert all(r is problem.whitening for r in attempts)
         assert attempts[0].ndim == 2  # (m, n): W's diagonal
         assert refinement.shape[0] > attempts[0].shape[0]
+
+    def test_cubic_exp_attempts_send_few_rows_to_lapack(self, monkeypatch):
+        # the closed-form screen leaves LAPACK only the rows that can attain
+        # each minimum, of a grid of several hundred
+        from wavecert.bundled import config_text
+        from wavecert.cli import RunConfig
+        from wavecert.condition import GridProblem
+        from wavecert.weight import admissible_indices
+
+        cfg = RunConfig.from_text(config_text("cubic-exp"))
+        field, reg = cfg.build_field(), cfg.build_region()
+        problem = GridProblem(field, reg, cfg.options["resolution"])
+        chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
+        rows, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+        cert = find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
+        assert cert.report.certified
+        assert len(problem.grid) > 500
+        assert len(rows) > 10 and max(rows) <= 4
 
     def test_best_failing_report_equals_a_full_check(self):
         from wavecert.bundled import config_text
