@@ -66,6 +66,8 @@ from .errors import (
 from .rays import fan
 from .report import dumps_stable, fmt_float, write_csv
 from .weight import (
+    DEFAULT_LAMBDA_MAX,
+    DEFAULT_RESOLUTION,
     AdmissibleIndex,
     WeightCertificate,
     admissible_indices,
@@ -91,8 +93,10 @@ _NO_DUMP_VERDICTS = ("failed_coefficient", "no_admissible_index", "lambda_max_ex
 _Option = namedtuple("_Option", "kind default commands check rule help", defaults=(None,) * 3)
 _ALL = ("verify", "construct", "curvature", "rays", "examples")
 _OPTIONS = {
-    "resolution": _Option(int, 33, _ALL),
-    "lambda_max": _Option(float, float(2**20), ("construct",), lambda v: v >= 1.0, ">= 1"),
+    "resolution": _Option(int, DEFAULT_RESOLUTION, _ALL),
+    "lambda_max": _Option(
+        float, float(DEFAULT_LAMBDA_MAX), ("construct",), lambda v: v >= 1.0, ">= 1"
+    ),
     "target_margin": _Option(float, 0.0, ("construct",), math.isfinite, "a finite number"),
     "horizon": _Option(float, 20.0, ("rays",), lambda v: 0.0 < v < math.inf, "a positive number"),
     "step": _Option(float, 0.01, ("rays",), lambda v: 0.0 < v < math.inf, "a positive number"),

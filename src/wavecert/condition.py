@@ -376,16 +376,17 @@ class GridProblem:
             header += [f"minor{k}" for k in axes]
             write_csv(dump_path, header, [pts, pencil, mineig, margins.grad_norms, minors])
 
+        firsts = np.argmin(minors, axis=0)  # each minimum is read at its first minimizer
         return ConditionReport(
             verdict=margins.verdict,
             alpha_min=self.alpha_min,
             worst_point_alpha=self.worst_point_alpha,
             margin=margins.margin,
-            matrix_min_eig=float(np.min(mineig)),
+            matrix_min_eig=float(mineig[np.argmin(mineig)]),
             grad_min=float(margins.grad_norms[margins.grad_idx]),
             worst_point_margin=tuple(pts[margins.margin_idx]),
             worst_point_grad=tuple(pts[margins.grad_idx]),
-            minors_min=tuple(float(v) for v in np.min(minors, axis=0)),
+            minors_min=tuple(float(v) for v in minors[firsts, np.arange(minors.shape[1])]),
             resolution=self.grid.resolution,
             point_count=pts.shape[0],
         )

@@ -32,7 +32,6 @@ import builtins
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -556,9 +555,8 @@ class Tape:
         columns of ``out`` (m, outputs) and returns ``out``, or returns None
         where :meth:`_run` would raise before its finiteness check.
 
-        It calls the tape's own functions, guards and literals in tape order,
-        so every value is bitwise the interpreter's; an unguarded value with
-        one use is written into its consumer, unnamed.  A literal is
+        Each line calls the tape's own function, guard or literal, in tape
+        order, so every value is bitwise the interpreter's.  A literal is
         bound as a 0-d array, which numpy combines with a batch faster than
         a scalar, except in a power, where the tape's scalar keeps
         ``ndarray.__pow__`` on its fast path; a guard is tested by
@@ -574,41 +572,25 @@ class Tape:
         names.update((f"p{slot}", value) for slot, value in literals.items())
         width = max((a + 1 for op, _, _, _, a, _, _ in self.code if op == "var"), default=0)
         lines = ["def kernel(pts, consts, out):", f"    if pts.shape[1] < {width}: return None"]
-        uses = Counter(s for _, fn, _, _, a, b, _ in self.code if fn is not None for s in (a, b))
-        pending, dead = {}, []  # pending: slot -> source left to its one consumer
-
-        def flush():  # name the pending values in tape order, then free what they used last
-            lines.extend(f"    s{slot} = {source}" for slot, source in pending.items())
-            lines.extend([f"    del {', '.join(dead)}"] if dead else [])
-            pending.clear()
-            dead.clear()
-
         for i, (op, fn, guard, dst, a, b, free) in enumerate(self.code):
             if fn is not None:
                 kind = "p" if op in ("^", "^-") else "s"  # a power takes scalar literals
                 operands = (a,) if b is None else (a, b)
-                inline = [s for s in operands if s in pending]
-                if guard is not None or list(pending)[len(pending) - len(inline) :] != inline:
-                    flush()  # a consumer takes the last pending values, so the order holds
-                dead.extend(f"s{s}" for s in free if s not in literals and s not in pending)
-                refs = [f"{kind if s in literals else 's'}{s}" for s in operands]
-                args = ", ".join(pending.pop(s, ref) for s, ref in zip(operands, refs))
+                args = ", ".join(f"{kind if s in literals else 's'}{s}" for s in operands)
                 names[f"f{i}"] = fn
                 if guard is not None:
                     names[f"g{i}"] = guard[0]
                     lines.append(f"    if _nonzero(g{i}({args})): return None")
-                source = f"f{i}({args})"
+                lines.append(f"    s{dst} = f{i}({args})")
             elif op == "var":
-                source = f"pts[:, {a}]"
+                lines.append(f"    s{dst} = pts[:, {a}]")
             else:
-                flush()
                 names[f"c{i}"] = a
                 lines.append(f"    if c{i} not in consts: return None")
-                source = f"_f64(consts[c{i}])"
-            pending[dst] = source
-            deep = source.count("(") > 50  # Python parses 200 nested calls
-            if guard or op == "const" or uses[dst] != 1 or dst in self.outputs or deep:
-                flush()
+                lines.append(f"    s{dst} = _f64(consts[c{i}])")
+            dead = [f"s{slot}" for slot in free if slot not in literals]
+            if dead:
+                lines.append(f"    del {', '.join(dead)}")
         lines += [f"    out[:, {col}] = s{slot}" for col, slot in enumerate(self.outputs)]
         lines.append("    return out")
         exec(builtins.compile("\n".join(lines), "<tape kernel>", "exec"), names)

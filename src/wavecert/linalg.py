@@ -87,8 +87,8 @@ def screened(routine, bounds, *stacks) -> np.ndarray:
     """``routine(*stacks)``, +inf at the rows (axis 0) that cannot attain its
     minimum: for 2x2 stacks, the rows whose ``lo`` is above the smallest
     ``hi`` in every column, for ``(lo, hi) = bounds(*stacks)`` (a NaN runs a
-    row).  The minimum, first minimizer and its value along axis 0 are the
-    full values' bit for bit, a 0.0/-0.0 tie included."""
+    row).  The first minimizer along axis 0, and its value, are the full
+    values' bit for bit."""
     if bounds is None or stacks[0].shape[-1] != 2:
         return routine(*stacks)
     with np.errstate(all="ignore"):

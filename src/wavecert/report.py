@@ -111,7 +111,7 @@ def strip_duration(text: str) -> str:
     """The report re-serialized without its top-level ``duration_seconds``,
     so two runs of the same config compare equal.  Integers parse as floats,
     so a ``-0`` keeps its sign; both print as they were written."""
-    import json  # only report comparisons need it; the CLI never imports it
+    import json  # imported on call, so importing this module does not load json
 
     report = json.loads(text, parse_int=float)
     report.pop("duration_seconds", None)

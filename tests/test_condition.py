@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from wavecert import condition
 from wavecert.bundled import EXAMPLES, config_text
 from wavecert.cli import RunConfig
 from wavecert.coeff import build
 from wavecert.condition import (
     GridProblem,
+    _Margins,
     _multiplier,
     _terms,
     check_condition,
@@ -522,6 +524,21 @@ class TestGridProblem:
         full.check(weight_function("exp(x1)", 2))
         assert counts == {"cholesky": 1, "inv": 1}
         assert np.array_equal(full.whitening, linalg["inv"](linalg["cholesky"](full.a)))
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_reported_minima_are_first_minimizers(self, zeros, monkeypatch):
+        # np.min chooses between 0.0 and -0.0 by its reduction order; a report
+        # reads every minimum at its first minimizer in grid order.  LAPACK's
+        # det gives no -0.0, so the minors here are the matrices' first rows.
+        monkeypatch.setattr(condition, "leading_principal_minors", lambda m: m[..., 0, :].copy())
+        problem = GridProblem(identity_field(), region(2, [(-1.0, 1.0), (-1.0, 1.0)]), 3)
+        m = len(problem.grid)
+        mats = np.tile(np.eye(2), (m, 1, 1))
+        mats[2, 0, 0], mats[m - 2, 0, 0] = zeros
+        margins = _Margins(mats, None, np.ones(m), 1.0, 0, 0, "pass")
+        report = problem._report(margins)
+        assert math.copysign(1.0, report.matrix_min_eig) == math.copysign(1.0, zeros[0])
+        assert math.copysign(1.0, report.minors_min[0]) == math.copysign(1.0, zeros[0])
 
     def test_failed_coefficient_skips_partials_and_factor(self):
         f = build(["x1", "1"], diagonal=True)
