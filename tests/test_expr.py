@@ -245,17 +245,14 @@ class TestCompile:
                 assert evaluate(e, row, consts) == value
 
     def test_kernel_is_bitwise_the_tape(self):
-        # the corpus, a 3-D ball constraint, a sum of 400 products (a long
-        # tape), and a tape with many literals: multiplicands, addends,
+        # the corpus, and a tape with many literals: multiplicands, addends,
         # divisors and exponents, one literal both in a product and as an
         # exponent, and negative powers
-        ball = (3, "(x1 - 2.05)^2 + (x2 + 0.5)^2 + x3^2 - 1", [(-1.0, 1.0)] * 3, {})
-        chain = (3, " + ".join(f"{k}.5*x{1 + k % 3}" for k in range(400)), [(-1.0, 1.0)] * 3, {})
         coefficients = (0.37, 1.25e-3, -2.5, 7e5, 3.0, 2.0)
         terms = [f"{c!r}*x1^{k}*x2" for k, c in enumerate(coefficients, start=1)]
         terms += ["3.5/x1", "2*x2^2", "(x1 + 0.125)^-3", "1e-7*exp(0.3*x2)", "-0.5*sqrt(2 + x1)"]
         literals = (2, " + ".join(terms), [(0.5, 2.0), (-1.5, 1.5)], {})
-        for dim, text, box, consts in [*CORPUS, ball, chain, literals]:
+        for dim, text, box, consts in [*CORPUS, literals]:
             e = parse(text, dim)
             tape = compile([e, differentiate(e, 1), parse("2", dim), parse("x1", dim)])
             pts = interior_points(box, 20, seed=5)
@@ -263,6 +260,19 @@ class TestCompile:
             assert tape.kernel(pts, consts, out) is out
             assert out.tobytes() == tape(pts, consts).tobytes()
         assert len(tape.literals) >= 15
+
+    def test_kernel_inlines_single_use_values(self):
+        # no value is inlined, single-use or not: a ball constraint names one
+        # local per tape instruction, in tape order; a sum of 400 products
+        # nests no calls for the parser to limit; both stay the tape's bits
+        ball = compile(parse("(x1 - 2.05)^2 + (x2 + 0.5)^2 + x3^2 - 1", 3))
+        slots = tuple(f"s{dst}" for _, _, _, dst, _, _, _ in ball.code)
+        assert ball.kernel.__code__.co_varnames == ("pts", "consts", "out", *slots)
+        chain = compile(parse(" + ".join(f"{k}.5*x{1 + k % 3}" for k in range(400)), 3))
+        for tape in (ball, chain):
+            pts = interior_points([(-1.0, 1.0)] * 3, 20, seed=2)
+            out = np.empty((20, 1))
+            assert tape.kernel(pts, {}, out).tobytes() == tape(pts).tobytes()
 
     def test_kernel_returns_none_where_the_tape_raises(self):
         pts = np.array([[1.0, 0.0], [-1.0, 1.0]])
