@@ -10,22 +10,21 @@ Two inequalities are certified for a coefficient field A and a scalar weight:
 
 A :class:`GridProblem` holds what a check needs that does not depend on the
 weight: the sample grid, A and its first derivatives there, the positivity
-certificate of A and the inverse ``L^-1`` of A's Cholesky factors, which
-whitens the pencil.  Its ``check`` assembles the matrices of all grid
-points as one ``(m, n, n)`` stack and hands it to :mod:`wavecert.linalg`,
-whose routines give one pencil margin, smallest eigenvalue and row of
-leading minors per point; worst points are the first minimizers in grid
-order.  For 2x2 matrices they run only where a minimum can be, and a grid
-dump runs them on every row.  A rate search runs only the part that
-decides the verdict on each attempt.  ``check_condition`` is a one-off check.
+certificate of A, the assembly's weight-independent factors and the inverse
+``L^-1`` of A's Cholesky factors, which whitens the pencil.  Its ``check``
+multiplies the factors by the weight's gradient and Hessian into one
+``(m, n, n)`` stack for :mod:`wavecert.linalg`, whose routines give one
+pencil margin, smallest eigenvalue and row of leading minors per point;
+worst points are the first minimizers in grid order.  For 2x2 matrices they
+run only where a minimum can be, and a grid dump runs them on every row.  A
+rate search runs only the part that decides the verdict on each attempt.
 
 A full field is assembled by matrix products, a diagonal one entrywise
-(:func:`_terms`).  ``quadratic_form_matrix`` assembles the (unsymmetrized)
-coefficient matrix of the quadratic form itself; its symmetric part equals
-twice the multiplier matrix, which the tests exercise as an algebraic
-cross-check.  ``multiplier_matrix_diagonal``, the form the constructive proof
-machinery uses, drops the weight's mixed second derivatives; it matches the
-general path for every weight family this toolkit constructs.
+(:func:`_terms`).  ``quadratic_form_matrix`` gives the unsymmetrized matrix
+of the quadratic form, whose symmetric part is twice the multiplier matrix.
+``multiplier_matrix_diagonal``, the constructive proof's form, drops the
+weight's mixed second derivatives; it matches the general path for every
+weight family this toolkit constructs.  ``check_condition`` is a one-off check.
 """
 
 from dataclasses import dataclass, replace
@@ -46,8 +45,8 @@ from .report import write_csv
 class WeightFunction:
     """A scalar weight with its exact symbolic gradient and Hessian.
 
-    The gradient and the Hessian are each compiled once, on first
-    evaluation, and the tapes are kept: a weight with a named constant (the
+    The gradient and the Hessian are compiled into one tape, on first
+    evaluation, and the tape is kept: a weight with a named constant (the
     rate search's ``lambda``) is evaluated at many values of it without being
     differentiated or compiled again.
     """
@@ -61,21 +60,17 @@ class WeightFunction:
         return len(self.grad)
 
     @cached_property
-    def _grad_tape(self):
-        return compile(self.grad)
-
-    @cached_property
-    def _hess_tape(self):
-        return compile(self.hess)
+    def _tape(self):
+        return compile([self.grad, *self.hess])
 
     def value(self, points, consts=None):
         return evaluate(self.expression, points, consts)
 
-    def grad_values(self, points, consts=None) -> np.ndarray:
-        return self._grad_tape(points, consts)
-
-    def hess_values(self, points, consts=None) -> np.ndarray:
-        return self._hess_tape(points, consts)
+    def derivatives(self, points, consts=None) -> tuple:
+        """Gradient ``(..., n)`` and Hessian ``(..., n, n)`` at a point or a
+        batch; an error is the first failing entry's, gradient first."""
+        out = self._tape(points, consts)
+        return out[..., 0, :], out[..., 1:, :]
 
 
 def weight_function(expression, dim: int) -> WeightFunction:
@@ -83,15 +78,9 @@ def weight_function(expression, dim: int) -> WeightFunction:
     if isinstance(expression, str):
         expression = parse(expression, dim)
     grad = tuple(differentiate(expression, k) for k in range(1, dim + 1))
-    hess = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            h = differentiate(grad[i], j + 1)
-            hess[i][j] = h
-            hess[j][i] = h
-    return WeightFunction(
-        expression=expression, grad=grad, hess=tuple(tuple(row) for row in hess)
-    )
+    upper = {(i, j): differentiate(grad[i], j + 1) for i in range(dim) for j in range(i, dim)}
+    hess = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(dim)) for i in range(dim))
+    return WeightFunction(expression=expression, grad=grad, hess=hess)
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +88,25 @@ def weight_function(expression, dim: int) -> WeightFunction:
 
 
 def _operands(field, weight, points, consts):
-    """A, its first derivatives, and the weight's gradient and Hessian at
-    one point ``(n,)`` or a batch ``(m, n)``."""
-    return (
-        field.values(points, consts),
-        field.partial_values(points, consts),
-        weight.grad_values(points, consts),
-        weight.hess_values(points, consts),
-    )
+    """A's assembly factors and the weight's gradient and Hessian at a point or a batch."""
+    a, da = field.values(points, consts), field.partial_values(points, consts)
+    return (_factors(a, da, field.diagonal), *weight.derivatives(points, consts))
 
 
-def _terms(a, da, grad, hess, diagonal):
-    """The three sums of the assembly, each of shape ``(..., n, n)`` for
-    operands at one point or a batch of them.
+def _factors(a, da, diagonal):
+    """The weight-independent factors of the assembly: A and its partials
+    for a full field; ``a_i a_j`` and ``a_i da_j/dx_i`` for a diagonal one,
+    the second also ``da_i/dx_q a_q`` at ``[q, i]`` (a product commutes)."""
+    if not diagonal:
+        return a, da
+    ad = np.diagonal(a, axis1=-2, axis2=-1)
+    dd = np.diagonal(da, axis1=-3, axis2=-2)  # [q, i]: da_i/dx_q
+    return ad[..., :, None] * ad[..., None, :], ad[..., :, None] * dd
+
+
+def _terms(factors, grad, hess, diagonal):
+    """The three sums of the assembly, each ``(..., n, n)``, from the
+    :func:`_factors` and the weight's derivatives at a point or a batch.
 
     ``term_h[i, j] = sum_{p,q} a^{iq} a^{pj} d_{x_p x_q}``, that is A H A;
     ``t_a[i, j] = sum_{p,q} a^{iq} da^{pj}/dx_q d_{x_p}``, that is A M with
@@ -127,23 +122,25 @@ def _terms(a, da, grad, hess, diagonal):
     bit, signed zeros included.
     """
     if not diagonal:
+        a, da = factors
         m_qj = np.matmul(grad[..., None, None, :], np.moveaxis(da, -1, -3))[..., 0, :]
         ag = np.matmul(a, grad[..., None])[..., None, :, :]  # (A grad d)_q as (..., 1, n, 1)
         return a @ hess @ a, a @ m_qj, np.matmul(da, ag)[..., 0]
+    aa, ada = factors
     n = grad.shape[-1]
-    ad = np.diagonal(a, axis1=-2, axis2=-1)  # a_i
-    dd = np.diagonal(da, axis1=-3, axis2=-2)  # [q, i]: da_i/dx_q
-    term_h = 0.0 + (ad[..., :, None] * ad[..., None, :]) * np.swapaxes(hess, -1, -2)
-    t_a = 0.0 + (ad[..., :, None] * dd) * grad[..., None, :]
-    t_c = np.zeros(term_h.shape)
+    term_h = 0.0 + aa * np.swapaxes(hess, -1, -2)
+    t_a = 0.0 + ada * grad[..., None, :]
+    diag = np.zeros(grad.shape)
     for q in range(n):
-        t_c[..., range(n), range(n)] += (dd[..., q, :] * ad[..., q, None]) * grad[..., q, None]
+        diag += ada[..., q, :] * grad[..., q, None]
+    t_c = np.zeros(term_h.shape)
+    t_c.reshape(t_c.shape[:-2] + (n * n,))[..., :: n + 1] = diag  # t_c's diagonal, as a view
     return term_h, t_a, t_c
 
 
-def _multiplier(a, da, grad, hess, diagonal):
+def _multiplier(factors, grad, hess, diagonal):
     """``term_h + (t_a + t_a^T - t_c) / 2`` from :func:`_terms`, symmetrized."""
-    term_h, t_a, t_c = _terms(a, da, grad, hess, diagonal)
+    term_h, t_a, t_c = _terms(factors, grad, hess, diagonal)
     out = t_a + np.swapaxes(t_a, -1, -2)
     out -= t_c
     out *= 0.5
@@ -195,9 +192,15 @@ def multiplier_matrix_diagonal(
     second derivatives dropped, so the two agree whenever the weight has
     none.
     """
+    return diagonal_assembly(field, weight, point, consts)[0]
+
+
+def diagonal_assembly(field, weight, point, consts=None) -> tuple:
+    """:func:`multiplier_matrix_diagonal` with the weight's gradient and
+    Hessian it was assembled from: ``(matrix, grad, hess)``."""
     require_diagonal(field)
-    a, da, grad, hess = _operands(field, weight, point, consts)
-    return _multiplier(a, da, grad, hess * np.eye(field.dim), diagonal=True)
+    factors, grad, hess = _operands(field, weight, point, consts)
+    return _multiplier(factors, grad, hess * np.eye(field.dim), True), grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +264,16 @@ class GridProblem:
 
     Built once per (field, region, resolution, consts): it samples the grid,
     evaluates A there and certifies its positivity.  The first derivatives
-    of A and the pencil's :attr:`whitening` operand are computed on first
-    use and kept, so a rate search pays for them once per grid, whatever the
-    number of attempts; a field that fails positivity never needs them.
+    of A, the assembly :attr:`factors` and the pencil's :attr:`whitening`
+    operand are computed on first use and kept, so a rate search pays for
+    them once per grid, whatever the number of attempts; a field that fails
+    positivity never needs them.
 
-    :meth:`check` is :meth:`_margins` (the weight's gradient and Hessian,
-    the assembly, the pencil, the gradient norms and the verdict) followed
-    by :meth:`_report` (the matrices' minimum eigenvalue and leading minors,
-    the optional dump and the report).  A rate search runs only
-    :meth:`_margins` per attempt and :meth:`_report` for the attempt whose
-    report it returns.
+    :meth:`check` is :meth:`_margins` (the weight's gradient and Hessian
+    times the factors, the pencil, the gradient norms and the verdict) then
+    :meth:`_report` (the matrices' minimum eigenvalue and leading minors,
+    the optional dump and the report).  A rate search runs :meth:`_margins`
+    per attempt and :meth:`_report` for the attempt whose report it returns.
     """
 
     def __init__(self, field: CoefficientField, region: Region, resolution: int, consts=None):
@@ -286,6 +289,11 @@ class GridProblem:
     def da(self) -> np.ndarray:
         """First derivatives of A at the grid points, ``(m, n, n, n)``."""
         return self.field.partial_values(self.grid.points, self.consts)
+
+    @cached_property
+    def factors(self) -> tuple:
+        """The weight-independent factors of the assembly (:func:`_factors`)."""
+        return _factors(self.a, self.da, self.field.diagonal)
 
     @cached_property
     def whitening(self) -> np.ndarray:
@@ -328,11 +336,9 @@ class GridProblem:
         matrix is not finite: the weight's derivatives times A left double
         range there, and no margin can be read from it."""
         pts = self.grid.points
-        grads = weight.grad_values(pts, consts)
+        grads, hess = weight.derivatives(pts, consts)
         with np.errstate(over="ignore", invalid="ignore"):
-            mats = _multiplier(
-                self.a, self.da, grads, weight.hess_values(pts, consts), self.field.diagonal
-            )
+            mats = _multiplier(self.factors, grads, hess, self.field.diagonal)
             doubled = 2.0 * mats
         if not np.isfinite(doubled).all():
             first = np.argmin(np.isfinite(doubled).all(axis=(-2, -1)))

@@ -53,8 +53,8 @@ class Region:
 
     @cached_property
     def _corners(self):
-        """The box's lower and upper corners, two (dim,) arrays."""
-        return np.array(self.box).T
+        """Each axis's ``(lo, hi)`` bounds as 0-d arrays."""
+        return tuple((np.array(lo), np.array(hi)) for lo, hi in self.box)
 
     @cached_property
     def _tapes(self):
@@ -79,9 +79,9 @@ class Region:
         whose values are not all finite, is replayed through the tape, which
         raises the error.
         """
-        lo, hi = self._corners
-        x = points[:, : self.dim]
-        ok = mask & ((x >= lo) & (x <= hi)).all(axis=1)
+        ok = mask
+        for x, (lo, hi) in zip(points.T, self._corners):  # no reduction along a short axis
+            ok = ok & (x >= lo) & (x <= hi)
         consts = consts or {}
         for g in self._tapes:
             rows = slice(None) if ok.all() else np.flatnonzero(ok)
@@ -97,7 +97,7 @@ class Region:
         """First-order estimate of the distance to the region boundary, per
         row; the rows must lie inside the region.  A constraint's boundary
         is where ``g = -margin``, as for :meth:`inside`."""
-        lo, hi = self._corners
+        lo, hi = np.array(self.box).T
         x = points[:, : self.dim]
         dist = np.minimum(x - lo, hi - x).min(axis=1)
         if self.constraints:

@@ -33,7 +33,7 @@ def _scaled(mats):
     (by 1 when that entry is zero or not finite).
     """
     mats = np.asarray(mats, dtype=float)
-    peak = np.max(np.abs(mats), axis=(-2, -1))
+    peak = row_peaks(mats.reshape(mats.shape[:-2] + (-1,)))
     _, exp = np.frexp(peak)  # peak = mantissa * 2**exp, mantissa in [0.5, 1)
     exp = np.where(np.isfinite(peak) & (peak > 0.0), exp - 1, 0)
     return np.ldexp(mats, -exp[..., None, None]), exp
@@ -125,10 +125,20 @@ def minor_bounds(m):
     return value - band, value + band
 
 
+def row_peaks(rows) -> np.ndarray:
+    """``np.max(np.abs(rows), axis=-1)``, taken column by column: a maximum
+    does not depend on the order, and NaN propagates."""
+    rows = np.abs(rows)
+    peak = rows[..., 0]
+    for k in range(1, rows.shape[-1]):
+        peak = np.maximum(peak, rows[..., k])
+    return peak
+
+
 def row_norms(rows) -> np.ndarray:
     """Euclidean norms of the rows of an (m, n) array, overflow-safe."""
     rows = np.asarray(rows, dtype=float)
-    peak = np.max(np.abs(rows), axis=1)
+    peak = row_peaks(rows)
     safe = np.where(peak > 0.0, peak, 1.0)
     scaled = rows / safe[:, None]
     return safe * np.sqrt(np.sum(scaled * scaled, axis=1))

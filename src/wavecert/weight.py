@@ -32,7 +32,7 @@ from .condition import (
     ConditionReport,
     GridProblem,
     WeightFunction,
-    multiplier_matrix_diagonal,
+    diagonal_assembly,
     weight_function,
 )
 from .domain import Region, SampleGrid, check_grid_budget
@@ -346,13 +346,12 @@ def scaled_multiplier_matrix(
     the axis row is divided by the axis second partial.  Exponential weights
     make both divisors nonvanishing.
     """
-    mats = multiplier_matrix_diagonal(field, weight, point, consts)
-    grad = weight.grad_values(point, consts)
+    mats, grad, hess = diagonal_assembly(field, weight, point, consts)
     j = axis - 1
     scale = np.repeat(grad[..., j, None], field.dim, axis=-1)
     if sign_case == SIGN_POSITIVE:
         scale = -scale
-    scale[..., j] = weight.hess_values(point, consts)[..., j, j]
+    scale[..., j] = hess[..., j, j]
     return mats / scale[..., :, None]
 
 
@@ -411,8 +410,7 @@ def derivative_ratio_maxima(
     Returns ``(max |d_i / d_jj| over all i, max |d_i / d_j| over i != j,
     max |d_ii / d_j| over i != j)`` with j the given axis.
     """
-    grad = weight.grad_values(points, consts)
-    hess = weight.hess_values(points, consts)
+    grad, hess = weight.derivatives(points, consts)
     j = axis - 1
     dj = grad[..., j, None]
     fam1 = float(np.max(np.abs(grad / hess[..., j, j, None])))

@@ -832,6 +832,39 @@ class TestExamplesCommand:
         assert code == EXIT_OK
         assert '"matched": true' in out.read_text()
 
+    def test_all_matches_the_committed_reference(self, tmp_path):
+        out = tmp_path / "all.json"
+        assert main(["examples", "all", "--json", str(out)]) == EXIT_OK
+        got = json.loads(strip_duration(out.read_text()))
+        with open(EXAMPLES_REFERENCE, encoding="utf-8") as handle:
+            want = json.load(handle)
+        assert_matches_reference(got, want)
+
+
+EXAMPLES_REFERENCE = os.path.join(os.path.dirname(__file__), "data", "examples_all.json")
+
+
+def assert_matches_reference(got, want, path="report"):
+    """Verdicts, rates, axes, worst points, witnesses and counts exactly;
+    every other float to 1e-12 relative, so another LAPACK's last bits pass."""
+    assert type(got) is type(want) or {type(got), type(want)} == {int, float}, path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches_reference(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_matches_reference(g, w, f"{path}[{k}]")
+    elif isinstance(want, float) or isinstance(got, float):
+        key = path.rsplit(".", 1)[-1].split("[")[0]
+        if key == "lambda" or key.startswith(("worst_point", "witness")):
+            assert got == want, path
+        else:
+            assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), path
+    else:
+        assert got == want, path
+
 
 class TestStableSerialization:
     def test_float_formatting(self):

@@ -13,6 +13,8 @@ from wavecert.linalg import (
     min_eigenvalue,
     minor_bounds,
     pencil_min_eigenvalue,
+    row_norms,
+    row_peaks,
     screened,
 )
 
@@ -273,6 +275,54 @@ def run(routine, *stacks):
             return routine(*stacks)
     except np.linalg.LinAlgError:
         return np.linalg.LinAlgError
+
+
+def special_rows(rng, m, k):
+    """Rows of k entries mixing normal values, signed zeros, +-inf and NaN."""
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    x = rng.standard_normal((m, k)) * np.exp(rng.uniform(-700.0, 700.0, (m, k)))
+    pick = rng.random((m, k)) < 0.2
+    x[pick] = rng.choice(specials, pick.sum())
+    x[: k + 1] = 0.0  # an all-zero row, then one row per position of a lone -0.0
+    x[np.arange(1, k + 1), np.arange(k)] = -0.0
+    return x
+
+
+class TestRowPeaks:
+    """Each peak is taken column by column, bitwise the axis reduction."""
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_peaks_are_the_axis_maximum(self, k):
+        x = special_rows(np.random.default_rng(k), 400, k)
+        got, want = row_peaks(x), np.max(np.abs(x), axis=-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_row_norms_match_the_axis_reduction(self, k):
+        x = special_rows(np.random.default_rng(20 + k), 400, k)
+        peak = np.max(np.abs(x), axis=1)
+        safe = np.where(peak > 0.0, peak, 1.0)
+        with np.errstate(all="ignore"):  # NaN rows are not rescaled and overflow
+            scaled = x / safe[:, None]
+            want = safe * np.sqrt(np.sum(scaled * scaled, axis=1))
+            got = row_norms(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scaling_matches_the_axis_reduction(self, n):
+        mats = special_rows(np.random.default_rng(40 + n), 400, n * n).reshape(-1, n, n)
+        peak = np.max(np.abs(mats), axis=(-2, -1))
+        _, exp = np.frexp(peak)
+        exp = np.where(np.isfinite(peak) & (peak > 0.0), exp - 1, 0)
+        scaled, got_exp = _scaled(mats)
+        assert np.array_equal(got_exp, exp)
+        want = np.ldexp(mats, -exp[..., None, None])
+        assert np.array_equal(scaled, want, equal_nan=True)
+        assert np.array_equal(np.signbit(scaled), np.signbit(want))
+        # one matrix is a stack of one
+        assert np.array_equal(_scaled(mats[3])[0], want[3], equal_nan=True)
 
 
 class TestScreened:

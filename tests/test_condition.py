@@ -10,6 +10,7 @@ from wavecert.cli import RunConfig
 from wavecert.coeff import build
 from wavecert.condition import (
     GridProblem,
+    _factors,
     _Margins,
     _multiplier,
     _terms,
@@ -187,9 +188,8 @@ class TestMultiplierMatrix:
         f = build(["2 + x1^2", "x1*x2/4", "3 + x2^2"], diagonal=False)
         w = random_coupled_weight(np.random.default_rng(0))
         pts = np.array([[0.8, -0.6]])
-        term_h, _, t_c = _terms(
-            f.values(pts), f.partial_values(pts), w.grad_values(pts), w.hess_values(pts), False
-        )
+        factors = _factors(f.values(pts), f.partial_values(pts), False)
+        term_h, _, t_c = _terms(factors, *w.derivatives(pts), False)
         for term in (term_h, t_c):
             assert np.max(np.abs(term - np.swapaxes(term, -1, -2))) < 1e-12
 
@@ -239,7 +239,7 @@ class TestQuadraticFormOracle:
             oracle = np.zeros((n, n))
             a_at = field.values(pt)
             da_at = field.partial_values(pt)
-            grad_at = w.grad_values(pt)
+            grad_at = w.derivatives(pt)[0]
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     total = 0.0
@@ -430,7 +430,8 @@ class TestAssemblyOrder:
         ):
             ref_h, ref_a, ref_b, ref_c = _einsum_terms(*args)
             mag_h, mag_a, mag_b, mag_c = _einsum_terms(*map(np.abs, args))
-            term_h, t_a, t_c = _terms(*args, diagonal)
+            operands = (_factors(*args[:2], diagonal), *args[2:])
+            term_h, t_a, t_c = _terms(*operands, diagonal)
             for got, ref, mag in (
                 (term_h, ref_h, mag_h),
                 (t_a, ref_a, mag_a),
@@ -441,7 +442,7 @@ class TestAssemblyOrder:
             want = ref_h + 0.5 * (ref_a + ref_b - ref_c)
             want = 0.5 * (want + np.swapaxes(want, 1, 2))
             bound = 8 * eps * (mag_h + 0.5 * (mag_a + mag_b + mag_c))
-            assert np.all(np.abs(_multiplier(*args, diagonal) - want) <= bound)
+            assert np.all(np.abs(_multiplier(*operands, diagonal) - want) <= bound)
 
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -467,9 +468,86 @@ class TestAssemblyOrder:
                 sums[0] += (a[:, :, q, None] * a[:, None, p, :]) * hess[:, p, q, None, None]
                 sums[1] += (a[:, :, q, None] * da[:, None, p, :, q]) * grad[:, p, None, None]
                 sums[2] += (da[..., q] * a[:, p, q, None, None]) * grad[:, p, None, None]
-        for got, want in zip(_terms(a, da, grad, hess, diagonal=True), sums):
+        for got, want in zip(_terms(_factors(a, da, True), grad, hess, True), sums):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _inline_diagonal_terms(a, da, grad, hess):
+    """The diagonal assembly written inline, with no factors kept per grid:
+    the reference the factor split must match bit for bit."""
+    n = grad.shape[-1]
+    ad = np.diagonal(a, axis1=-2, axis2=-1)  # a_i
+    dd = np.diagonal(da, axis1=-3, axis2=-2)  # [q, i]: da_i/dx_q
+    term_h = 0.0 + (ad[..., :, None] * ad[..., None, :]) * np.swapaxes(hess, -1, -2)
+    t_a = 0.0 + (ad[..., :, None] * dd) * grad[..., None, :]
+    t_c = np.zeros(term_h.shape)
+    for q in range(n):
+        t_c[..., range(n), range(n)] += (dd[..., q, :] * ad[..., q, None]) * grad[..., q, None]
+    return term_h, t_a, t_c
+
+
+def _inline_multiplier(term_h, t_a, t_c):
+    out = t_a + np.swapaxes(t_a, -1, -2)
+    out -= t_c
+    out *= 0.5
+    out += term_h
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _bitwise_equal(got, want):
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(
+        np.signbit(got), np.signbit(want)
+    )
+
+
+class TestFactorSplit:
+    """The per-grid factors times the weight's derivatives are the inline
+    diagonal assembly bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_factor_assembly_is_the_inline_assembly_bit_for_bit(self, n):
+        rng = np.random.default_rng(70 + n)
+        m = 600
+
+        def spread(shape, zeros=0.1):
+            # signed zeros, and magnitudes near e^-300, 1 and e^300, so
+            # some rows overflow and some underflow
+            p = [0.5 - zeros / 2] * 2 + [zeros / 2] * 2
+            signs = rng.choice([1.0, -1.0, 0.0, -0.0], shape, p=p)
+            scale = rng.choice([-300.0, 0.0, 300.0], shape, p=[0.15, 0.7, 0.15])
+            return signs * np.exp(scale + rng.uniform(-1.0, 1.0, shape))
+
+        eye = np.eye(n)
+        a = np.abs(spread((m, n, n), zeros=0.0)) * eye
+        da = spread((m, n, n, n), zeros=0.3) * eye[:, :, None]
+        da[: m // 10] *= 0.0  # rows whose partials all vanish, with their signs
+        grad, hess = spread((m, n)), spread((m, n, n))
+        with np.errstate(all="ignore"):
+            want = _inline_diagonal_terms(a, da, grad, hess)
+            got = _terms(_factors(a, da, True), grad, hess, True)
+            mult = _multiplier(_factors(a, da, True), grad, hess, True)
+            want_mult = _inline_multiplier(*want)
+            points = [
+                _multiplier(_factors(a[k], da[k], True), grad[k], hess[k], True)
+                for k in range(0, m, 37)
+            ]
+        overflowed = ~np.isfinite(mult).all(axis=(1, 2))
+        assert 0 < overflowed.sum() < m  # the data reach past double range in some rows
+        for g, w in zip(got, want):
+            assert _bitwise_equal(g, w)
+        assert _bitwise_equal(mult, want_mult)
+        # a point (n,) is that row of a batch
+        for k, single in zip(range(0, m, 37), points):
+            assert single.shape == (n, n) and _bitwise_equal(single, mult[k])
+
+    def test_grid_problem_keeps_the_factors_of_its_grid(self):
+        problem = GridProblem(isotropic_exp_field(), offset_disk(), 17)
+        first = problem.factors
+        problem.check(quadratic_weight())
+        assert problem.factors is first
+        for got, want in zip(first, _factors(problem.a, problem.da, True)):
+            assert np.array_equal(got, want)
 
 
 class TestGridProblem:

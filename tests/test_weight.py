@@ -135,8 +135,7 @@ class TestConstructWeight:
     def test_negative_case_derivative_signs(self):
         w = construct_weight(axis=2, sign_case="negative", shift=4.0, lam=2.5, dim=3)
         pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(20, 3))
-        grads = w.grad_values(pts)
-        hess = w.hess_values(pts)
+        grads, hess = w.derivatives(pts)
         assert np.all(grads > 0.0)
         for i in range(3):
             assert np.all(hess[:, i, i] > 0.0)
@@ -144,8 +143,7 @@ class TestConstructWeight:
     def test_positive_case_derivative_signs(self):
         w = construct_weight(axis=2, sign_case="positive", shift=4.0, lam=2.5, dim=3)
         pts = np.random.default_rng(2).uniform(-1.0, 1.0, size=(20, 3))
-        grads = w.grad_values(pts)
-        hess = w.hess_values(pts)
+        grads, hess = w.derivatives(pts)
         assert np.all(grads < 0.0)
         for i in range(3):
             assert np.all(hess[:, i, i] > 0.0)
@@ -195,7 +193,7 @@ class TestFindLambda:
         import wavecert.condition as condition
         from wavecert.coeff import CoefficientField
 
-        counts = dict.fromkeys(("sample", "values", "partial_values", "cholesky"), 0)
+        counts = dict.fromkeys(("sample", "values", "partial_values", "cholesky", "_factors"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -204,7 +202,8 @@ class TestFindLambda:
 
             return wrapper
 
-        monkeypatch.setattr(condition, "sample", counted("sample", condition.sample))
+        for name in ("sample", "_factors"):
+            monkeypatch.setattr(condition, name, counted(name, getattr(condition, name)))
         for name in ("values", "partial_values"):
             monkeypatch.setattr(
                 CoefficientField, name, counted(name, getattr(CoefficientField, name))
@@ -212,9 +211,12 @@ class TestFindLambda:
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
         assert cert.report.certified
-        # the search grid and the refinement grid, whatever the attempt count;
-        # the diagonal field is whitened without a factorization
-        assert counts == {"sample": 2, "values": 2, "partial_values": 2, "cholesky": 0}
+        # the search grid and the refinement grid, whatever the attempt count,
+        # assembly factors included; the diagonal field is whitened without a
+        # factorization
+        assert counts == {
+            "sample": 2, "values": 2, "partial_values": 2, "cholesky": 0, "_factors": 2
+        }
 
     def test_inadmissible_forced_axis_exhausts_budget(self):
         with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
@@ -274,8 +276,8 @@ class TestSearchWork:
         literal = construct_weight(2, sign_case, 4.0, lam, 3)
         named = _exponential_weight(2, sign_case, 4.0, Const(_RATE), 3)
         bound = {_RATE: lam}
-        assert np.array_equal(named.grad_values(pts, bound), literal.grad_values(pts))
-        assert np.array_equal(named.hess_values(pts, bound), literal.hess_values(pts))
+        for got, want in zip(named.derivatives(pts, bound), literal.derivatives(pts)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "axis,margin", [(1, -2.842170943040401e-14), (2, -5.684341886080802e-14)]
@@ -322,10 +324,10 @@ class TestSearchWork:
         cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
         assert cert.report.certified
         assert len(deltas) > 10
-        # the first attempt compiles the search weight's gradient and Hessian
-        # tapes, built before it with A's partials; no later attempt compiles
-        # or differentiates anything
-        assert deltas[0] == {"compile": 2}
+        # the first attempt compiles the search weight's one derivative tape,
+        # built before it with A's partials; no later attempt compiles or
+        # differentiates anything
+        assert deltas[0] == {"compile": 1}
         assert all(delta == {} for delta in deltas[1:])
 
     def test_spectral_tests_run_once_for_certificate_and_once_for_refinement(
