@@ -28,7 +28,7 @@ weight family this toolkit constructs.  ``check_condition`` is a one-off check.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -97,8 +97,8 @@ def _factors(a, da, diagonal):
     """The weight-independent factors of the assembly: A and its partials
     for a full field; ``a_i a_j`` and ``a_i da_j/dx_i`` for a diagonal one,
     the second also ``da_i/dx_q a_q`` at ``[q, i]`` (a product commutes)."""
-    if not diagonal:
-        return a, da
+    if not diagonal:  # matmul runs BLAS, whose bits these products keep, on C-ordered stacks only
+        return np.ascontiguousarray(a), np.ascontiguousarray(da)
     ad = np.diagonal(a, axis1=-2, axis2=-1)
     dd = np.diagonal(da, axis1=-3, axis2=-2)  # [q, i]: da_i/dx_q
     return ad[..., :, None] * ad[..., None, :], ad[..., :, None] * dd
@@ -130,11 +130,11 @@ def _terms(factors, grad, hess, diagonal):
     n = grad.shape[-1]
     term_h = 0.0 + aa * np.swapaxes(hess, -1, -2)
     t_a = 0.0 + ada * grad[..., None, :]
-    diag = np.zeros(grad.shape)
+    diag = np.zeros_like(grad)
     for q in range(n):
         diag += ada[..., q, :] * grad[..., q, None]
-    t_c = np.zeros(term_h.shape)
-    t_c.reshape(t_c.shape[:-2] + (n * n,))[..., :: n + 1] = diag  # t_c's diagonal, as a view
+    t_c = np.zeros_like(term_h)
+    t_c[(..., *np.diag_indices(n))] = diag
     return term_h, t_a, t_c
 
 
@@ -292,8 +292,12 @@ class GridProblem:
 
     @cached_property
     def factors(self) -> tuple:
-        """The weight-independent factors of the assembly (:func:`_factors`)."""
-        return _factors(self.a, self.da, self.field.diagonal)
+        """The weight-independent factors of the assembly (:func:`_factors`);
+        a full field's C-ordered A and partials replace the grid-innermost ones."""
+        factors = _factors(self.a, self.da, self.field.diagonal)
+        if not self.field.diagonal:
+            self.a, self.da = factors
+        return factors
 
     @cached_property
     def whitening(self) -> np.ndarray:
@@ -303,6 +307,11 @@ class GridProblem:
         if self.field.diagonal:
             return 1.0 / np.sqrt(np.diagonal(self.a, axis1=-2, axis2=-1))
         return np.linalg.inv(np.linalg.cholesky(self.a))
+
+    @cached_property
+    def pencil_bounds(self):
+        """The pencil's screen, :func:`eigen_bounds` with ``max |W|`` read once per grid."""
+        return partial(eigen_bounds, wmax=np.max(np.abs(self.whitening)))
 
     @cached_property
     def coefficient_failure(self) -> ConditionReport | None:
@@ -346,7 +355,7 @@ class GridProblem:
         grad_norms = row_norms(grads)
 
         try:
-            pencil = screened(pencil_min_eigenvalue, eigen_bounds, doubled, self.whitening)
+            pencil = screened(pencil_min_eigenvalue, self.pencil_bounds, doubled, self.whitening)
         except np.linalg.LinAlgError:
             raise EvaluationError(
                 "coefficient matrix A is not numerically positive definite",

@@ -167,8 +167,8 @@ def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
     check_grid_budget(r.dim, resolution)
     axes = [np.linspace(lo, hi, resolution) for lo, hi in r.box]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    pts = pts[r.inside(pts, consts)]
+    pts = np.stack([m.reshape(-1) for m in mesh])
+    pts = pts.compress(r.inside(pts.T, consts), axis=1).T  # the grid axis innermost
     if pts.shape[0] == 0:
         raise RegionError(
             f"region too thin for resolution {resolution}: no grid point passes the constraints"

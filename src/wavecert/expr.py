@@ -505,8 +505,8 @@ class Tape:
 
     def __call__(self, points, consts=None) -> np.ndarray:
         """Evaluate at one point ``(n,)`` or a batch ``(m, n)``; the result
-        has shape ``points.shape[:-1] + shape``.
-
+        has shape ``points.shape[:-1] + shape``, a batch's with the batch axis
+        innermost in memory, so a later elementwise pass is one long loop.
         Errors are those of :func:`evaluate`, raised where evaluating the
         expressions one after another, each depth first, would first fail.
         """
@@ -541,7 +541,7 @@ class Tape:
                     raise self._fail(i, vals, pts, UnboundConstantError, f"unbound constant {a!r}")
                 for slot in free:
                     vals[slot] = None
-        out = np.empty((pts.shape[0], len(self.outputs)))
+        out = np.empty((len(self.outputs), pts.shape[0])).T  # the batch axis innermost
         for col, slot in enumerate(self.outputs):
             out[:, col] = vals[slot]
         if not np.isfinite(out).all():

@@ -1,12 +1,14 @@
 """Dense symmetric-matrix tests on whole stacks of small matrices (n <= 8).
 
-Every routine takes a stack ``(..., n, n)`` and returns one value (or one
-row) per matrix; a single ``(n, n)`` matrix is a stack of one.  Eigenvalues
-come from LAPACK through ``np.linalg.eigvalsh``, the pencil is whitened by
-multiplying with the caller's inverse Cholesky factors (a two-sided scaling
-when they are diagonal), and leading principal minors come from batched
-determinants; the minors (Sylvester's criterion) are an independent
-cross-check of positive definiteness.
+Every routine takes a stack ``(..., n, n)`` and returns one value (or row)
+per matrix; one ``(n, n)`` matrix is a stack of one.  Eigenvalues come from
+LAPACK (``np.linalg.eigvalsh``); the pencil is whitened by the caller's
+inverse Cholesky factors (two-sided scaling when diagonal); leading principal
+minors, from batched determinants, cross-check positive definiteness.
+
+Grid stacks keep the grid axis innermost in memory, as the tapes give them;
+a full field's products are C-ordered.  Every value has the same bits in
+either layout, and no routine reshapes a stack (that copies a column-major one).
 
 A grid check needs only minima over the rows.  :func:`screened` runs a
 routine only on the rows whose closed-form interval (2x2 only) reaches the
@@ -15,12 +17,10 @@ of LAPACK and of the closed form, plus a floor for what the rescaling below
 loses to underflow.  LAPACK acts per matrix, so the minimum and its first
 row are the full stack's bit for bit.
 
-Exponential weights at large rates produce matrices whose entries approach
-the double-precision range, so each matrix is first rescaled by its own
-exact power of two (a lossless mantissa-preserving operation) and the
-results are scaled back; squares and products of entries then stay inside
-the representable range, and a stack mixing tiny and huge matrices gives
-each one the result it would get alone.
+Each matrix is first rescaled by its own exact power of two (lossless) and
+the results are scaled back: entries near double range at large exponential
+rates then square and multiply in range, and a stack mixing tiny and huge
+matrices gives each one the result it would get alone.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ def _scaled(mats):
     (by 1 when that entry is zero or not finite).
     """
     mats = np.asarray(mats, dtype=float)
-    peak = row_peaks(mats.reshape(mats.shape[:-2] + (-1,)))
+    peak = row_peaks(row_peaks(mats))  # no reshape, which copies a column-major stack
     _, exp = np.frexp(peak)  # peak = mantissa * 2**exp, mantissa in [0.5, 1)
     exp = np.where(np.isfinite(peak) & (peak > 0.0), exp - 1, 0)
     return np.ldexp(mats, -exp[..., None, None]), exp
@@ -101,12 +101,16 @@ def screened(routine, bounds, *stacks) -> np.ndarray:
     return out
 
 
-def eigen_bounds(m, w=None):
+def eigen_bounds(m, w=None, wmax=None):
     """Intervals around :func:`pencil_min_eigenvalue` ``(m, w)`` (or
     :func:`min_eigenvalue` ``(m)``) of a 2x2 stack: ``h - hypot((p - q) / 2,
     r)`` for the whitened diagonal ``p``, ``q``, their mean ``h`` and the
-    symmetrized ``r``; the floor is infinite where LAPACK's copy can overflow."""
-    c, wmax = (m, 1.0) if w is None else (_whiten(m, w), np.max(np.abs(w)))
+    symmetrized ``r``; the floor is infinite where LAPACK's copy can overflow.
+    ``wmax`` is ``max |w|`` if the caller keeps it.  The pencil whitens its
+    kept rows again, rescaled by powers of two: LAPACK's values rest on those bits."""
+    c = m if w is None else _whiten(m, w)
+    if wmax is None:
+        wmax = 1.0 if w is None else np.max(np.abs(w))
     p, q = c[..., 0, 0], c[..., 1, 1]
     h, s = 0.5 * (p + q), np.hypot(0.5 * (p - q), 0.5 * (c[..., 0, 1] + c[..., 1, 0]))
     floor = (2.0**-1070 * (1.0 + np.max(np.abs(m)))) * (4.0 + 4.0 * wmax) ** 2
@@ -140,5 +144,6 @@ def row_norms(rows) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     peak = row_peaks(rows)
     safe = np.where(peak > 0.0, peak, 1.0)
-    scaled = rows / safe[:, None]
+    # numpy sums 8 or more terms pairwise only along a contiguous row, as C-ordered rows are
+    scaled = np.divide(rows, safe[:, None], order="K" if rows.shape[1] < 8 else "C")
     return safe * np.sqrt(np.sum(scaled * scaled, axis=1))

@@ -90,6 +90,7 @@ class WeightCertificate:
 def sign_ranges(da):
     """Grid range of every off-index partial, ``{(axis, entry): (min, max)}``,
     from the partials of A at the grid points, ``(m, n, n, n)``, last axis k."""
+    da = np.ascontiguousarray(da)  # numpy's min and max pick a signed zero by stride
     n = da.shape[-1]
     ranges = {}
     for j in range(1, n + 1):
@@ -143,7 +144,7 @@ def compute_shift(grid: SampleGrid, axis: int, sign_case: str) -> float:
     """
     pts = grid.points
     j = axis - 1
-    others = np.delete(np.abs(pts), j, axis=1)
+    others = np.ascontiguousarray(np.delete(np.abs(pts), j, axis=1))  # rows sum as in row_norms
     abs_sum_max = float(np.max(others.sum(axis=1))) if others.shape[1] else 0.0
     if sign_case == SIGN_NEGATIVE:
         return 1.0 + abs_sum_max - float(np.min(pts[:, j]))

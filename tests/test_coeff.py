@@ -277,6 +277,16 @@ def run(routine, *stacks):
         return np.linalg.LinAlgError
 
 
+# stack layouts: C-ordered (matmul's products); the grid axis innermost with
+# the rest C-ordered (the tapes' values) or column-major; and neither
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "grid-innermost": lambda x: np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0),
+    "column-major": np.asfortranarray,
+    "non-contiguous": lambda x: np.stack([x, x], axis=-1)[..., 0],
+}
+
+
 def special_rows(rng, m, k):
     """Rows of k entries mixing normal values, signed zeros, +-inf and NaN."""
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -289,26 +299,39 @@ def special_rows(rng, m, k):
 
 
 class TestRowPeaks:
-    """Each peak is taken column by column, bitwise the axis reduction."""
+    """Each peak is taken column by column, bitwise the axis reduction of
+    the C-ordered rows, in every layout."""
 
     @pytest.mark.parametrize("k", range(1, 12))
     def test_peaks_are_the_axis_maximum(self, k):
         x = special_rows(np.random.default_rng(k), 400, k)
-        got, want = row_peaks(x), np.max(np.abs(x), axis=-1)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        want = np.max(np.abs(x), axis=-1)
+        for layout in LAYOUTS.values():
+            got = row_peaks(layout(x))
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("k", range(1, 12))
     def test_row_norms_match_the_axis_reduction(self, k):
+        # from 8 columns on, numpy sums a contiguous row pairwise and a
+        # strided one in order, so the layout could move the last bits
         x = special_rows(np.random.default_rng(20 + k), 400, k)
         peak = np.max(np.abs(x), axis=1)
         safe = np.where(peak > 0.0, peak, 1.0)
         with np.errstate(all="ignore"):  # NaN rows are not rescaled and overflow
             scaled = x / safe[:, None]
             want = safe * np.sqrt(np.sum(scaled * scaled, axis=1))
-            got = row_norms(x)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+            for layout in LAYOUTS.values():
+                got = row_norms(layout(x))
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("k", range(8, 12))
+    def test_row_norms_of_ordinary_rows_keep_their_bits(self, k):
+        x = np.random.default_rng(60 + k).standard_normal((2000, k))
+        want = row_norms(x)
+        for layout in LAYOUTS.values():
+            assert np.array_equal(row_norms(layout(x)), want)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_scaling_matches_the_axis_reduction(self, n):
@@ -316,20 +339,27 @@ class TestRowPeaks:
         peak = np.max(np.abs(mats), axis=(-2, -1))
         _, exp = np.frexp(peak)
         exp = np.where(np.isfinite(peak) & (peak > 0.0), exp - 1, 0)
-        scaled, got_exp = _scaled(mats)
-        assert np.array_equal(got_exp, exp)
         want = np.ldexp(mats, -exp[..., None, None])
-        assert np.array_equal(scaled, want, equal_nan=True)
-        assert np.array_equal(np.signbit(scaled), np.signbit(want))
+        for layout in LAYOUTS.values():
+            scaled, got_exp = _scaled(layout(mats))
+            assert np.array_equal(got_exp, exp)
+            assert np.array_equal(scaled, want, equal_nan=True)
+            assert np.array_equal(np.signbit(scaled), np.signbit(want))
         # one matrix is a stack of one
         assert np.array_equal(_scaled(mats[3])[0], want[3], equal_nan=True)
 
 
 class TestScreened:
-    """The closed-form screen changes no bit of a minimum or its first row."""
+    """The closed-form screen changes no bit of a minimum or its first row,
+    whatever the layout of the stacks it screens."""
 
     def check(self, routine, bounds, *stacks):
         full = run(routine, *stacks)
+        for layout in LAYOUTS.values():
+            self.check_layout(full, routine, bounds, *(layout(s) for s in stacks))
+
+    @staticmethod
+    def check_layout(full, routine, bounds, *stacks):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # none may escape the screen
             part = run(lambda *s: screened(routine, bounds, *s), *stacks)

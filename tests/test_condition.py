@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -28,6 +29,8 @@ from wavecert.weight import (
     limit_matrix,
     scaled_multiplier_matrix,
 )
+
+from test_coeff import LAYOUTS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,16 +174,17 @@ class TestMultiplierMatrix:
     @pytest.mark.parametrize("helper, n", HELPERS)
     def test_batched_equals_pointwise(self, helper, n):
         # a point is a batch of one: each batch row is the single-point
-        # result bit for bit
+        # result bit for bit, in every layout of the batch
         pts = POINTS[n]
-        batch = helper(pts)
         singles = [helper(row) for row in pts]
-        if isinstance(batch, tuple):  # grid maxima of the derivative ratios
-            assert batch == tuple(max(values) for values in zip(*singles))
-            return
-        assert batch.shape == (len(pts), n, n)
-        for single, mat in zip(singles, batch):
-            assert single.shape == (n, n) and np.array_equal(single, mat)
+        for layout in LAYOUTS.values():
+            batch = helper(layout(pts))
+            if isinstance(batch, tuple):  # grid maxima of the derivative ratios
+                assert batch == tuple(max(values) for values in zip(*singles))
+                continue
+            assert batch.shape == (len(pts), n, n)
+            for single, mat in zip(singles, batch):
+                assert single.shape == (n, n) and _bitwise_equal(single, mat)
 
     def test_presymmetrization_asymmetry_small(self):
         # the assembly before its final averaging is term_h + (t_a + t_a^T - t_c) / 2,
@@ -525,21 +529,60 @@ class TestFactorSplit:
         grad, hess = spread((m, n)), spread((m, n, n))
         with np.errstate(all="ignore"):
             want = _inline_diagonal_terms(a, da, grad, hess)
-            got = _terms(_factors(a, da, True), grad, hess, True)
-            mult = _multiplier(_factors(a, da, True), grad, hess, True)
             want_mult = _inline_multiplier(*want)
             points = [
                 _multiplier(_factors(a[k], da[k], True), grad[k], hess[k], True)
                 for k in range(0, m, 37)
             ]
+        # t_c is laid out as the assembly's other terms, and its diagonal is
+        # written in every layout of the factors and the derivatives
+        for layout, derivatives in itertools.product(LAYOUTS.values(), repeat=2):
+            d = (derivatives(grad), derivatives(hess))
+            with np.errstate(all="ignore"):
+                factors = [layout(f) for f in _factors(layout(a), layout(da), True)]
+                got = _terms(factors, *d, True)
+                mult = _multiplier(factors, *d, True)
+            for g, w in zip(got, want):
+                assert _bitwise_equal(g, w)
+            assert _bitwise_equal(mult, want_mult)
         overflowed = ~np.isfinite(mult).all(axis=(1, 2))
         assert 0 < overflowed.sum() < m  # the data reach past double range in some rows
-        for g, w in zip(got, want):
-            assert _bitwise_equal(g, w)
-        assert _bitwise_equal(mult, want_mult)
         # a point (n,) is that row of a batch
         for k, single in zip(range(0, m, 37), points):
             assert single.shape == (n, n) and _bitwise_equal(single, mult[k])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_products_do_not_depend_on_the_layout(self, n):
+        # matmul runs BLAS only on C-ordered stacks, and BLAS rounds the
+        # products of A and its partials differently from numpy's own loop;
+        # the factors are C-ordered copies, and the derivatives' layout
+        # moves no bit
+        rng = np.random.default_rng(90 + n)
+        m = 500
+
+        def spread(shape):
+            x = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+            x[rng.random(shape) < 0.1] = -0.0
+            return x
+
+        a, da, grad, hess = spread((m, n, n)), spread((m, n, n, n)), spread((m, n)), spread((m, n, n))
+        want = _terms(_factors(a, da, False), grad, hess, False)
+        want_mult = _multiplier(_factors(a, da, False), grad, hess, False)
+        for layout in LAYOUTS.values():
+            factors = _factors(layout(a), layout(da), False)
+            assert all(f.flags.c_contiguous for f in factors)
+            for derivatives in LAYOUTS.values():
+                d = (derivatives(grad), derivatives(hess))
+                for g, w in zip(_terms(factors, *d, False), want):
+                    assert _bitwise_equal(g, w)
+                assert _bitwise_equal(_multiplier(factors, *d, False), want_mult)
+
+    def test_full_grid_problem_keeps_one_copy_of_a(self):
+        ball = region(3, [(1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)], ["(x1 - 2)^2 + x2^2 + x3^2 - 1"])
+        problem = GridProblem(FULL_3D, ball, 7)
+        assert problem.a.strides[0] == problem.a.itemsize  # as the tape gives it
+        a, da = problem.factors  # C-ordered copies, which replace the grid's own
+        assert problem.a is a and problem.da is da and a.flags.c_contiguous
 
     def test_grid_problem_keeps_the_factors_of_its_grid(self):
         problem = GridProblem(isotropic_exp_field(), offset_disk(), 17)

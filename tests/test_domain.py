@@ -107,6 +107,10 @@ class TestSample:
         b = sample(offset_disk, 17)
         assert np.array_equal(a.points, b.points)
 
+    def test_points_keep_the_grid_axis_innermost(self, offset_disk):
+        pts = sample(offset_disk, 9).points
+        assert pts.strides[0] == pts.itemsize and not pts.flags.writeable
+
     def test_points_ordered_lexicographically(self, offset_disk):
         pts = sample(offset_disk, 9).points
         order = sorted(range(len(pts)), key=lambda i: tuple(pts[i]))

@@ -244,6 +244,17 @@ class TestCompile:
             for row, value in zip(pts, batch):
                 assert evaluate(e, row, consts) == value
 
+    def test_batch_keeps_the_grid_axis_innermost(self):
+        # each output is one contiguous run over the batch, and each row is
+        # the single-point result bit for bit
+        for dim, text, box, consts in CORPUS:
+            e = parse(text, dim)
+            tape = compile([[e, differentiate(e, 1)], [parse("2", dim), parse("x1", dim)]])
+            pts = interior_points(box, 20, seed=13)
+            batch = tape(pts, consts)
+            assert batch.shape == (20, 2, 2) and batch.strides[0] == batch.itemsize
+            assert np.array_equal(batch, np.stack([tape(row, consts) for row in pts]))
+
     def test_kernel_is_bitwise_the_tape(self):
         # the corpus, and a tape with many literals: multiplicands, addends,
         # divisors and exponents, one literal both in a product and as an

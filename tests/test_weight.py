@@ -21,6 +21,8 @@ from wavecert.weight import (
     sign_ranges,
 )
 
+from test_coeff import LAYOUTS
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -60,6 +62,22 @@ class TestIndexSignRanges:
         ranges = sign_ranges(example_bad_field().partial_values(grid.points))
         lo, hi = ranges[(2, 1)]  # da^11/dx2 = 2*x2
         assert lo < 0.0 < hi
+
+
+    def test_signed_zero_ends_do_not_depend_on_the_layout(self):
+        # da^11/dx2 is >= 0 with zeros of both signs; numpy's min picks one
+        # by the stride it reads, so the ranges are read as C-ordered
+        field = build(["exp(x1) + x1*(x1*x2 - x2^3/30)", "exp(-x1^2)"], diagonal=True)
+        da = field.partial_values(sample(region(2, [(0.0, 2.0), (-1.0, 1.0)]), 5).points)
+        values = da[:, 0, 0, 1]
+        assert np.min(values) == 0.0 and len(set(np.signbit(values[values == 0.0]))) == 2
+        want = sign_ranges(np.ascontiguousarray(da))
+        for layout in LAYOUTS.values():
+            got = sign_ranges(layout(da))
+            assert got == want
+            assert [np.signbit(v) for r in got.values() for v in r] == [
+                np.signbit(v) for r in want.values() for v in r
+            ]
 
 
 class TestDetectIndex:
@@ -112,6 +130,17 @@ class TestComputeShift:
     def test_unit_square_positive_case(self):
         grid = sample(region(2, [(0.0, 1.0), (0.0, 1.0)]), 9)
         assert compute_shift(grid, 1, "positive") == pytest.approx(3.0)
+
+    def test_many_axes_are_summed_as_rows(self):
+        # numpy sums 8 or more terms pairwise only along a contiguous row,
+        # and the grid's points are stored column by column
+        rng = np.random.default_rng(9)
+        for dim in (9, 10, 11) * 10:
+            box = [(-rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)) for _ in range(dim)]
+            grid = sample(region(dim, box), 2)
+            rows = np.ascontiguousarray(np.abs(grid.points))[:, 1:]
+            want = 1.0 + float(np.max(rows.sum(axis=1))) - float(np.min(grid.points[:, 0]))
+            assert compute_shift(grid, 1, "negative") == want
 
     def test_one_dimensional_empty_sum(self):
         grid = sample(region(1, [(0.0, 1.0)]), 9)
