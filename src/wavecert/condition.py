@@ -28,7 +28,7 @@ weight family this toolkit constructs.  ``check_condition`` is a one-off check.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .domain import Region, sample
 from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, evaluate, parse
 from .linalg import eigen_bounds, leading_principal_minors, min_eigenvalue, minor_bounds
-from .linalg import pencil_min_eigenvalue, row_norms, screened
+from .linalg import pencil_margins, pencil_min_eigenvalue, row_norms, screened
 from .report import write_csv
 
 
@@ -248,7 +248,8 @@ class _Margins:
     """The part of a grid check that decides its verdict: the assembled
     multiplier matrices, the gradient norm at every point, the pencil margin
     (at every point too, unless only the rows that can attain it ran), the
-    first minimizers of both, and the verdict."""
+    first minimizers of both, the verdict, and the grid minimum of the
+    normalized pencil margin, which steers a rate search."""
 
     mats: np.ndarray  # (m, n, n)
     pencil: np.ndarray | None  # (m,), None when screened (n = 2)
@@ -257,6 +258,7 @@ class _Margins:
     margin_idx: int
     grad_idx: int
     verdict: str
+    steer: float
 
 
 class GridProblem:
@@ -309,9 +311,9 @@ class GridProblem:
         return np.linalg.inv(np.linalg.cholesky(self.a))
 
     @cached_property
-    def pencil_bounds(self):
-        """The pencil's screen, :func:`eigen_bounds` with ``max |W|`` read once per grid."""
-        return partial(eigen_bounds, wmax=np.max(np.abs(self.whitening)))
+    def wmax(self) -> float:
+        """``max |W|``, which the pencil's screen reads, once per grid."""
+        return np.max(np.abs(self.whitening))
 
     @cached_property
     def coefficient_failure(self) -> ConditionReport | None:
@@ -355,7 +357,7 @@ class GridProblem:
         grad_norms = row_norms(grads)
 
         try:
-            pencil = screened(pencil_min_eigenvalue, self.pencil_bounds, doubled, self.whitening)
+            pencil, steer = pencil_margins(doubled, self.whitening, self.wmax)
         except np.linalg.LinAlgError:
             raise EvaluationError(
                 "coefficient matrix A is not numerically positive definite",
@@ -372,7 +374,7 @@ class GridProblem:
         else:
             verdict = VERDICT_FAILED_GRADIENT
         pencil = None if mats.shape[-1] == 2 else pencil  # 2x2: only the kept rows ran
-        return _Margins(mats, pencil, grad_norms, margin, margin_idx, grad_idx, verdict)
+        return _Margins(mats, pencil, grad_norms, margin, margin_idx, grad_idx, verdict, steer)
 
     def _report(self, margins: _Margins, dump_path=None) -> ConditionReport:
         """The full report of one :meth:`_margins` result, with its grid dump

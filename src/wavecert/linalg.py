@@ -70,10 +70,32 @@ def pencil_min_eigenvalue(m, w) -> np.ndarray:
     of ``m``, or, when a is diagonal, W's diagonal ``1 / sqrt(diag(a))``,
     ``(..., n)``, which whitens by the scaling ``(m_ij * w_i) * w_j``.
     """
+    ev, exp = _pencil(m, w)
+    return np.ldexp(ev[..., 0], exp)
+
+
+def _pencil(m, w):
+    """The pencil's eigenvalues, ascending, scaled by ``2**-exp``, and ``exp``."""
     scaled, exp = _scaled(m)
     c = _whiten(scaled, w)
     c = 0.5 * (c + np.swapaxes(c, -1, -2))
-    return np.ldexp(np.linalg.eigvalsh(c)[..., 0], exp)
+    return np.linalg.eigvalsh(c), exp
+
+
+def pencil_margins(m, w, wmax):
+    """:func:`pencil_min_eigenvalue` :func:`screened` by :func:`eigen_bounds`
+    (``wmax = max |w|``), and the normalized margin's grid minimum, which
+    steers a rate search: ``(h - s) / (|h| + s)`` from the 2x2 screen, else
+    LAPACK's smallest eigenvalue over the largest magnitude; NaN if a row's is."""
+    if m.shape[-1] != 2:  # the power-of-two scale cancels in the ratio
+        ev, exp = _pencil(m, w)
+        with np.errstate(invalid="ignore"):  # 0 / 0 at a zero matrix
+            ratio = ev[..., 0] / np.maximum(-ev[..., 0], ev[..., -1])
+        return np.ldexp(ev[..., 0], exp), float(np.min(ratio))
+    with np.errstate(all="ignore"):
+        lo, hi, low, size = _eigen_bounds(m, w, wmax)
+        steer = float(np.min(low / size))
+    return screened(pencil_min_eigenvalue, lambda *_: (lo, hi), m, w), steer
 
 
 def _whiten(m, w):
@@ -101,21 +123,25 @@ def screened(routine, bounds, *stacks) -> np.ndarray:
     return out
 
 
-def eigen_bounds(m, w=None, wmax=None):
+def eigen_bounds(m, w=None):
     """Intervals around :func:`pencil_min_eigenvalue` ``(m, w)`` (or
     :func:`min_eigenvalue` ``(m)``) of a 2x2 stack: ``h - hypot((p - q) / 2,
     r)`` for the whitened diagonal ``p``, ``q``, their mean ``h`` and the
     symmetrized ``r``; the floor is infinite where LAPACK's copy can overflow.
-    ``wmax`` is ``max |w|`` if the caller keeps it.  The pencil whitens its
-    kept rows again, rescaled by powers of two: LAPACK's values rest on those bits."""
+    The pencil whitens its kept rows again, rescaled by powers of two:
+    LAPACK's values rest on those bits."""
+    return _eigen_bounds(m, w, 1.0 if w is None else np.max(np.abs(w)))[:2]
+
+
+def _eigen_bounds(m, w, wmax):
+    """:func:`eigen_bounds` for ``wmax = max |w|``, then each row's ``h - s``, ``|h| + s``."""
     c = m if w is None else _whiten(m, w)
-    if wmax is None:
-        wmax = 1.0 if w is None else np.max(np.abs(w))
     p, q = c[..., 0, 0], c[..., 1, 1]
     h, s = 0.5 * (p + q), np.hypot(0.5 * (p - q), 0.5 * (c[..., 0, 1] + c[..., 1, 0]))
     floor = (2.0**-1070 * (1.0 + np.max(np.abs(m)))) * (4.0 + 4.0 * wmax) ** 2
-    band = 2.0**-40 * (np.abs(h) + s) + 2.0**-1000 + floor
-    return h - s - band, h - s + band
+    low, size = h - s, np.abs(h) + s
+    band = 2.0**-40 * size + 2.0**-1000 + floor
+    return low - band, low + band, low, size
 
 
 def minor_bounds(m):

@@ -11,8 +11,9 @@ partial along some axis j, an explicit weight of the form
 certifies the condition once the rate ``lambda`` is large enough.  This
 module detects admissible axes by one rule, :func:`sign_margin`, which also
 gives a certificate's margin and a forced axis's sign case; it picks the
-smallest grid-feasible shift, searches the rate by doubling plus bisection,
-and exposes the row-scaled matrix together with its explicit rate-to-infinity
+smallest grid-feasible shift, searches the rate by doubling plus a steered
+search that ends on bisection's lattice (:func:`lattice_search`), and
+exposes the row-scaled matrix together with its explicit rate-to-infinity
 limit so the proof asymptotics can be checked numerically.
 
 Note on the shift in the positive case: the bound actually used mirrors the
@@ -50,7 +51,7 @@ _SIGN_ORDER = (SIGN_NEGATIVE, SIGN_POSITIVE)
 
 DEFAULT_LAMBDA_MAX = 2**20
 DEFAULT_RESOLUTION = 33
-_BISECTION_ROUNDS = 10
+_LATTICE = 2**10  # the rates ten bisection rounds can reach
 _RATE = "lambda"  # the rate's constant name in the search weight
 
 
@@ -89,8 +90,9 @@ class WeightCertificate:
 
 def sign_ranges(da):
     """Grid range of every off-index partial, ``{(axis, entry): (min, max)}``,
-    from the partials of A at the grid points, ``(m, n, n, n)``, last axis k."""
-    da = np.ascontiguousarray(da)  # numpy's min and max pick a signed zero by stride
+    from the partials of A at the grid points, ``(m, n, n, n)``, last axis k.
+    A zero minimum is -0.0 whenever a -0.0 attains it, and a zero maximum
+    +0.0 whenever a +0.0 does, in any memory layout."""
     n = da.shape[-1]
     ranges = {}
     for j in range(1, n + 1):
@@ -98,7 +100,11 @@ def sign_ranges(da):
             if i == j:
                 continue
             vals = da[:, i - 1, i - 1, j - 1]
-            ranges[(j, i)] = (float(np.min(vals)), float(np.max(vals)))
+            lo, hi = float(np.min(vals)), float(np.max(vals))
+            signs = np.signbit(vals[vals == 0.0])
+            lo = -0.0 if lo == 0.0 and signs.any() else lo
+            hi = 0.0 if hi == 0.0 and not signs.all() else hi
+            ranges[(j, i)] = (lo, hi)
     return ranges
 
 
@@ -200,6 +206,41 @@ def _exponential_weight(axis, sign_case, shift, rate, dim) -> WeightFunction:
     return weight_function(expr, dim)
 
 
+def lattice_search(attempt, lo, hi, fail, passing):
+    """The passing end of the adjacent (fail, pass) pair that a search of the
+    lattice ``lo + k (hi - lo) / 1024`` ends on, and its attempt's ``found``.
+
+    ``attempt(rate)`` gives ``(found, passed)``; ``fail`` and ``passing`` are
+    the founds at ``lo`` and ``hi``.  A step is regula falsi on ``found.steer``
+    (Anderson and Björck's variant of the Illinois method), or the midpoint
+    when a value is NaN or of the wrong sign for its side, or after two
+    interpolated steps that together did not halve the bracket: so three
+    attempts at most halve it, and a search makes at most 30.  If pass/fail
+    is monotone on the lattice, ten bisection rounds end on the same pair.
+    """
+    step = (hi - lo) / _LATTICE
+    ends = [[0, fail.steer], [_LATTICE, passing.steer]]  # [k, value] failing, passing
+    moved, pair = True, []  # the doubling moved the passing end last
+    while ends[1][0] - ends[0][0] > 1:
+        (a, fa), (b, fb) = ends
+        if len(pair) == 2:  # the brackets before two interpolated steps
+            pair = [] if 2 * (b - a) <= pair[0] else None
+        if pair is not None and fa <= 0.0 < fb:
+            pair.append(b - a)
+            k = min(max(int(a + (b - a) * fa / (fa - fb) + 0.5), a + 1), b - 1)
+        else:
+            pair, k = [], (a + b) // 2
+        found, passed = attempt(lo + k * step)
+        passed = bool(passed)  # it indexes ends
+        if passed == moved:  # the other end is kept twice: Anderson and Björck's
+            old = ends[passed][1]  # factor scales its value, or Illinois' 1/2
+            scale = 1.0 - found.steer / old if old else 0.0
+            ends[not passed][1] *= scale if scale > 0.0 else 0.5
+        ends[passed], moved = [k, found.steer], passed
+        passing = found if passed else passing
+    return lo + ends[1][0] * step, passing
+
+
 def find_lambda(
     field: CoefficientField,
     region: Region,
@@ -213,12 +254,12 @@ def find_lambda(
     problem: GridProblem | None = None,
     dump_path=None,
 ) -> WeightCertificate:
-    """Search the exponential rate by doubling, then sharpen by bisection.
+    """Search the exponential rate by doubling, then on bisection's lattice.
 
     Doubles ``lambda`` through 1, 2, 4, ... until the condition certifies
-    with margin at least ``target_margin * alpha_min``, then runs ten
-    bisection rounds between the last failing and first passing rate and
-    returns a certificate at the near-minimal passing rate found.  The
+    with margin at least ``target_margin * alpha_min``, then runs
+    :func:`lattice_search` between the last failing and first passing rate
+    and returns a certificate at the near-minimal passing rate found.  The
     certificate also carries a re-check of that weight at doubled grid
     resolution (see :class:`WeightCertificate.refinement_report`).
 
@@ -274,7 +315,7 @@ def find_lambda(
         return None if best_lam is None else problem._report(attempt(best_lam)[0])
 
     lam = 1.0
-    lam_fail = None
+    lam_fail = found_fail = None
     while True:
         try:
             found, passed = attempt(lam)
@@ -293,7 +334,7 @@ def find_lambda(
             break
         if best_lam is None or found.margin > best_margin:
             best_lam, best_margin = lam, found.margin
-        lam_fail = lam
+        lam_fail, found_fail = lam, found
         lam *= 2.0
         if lam > lambda_max:
             raise LambdaMaxExceededError(
@@ -302,15 +343,7 @@ def find_lambda(
 
     lam_pass, found_pass = lam, found
     if lam_fail is not None:
-        lo, hi = lam_fail, lam_pass
-        for _ in range(_BISECTION_ROUNDS):
-            mid = 0.5 * (lo + hi)
-            found, passed = attempt(mid)
-            if passed:
-                hi, found_pass = mid, found
-            else:
-                lo = mid
-        lam_pass = hi
+        lam_pass, found_pass = lattice_search(attempt, lam_fail, lam, found_fail, found)
 
     weight_pass = construct_weight(axis, sign_case, shift, lam_pass, field.dim)
     refined = GridProblem(field, region, refined_resolution, consts)

@@ -656,7 +656,7 @@ class TestGridProblem:
         m = len(problem.grid)
         mats = np.tile(np.eye(2), (m, 1, 1))
         mats[2, 0, 0], mats[m - 2, 0, 0] = zeros
-        margins = _Margins(mats, None, np.ones(m), 1.0, 0, 0, "pass")
+        margins = _Margins(mats, None, np.ones(m), 1.0, 0, 0, "pass", 1.0)
         report = problem._report(margins)
         assert math.copysign(1.0, report.matrix_min_eig) == math.copysign(1.0, zeros[0])
         assert math.copysign(1.0, report.minors_min[0]) == math.copysign(1.0, zeros[0])

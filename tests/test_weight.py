@@ -66,18 +66,37 @@ class TestIndexSignRanges:
 
     def test_signed_zero_ends_do_not_depend_on_the_layout(self):
         # da^11/dx2 is >= 0 with zeros of both signs; numpy's min picks one
-        # by the stride it reads, so the ranges are read as C-ordered
+        # by the stride it reads, so a zero end takes its sign by rule: -0.0
+        # for a minimum whenever a -0.0 attains it, +0.0 for a maximum
         field = build(["exp(x1) + x1*(x1*x2 - x2^3/30)", "exp(-x1^2)"], diagonal=True)
         da = field.partial_values(sample(region(2, [(0.0, 2.0), (-1.0, 1.0)]), 5).points)
         values = da[:, 0, 0, 1]
         assert np.min(values) == 0.0 and len(set(np.signbit(values[values == 0.0]))) == 2
         want = sign_ranges(np.ascontiguousarray(da))
+        assert np.signbit(want[(2, 1)][0])
         for layout in LAYOUTS.values():
             got = sign_ranges(layout(da))
             assert got == want
             assert [np.signbit(v) for r in got.values() for v in r] == [
                 np.signbit(v) for r in want.values() for v in r
             ]
+
+    @pytest.mark.parametrize(
+        "values,signs",
+        [
+            ([-1.0, -0.0, 0.0, -2.0], (True, False)),  # max: +0.0 attains it
+            ([-0.0, -1.0, -0.0], (True, True)),  # max: only -0.0 attains it
+            ([0.0, 1.0, -0.0, 0.0], (True, False)),  # min: -0.0 attains it
+            ([0.0, 1.0], (False, False)),  # min: only +0.0 attains it
+        ],
+    )
+    def test_signed_zero_ends_follow_the_rule(self, values, signs):
+        da = np.ones((9 * len(values), 2, 2, 2))  # long enough for numpy's SIMD loops
+        da[:, 0, 0, 1] = np.tile(values, 9)
+        for layout in LAYOUTS.values():
+            lo, hi = sign_ranges(layout(da))[(2, 1)]
+            assert (lo, hi) == (min(values), max(values))
+            assert (np.signbit(lo), np.signbit(hi)) == signs
 
 
 class TestDetectIndex:
@@ -365,11 +384,11 @@ class TestSearchWork:
         import wavecert.condition as condition
 
         counts = {}
-        for name in ("min_eigenvalue", "leading_principal_minors", "pencil_min_eigenvalue"):
+        for name in ("min_eigenvalue", "leading_principal_minors", "pencil_margins"):
             _counting(monkeypatch, counts, condition, name)
         cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
         assert cert.report.certified and cert.refinement_report is not None
-        attempts = counts["pencil_min_eigenvalue"] - 1  # one pencil is the refinement's
+        attempts = counts["pencil_margins"] - 1  # one pencil per attempt, one the refinement's
         assert attempts > 10
         assert counts["min_eigenvalue"] == 2
         assert counts["leading_principal_minors"] == 2
@@ -380,14 +399,13 @@ class TestSearchWork:
 
         counts, operands = {}, []
         _counting(monkeypatch, counts, np.linalg, "solve")
-        screened = condition.screened
+        pencil_margins = condition.pencil_margins
 
-        def recorded(routine, bounds, *stacks):
-            if routine is condition.pencil_min_eigenvalue:
-                operands.append(stacks[1])  # the whitening, as the attempt passes it
-            return screened(routine, bounds, *stacks)
+        def recorded(m, w, wmax):
+            operands.append(w)  # the whitening, as the attempt passes it
+            return pencil_margins(m, w, wmax)
 
-        monkeypatch.setattr(condition, "screened", recorded)
+        monkeypatch.setattr(condition, "pencil_margins", recorded)
         problem = GridProblem(cubic_exp_field(), shifted_disk(), 17)
         cert = find_lambda(
             cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17, problem=problem
@@ -460,6 +478,115 @@ class TestSearchWork:
         assert err.value.best_lambda is None
         assert err.value.best_report.verdict == "failed_coefficient"
         assert err.value.best_report.alpha_min == -0.5
+
+    @pytest.mark.parametrize("name,attempts", [("isotropic-exp", 3), ("cubic-exp", 13)])
+    def test_bundled_searches_take_few_attempts(self, name, attempts, monkeypatch):
+        # doubling then ten bisection rounds would make 12 and 17 attempts;
+        # the steered search ends on the same rate in fewer
+        from wavecert.bundled import config_text
+        from wavecert.cli import RunConfig
+        from wavecert.condition import GridProblem
+        from wavecert.weight import admissible_indices
+
+        cfg = RunConfig.from_text(config_text(name))
+        field, reg = cfg.build_field(), cfg.build_region()
+        problem = GridProblem(field, reg, cfg.options["resolution"])
+        chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
+        rates, margins = [], GridProblem._margins
+
+        def attempt(self, weight, consts):
+            if self is problem:  # not the refinement's re-check
+                rates.append(consts["lambda"])
+            return margins(self, weight, consts)
+
+        monkeypatch.setattr(GridProblem, "_margins", attempt)
+        cert = find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
+        assert len(rates) == attempts
+        assert cert.lam == {"isotropic-exp": 1.0009765625, "cubic-exp": 48.53125}[name]
+        if name == "isotropic-exp":  # rate 1 fails, 2 passes, the first lattice point passes
+            assert rates == [1.0, 2.0, cert.lam]
+
+
+def bisection(passes, lo, hi):
+    """Ten bisection rounds between a failing ``lo`` and a passing ``hi``:
+    the last passing rate, and every rate tried."""
+    tried = []
+    for _ in range(10):
+        tried.append(0.5 * (lo + hi))
+        lo, hi = (lo, tried[-1]) if passes(tried[-1]) else (tried[-1], hi)
+    return hi, tried
+
+
+class TestLatticeSearch:
+    """The steered lattice search, on synthetic oracles with no grid."""
+
+    STEERING = {
+        "linear": lambda k, t: (k - t + 0.5) / 1024,
+        "concave": lambda k, t: np.tanh(8.0 * (k - t + 0.5) / 1024),
+        "kinked": lambda k, t: (k - t + 0.5) / 1024 if k < t else 1e-3,
+        "nan": lambda k, t: math.nan,
+        "wrong sign": lambda k, t: (1.0 + k) * (-1.0 if k >= t else 1.0),
+    }
+
+    @staticmethod
+    def search(lo, hi, passes, value):
+        """``lattice_search`` over ``passes(k)`` and ``value(k)`` on the lattice
+        of [lo, hi]: its rate and found, and every rate it tried."""
+        from types import SimpleNamespace
+
+        from wavecert.weight import lattice_search
+
+        step, tried = (hi - lo) / 1024, []
+
+        def attempt(lam):
+            k = (lam - lo) / step
+            assert k == int(k) and 0 < k < 1024  # an interior lattice point
+            tried.append(lam)
+            return SimpleNamespace(steer=value(int(k)), lam=lam), passes(int(k))
+
+        fail, passing = (SimpleNamespace(steer=value(k), lam=lo + k * step) for k in (0, 1024))
+        lam, found = lattice_search(attempt, lo, hi, fail, passing)
+        return lam, found, tried
+
+    @pytest.mark.parametrize("shape", STEERING)
+    @pytest.mark.parametrize("p", [0, 3, 11, 19])
+    def test_monotone_oracles_end_on_bisections_rate(self, shape, p):
+        lo, hi = 2.0**p, 2.0 ** (p + 1)
+        steer = self.STEERING[shape]
+        for threshold in range(1, 1025):
+            lam, found, tried = self.search(
+                lo, hi, lambda k: k >= threshold, lambda k: steer(k, threshold)
+            )
+            want, probes = bisection(lambda x: x >= lo + threshold * (hi - lo) / 1024, lo, hi)
+            assert lam == want and found.lam == lam
+            assert len(tried) <= 30
+            if shape in ("nan", "wrong sign"):  # no usable value: every step is the midpoint
+                assert tried == probes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_other_oracles_end_on_an_adjacent_pair(self, seed):
+        # pass/fail in no order, with steering values of either sign or NaN
+        rng = np.random.default_rng(seed)
+        lo, hi = 4.0, 8.0
+        step = (hi - lo) / 1024
+        for _ in range(200):
+            passes = np.append(np.insert(rng.random(1023) < rng.random(), 0, False), True)
+            values = rng.normal(size=1025) * 10.0 ** rng.integers(-12, 1, 1025)
+            values[rng.random(1025) < 0.05] = math.nan
+            lam, found, tried = self.search(lo, hi, passes.__getitem__, values.__getitem__)
+            k = int((lam - lo) / step)
+            assert found.lam == lam and passes[k] and not passes[k - 1]
+            assert all(lo + j * step in tried + [lo, hi] for j in (k - 1, k))
+            assert len(tried) <= 30
+
+    def test_interpolation_that_stalls_falls_back_to_the_midpoint(self):
+        # each interpolated step moves the passing end by one point; the
+        # safeguard's midpoints still halve the bracket every three attempts
+        lam, found, tried = self.search(
+            1.0, 2.0, lambda k: k >= 1, lambda k: -1.0 if k == 0 else 1e-300
+        )
+        assert lam == bisection(lambda x: x >= 1.0 + 1 / 1024, 1.0, 2.0)[0]
+        assert 10 < len(tried) <= 30
 
 
 class TestScaledAndLimitMatrices:
