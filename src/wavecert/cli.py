@@ -45,6 +45,7 @@ import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -557,6 +558,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache  # parsing keeps no state in the parser, so a process builds it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wavecert",

@@ -15,9 +15,10 @@ certificate of A, the assembly's weight-independent factors and the inverse
 multiplies the factors by the weight's gradient and Hessian into one
 ``(m, n, n)`` stack for :mod:`wavecert.linalg`, whose routines give one
 pencil margin, smallest eigenvalue and row of leading minors per point;
-worst points are the first minimizers in grid order.  For 2x2 matrices they
-run only where a minimum can be, and a grid dump runs them on every row.  A
-rate search runs only the part that decides the verdict on each attempt.
+worst points are the first minimizers in grid order.  For 2x2 and 3x3
+matrices they run only where a minimum can be, and a grid dump runs them on
+every row, once.  A rate search runs only the part that decides the verdict
+on each attempt.
 
 A full field is assembled by matrix products, a diagonal one entrywise
 (:func:`_terms`).  ``quadratic_form_matrix`` gives the unsymmetrized matrix
@@ -37,7 +38,7 @@ from .domain import Region, sample
 from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, evaluate, parse
 from .linalg import eigen_bounds, leading_principal_minors, min_eigenvalue, minor_bounds
-from .linalg import pencil_margins, pencil_min_eigenvalue, row_norms, screened
+from .linalg import SCREENED, pencil_margins, pencil_min_eigenvalue, row_norms, screened
 from .report import write_csv
 
 
@@ -252,7 +253,7 @@ class _Margins:
     normalized pencil margin, which steers a rate search."""
 
     mats: np.ndarray  # (m, n, n)
-    pencil: np.ndarray | None  # (m,), None when screened (n = 2)
+    pencil: np.ndarray | None  # (m,), None when screened (n in SCREENED)
     grad_norms: np.ndarray  # (m,)
     margin: float
     margin_idx: int
@@ -336,12 +337,14 @@ class GridProblem:
         """
         if self.coefficient_failure is not None:
             return self.coefficient_failure
-        report = self._report(self._margins(weight, self.consts), dump_path)
+        margins = self._margins(weight, self.consts, screen=dump_path is None)
+        report = self._report(margins, dump_path)
         return report if dump_path is None else replace(report, dump_path=str(dump_path))
 
-    def _margins(self, weight: WeightFunction, consts) -> _Margins:
+    def _margins(self, weight: WeightFunction, consts, screen=True) -> _Margins:
         """The weight-dependent part of :meth:`check`, with the weight
         evaluated under ``consts``; A must be positive definite on the grid.
+        Unless ``screen`` holds, the pencil runs on every row, as a dump needs.
 
         Raises :class:`DomainError` at the first grid point whose pencil
         matrix is not finite: the weight's derivatives times A left double
@@ -357,7 +360,7 @@ class GridProblem:
         grad_norms = row_norms(grads)
 
         try:
-            pencil, steer = pencil_margins(doubled, self.whitening, self.wmax)
+            pencil, steer = pencil_margins(doubled, self.whitening, self.wmax, screen)
         except np.linalg.LinAlgError:
             raise EvaluationError(
                 "coefficient matrix A is not numerically positive definite",
@@ -373,7 +376,8 @@ class GridProblem:
             verdict = VERDICT_FAILED_POSITIVITY
         else:
             verdict = VERDICT_FAILED_GRADIENT
-        pencil = None if mats.shape[-1] == 2 else pencil  # 2x2: only the kept rows ran
+        if screen and mats.shape[-1] in SCREENED:  # only the kept rows ran
+            pencil = None
         return _Margins(mats, pencil, grad_norms, margin, margin_idx, grad_idx, verdict, steer)
 
     def _report(self, margins: _Margins, dump_path=None) -> ConditionReport:

@@ -11,11 +11,11 @@ a full field's products are C-ordered.  Every value has the same bits in
 either layout, and no routine reshapes a stack (that copies a column-major one).
 
 A grid check needs only minima over the rows.  :func:`screened` runs a
-routine only on the rows whose closed-form interval (2x2 only) reaches the
-smallest upper end: ``2**-40`` of the value's scale, far above the rounding
-of LAPACK and of the closed form, plus a floor for what the rescaling below
-loses to underflow.  LAPACK acts per matrix, so the minimum and its first
-row are the full stack's bit for bit.
+routine only on the rows whose closed-form interval (2x2 and 3x3 stacks,
+:data:`SCREENED`) reaches the smallest upper end: a band far above the
+rounding of LAPACK and of the closed form, plus a floor for what the
+rescaling below loses to underflow.  LAPACK acts per matrix, so the minimum
+and its first row are the full stack's bit for bit.
 
 Each matrix is first rescaled by its own exact power of two (lossless) and
 the results are scaled back: entries near double range at large exponential
@@ -24,6 +24,8 @@ matrices gives each one the result it would get alone.
 """
 
 import numpy as np
+
+SCREENED = (2, 3)  # the matrix sizes whose grid minima have a closed-form screen
 
 
 def _scaled(mats):
@@ -82,19 +84,19 @@ def _pencil(m, w):
     return np.linalg.eigvalsh(c), exp
 
 
-def pencil_margins(m, w, wmax):
-    """:func:`pencil_min_eigenvalue` :func:`screened` by :func:`eigen_bounds`
-    (``wmax = max |w|``), and the normalized margin's grid minimum, which
-    steers a rate search: ``(h - s) / (|h| + s)`` from the 2x2 screen, else
-    LAPACK's smallest eigenvalue over the largest magnitude; NaN if a row's is."""
-    if m.shape[-1] != 2:  # the power-of-two scale cancels in the ratio
+def pencil_margins(m, w, wmax, screen=True):
+    """:func:`pencil_min_eigenvalue`, :func:`screened` by :func:`eigen_bounds`
+    (``wmax = max |w|``) when ``screen`` holds, and the grid minimum of each
+    row's smallest eigenvalue over its largest magnitude, which steers a rate
+    search: the closed form's when it screens, else LAPACK's; NaN if a row's is."""
+    if not screen or m.shape[-1] not in SCREENED:  # the power-of-two scale cancels in the ratio
         ev, exp = _pencil(m, w)
         with np.errstate(invalid="ignore"):  # 0 / 0 at a zero matrix
             ratio = ev[..., 0] / np.maximum(-ev[..., 0], ev[..., -1])
         return np.ldexp(ev[..., 0], exp), float(np.min(ratio))
     with np.errstate(all="ignore"):
-        lo, hi, low, size = _eigen_bounds(m, w, wmax)
-        steer = float(np.min(low / size))
+        lo, hi, ratio = _eigen_bounds(m, w, wmax)
+        steer = float(np.min(ratio))
     return screened(pencil_min_eigenvalue, lambda *_: (lo, hi), m, w), steer
 
 
@@ -107,11 +109,11 @@ def _whiten(m, w):
 
 def screened(routine, bounds, *stacks) -> np.ndarray:
     """``routine(*stacks)``, +inf at the rows (axis 0) that cannot attain its
-    minimum: for 2x2 stacks, the rows whose ``lo`` is above the smallest
-    ``hi`` in every column, for ``(lo, hi) = bounds(*stacks)`` (a NaN runs a
-    row).  The first minimizer along axis 0, and its value, are the full
-    values' bit for bit."""
-    if bounds is None or stacks[0].shape[-1] != 2:
+    minimum: for stacks of a size in :data:`SCREENED`, the rows whose ``lo``
+    is above the smallest ``hi`` in every column, for ``(lo, hi) =
+    bounds(*stacks)`` (a NaN runs a row).  The first minimizer along axis 0,
+    and its value, are the full values' bit for bit."""
+    if bounds is None or stacks[0].shape[-1] not in SCREENED:
         return routine(*stacks)
     with np.errstate(all="ignore"):
         lo, hi = bounds(*stacks)
@@ -125,34 +127,79 @@ def screened(routine, bounds, *stacks) -> np.ndarray:
 
 def eigen_bounds(m, w=None):
     """Intervals around :func:`pencil_min_eigenvalue` ``(m, w)`` (or
-    :func:`min_eigenvalue` ``(m)``) of a 2x2 stack: ``h - hypot((p - q) / 2,
-    r)`` for the whitened diagonal ``p``, ``q``, their mean ``h`` and the
-    symmetrized ``r``; the floor is infinite where LAPACK's copy can overflow.
-    The pencil whitens its kept rows again, rescaled by powers of two:
-    LAPACK's values rest on those bits."""
+    :func:`min_eigenvalue` ``(m)``) of a 2x2 or 3x3 stack, from the closed
+    form of the whitened stack: ``h - hypot((p - q) / 2, r)`` for the
+    diagonal ``p``, ``q``, their mean ``h`` and the symmetrized ``r``, or
+    Smith's (:func:`_smith`); the floor is infinite where LAPACK's copy can
+    overflow.  The pencil whitens its kept rows again, rescaled by powers of
+    two: LAPACK's values rest on those bits."""
     return _eigen_bounds(m, w, 1.0 if w is None else np.max(np.abs(w)))[:2]
 
 
 def _eigen_bounds(m, w, wmax):
-    """:func:`eigen_bounds` for ``wmax = max |w|``, then each row's ``h - s``, ``|h| + s``."""
+    """:func:`eigen_bounds` for ``wmax = max |w|``, then each row's smallest
+    eigenvalue over its largest magnitude, ``low / max(-low, high)``."""
     c = m if w is None else _whiten(m, w)
-    p, q = c[..., 0, 0], c[..., 1, 1]
-    h, s = 0.5 * (p + q), np.hypot(0.5 * (p - q), 0.5 * (c[..., 0, 1] + c[..., 1, 0]))
-    floor = (2.0**-1070 * (1.0 + np.max(np.abs(m)))) * (4.0 + 4.0 * wmax) ** 2
-    low, size = h - s, np.abs(h) + s
-    band = 2.0**-40 * size + 2.0**-1000 + floor
-    return low - band, low + band, low, size
+    if c.shape[-1] == 2:
+        p, q = c[..., 0, 0], c[..., 1, 1]
+        h, s = 0.5 * (p + q), np.hypot(0.5 * (p - q), 0.5 * (c[..., 0, 1] + c[..., 1, 0]))
+        low, high, band, exp = h - s, h + s, 2.0**-40 * (np.abs(h) + s), 0
+    else:
+        low, high, band, exp = _smith(c)
+    floor = 2.0**-1000 + (2.0**-1070 * (1.0 + np.max(np.abs(m)))) * (4.0 + 4.0 * wmax) ** 2
+    lo, hi = np.ldexp(low - band, exp) - floor, np.ldexp(low + band, exp) + floor
+    return lo, hi, low / np.maximum(-low, high)
+
+
+def _smith(c):
+    """Smith's closed form (CACM 4(4), 1961) of each symmetric 3x3 matrix of
+    ``c`` (its symmetrized entries), rescaled by its own power of two: the
+    smallest and largest eigenvalues, ``q + 2 p cos(phi + 2 pi / 3)`` and
+    ``q + 2 p cos(phi)`` for the diagonal's mean ``q``, ``6 p**2 = |c - q I|**2``
+    (Frobenius) and ``3 phi = arccos(det(c - q I) / (2 p**3))``; a band that
+    holds LAPACK's smallest; and the exponents that scale all three back.
+
+    The band is ``2**-24`` of ``|q| + 2 p``, which bounds every eigenvalue.
+    Near a repeated eigenvalue arccos turns an error of u in its argument
+    (one from the rounded mean's trace, one from the determinant) into
+    sqrt(u) (Kopp, arXiv:physics/0610206).  That bounds the error by about
+    ``3 * 2**-26`` of the scale; near-repeated triples reach ``0.7 * 2**-26``.
+    """
+    c, exp = _scaled(c)
+    a, b, d = c[..., 0, 0], c[..., 1, 1], c[..., 2, 2]
+    e, f, g = (0.5 * (c[..., i, j] + c[..., j, i]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    q = (a + b + d) / 3.0
+    a, b, d = a - q, b - q, d - q
+    p2 = (a * a + b * b + d * d + 2.0 * (e * e + f * f + g * g)) / 6.0
+    p = np.sqrt(p2)
+    det = a * (b * d - g * g) - e * (e * d - g * f) + f * (e * g - b * f)
+    p3 = p2 * p
+    r = np.clip(np.where(p3 > 0.0, det / (2.0 * p3), 0.0), -1.0, 1.0)  # 0 / 0 at c = q I
+    phi = np.arccos(r) / 3.0
+    low, high = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q + 2.0 * p * np.cos(phi)
+    return low, high, 2.0**-24 * (np.abs(q) + 2.0 * p), exp
 
 
 def minor_bounds(m):
-    """Intervals around :func:`leading_principal_minors` of a 2x2 stack
-    ``[[p, r], [t, q]]``, ``p`` and ``p q - r t``."""
-    p, pq, rt = m[..., 0, 0], m[..., 0, 0] * m[..., 1, 1], m[..., 0, 1] * m[..., 1, 0]
-    peak = 1.0 + np.max(np.abs(m))
-    value = np.stack([p, pq - rt], axis=-1)
-    band = 2.0**-40 * np.stack([np.abs(p), np.abs(pq) + np.abs(rt)], axis=-1)
-    band += 2.0**-1000 + (2.0**-1070 * peak) * peak
-    return value - band, value + band
+    """Intervals around :func:`leading_principal_minors` of a 2x2 or 3x3
+    stack, by cofactor expansion of its power-of-two rescaled matrices: each
+    minor's band is ``2**-40`` of its terms' magnitudes, plus ``2**-37`` for
+    a 3x3 determinant, which bounds what LU's pivoted products add at a
+    rescaled peak below 2, or else ``2**-1060`` for what underflows there."""
+    s, exp = _scaled(m)
+    e = [[s[..., i, j] for j in range(s.shape[-1])] for i in range(s.shape[-1])]
+    terms = [[e[0][0]], [e[0][0] * e[1][1], -(e[0][1] * e[1][0])]]
+    if len(e) == 3:
+        (a, b, c), (d, f, g), (h, i, j) = e
+        terms.append([a * (f * j), -(a * (g * i)), -(b * (d * j)), b * (g * h),
+                      c * (d * i), -(c * (f * h))])
+    lo, hi = [], []
+    for k, parts in enumerate(terms, start=1):
+        value = sum(parts)
+        band = 2.0**-40 * sum(np.abs(t) for t in parts) + (2.0**-37 if k == 3 else 2.0**-1060)
+        lo.append(np.ldexp(value - band, k * exp))
+        hi.append(np.ldexp(value + band, k * exp))
+    return np.stack(lo, axis=-1) - 2.0**-1000, np.stack(hi, axis=-1) + 2.0**-1000
 
 
 def row_peaks(rows) -> np.ndarray:

@@ -176,6 +176,28 @@ constraints = ["(x1 - 2)^2 + x2^2 + x3^2 - 1"]
 resolution = 82
 """
 
+# CI's 3-D configs: the ball of the search above at resolution 17, and a full
+# field on it
+CONSTRUCT_3D = CONSTRUCT_3D_OVER_BUDGET.replace("resolution = 82", "resolution = 17")
+FULL_3D_ENTRIES = [
+    "2 + 0.3*sin(x1*x2)", "0.1*cos(x2)", "0.05*x3",
+    "2 + 0.3*exp(-x2^2)", "0.1*sin(x1*x3)", "1.5 + log(1 + x1^2)/8",
+]
+VERIFY_FULL_3D = f"""
+[problem]
+A.diagonal = false
+A.entries = {json.dumps(FULL_3D_ENTRIES)}
+weight = "(x1^2 + x2^2 + x3^2)/2"
+
+[region]
+dim = 3
+box = [[1, 3], [-1, 1], [-1, 1]]
+constraints = ["(x1 - 2)^2 + x2^2 + x3^2 - 1"]
+
+[options]
+resolution = 21
+"""
+
 # a power literal beyond double range: not folded at parse time, it evaluates
 # to a non-finite coefficient
 VERIFY_HUGE_POWER = VERIFY_OK.replace(
@@ -523,6 +545,26 @@ class TestConstructCommand:
         assert main(["construct", "--config", write(tmp_path, text)]) == EXIT_CONFIG
 
 
+class TestDumpedEqualsUndumped:
+    # a dump runs every row, the report without one only the rows that can
+    # attain each 3x3 minimum: the reports are equal but for the dump's name
+    @pytest.mark.parametrize(
+        "command, text",
+        [("verify", VERIFY_FULL_3D), ("construct", CONSTRUCT_3D)],
+        ids=["verify-full-field", "construct-ball"],
+    )
+    def test_3d_reports_match(self, tmp_path, command, text):
+        cfg, dump = write(tmp_path, text), tmp_path / "grid.csv"
+        plain, dumped = tmp_path / "plain.json", tmp_path / "dumped.json"
+        assert main([command, "--config", cfg, "--json", str(plain)]) == EXIT_OK
+        argv = [command, "--config", cfg, "--dump-grid", str(dump), "--json", str(dumped)]
+        assert main(argv) == EXIT_OK
+        reports = [json.loads(strip_duration(p.read_text())) for p in (plain, dumped)]
+        assert reports[1]["result"].pop("dump_path", str(dump)) == str(dump)
+        assert reports[0] == reports[1]
+        assert len(dump.read_text().splitlines()) > 1000
+
+
 class TestDumpNotWritten:
     @pytest.mark.parametrize(
         "command,text,flags,verdict",
@@ -742,6 +784,34 @@ class TestUsageErrors:
         text = VERIFY_OK.replace("box = [[1, 3]", "box = [[1, 1e400]")
         assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
         assert "unbounded box axis [1.0, inf]" in capsys.readouterr().err
+
+    def test_one_parser_serves_a_process(self, tmp_path, capsys):
+        # main builds its parser once per process: a usage error, then
+        # construct, verify and rays through that one parser, give what each
+        # call gives with a parser of its own, as in a process of its own
+        calls = [
+            ["verify", "--config", write(tmp_path, VERIFY_OK), "--bogus"],
+            ["construct", "--config", write(tmp_path, CONSTRUCT_OK, "construct.cfg")],
+            ["verify", "--config", write(tmp_path, VERIFY_OK, "verify.cfg")],
+            ["rays", "--config", write(tmp_path, RAYS_CFG, "rays.cfg")],
+        ]
+
+        def run_all(fresh):
+            outcomes = []
+            for k, argv in enumerate(calls):
+                if fresh:
+                    _build_parser.cache_clear()
+                path = tmp_path / f"{fresh}-{k}.json"
+                code = main([*argv, "--json", str(path)])
+                report = strip_duration(path.read_text()) if path.exists() else None
+                outcomes.append((code, report, capsys.readouterr().err))
+            return outcomes
+
+        shared = run_all(fresh=False)
+        assert _build_parser() is _build_parser()
+        assert [code for code, _, _ in shared] == [EXIT_CONFIG, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert shared[0][1] is None and "config error:" in shared[0][2]
+        assert run_all(fresh=True) == shared
 
 
 # option -> (a command taking its flag, a config, flag text, the same value in JSON)

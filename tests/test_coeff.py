@@ -7,6 +7,7 @@ import pytest
 from wavecert.coeff import build, certify_positivity
 from wavecert.domain import region, sample
 from wavecert.linalg import (
+    SCREENED,
     _scaled,
     eigen_bounds,
     leading_principal_minors,
@@ -254,12 +255,38 @@ def spread_stack(rng, count):
     return mats
 
 
-def whitenings(rng, count):
-    """W's diagonal and a full lower-triangular W, entries over e^+-350."""
-    diag = np.exp(rng.uniform(-350.0, 350.0, size=(count, 2)))
-    full = np.zeros((count, 2, 2))
-    full[:, 0, 0], full[:, 1, 1] = diag.T
-    full[:, 1, 0] = rng.uniform(-1.0, 1.0, size=count) * diag.min(axis=1)
+def spread_stack3(rng, count):
+    """Symmetric 3x3 matrices with entries of either sign over e^+-700, exact
+    and signed zeros, all-zero rows of either sign, rows c I (whose closed
+    form has p = 0), near-repeated triples s (I + 1e-9 E) for a random
+    symmetric E, and rows one ulp apart."""
+    mags = np.exp(rng.uniform(-700.0, 700.0, size=(count, 6)))
+    vals = rng.choice([-1.0, 1.0], size=(count, 6)) * mags
+    vals[rng.random((count, 6)) < 0.15] = 0.0
+    vals[rng.random((count, 6)) < 0.1] = -0.0
+    kind = rng.integers(0, 7, size=count)
+    vals[kind == 0] = 0.0
+    vals[kind == 1] = -0.0
+    identity = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])  # the upper triangle, row by row
+    vals[kind == 2] = vals[kind == 2, :1] * identity
+    near = kind == 3
+    vals[near] = vals[near, :1] * (identity + 1e-9 * rng.standard_normal((near.sum(), 6)))
+    for row in np.flatnonzero(kind == 4):  # a neighbour one ulp away
+        vals[row] = vals[row - 1]
+        vals[row, 3] = np.nextafter(vals[row, 3], -np.inf)
+    mats = np.empty((count, 3, 3))
+    for k, (i, j) in enumerate(zip(*np.triu_indices(3))):
+        mats[:, i, j] = mats[:, j, i] = vals[:, k]
+    return mats
+
+
+def whitenings(rng, count, n=2, span=350.0):
+    """W's diagonal and a full lower-triangular W, entries over e^+-span."""
+    diag = np.exp(rng.uniform(-span, span, size=(count, n)))
+    full = np.zeros((count, n, n))
+    full[:, range(n), range(n)] = diag
+    for i, j in zip(*np.tril_indices(n, -1)):
+        full[:, i, j] = rng.uniform(-1.0, 1.0, size=count) * diag.min(axis=1)
     return diag, full
 
 
@@ -364,7 +391,7 @@ class TestScreened:
             warnings.simplefilter("error", RuntimeWarning)  # none may escape the screen
             part = run(lambda *s: screened(routine, bounds, *s), *stacks)
         with np.errstate(all="ignore"):  # as screened calls it
-            lo, hi = bounds(*stacks) if stacks[0].shape[-1] == 2 else (None, None)
+            lo, hi = bounds(*stacks) if stacks[0].shape[-1] in SCREENED else (None, None)
         if full is np.linalg.LinAlgError:
             assert part is np.linalg.LinAlgError
             return
@@ -383,6 +410,49 @@ class TestScreened:
         for count in [1, 2, 3, 5, 8] * 40 + [400]:
             mats = spread_stack(rng, count)
             diag, full = whitenings(rng, count)
+            self.check(min_eigenvalue, eigen_bounds, mats)
+            self.check(leading_principal_minors, minor_bounds, mats)
+            self.check(pencil_min_eigenvalue, eigen_bounds, mats, diag)
+            self.check(pencil_min_eigenvalue, eigen_bounds, mats, full)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_spread_3x3_stacks_are_bitwise_the_full_minima(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        for count in [1, 2, 3, 5, 8] * 20 + [400]:
+            mats = spread_stack3(rng, count)
+            diag, full = whitenings(rng, count, 3)
+            self.check(min_eigenvalue, eigen_bounds, mats)
+            self.check(leading_principal_minors, minor_bounds, mats)
+            self.check(pencil_min_eigenvalue, eigen_bounds, mats, diag)
+            self.check(pencil_min_eigenvalue, eigen_bounds, mats, full)
+
+    def test_near_repeated_3x3_intervals_hold_lapack(self):
+        # arccos loses half the digits near a repeated eigenvalue; the band
+        # still holds LAPACK's value, and the screen still drops far rows
+        rng = np.random.default_rng(7)
+        e = rng.standard_normal((2000, 3, 3))
+        size = 10.0 ** rng.uniform(-16.0, -3.0, (2000, 1, 1))
+        mats = np.eye(3) + size * (e + np.swapaxes(e, 1, 2))
+        mats[0] = 3.0 * np.eye(3)  # p = 0
+        mats[1] = np.diag([0.5, 2.0, 2.0])  # a repeated largest pair, far below the rest
+        diag, full = whitenings(rng, len(mats), 3, span=1.0)  # no wide underflow floor
+        self.check(min_eigenvalue, eigen_bounds, mats)
+        self.check(leading_principal_minors, minor_bounds, mats)
+        self.check(pencil_min_eigenvalue, eigen_bounds, mats, diag)
+        self.check(pencil_min_eigenvalue, eigen_bounds, mats, full)
+        with np.errstate(all="ignore"):  # 0 / 0 at p = 0, as screened calls it
+            lo, hi = eigen_bounds(mats)
+        assert lo[0] <= 3.0 <= hi[0] and hi[0] - lo[0] < 1e-6
+        assert np.array_equal(np.flatnonzero(~(lo > np.min(hi))), [1])
+
+    def test_nan_and_inf_rows_keep_the_full_outcome(self):
+        # a NaN end keeps a row: the screen gives LAPACK's error, or its NaN
+        # and infinite minima, as the full stack does
+        base = np.stack([np.diag([k, k + 1.0, k + 2.0]) for k in (3.0, 1.0, 2.0)])
+        for bad in (np.nan, np.inf, -np.inf):
+            mats = base.copy()
+            mats[2, 0, 1] = mats[2, 1, 0] = bad
+            diag, full = whitenings(np.random.default_rng(3), len(mats), 3)
             self.check(min_eigenvalue, eigen_bounds, mats)
             self.check(leading_principal_minors, minor_bounds, mats)
             self.check(pencil_min_eigenvalue, eigen_bounds, mats, diag)
@@ -419,7 +489,20 @@ class TestScreened:
         out = screened(counted, eigen_bounds, mats)
         assert calls == [1] and out[1] == 1.0 and np.isinf(np.delete(out, 1)).all()
 
-    @pytest.mark.parametrize("n", [1, 3])
+    def test_separated_3x3_rows_run_only_the_minimum(self):
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return leading_principal_minors(m)
+
+        mats = np.stack([np.diag([k, k + 1.0, k + 2.0]) for k in (3.0, 1.0, 2.0, 5.0)])
+        assert same_bits(screened(min_eigenvalue, eigen_bounds, mats)[1], 1.0)
+        out = screened(counted, minor_bounds, mats)
+        assert calls == [1] and same_bits(out[1], [1.0, 2.0, 6.0])
+        assert np.isinf(np.delete(out, 1, axis=0)).all()
+
+    @pytest.mark.parametrize("n", [1, 4])
     def test_other_sizes_run_every_row(self, n):
         rng = np.random.default_rng(n)
         a = rng.normal(size=(7, n, n))

@@ -1,11 +1,13 @@
-"""The exit-code contract under seeded random configs.
+"""The exit-code contract under seeded random configs, and the rate
+search's lattice phase under seeded searchable ones.
 
 Every run of ``verify``, ``construct``, ``curvature`` or ``rays`` must exit
 0, 2, 3 or 4, whatever its config: no traceback, no exit 1.  No
 RuntimeWarning may escape, and a report of a run that exits 0 or 2 holds no
 NaN.  The configs have random expression trees over ``exp log sin cos
 sqrt + - * / ^`` with extreme literals, diagonal and full fields, thin and
-zero-width boxes, random constraints and small grids.
+zero-width boxes, random constraints and small grids.  Such a search rarely
+doubles past rate 2, so :func:`lattice_config` draws fields that do.
 """
 
 import contextlib
@@ -17,7 +19,10 @@ import warnings
 
 import pytest
 
-from wavecert.cli import main
+from wavecert.cli import RunConfig, main
+from wavecert.condition import VERDICT_CERTIFIED, GridProblem
+from wavecert.weight import admissible_indices, construct_weight, find_lambda, pick_index
+from wavecert.weight import sign_ranges
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 OPERATORS = ("+", "-", "*", "/", "^")
@@ -199,3 +204,85 @@ def test_random_configs_keep_the_exit_code_contract(tmp_path, seed):
 @pytest.mark.parametrize("name", FINDINGS)
 def test_finding_keeps_the_exit_code_contract(tmp_path, name):
     assert_contract(tmp_path, *FINDINGS[name])
+
+
+def lattice_config(rng, dim):
+    """A diagonal ``construct`` config of the ``cubic-exp`` kind in ``dim``
+    dimensions: every entry ``exp(+-c * sum_k x_k^3)``, on a ball off the
+    coordinate axes, so every off-index partial keeps one sign, and the rate
+    search doubles past 2 into its lattice phase."""
+    radius = round(rng.uniform(0.3, 0.8), 2)
+    center = [round(rng.uniform(radius + 0.5, 1.6), 2) for _ in range(dim)]
+    cubes = " + ".join(f"x{k}^3" for k in range(1, dim + 1))
+    exponent = f"{rng.choice(('', '-'))}{round(rng.uniform(0.5, 1.0), 2)!r}*({cubes})"
+    entries = [f"exp({exponent})"] * dim
+    ball = " + ".join(f"(x{k} - {c!r})^2" for k, c in enumerate(center, start=1))
+    region = {
+        "dim": dim,
+        "box": [[c - radius, c + radius] for c in center],
+        "constraints": [f"{ball} - {radius * radius!r}"],
+    }
+    options = {"resolution": rng.choice((9, 13, 17) if dim == 2 else (7, 9))}
+    lines = []
+    for section, values in (
+        ("problem", {"A.diagonal": True, "A.entries": entries}),
+        ("region", region),
+        ("options", options),
+    ):
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {json.dumps(value)}" for key, value in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+def outcome(found):
+    """What of one attempt decides a search and the report it returns."""
+    return found.verdict, found.margin, found.margin_idx, found.grad_idx, found.steer
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lattice_phase_ends_on_ten_round_bisection(monkeypatch, dim, seed):
+    # the steered search and ten bisection rounds over the same attempts end
+    # on one rate and one passing attempt, the steered one in at most 30
+    # attempts after doubling; in 3-D it steers on the 3x3 closed form
+    cfg = RunConfig.from_text(lattice_config(random.Random(f"{seed}/{dim}"), dim))
+    field, reg = cfg.build_field(), cfg.build_region()
+    problem = GridProblem(field, reg, cfg.options["resolution"])
+    chosen = pick_index(admissible_indices(sign_ranges(problem.da), dim))
+    rates, found_at, margins = [], {}, GridProblem._margins
+
+    def recorded(self, weight, consts, **screen):
+        found = margins(self, weight, consts, **screen)
+        if self is problem:  # not the refinement's re-check
+            rates.append(consts["lambda"])
+            found_at[consts["lambda"]] = found
+        return found
+
+    monkeypatch.setattr(GridProblem, "_margins", recorded)
+    cert = find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
+    monkeypatch.undo()
+
+    def attempt(lam):  # a literal rate gives the search's values bit for bit
+        weight = construct_weight(chosen.axis, chosen.sign_case, cert.shift, lam, dim)
+        found = problem._margins(weight, None)
+        return found, found.verdict == VERDICT_CERTIFIED
+
+    fail, lam = None, 1.0
+    passing, passed = attempt(lam)
+    while not passed:
+        fail, lam = lam, 2.0 * lam
+        passing, passed = attempt(lam)
+    assert fail is not None and fail >= 2.0
+    doubling = int(math.log2(lam)) + 1  # the rates 1, 2, ..., lam
+    for _ in range(10):
+        mid = 0.5 * (fail + lam)
+        found, passed = attempt(mid)
+        if passed:
+            lam, passing = mid, found
+        else:
+            fail = mid
+    assert cert.lam == lam
+    assert outcome(found_at[lam]) == outcome(passing)
+    assert cert.report == problem._report(passing)
+    assert rates[:doubling] == [2.0**k for k in range(doubling)]
+    assert len(rates) - doubling <= 30

@@ -360,9 +360,9 @@ class TestSearchWork:
         deltas = []
         margins = GridProblem._margins
 
-        def attempt(self, weight, consts):
+        def attempt(self, weight, consts, **screen):
             before = dict(counts)
-            found = margins(self, weight, consts)
+            found = margins(self, weight, consts, **screen)
             if self.grid.resolution == 17:  # not the refinement's re-check
                 grown = {k: v - before.get(k, 0) for k, v in counts.items()}
                 deltas.append({k: d for k, d in grown.items() if d})
@@ -401,9 +401,9 @@ class TestSearchWork:
         _counting(monkeypatch, counts, np.linalg, "solve")
         pencil_margins = condition.pencil_margins
 
-        def recorded(m, w, wmax):
+        def recorded(m, w, *rest):
             operands.append(w)  # the whitening, as the attempt passes it
-            return pencil_margins(m, w, wmax)
+            return pencil_margins(m, w, *rest)
 
         monkeypatch.setattr(condition, "pencil_margins", recorded)
         problem = GridProblem(cubic_exp_field(), shifted_disk(), 17)
@@ -494,10 +494,10 @@ class TestSearchWork:
         chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
         rates, margins = [], GridProblem._margins
 
-        def attempt(self, weight, consts):
+        def attempt(self, weight, consts, **screen):
             if self is problem:  # not the refinement's re-check
                 rates.append(consts["lambda"])
-            return margins(self, weight, consts)
+            return margins(self, weight, consts, **screen)
 
         monkeypatch.setattr(GridProblem, "_margins", attempt)
         cert = find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
