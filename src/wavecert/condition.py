@@ -20,12 +20,13 @@ matrices they run only where a minimum can be, and a grid dump runs them on
 every row, once.  A rate search runs only the part that decides the verdict
 on each attempt.
 
-A full field is assembled by matrix products, a diagonal one entrywise
-(:func:`_terms`).  ``quadratic_form_matrix`` gives the unsymmetrized matrix
-of the quadratic form, whose symmetric part is twice the multiplier matrix.
-``multiplier_matrix_diagonal``, the constructive proof's form, drops the
-weight's mixed second derivatives; it matches the general path for every
-weight family this toolkit constructs.  ``check_condition`` is a one-off check.
+A full field is assembled by matrix products summed in index order, a
+diagonal one entrywise (:func:`_terms`).  ``quadratic_form_matrix`` gives the
+unsymmetrized matrix of the quadratic form, whose symmetric part is twice
+the multiplier matrix.  ``multiplier_matrix_diagonal``, the constructive
+proof's form, drops the weight's mixed second derivatives; it matches the
+general path for every weight family this toolkit constructs.
+``check_condition`` is a one-off check.
 """
 
 from dataclasses import dataclass, replace
@@ -38,7 +39,7 @@ from .domain import Region, sample
 from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, evaluate, parse
 from .linalg import eigen_bounds, leading_principal_minors, min_eigenvalue, minor_bounds
-from .linalg import SCREENED, pencil_margins, pencil_min_eigenvalue, row_norms, screened
+from .linalg import SCREENED, matprod, pencil_margins, pencil_min_eigenvalue, row_norms, screened
 from .report import write_csv
 
 
@@ -98,8 +99,8 @@ def _factors(a, da, diagonal):
     """The weight-independent factors of the assembly: A and its partials
     for a full field; ``a_i a_j`` and ``a_i da_j/dx_i`` for a diagonal one,
     the second also ``da_i/dx_q a_q`` at ``[q, i]`` (a product commutes)."""
-    if not diagonal:  # matmul runs BLAS, whose bits these products keep, on C-ordered stacks only
-        return np.ascontiguousarray(a), np.ascontiguousarray(da)
+    if not diagonal:
+        return a, da
     ad = np.diagonal(a, axis1=-2, axis2=-1)
     dd = np.diagonal(da, axis1=-3, axis2=-2)  # [q, i]: da_i/dx_q
     return ad[..., :, None] * ad[..., None, :], ad[..., :, None] * dd
@@ -115,7 +116,8 @@ def _terms(factors, grad, hess, diagonal):
     ``t_c[i, j] = sum_q da^{ij}/dx_q (A grad d)_q``.  The fourth sum,
     ``a^{jq} da^{pi}/dx_q d_{x_p}``, is ``t_a`` transposed.
 
-    A full field takes them as matrix products.  A ``diagonal`` field keeps
+    A full field takes them as matrix products (:func:`matprod`, A H A as
+    (A H) A), each entry summed in index order.  A ``diagonal`` field keeps
     only the products that are not exact zeros, with ``a_i = a^{ii}``:
     ``(a_i a_j) d_{x_j x_i}``, ``(a_i da_j/dx_i) d_{x_j}`` and, on the
     diagonal of ``t_c``, ``sum_q (da_i/dx_q a_q) d_{x_q}`` in q order, each
@@ -124,18 +126,14 @@ def _terms(factors, grad, hess, diagonal):
     """
     if not diagonal:
         a, da = factors
-        m_qj = np.matmul(grad[..., None, None, :], np.moveaxis(da, -1, -3))[..., 0, :]
-        ag = np.matmul(a, grad[..., None])[..., None, :, :]  # (A grad d)_q as (..., 1, n, 1)
-        return a @ hess @ a, a @ m_qj, np.matmul(da, ag)[..., 0]
+        m_qj = matprod(grad[..., None, None, :], np.moveaxis(da, -1, -3))[..., 0, :]
+        ag = matprod(a, grad[..., None])[..., None, :, :]  # (A grad d)_q as (..., 1, n, 1)
+        return matprod(matprod(a, hess), a), matprod(a, m_qj), matprod(da, ag)[..., 0]
     aa, ada = factors
-    n = grad.shape[-1]
     term_h = 0.0 + aa * np.swapaxes(hess, -1, -2)
     t_a = 0.0 + ada * grad[..., None, :]
-    diag = np.zeros_like(grad)
-    for q in range(n):
-        diag += ada[..., q, :] * grad[..., q, None]
     t_c = np.zeros_like(term_h)
-    t_c[(..., *np.diag_indices(n))] = diag
+    t_c[(..., *np.diag_indices(grad.shape[-1]))] = matprod(grad[..., None, :], ada)[..., 0, :]
     return term_h, t_a, t_c
 
 
@@ -296,11 +294,8 @@ class GridProblem:
     @cached_property
     def factors(self) -> tuple:
         """The weight-independent factors of the assembly (:func:`_factors`);
-        a full field's C-ordered A and partials replace the grid-innermost ones."""
-        factors = _factors(self.a, self.da, self.field.diagonal)
-        if not self.field.diagonal:
-            self.a, self.da = factors
-        return factors
+        for a full field, :attr:`a` and :attr:`da` themselves."""
+        return _factors(self.a, self.da, self.field.diagonal)
 
     @cached_property
     def whitening(self) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import RegionError
 from .expr import Expression, compile, differentiate, parse
+from .linalg import row_sums
 
 # largest tensor grid ``sample`` builds (resolution ** dim points): 2**22 admits
 # 129 points per axis in 3D and keeps one float64 coordinate array at 32 MiB
@@ -104,10 +105,7 @@ class Region:
             values = self._distance(points, consts)  # (m, c, 1 + n)
             # a gradient whose squared norm overflows is infinitely steep: reach 0
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                squares = values[:, :, 1] ** 2
-                for k in range(2, self.dim + 1):
-                    squares = squares + values[:, :, k] ** 2
-                norm = np.sqrt(squares)
+                norm = np.sqrt(row_sums(values[:, :, 1:] ** 2))
                 reach = np.maximum(0.0, -values[:, :, 0] - self.margin) / norm
             dist = np.minimum(dist, np.where(norm > 0.0, reach, np.inf).min(axis=1))
         return np.maximum(0.0, dist)

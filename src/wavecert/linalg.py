@@ -6,9 +6,10 @@ LAPACK (``np.linalg.eigvalsh``); the pencil is whitened by the caller's
 inverse Cholesky factors (two-sided scaling when diagonal); leading principal
 minors, from batched determinants, cross-check positive definiteness.
 
-Grid stacks keep the grid axis innermost in memory, as the tapes give them;
-a full field's products are C-ordered.  Every value has the same bits in
-either layout, and no routine reshapes a stack (that copies a column-major one).
+Grid stacks keep the grid axis innermost in memory, as the tapes give them.
+Products and row sums outside LAPACK add in index order (:func:`matprod`,
+:func:`row_sums`), so every value has the same bits in any layout; no
+routine reshapes a stack (that copies a column-major one).
 
 A grid check needs only minima over the rows.  :func:`screened` runs a
 routine only on the rows whose closed-form interval (2x2 and 3x3 stacks,
@@ -104,7 +105,7 @@ def _whiten(m, w):
     """``W m W^T``, or ``(m_ij * w_i) * w_j`` for W's diagonal ``w``."""
     if np.ndim(w) < np.ndim(m):
         return (m * w[..., :, None]) * w[..., None, :]
-    return w @ m @ np.swapaxes(w, -1, -2)
+    return matprod(matprod(w, m), np.swapaxes(w, -1, -2))
 
 
 def screened(routine, bounds, *stacks) -> np.ndarray:
@@ -212,11 +213,21 @@ def row_peaks(rows) -> np.ndarray:
     return peak
 
 
+def row_sums(rows) -> np.ndarray:
+    """``np.sum(rows, axis=-1)`` added column by column in index order from 0,
+    so the same bits in any layout; a row of no columns sums to 0."""
+    return sum((rows[..., k] for k in range(rows.shape[-1])), np.zeros(rows.shape[:-1]))
+
+
+def matprod(x, y) -> np.ndarray:
+    """``x @ y`` for stacks, each entry summed over k in index order from 0 by
+    elementwise passes: the same bits in any layout, and at a point as in a batch."""
+    return sum(x[..., :, k, None] * y[..., None, k, :] for k in range(x.shape[-1]))
+
+
 def row_norms(rows) -> np.ndarray:
     """Euclidean norms of the rows of an (m, n) array, overflow-safe."""
-    rows = np.asarray(rows, dtype=float)
     peak = row_peaks(rows)
     safe = np.where(peak > 0.0, peak, 1.0)
-    # numpy sums 8 or more terms pairwise only along a contiguous row, as C-ordered rows are
-    scaled = np.divide(rows, safe[:, None], order="K" if rows.shape[1] < 8 else "C")
-    return safe * np.sqrt(np.sum(scaled * scaled, axis=1))
+    scaled = rows / safe[:, None]
+    return safe * np.sqrt(row_sums(scaled * scaled))

@@ -21,23 +21,13 @@ def fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
+# control characters, and surrogates (a lone one has no UTF-8), are written as \uXXXX
+_ESCAPES = {c: f"\\u{c:04x}" for c in [*range(0x20), *range(0xD800, 0xE000)]}
+_ESCAPES.update({ord("\""): "\\\"", ord("\\"): "\\\\", ord("\n"): "\\n", ord("\t"): "\\t"})
+
+
 def _escape(text: str) -> str:
-    out = ["\""]
-    for ch in text:
-        if ch == "\"":
-            out.append("\\\"")
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
+    return "\"" + text.translate(_ESCAPES) + "\""
 
 
 def _write(obj, indent: int, pieces: list):

@@ -44,6 +44,7 @@ from .errors import (
     WeightOverflowError,
 )
 from .expr import BinOp, Call, Const, Neg, Num, Var
+from .linalg import row_sums
 
 SIGN_NEGATIVE = "negative"
 SIGN_POSITIVE = "positive"
@@ -150,8 +151,7 @@ def compute_shift(grid: SampleGrid, axis: int, sign_case: str) -> float:
     """
     pts = grid.points
     j = axis - 1
-    others = np.ascontiguousarray(np.delete(np.abs(pts), j, axis=1))  # rows sum as in row_norms
-    abs_sum_max = float(np.max(others.sum(axis=1))) if others.shape[1] else 0.0
+    abs_sum_max = float(np.max(row_sums(np.delete(np.abs(pts), j, axis=1))))
     if sign_case == SIGN_NEGATIVE:
         return 1.0 + abs_sum_max - float(np.min(pts[:, j]))
     if sign_case == SIGN_POSITIVE:

@@ -737,6 +737,34 @@ class TestExitCodeContract:
             assert message in capsys.readouterr().err
             assert not dump.exists()
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["1 + 0*" + "(" * 1500 + "x1" + ")" * 1500, " + ".join(["x1"] * 3000)],
+        ids=["nested-parentheses", "long-sum"],
+    )
+    def test_expression_too_deep_is_config_error(self, tmp_path, capsys, entry):
+        # the parser recurses on the parentheses, differentiation on the sum
+        text = VERIFY_OK.replace('A.entries = ["1", "1"]', f'A.entries = ["{entry}", "1"]')
+        assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert "config error: expression nested too deeply" in capsys.readouterr().err
+
+    def test_lone_surrogates_are_escaped_in_the_report(self, tmp_path):
+        # a path byte that is not UTF-8 reaches argv as a lone surrogate, and
+        # a JSON key can name one; the report writes both as \uXXXX
+        text = VERIFY_OK.replace(
+            'weight = "(x1^2 + x2^2)/2"', 'weight = "(x1^2 + x2^2)/2"\nconstants = {"\\ud800": 1}'
+        )
+        dump = os.fsdecode(bytes(tmp_path) + b"/\xff.csv")
+        out = tmp_path / "out.json"
+        argv = ["verify", "--config", write(tmp_path, text), "--dump-grid", dump]
+        assert main(argv + ["--json", str(out)]) == EXIT_OK
+        written = out.read_text(encoding="utf-8")
+        report = json.loads(written)
+        assert report["result"]["dump_path"] == dump and dump.endswith("\udcff.csv")
+        assert list(report["config"]["problem"]["constants"]) == ["\ud800"]
+        kept = [line for line in written.splitlines(True) if '"duration_seconds"' not in line]
+        assert strip_duration(written) == "".join(kept)
+
     def test_dump_path_in_missing_directory(self, tmp_path):
         dump = tmp_path / "missing" / "grid.csv"
         code = main(

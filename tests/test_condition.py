@@ -491,6 +491,38 @@ def _inline_diagonal_terms(a, da, grad, hess):
     return term_h, t_a, t_c
 
 
+def _inline_full_terms(a, da, grad, hess):
+    """The full assembly at one point, entry by entry in Python floats, each
+    sum over k in index order from zero: ``A H A`` as ``(A H) A``, ``A M``
+    and ``t_c``; the reference the full branch must match bit for bit."""
+    a, da, g, h = a.tolist(), da.tolist(), grad.tolist(), hess.tolist()
+    n = len(g)
+
+    def product(x, y):
+        out = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    out[i][j] += x[i][k] * y[k][j]
+        return out
+
+    m_qj = [[0.0] * n for _ in range(n)]  # M[q][j] = sum_p g_p da[p][j][q]
+    for q in range(n):
+        for j in range(n):
+            for p in range(n):
+                m_qj[q][j] += g[p] * da[p][j][q]
+    ag = [0.0] * n
+    for q in range(n):
+        for p in range(n):
+            ag[q] += a[q][p] * g[p]
+    t_c = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for q in range(n):
+                t_c[i][j] += da[i][j][q] * ag[q]
+    return tuple(np.array(t) for t in (product(product(a, h), a), product(a, m_qj), t_c))
+
+
 def _inline_multiplier(term_h, t_a, t_c):
     out = t_a + np.swapaxes(t_a, -1, -2)
     out -= t_c
@@ -553,10 +585,8 @@ class TestFactorSplit:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_full_products_do_not_depend_on_the_layout(self, n):
-        # matmul runs BLAS only on C-ordered stacks, and BLAS rounds the
-        # products of A and its partials differently from numpy's own loop;
-        # the factors are C-ordered copies, and the derivatives' layout
-        # moves no bit
+        # each product is summed in index order by elementwise passes, so
+        # neither the factors' layout nor the derivatives' moves a bit
         rng = np.random.default_rng(90 + n)
         m = 500
 
@@ -570,19 +600,43 @@ class TestFactorSplit:
         want_mult = _multiplier(_factors(a, da, False), grad, hess, False)
         for layout in LAYOUTS.values():
             factors = _factors(layout(a), layout(da), False)
-            assert all(f.flags.c_contiguous for f in factors)
             for derivatives in LAYOUTS.values():
                 d = (derivatives(grad), derivatives(hess))
                 for g, w in zip(_terms(factors, *d, False), want):
                     assert _bitwise_equal(g, w)
                 assert _bitwise_equal(_multiplier(factors, *d, False), want_mult)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_products_are_the_index_order_sums(self, n):
+        # every entry of a full field's products is summed over k in index
+        # order from zero, at a point and in a batch, in every layout
+        rng = np.random.default_rng(110 + n)
+        m = 300
+        a, da = rng.standard_normal((m, n, n)), rng.standard_normal((m, n, n, n))
+        grad, hess = rng.standard_normal((m, n)), rng.standard_normal((m, n, n))
+        for x in (a, da, grad, hess):
+            x *= np.exp(rng.uniform(-5.0, 5.0, x.shape))
+            x[rng.random(x.shape) < 0.1] = -0.0
+        rows = [_inline_full_terms(a[k], da[k], grad[k], hess[k]) for k in range(m)]
+        want = tuple(np.stack(t) for t in zip(*rows))
+        want_mult = _inline_multiplier(*want)
+        for layout in LAYOUTS.values():
+            d = (layout(grad), layout(hess))
+            factors = _factors(layout(a), layout(da), False)
+            for got, w in zip(_terms(factors, *d, False), want):
+                assert _bitwise_equal(got, w)
+            assert _bitwise_equal(_multiplier(factors, *d, False), want_mult)
+        for k in range(0, m, 29):  # a point (n,) is that row of a batch
+            point = _terms(_factors(a[k], da[k], False), grad[k], hess[k], False)
+            for got, w in zip(point, rows[k]):
+                assert got.shape == (n, n) and _bitwise_equal(got, w)
+
     def test_full_grid_problem_keeps_one_copy_of_a(self):
         ball = region(3, [(1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)], ["(x1 - 2)^2 + x2^2 + x3^2 - 1"])
         problem = GridProblem(FULL_3D, ball, 7)
         assert problem.a.strides[0] == problem.a.itemsize  # as the tape gives it
-        a, da = problem.factors  # C-ordered copies, which replace the grid's own
-        assert problem.a is a and problem.da is da and a.flags.c_contiguous
+        a, da = problem.factors  # the grid's own arrays, with no copy
+        assert problem.a is a and problem.da is da
 
     def test_grid_problem_keeps_the_factors_of_its_grid(self):
         problem = GridProblem(isotropic_exp_field(), offset_disk(), 17)

@@ -151,14 +151,16 @@ class TestComputeShift:
         assert compute_shift(grid, 1, "positive") == pytest.approx(3.0)
 
     def test_many_axes_are_summed_as_rows(self):
-        # numpy sums 8 or more terms pairwise only along a contiguous row,
-        # and the grid's points are stored column by column
+        # each row is summed in index order, as numpy sums fewer than 8
+        # terms; from 8 on it sums a contiguous row pairwise
         rng = np.random.default_rng(9)
         for dim in (9, 10, 11) * 10:
             box = [(-rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)) for _ in range(dim)]
             grid = sample(region(dim, box), 2)
-            rows = np.ascontiguousarray(np.abs(grid.points))[:, 1:]
-            want = 1.0 + float(np.max(rows.sum(axis=1))) - float(np.min(grid.points[:, 0]))
+            sums = 0.0
+            for k in range(1, dim):
+                sums = sums + np.abs(grid.points[:, k])
+            want = 1.0 + float(np.max(sums)) - float(np.min(grid.points[:, 0]))
             assert compute_shift(grid, 1, "negative") == want
 
     def test_one_dimensional_empty_sum(self):
