@@ -252,9 +252,11 @@ def _fmt_num(v: float) -> str:
 
 
 def _r_expr(e: Expression) -> str:
-    if isinstance(e, BinOp) and e.op in "+-":
-        return f"{_r_expr(e.left)} {e.op} {_r_term(e.right)}"
-    return _r_term(e)
+    tail = []  # a sum's terms, last first: its left spine is walked in a loop
+    while isinstance(e, BinOp) and e.op in "+-":
+        tail.append(f" {e.op} {_r_term(e.right)}")
+        e = e.left
+    return _r_term(e) + "".join(reversed(tail))
 
 
 def _r_term(e: Expression) -> str:
@@ -430,12 +432,17 @@ def _d(e: Expression, k: int) -> Expression:
         return Num(1.0) if e.index == k else Num(0.0)
     if t is Neg:
         return neg(_d(e.arg, k))
+    if t is BinOp and e.op in "+-":  # the left spine in a loop, as long as a sum is
+        spine = []
+        while type(e) is BinOp and e.op in "+-":
+            spine.append(e)
+            e = e.left
+        d = _d(e, k)
+        for e in reversed(spine):
+            d = (add if e.op == "+" else sub)(d, _d(e.right, k))
+        return d
     if t is BinOp:
         dl, dr = _d(e.left, k), _d(e.right, k)
-        if e.op == "+":
-            return add(dl, dr)
-        if e.op == "-":
-            return sub(dl, dr)
         if e.op == "*":
             return add(mul(dl, e.right), mul(e.left, dr))
         # quotient rule; the folded numerator keeps literal zeros out
@@ -613,7 +620,8 @@ def compile(exprs) -> Tape:
     """Hash-cons an expression, or a nested sequence of them, into a tape.
 
     Structurally equal subtrees, within one expression or across several,
-    become one node, so a shared subterm is evaluated once per batch.  Each
+    become one node, so a shared subterm is evaluated once per batch.  The
+    negation of a literal is the literal of its exact negative.  Each
     intermediate is released after its last use.
     """
     table = np.array(exprs, dtype=object)  # nodes are not sequences, so they stay cells
@@ -642,8 +650,19 @@ def compile(exprs) -> Tape:
                 slot = node(("var", e.index - 1))
             elif t is Const:
                 slot = node(("const", e.name))
+            elif t is Neg and type(e.arg) is Num:  # a negative literal, exactly
+                v = -e.arg.value
+                slot = node(("num", float(v).hex()), v)
             elif t is Neg:
                 slot = node(("neg", visit(e.arg)))
+            elif t is BinOp and e.op in "+-":  # the left spine in a loop, as long as a sum is
+                spine = []
+                while type(e) is BinOp and e.op in "+-" and id(e) not in seen:
+                    spine.append(e)
+                    e = e.left
+                slot = visit(e)
+                for e in reversed(spine):
+                    slot = seen[id(e)] = node((e.op, slot, visit(e.right)))
             elif t is BinOp:
                 slot = node((e.op, visit(e.left), visit(e.right)))
             elif t is Pow:

@@ -15,10 +15,11 @@ tape of Hamilton's equations without H, and the derivative at the new
 states comes with H from a second tape, for the drift check; H is evaluated
 only there, so an H that overflows at an intermediate stage alone does not
 end the fan.  A step that fails is replayed through the interpreted tapes,
-which raise the error.  Rays that escape leave the batch and bisect their
-crossing together; rays that fail the drift check leave it and re-run
-together at half the step.  A ray's arithmetic does not depend on the rest
-of the batch, so :func:`trace` is a fan of one ray.
+which raise the error.  Rays that escape leave the batch at once, and
+after the pass's step loop all of its crossings are bisected together;
+rays that fail the drift check leave it and re-run together at half the
+step.  A ray's arithmetic does not depend on the rest of the batch, so
+:func:`trace` is a fan of one ray.
 """
 
 import math
@@ -240,14 +241,15 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
 
     Fills ``outcomes`` for the rays that escape or reach the horizon and
     returns the ids of those whose drift exceeded the tolerance; they leave
-    the batch at that step.
+    the batch at that step.  An escaping ray leaves it too, and the pass
+    bisects all of its crossings in one batch after the step loop.
     """
     dy, h_ref = flow.derivatives(y)
     drift_max = np.zeros(len(ids))
     visits = _Visits(flow, len(outcomes), store_paths)
     visits.add(ids, y)
     finished = {}  # id -> (escape time or None, largest drift)
-    failed = []
+    failed, escapes = [], []  # escapes: (ids, y, dy, t, h_step, drift_max) per step
 
     t, t_stop = 0.0, horizon - 1e-15 * min(1.0, horizon)  # relative below a horizon of 1
     while t < t_stop and ids.size:
@@ -260,11 +262,8 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
         if np.count_nonzero(stay) < len(stay):  # some ray escapes or drifts
             out = ok & ~stay
             if out.any():
-                t_cross, y_in = _refine_crossing(flow, y[out], dy[out], t, h_step)
-                visits.add(ids[out], y_in)
-                finished.update(
-                    zip(ids[out].tolist(), zip(t_cross.tolist(), drift_max[out].tolist()))
-                )
+                when = np.full((np.count_nonzero(out), 2), (t, h_step))  # start, size
+                escapes.append((ids[out], y[out], dy[out], *when.T, drift_max[out]))
             failed.extend(ids[~ok].tolist())
             ids, y_new, dy_new, h_ref, drift_max = (
                 v[stay] for v in (ids, y_new, dy_new, h_ref, drift_max)
@@ -272,6 +271,11 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
         y, dy, t = y_new, dy_new, t + h_step
         visits.add(ids, y)
 
+    if escapes:
+        out, y_in, dy_in, t_in, h_in, d = (np.concatenate(v) for v in zip(*escapes))
+        t_cross, y_in = _refine_crossing(flow, y_in, dy_in, t_in, h_in)
+        visits.add(out, y_in)
+        finished.update(zip(out.tolist(), zip(t_cross.tolist(), d.tolist())))
     finished.update(zip(ids.tolist(), ((None, d) for d in drift_max.tolist())))
     visits.flush()
     paths = {} if visits.steps is None else visits.paths()
@@ -288,11 +292,12 @@ def _trace_pass(flow: _Flow, y, ids, horizon, h, store_paths, outcomes):
 
 
 def _refine_crossing(flow: _Flow, y_in, dy_in, t_in, h_step):
-    """Bisect each row's crossing time inside one step to 1e-9, or until
-    the midpoint no longer moves in double precision, re-integrating from
-    the row's last interior state each round."""
+    """Bisect each row's crossing time inside its step, from time ``t_in``
+    of length ``h_step`` (per-row arrays), to 1e-9, or until the midpoint no
+    longer moves in double precision, re-integrating from the row's last
+    interior state each round."""
     lo = np.zeros(len(y_in))
-    hi = np.full(len(y_in), h_step)
+    hi = h_step.copy()
     y_best = y_in.copy()
     pending = hi - lo > _TIME_REFINEMENT
     while pending.any():

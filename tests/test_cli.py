@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import warnings
 
 import pytest
@@ -17,6 +18,7 @@ from wavecert.cli import (
 )
 from wavecert.bundled import config_text
 from wavecert.errors import ConfigError
+from wavecert.expr import differentiate, evaluate, parse, render
 from wavecert.rays import fan
 from wavecert.report import dumps_stable, strip_duration
 
@@ -738,15 +740,33 @@ class TestExitCodeContract:
             assert not dump.exists()
 
     @pytest.mark.parametrize(
-        "entry",
-        ["1 + 0*" + "(" * 1500 + "x1" + ")" * 1500, " + ".join(["x1"] * 3000)],
-        ids=["nested-parentheses", "long-sum"],
+        "entry", ["1 + 0*" + "(" * 1500 + "x1" + ")" * 1500], ids=["nested-parentheses"]
     )
     def test_expression_too_deep_is_config_error(self, tmp_path, capsys, entry):
-        # the parser recurses on the parentheses, differentiation on the sum
+        # the parser recurses on the parentheses
         text = VERIFY_OK.replace('A.entries = ["1", "1"]', f'A.entries = ["{entry}", "1"]')
         assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
         assert "config error: expression nested too deeply" in capsys.readouterr().err
+
+    def test_long_flat_sum_is_evaluated_left_to_right(self, tmp_path):
+        # a flat sum parses to a left-leaning tree as deep as it is long;
+        # differentiation, compilation and rendering walk it in a loop
+        rng = random.Random(7)
+        coefs = [rng.uniform(0.001, 0.002) for _ in range(3000)]
+        signs = ["-" if k % 3 == 2 else "+" for k in range(3000)]
+        entry = f"{coefs[0]!r}*x1" + "".join(
+            f" {s} {c!r}*x1" for s, c in zip(signs[1:], coefs[1:])
+        )
+        text = VERIFY_OK.replace('A.entries = ["1", "1"]', f'A.entries = ["{entry}", "1"]')
+        assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_OK
+        e = parse(entry, 2)
+        assert render(e) == entry
+        x = 1.7
+        value, slope = coefs[0] * x, coefs[0]
+        for s, c in zip(signs[1:], coefs[1:]):
+            value, slope = (value + c * x, slope + c) if s == "+" else (value - c * x, slope - c)
+        assert evaluate(e, (x, 0.0)) == value
+        assert evaluate(differentiate(e, 1), (x, 0.0)) == slope
 
     def test_lone_surrogates_are_escaped_in_the_report(self, tmp_path):
         # a path byte that is not UTF-8 reaches argv as a lone surrogate, and

@@ -235,6 +235,12 @@ def raised(fn):
     return type(err.value), str(err.value), err.value.point
 
 
+def negated_literals(tape):
+    """The tape's negations of a literal slot, which it should bind as literals."""
+    literals = {slot for slot, _ in tape.literals}
+    return [step for step in tape.code if step[0] == "neg" and step[4] in literals]
+
+
 class TestCompile:
     def test_single_point_is_bitwise_a_batch_row(self):
         for dim, text, box, consts in CORPUS:
@@ -302,6 +308,26 @@ class TestCompile:
         assert raised(lambda: tape(pts))[0] is DomainError
         with np.errstate(over="ignore"):
             assert tape.kernel(pts, {}, np.empty((1, 1)))[0, 0] == np.inf
+
+    def test_negative_literals_are_literals(self):
+        # a negated literal is a literal slot, bound once per tape, not a
+        # negation run at every call; its value is the negation's, bit for bit
+        tape = compile(parse("-0.5*x1", 1))
+        assert [op for op, *_ in tape.code] == ["var", "*"]
+        pts = interior_points([(-2.0, 2.0)], 20, seed=3)
+        want = (np.negative(0.5) * pts[:, 0]).tobytes()
+        assert tape(pts).tobytes() == want
+        assert tape.kernel(pts, {}, np.empty((20, 1))).tobytes() == want
+        zero = compile(Neg(Num(0.0)))
+        assert zero.code == () and len(zero.literals) == 1
+        assert np.copysign(1.0, zero.literals[0][1]) == -1.0
+        assert np.copysign(1.0, zero(np.zeros(1))) == -1.0
+        assert len(compile([Neg(Num(0.0)), Num(0.0)]).literals) == 2
+
+    def test_error_after_a_negative_literal(self):
+        pts = np.array([[1.0], [0.0], [-1.0]])
+        want = (DomainError, "log of non-positive value at point (0.0,)", (0.0,))
+        assert raised(lambda: evaluate(parse("-2*log(x1)", 1), pts)) == want
 
     def test_fourth_derivative_shares_nodes(self):
         e = parse("exp(sin(x1*x2)/(1+x1^2+x2^2))", 2)

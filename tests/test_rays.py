@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from test_expr import raised
+from test_expr import negated_literals, raised
 from test_fuzz import coefficient, expression
 
+from wavecert import rays
 from wavecert.coeff import build
 from wavecert.domain import region
 from wavecert.errors import DomainError, EvaluationError, ExpOverflowError
@@ -29,6 +30,8 @@ FAN_CASES = [
     ("1 + x1^2 + x2^2", (0.3, 0.0), 20.0, 0.1, {0.05, 0.1}),
     # escaping and trapped rays in one fan
     ("exp(x1^2 + x2^2)", (1.0, 0.0), 5.0, 0.01, {0.01}),
+    # crossings in a full step and in the horizon's shorter last step
+    ("1", (1.0, 0.0), 1.05, 0.3, {0.3}),
 ]
 
 
@@ -254,8 +257,25 @@ class TestFan:
                 RayState(x=center, xi=(math.cos(angle), math.sin(angle))), horizon, step,
             )
             assert (out.escaped, out.step_used) == (alone.escaped, alone.step_used)
-            if out.escaped:
-                assert abs(out.escape_time - alone.escape_time) <= 1e-12
+            assert out.escape_time == alone.escape_time
+            assert out.min_boundary_distance == alone.min_boundary_distance
+            assert out.hamiltonian_drift == alone.hamiltonian_drift
+
+    def test_crossings_are_bisected_once_per_pass(self, monkeypatch):
+        # the ray-gallery benchmark's fan: its 22 escaping rays leave on 8
+        # different steps, and their crossings are bisected as one batch
+        calls = {"_trace_pass": 0, "_refine_crossing": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(rays, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(rays, name, counted)
+        field = build(["exp(x1^2 + x2^2)"] * 2, diagonal=True)
+        outs = fan(field, origin_disk(), (1.0, 0.0), 32, 20.0, 0.01)
+        steps = {math.floor(o.escape_time / o.step_used) for o in outs if o.escaped}
+        assert len(steps) == 8
+        assert calls == {"_trace_pass": 1, "_refine_crossing": 1}
 
     @pytest.mark.parametrize("entry,center,horizon,step,steps_used", FAN_CASES)
     def test_stored_paths_match_one_trace_per_direction(
@@ -335,6 +355,13 @@ def step_sizes(rng, rows):
 
 
 class TestCompiledStep:
+    def test_negative_literals_are_bound_as_literals(self):
+        # the flow's -0.5 runs no negation per stage
+        flow = kernel_flow(*KERNEL_FIELDS["radial-exp"])
+        for tape in (flow.stages, flow.equations):
+            assert negated_literals(tape) == []
+        assert -0.5 in [value for _, value in flow.stages.literals]
+
     @pytest.mark.parametrize("name", KERNEL_FIELDS)
     def test_matches_the_tape_bit_for_bit(self, monkeypatch, name):
         flow = kernel_flow(*KERNEL_FIELDS[name])
