@@ -54,7 +54,7 @@ from .bundled import EXAMPLES, config_text
 from .coeff import CoefficientField, build
 from .condition import ConditionReport, GridProblem, check_condition, weight_function
 from .curvature import check_sign_change_window, classify_sign
-from .domain import Region, contains, region
+from .domain import Region, region
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -185,11 +185,15 @@ class RunConfig:
         options = {**sections.get("options", {}), **(overrides or {})}
 
         try:
-            self.diagonal = bool(problem["A.diagonal"])
-            self.entries = list(problem["A.entries"])
+            self.diagonal = problem["A.diagonal"]
+            self.entries = problem["A.entries"]
         except KeyError as exc:
             raise ConfigError(f"[problem] is missing {exc.args[0]!r}") from None
-        if not self.entries or not all(isinstance(e, str) for e in self.entries):
+        if not isinstance(self.diagonal, bool):
+            raise ConfigError(f"A.diagonal must be true or false, got {self.diagonal!r}")
+        if not (isinstance(self.entries, list) and self.entries) or not all(
+            isinstance(e, str) for e in self.entries
+        ):
             raise ConfigError("A.entries must be a nonempty list of expression strings")
         self.weight_text = problem.get("weight")
         if self.weight_text is not None and not isinstance(self.weight_text, str):
@@ -197,10 +201,7 @@ class RunConfig:
         consts = problem.get("constants", {})
         if not isinstance(consts, dict):
             raise ConfigError("constants must be a table of name -> number")
-        try:
-            self.constants = {str(k): float(v) for k, v in consts.items()}
-        except (TypeError, ValueError):
-            raise ConfigError("constants must be a table of name -> number") from None
+        self.constants = {k: _convert(f"constant {k!r}", v, float) for k, v in consts.items()}
 
         try:
             self.dim = _convert("dim", reg["dim"], int)
@@ -393,14 +394,8 @@ def run_construct(cfg: RunConfig, dump_path=None):
         margins = {s: sign_margin(ranges, field.dim, force_axis, s) for s in ("positive", "negative")}
         sign_case = max(margins, key=margins.get)  # the first on a tie
         chosen = AdmissibleIndex(force_axis, sign_case, margins[sign_case])
-    if chosen is None:
-        result = {
-            "sign_ranges": _sign_ranges_list(ranges),
-            "candidates": [
-                {"axis": c.axis, "sign_case": c.sign_case, "sign_margin": c.sign_margin}
-                for c in candidates
-            ],
-        }
+    if chosen is None:  # so no axis is forced and none is admissible
+        result = {"sign_ranges": _sign_ranges_list(ranges), "candidates": []}
         return EXIT_NOT_CERTIFIED, "no_admissible_index", result
 
     shift = compute_shift(problem.grid, chosen.axis, chosen.sign_case)
@@ -455,17 +450,12 @@ def run_curvature(cfg: RunConfig, dump_path=None):
 
 
 def run_rays(cfg: RunConfig, dump_path=None):
-    if cfg.dim not in (2, 3):
-        raise ConfigError("ray fans are enumerated in dimension 2 or 3 only")
     field = cfg.build_field()
     reg = cfg.build_region()
-    center = cfg.options["center"]
-    if not contains(reg, center, cfg.constants):
-        raise ConfigError(f"center {center} is outside the region")
     outcomes = fan(
         field,
         reg,
-        center,
+        cfg.options["center"],
         cfg.options["count"],
         cfg.options["horizon"],
         cfg.options["step"],

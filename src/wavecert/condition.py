@@ -14,7 +14,8 @@ certificate of A, the assembly's weight-independent factors and the inverse
 ``L^-1`` of A's Cholesky factors, which whitens the pencil.  Its ``check``
 multiplies the factors by the weight's gradient and Hessian into one
 ``(m, n, n)`` stack for :mod:`wavecert.linalg`, whose routines give one
-pencil margin, smallest eigenvalue and row of leading minors per point;
+pencil margin (``min_eigenvalue(2 * mats, W)``), smallest eigenvalue
+(``min_eigenvalue(mats)``) and row of leading minors per point;
 worst points are the first minimizers in grid order.  For 2x2 and 3x3
 matrices they run only where a minimum can be, and a grid dump runs them on
 every row, once.  A rate search runs only the part that decides the verdict
@@ -39,7 +40,7 @@ from .domain import Region, sample
 from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, evaluate, parse
 from .linalg import eigen_bounds, leading_principal_minors, min_eigenvalue, minor_bounds
-from .linalg import SCREENED, matprod, pencil_margins, pencil_min_eigenvalue, row_norms, screened
+from .linalg import SCREENED, matprod, pencil_margins, row_norms, screened
 from .report import write_csv
 
 
@@ -191,15 +192,9 @@ def multiplier_matrix_diagonal(
     second derivatives dropped, so the two agree whenever the weight has
     none.
     """
-    return diagonal_assembly(field, weight, point, consts)[0]
-
-
-def diagonal_assembly(field, weight, point, consts=None) -> tuple:
-    """:func:`multiplier_matrix_diagonal` with the weight's gradient and
-    Hessian it was assembled from: ``(matrix, grad, hess)``."""
     require_diagonal(field)
     factors, grad, hess = _operands(field, weight, point, consts)
-    return _multiplier(factors, grad, hess * np.eye(field.dim), True), grad, hess
+    return _multiplier(factors, grad, hess * np.eye(field.dim), True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +294,12 @@ class GridProblem:
 
     @cached_property
     def whitening(self) -> np.ndarray:
-        """``W = L^-1`` for the lower Cholesky factors L of A, which
-        :func:`pencil_min_eigenvalue` whitens by: for a diagonal field, its
+        """``W = L^-1`` for the lower Cholesky factors L of A, by which
+        :func:`min_eigenvalue` whitens the pencil: for a diagonal field, its
         diagonal ``1 / sqrt(diag(A))``, with no factorization."""
         if self.field.diagonal:
             return 1.0 / np.sqrt(np.diagonal(self.a, axis1=-2, axis2=-1))
         return np.linalg.inv(np.linalg.cholesky(self.a))
-
-    @cached_property
-    def wmax(self) -> float:
-        """``max |W|``, which the pencil's screen reads, once per grid."""
-        return np.max(np.abs(self.whitening))
 
     @cached_property
     def coefficient_failure(self) -> ConditionReport | None:
@@ -355,7 +345,7 @@ class GridProblem:
         grad_norms = row_norms(grads)
 
         try:
-            pencil, steer = pencil_margins(doubled, self.whitening, self.wmax, screen)
+            pencil, steer = pencil_margins(doubled, self.whitening, screen)
         except np.linalg.LinAlgError:
             raise EvaluationError(
                 "coefficient matrix A is not numerically positive definite",
@@ -386,7 +376,7 @@ class GridProblem:
         if dump:
             pencil = margins.pencil
             if pencil is None:
-                pencil = pencil_min_eigenvalue(2.0 * mats, self.whitening)
+                pencil = min_eigenvalue(2.0 * mats, self.whitening)
             axes = range(1, pts.shape[1] + 1)
             header = [f"x{k}" for k in axes] + ["eig_min_pencil", "eig_min_matrix", "grad_norm"]
             header += [f"minor{k}" for k in axes]

@@ -260,9 +260,11 @@ def _r_expr(e: Expression) -> str:
 
 
 def _r_term(e: Expression) -> str:
-    if isinstance(e, BinOp) and e.op in "*/":
-        return f"{_r_term(e.left)}{e.op}{_r_factor(e.right)}"
-    return _r_factor(e)
+    tail = []  # a product's factors, last first, as :func:`_r_expr` walks a sum
+    while isinstance(e, BinOp) and e.op in "*/":
+        tail.append(f"{e.op}{_r_factor(e.right)}")
+        e = e.left
+    return _r_factor(e) + "".join(reversed(tail))
 
 
 def _r_factor(e: Expression) -> str:
@@ -421,39 +423,45 @@ def differentiate(e: Expression, var_index: int) -> Expression:
     """
     if var_index < 1:
         raise ValueError("variable index must be >= 1")
-    return _d(e, var_index)
+    return _d(e, var_index, {})
 
 
-def _d(e: Expression, k: int) -> Expression:
+def _d(e: Expression, k: int, done: dict) -> Expression:
+    """The derivative of ``e``; ``done`` maps the id of each binary node
+    already differentiated to its derivative, so a subtree shared along a
+    chain (a product's partial products in its derivative) is walked once."""
+    if id(e) in done:
+        return done[id(e)]
     t = type(e)
     if t is Num or t is Const:
         return Num(0.0)
     if t is Var:
         return Num(1.0) if e.index == k else Num(0.0)
     if t is Neg:
-        return neg(_d(e.arg, k))
-    if t is BinOp and e.op in "+-":  # the left spine in a loop, as long as a sum is
+        return neg(_d(e.arg, k, done))
+    if t is BinOp:  # the left spine in a loop, as long as a sum or product is
         spine = []
-        while type(e) is BinOp and e.op in "+-":
+        while type(e) is BinOp and id(e) not in done:
             spine.append(e)
             e = e.left
-        d = _d(e, k)
-        for e in reversed(spine):
-            d = (add if e.op == "+" else sub)(d, _d(e.right, k))
+        d = _d(e, k, done)
+        for e in reversed(spine):  # d is the derivative of e.left
+            dr = _d(e.right, k, done)
+            if e.op in "+-":
+                d = (add if e.op == "+" else sub)(d, dr)
+            elif e.op == "*":
+                d = add(mul(d, e.right), mul(e.left, dr))
+            else:  # quotient rule; the folded numerator keeps literal zeros out
+                d = div(sub(mul(d, e.right), mul(e.left, dr)), powi(e.right, 2))
+            done[id(e)] = d
         return d
-    if t is BinOp:
-        dl, dr = _d(e.left, k), _d(e.right, k)
-        if e.op == "*":
-            return add(mul(dl, e.right), mul(e.left, dr))
-        # quotient rule; the folded numerator keeps literal zeros out
-        return div(sub(mul(dl, e.right), mul(e.left, dr)), powi(e.right, 2))
     if t is Pow:
         n = e.exponent
         if n == 0:
             return Num(0.0)
-        return mul(mul(_num(float(n)), powi(e.base, n - 1)), _d(e.base, k))
+        return mul(mul(_num(float(n)), powi(e.base, n - 1)), _d(e.base, k, done))
     if t is Call:
-        da = _d(e.arg, k)
+        da = _d(e.arg, k, done)
         if e.func == "exp":
             return mul(da, e)
         if e.func == "log":
@@ -655,16 +663,14 @@ def compile(exprs) -> Tape:
                 slot = node(("num", float(v).hex()), v)
             elif t is Neg:
                 slot = node(("neg", visit(e.arg)))
-            elif t is BinOp and e.op in "+-":  # the left spine in a loop, as long as a sum is
+            elif t is BinOp:  # the left spine in a loop, as long as a sum or product is
                 spine = []
-                while type(e) is BinOp and e.op in "+-" and id(e) not in seen:
+                while type(e) is BinOp and id(e) not in seen:
                     spine.append(e)
                     e = e.left
                 slot = visit(e)
                 for e in reversed(spine):
                     slot = seen[id(e)] = node((e.op, slot, visit(e.right)))
-            elif t is BinOp:
-                slot = node((e.op, visit(e.left), visit(e.right)))
             elif t is Pow:
                 k = float(e.exponent)
                 op = "^" if k >= 0 else "^-"

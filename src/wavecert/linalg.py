@@ -2,9 +2,10 @@
 
 Every routine takes a stack ``(..., n, n)`` and returns one value (or row)
 per matrix; one ``(n, n)`` matrix is a stack of one.  Eigenvalues come from
-LAPACK (``np.linalg.eigvalsh``); the pencil is whitened by the caller's
-inverse Cholesky factors (two-sided scaling when diagonal); leading principal
-minors, from batched determinants, cross-check positive definiteness.
+LAPACK (``np.linalg.eigvalsh``): :func:`min_eigenvalue` ``(m)`` of a stack, or
+``(m, w)`` of a pencil whitened by the caller's inverse Cholesky factors
+``w`` (two-sided scaling when diagonal); leading principal minors, from
+batched determinants, cross-check positive definiteness.
 
 Grid stacks keep the grid axis innermost in memory, as the tapes give them.
 Products and row sums outside LAPACK add in index order (:func:`matprod`,
@@ -13,7 +14,8 @@ routine reshapes a stack (that copies a column-major one).
 
 A grid check needs only minima over the rows.  :func:`screened` runs a
 routine only on the rows whose closed-form interval (2x2 and 3x3 stacks,
-:data:`SCREENED`) reaches the smallest upper end: a band far above the
+:data:`SCREENED`), from the interval routine of the same ``(m, w)``
+arguments, reaches the smallest upper end: a band far above the
 rounding of LAPACK and of the closed form, plus a floor for what the
 rescaling below loses to underflow.  LAPACK acts per matrix, so the minimum
 and its first row are the full stack's bit for bit.
@@ -42,10 +44,24 @@ def _scaled(mats):
     return np.ldexp(mats, -exp[..., None, None]), exp
 
 
-def min_eigenvalue(mats) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric matrix in the stack."""
-    scaled, exp = _scaled(mats)
-    return np.ldexp(np.linalg.eigvalsh(scaled)[..., 0], exp)
+def min_eigenvalue(m, w=None) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix in the stack, or, given
+    ``w``, of each pencil (m, a), a = L L^T positive definite: of ``W m W^T``,
+    symmetrized, for ``w = W = L^-1`` of the shape of ``m``, or for W's
+    diagonal ``w = 1 / sqrt(diag(a))``, ``(..., n)``, by the scaling
+    ``(m_ij * w_i) * w_j``; ``m`` is first rescaled by exact powers of two."""
+    ev, exp = _spectrum(m, w)
+    return np.ldexp(ev[..., 0], exp)
+
+
+def _spectrum(m, w):
+    """The eigenvalues of :func:`min_eigenvalue`, ascending, scaled by
+    ``2**-exp``, and ``exp``."""
+    c, exp = _scaled(m)
+    if w is not None:
+        c = _whiten(c, w)
+        c = 0.5 * (c + np.swapaxes(c, -1, -2))
+    return np.linalg.eigvalsh(c), exp
 
 
 def leading_principal_minors(mats) -> np.ndarray:
@@ -64,41 +80,20 @@ def leading_principal_minors(mats) -> np.ndarray:
         )
 
 
-def pencil_min_eigenvalue(m, w) -> np.ndarray:
-    """Smallest generalized eigenvalue of each pencil (m, a), a = L L^T
-    positive definite with lower Cholesky factor L.
-
-    Computed as the smallest eigenvalue of ``W m W^T`` for ``W = L^-1``,
-    after exact power-of-two rescaling of ``m``.  ``w`` is W, of the shape
-    of ``m``, or, when a is diagonal, W's diagonal ``1 / sqrt(diag(a))``,
-    ``(..., n)``, which whitens by the scaling ``(m_ij * w_i) * w_j``.
-    """
-    ev, exp = _pencil(m, w)
-    return np.ldexp(ev[..., 0], exp)
-
-
-def _pencil(m, w):
-    """The pencil's eigenvalues, ascending, scaled by ``2**-exp``, and ``exp``."""
-    scaled, exp = _scaled(m)
-    c = _whiten(scaled, w)
-    c = 0.5 * (c + np.swapaxes(c, -1, -2))
-    return np.linalg.eigvalsh(c), exp
-
-
-def pencil_margins(m, w, wmax, screen=True):
-    """:func:`pencil_min_eigenvalue`, :func:`screened` by :func:`eigen_bounds`
-    (``wmax = max |w|``) when ``screen`` holds, and the grid minimum of each
-    row's smallest eigenvalue over its largest magnitude, which steers a rate
-    search: the closed form's when it screens, else LAPACK's; NaN if a row's is."""
+def pencil_margins(m, w, screen=True):
+    """:func:`min_eigenvalue` ``(m, w)``, :func:`screened` by :func:`eigen_bounds`
+    when ``screen`` holds, and the grid minimum of each row's smallest
+    eigenvalue over its largest magnitude, which steers a rate search: the
+    closed form's when it screens, else LAPACK's; NaN if a row's is."""
     if not screen or m.shape[-1] not in SCREENED:  # the power-of-two scale cancels in the ratio
-        ev, exp = _pencil(m, w)
+        ev, exp = _spectrum(m, w)
         with np.errstate(invalid="ignore"):  # 0 / 0 at a zero matrix
             ratio = ev[..., 0] / np.maximum(-ev[..., 0], ev[..., -1])
         return np.ldexp(ev[..., 0], exp), float(np.min(ratio))
     with np.errstate(all="ignore"):
-        lo, hi, ratio = _eigen_bounds(m, w, wmax)
-        steer = float(np.min(ratio))
-    return screened(pencil_min_eigenvalue, lambda *_: (lo, hi), m, w), steer
+        bounds = eigen_bounds(m, w)
+        steer = float(np.min(bounds[2]))
+    return screened(min_eigenvalue, lambda *_: bounds, m, w), steer
 
 
 def _whiten(m, w):
@@ -111,13 +106,13 @@ def _whiten(m, w):
 def screened(routine, bounds, *stacks) -> np.ndarray:
     """``routine(*stacks)``, +inf at the rows (axis 0) that cannot attain its
     minimum: for stacks of a size in :data:`SCREENED`, the rows whose ``lo``
-    is above the smallest ``hi`` in every column, for ``(lo, hi) =
-    bounds(*stacks)`` (a NaN runs a row).  The first minimizer along axis 0,
-    and its value, are the full values' bit for bit."""
+    is above the smallest ``hi`` in every column, for ``lo, hi`` the first
+    two items of ``bounds(*stacks)`` (a NaN runs a row).  The first minimizer
+    along axis 0, and its value, are the full values' bit for bit."""
     if bounds is None or stacks[0].shape[-1] not in SCREENED:
         return routine(*stacks)
     with np.errstate(all="ignore"):
-        lo, hi = bounds(*stacks)
+        lo, hi = bounds(*stacks)[:2]
     keep = ~(lo > np.min(hi, axis=0))
     rows = np.flatnonzero(keep.reshape(len(keep), -1).any(axis=1))
     part = routine(*(s[rows] for s in stacks))
@@ -127,19 +122,15 @@ def screened(routine, bounds, *stacks) -> np.ndarray:
 
 
 def eigen_bounds(m, w=None):
-    """Intervals around :func:`pencil_min_eigenvalue` ``(m, w)`` (or
-    :func:`min_eigenvalue` ``(m)``) of a 2x2 or 3x3 stack, from the closed
-    form of the whitened stack: ``h - hypot((p - q) / 2, r)`` for the
-    diagonal ``p``, ``q``, their mean ``h`` and the symmetrized ``r``, or
-    Smith's (:func:`_smith`); the floor is infinite where LAPACK's copy can
+    """Intervals ``(lo, hi)`` around :func:`min_eigenvalue` ``(m, w)`` of a 2x2
+    or 3x3 stack, then each row's smallest eigenvalue over its largest
+    magnitude, ``low / max(-low, high)``.  They come from the closed form of
+    the whitened stack: ``h - hypot((p - q) / 2, r)`` for the diagonal ``p``,
+    ``q``, their mean ``h`` and the symmetrized ``r``, or Smith's
+    (:func:`_smith`).  The floor, for what the rescaling loses to underflow,
+    reads ``max |m|`` and ``max |w|``, and is infinite where LAPACK's copy can
     overflow.  The pencil whitens its kept rows again, rescaled by powers of
     two: LAPACK's values rest on those bits."""
-    return _eigen_bounds(m, w, 1.0 if w is None else np.max(np.abs(w)))[:2]
-
-
-def _eigen_bounds(m, w, wmax):
-    """:func:`eigen_bounds` for ``wmax = max |w|``, then each row's smallest
-    eigenvalue over its largest magnitude, ``low / max(-low, high)``."""
     c = m if w is None else _whiten(m, w)
     if c.shape[-1] == 2:
         p, q = c[..., 0, 0], c[..., 1, 1]
@@ -147,7 +138,8 @@ def _eigen_bounds(m, w, wmax):
         low, high, band, exp = h - s, h + s, 2.0**-40 * (np.abs(h) + s), 0
     else:
         low, high, band, exp = _smith(c)
-    floor = 2.0**-1000 + (2.0**-1070 * (1.0 + np.max(np.abs(m)))) * (4.0 + 4.0 * wmax) ** 2
+    w_peak = 1.0 if w is None else np.max(np.abs(w))
+    floor = 2.0**-1000 + (2.0**-1070 * (1.0 + np.max(np.abs(m)))) * (4.0 + 4.0 * w_peak) ** 2
     lo, hi = np.ldexp(low - band, exp) - floor, np.ldexp(low + band, exp) + floor
     return lo, hi, low / np.maximum(-low, high)
 

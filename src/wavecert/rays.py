@@ -30,7 +30,7 @@ import numpy as np
 
 from .coeff import CoefficientField
 from .domain import Region
-from .errors import EvaluationError, StepCollapseError
+from .errors import EvaluationError, RegionError, StepCollapseError
 from .expr import Num, Var, add, compile, mul, neg
 
 DRIFT_TOLERANCE = 1e-6
@@ -214,7 +214,7 @@ def _launch(flow: _Flow, x, xi0, horizon, step, store_paths):
     if xi0.shape[1:] != x.shape:
         raise ValueError("covector dimension does not match the region")
     if not flow.region.inside(x[None, :], flow.consts)[0]:
-        raise ValueError(f"start point {tuple(x.tolist())} is outside the region")
+        raise RegionError(f"start point {tuple(x.tolist())} is outside the region")
     if not len(xi0):
         return []
     y = np.hstack([np.tile(x, (len(xi0), 1)), xi0])
@@ -332,7 +332,7 @@ def fan(
         raise ValueError("count must be nonnegative")
     dim = region.dim
     if dim not in (2, 3):
-        raise ValueError("fan directions are only enumerated for dim 2 or 3")
+        raise RegionError("ray fans are enumerated in dimension 2 or 3 only")
     directions = []
     for k in range(count):
         if dim == 2:

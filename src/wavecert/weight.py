@@ -33,7 +33,7 @@ from .condition import (
     ConditionReport,
     GridProblem,
     WeightFunction,
-    diagonal_assembly,
+    multiplier_matrix_diagonal,
     weight_function,
 )
 from .domain import Region, SampleGrid, check_grid_budget
@@ -380,7 +380,8 @@ def scaled_multiplier_matrix(
     the axis row is divided by the axis second partial.  Exponential weights
     make both divisors nonvanishing.
     """
-    mats, grad, hess = diagonal_assembly(field, weight, point, consts)
+    mats = multiplier_matrix_diagonal(field, weight, point, consts)
+    grad, hess = weight.derivatives(point, consts)
     j = axis - 1
     scale = np.repeat(grad[..., j, None], field.dim, axis=-1)
     if sign_case == SIGN_POSITIVE:

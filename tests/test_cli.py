@@ -482,9 +482,7 @@ class TestConstructCommand:
         from wavecert.expr import Tape
 
         argv = ["construct", "--config", write(tmp_path, config_text("cubic-exp"))]
-        names = (
-            "pencil_min_eigenvalue", "min_eigenvalue", "leading_principal_minors", "_multiplier"
-        )
+        names = ("min_eigenvalue", "leading_principal_minors", "_multiplier")
         runs = []
         for extra in ([], ["--dump-grid", str(tmp_path / "grid.csv")]):
             counts = dict.fromkeys(names + ("tape",), 0)
@@ -508,7 +506,7 @@ class TestConstructCommand:
         # could attain their margin; the minors run for the certificate and the
         # refinement only
         assert runs[0]["tape"] > 0 and runs[0]["_multiplier"] > 10
-        assert runs[1] == {**runs[0], "pencil_min_eigenvalue": runs[0]["pencil_min_eigenvalue"] + 1}
+        assert runs[1] == {**runs[0], "min_eigenvalue": runs[0]["min_eigenvalue"] + 1}
         assert runs[1]["leading_principal_minors"] == 2
 
     def test_construct_dump_grid(self, tmp_path):
@@ -767,6 +765,75 @@ class TestExitCodeContract:
             value, slope = (value + c * x, slope + c) if s == "+" else (value - c * x, slope - c)
         assert evaluate(e, (x, 0.0)) == value
         assert evaluate(differentiate(e, 1), (x, 0.0)) == slope
+
+    def test_long_flat_products_verify(self, tmp_path):
+        # a flat product parses to a left-leaning tree as deep as it is long,
+        # as a flat sum does, and is walked in a loop too; the weight's second
+        # derivative refers to its partial products, each differentiated once
+        ones = "*".join(["x1^0"] * 3000)
+        weight = "(x1^2 + x2^2)/2*" + "*".join(["(x1/x1)"] * 3000)
+        text = VERIFY_OK.replace('A.entries = ["1", "1"]', f'A.entries = ["{ones}", "1"]')
+        text = text.replace('weight = "(x1^2 + x2^2)/2"', f'weight = "{weight}"')
+        reports = []
+        for config in (VERIFY_OK, text):
+            out = tmp_path / "report.json"
+            argv = ["verify", "--config", write(tmp_path, config), "--json", str(out)]
+            assert main(argv) == EXIT_OK
+            reports.append(json.loads(out.read_text())["result"])
+        assert reports[0] == reports[1]
+
+    def test_long_products_in_a_sum_are_evaluated_left_to_right(self):
+        # three chains of 1000 factors, quotients mixed in, joined by + and -:
+        # value and derivative at a point are the products and the product
+        # and quotient rules taken factor by factor in Python
+        rng = random.Random(11)
+        x, chains, total, total_slope = 1.7, [], 0.0, 0.0
+        for sign in ("+", "+", "-"):
+            c = round(rng.uniform(0.5, 2.0), 4)
+            text, value, slope = repr(c), c, 0.0
+            for _ in range(999):
+                op, factor = rng.choice("*/"), rng.choice(("x1", "(x1 + 0.5)", "lit"))
+                if factor == "lit":  # its square is folded as a literal, c**2
+                    factor = repr(rng.choice((0.98, 0.995, 1.005, 1.02)))
+                    f, df, square = float(factor), 0.0, float(factor) ** 2
+                else:
+                    f = x if factor == "x1" else x + 0.5
+                    df, square = 1.0, f * f
+                text += f"{op}{factor}"
+                if op == "*":
+                    value, slope = value * f, slope * f + value * df
+                else:
+                    value, slope = value / f, (slope * f - value * df) / square
+            chains.append(text)
+            if sign == "+":
+                total, total_slope = total + value, total_slope + slope
+            else:
+                total, total_slope = total - value, total_slope - slope
+        entry = f"{chains[0]} + {chains[1]} - {chains[2]}"
+        e = parse(entry, 2)
+        assert render(e) == entry
+        assert evaluate(e, (x, 0.0)) == total
+        assert evaluate(differentiate(e, 1), (x, 0.0)) == total_slope
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('A.diagonal = "false"', "A.diagonal must be true or false, got 'false'"),
+            ('A.diagonal = "no"', "A.diagonal must be true or false, got 'no'"),
+            ("A.diagonal = 1", "A.diagonal must be true or false, got 1"),
+            ('A.entries = "11"', "A.entries must be a nonempty list of expression strings"),
+            ("A.entries = 5", "A.entries must be a nonempty list of expression strings"),
+            ('constants = {"mu": true}', "constant 'mu' must be a number, got True"),
+        ],
+    )
+    def test_problem_values_of_the_wrong_type(self, tmp_path, capsys, line, message):
+        # a string is not read as a truth value, nor as the characters of a
+        # list, and a boolean is not a number, as no option takes one
+        key = line.split(" = ")[0]
+        lines = [ln for ln in VERIFY_OK.splitlines() if not ln.startswith(f"{key} = ")]
+        text = "\n".join(lines).replace("[problem]", f"[problem]\n{line}")
+        assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_lone_surrogates_are_escaped_in_the_report(self, tmp_path):
         # a path byte that is not UTF-8 reaches argv as a lone surrogate, and

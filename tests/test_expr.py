@@ -19,8 +19,13 @@ from wavecert.expr import (
     Num,
     Pow,
     Var,
+    add,
     compile,
     differentiate,
+    div,
+    mul,
+    powi,
+    sub,
     evaluate,
     parse,
     render,
@@ -420,3 +425,45 @@ class TestDifferentiate:
 
     def test_derivative_of_constant_expression(self):
         assert differentiate(parse("mu1*mu2", 1), 1) == Num(0.0)
+
+    def test_chains_match_the_recursive_rules(self):
+        # a chain of + - * / is walked along its left spine in a loop; on short
+        # chains it gives the tree that recursing on both sides of each node
+        # gives, by the sum, product and quotient rules
+        def reference(e, k):
+            if not isinstance(e, BinOp):
+                return differentiate(e, k)
+            dl, dr = reference(e.left, k), reference(e.right, k)
+            if e.op in "+-":
+                return (add if e.op == "+" else sub)(dl, dr)
+            if e.op == "*":
+                return add(mul(dl, e.right), mul(e.left, dr))
+            return div(sub(mul(dl, e.right), mul(e.left, dr)), powi(e.right, 2))
+
+        rng = np.random.default_rng(2718)
+        for _ in range(300):
+            e = random_tree(rng, depth=2)
+            for _ in range(int(rng.integers(1, 12))):
+                e = BinOp(rng.choice(["+", "-", "*", "/"]), e, random_tree(rng, depth=2))
+            for k in (1, 2):
+                assert differentiate(e, k) == reference(e, k), render(e)
+
+    def test_second_derivative_of_a_product_grows_with_its_length(self):
+        # a product's derivative refers to its partial products; each is
+        # differentiated once, so the second derivative has distinct nodes in
+        # proportion to the factors, not to their square
+        def distinct(e):
+            seen, todo = set(), [e]
+            while todo:
+                node = todo.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    children = (getattr(node, f, None) for f in ("arg", "left", "right", "base"))
+                    todo += [c for c in children if isinstance(c, Expression)]
+            return len(seen)
+
+        counts = []
+        for n in (100, 400):
+            e = parse("*".join(["(x1 + 0.5)/x1"] * n), 1)
+            counts.append(distinct(differentiate(differentiate(e, 1), 1)))
+        assert counts[1] < 4.5 * counts[0]

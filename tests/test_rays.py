@@ -10,7 +10,7 @@ from test_fuzz import coefficient, expression
 from wavecert import rays
 from wavecert.coeff import build
 from wavecert.domain import region
-from wavecert.errors import DomainError, EvaluationError, ExpOverflowError
+from wavecert.errors import DomainError, EvaluationError, ExpOverflowError, RegionError
 from wavecert.rays import RayState, _Flow, fan, trace
 
 SQRT2 = math.sqrt(2.0)
@@ -78,7 +78,7 @@ class TestTrace:
         assert a.escape_time == pytest.approx(b.escape_time, abs=1e-12)
 
     def test_start_outside_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(RegionError, match="outside"):
             trace(
                 identity_field(), origin_disk(),
                 RayState(x=(2.0, 2.0), xi=(1.0, 0.0)), horizon=1.0, step=1e-2,
@@ -200,7 +200,7 @@ class TestFan:
     def test_arguments_checked_for_any_count(self, count):
         with pytest.raises(ValueError, match="positive"):
             fan(identity_field(), origin_disk(), (0.0, 0.0), count, -1.0, 1e-2)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(RegionError, match="outside"):
             fan(identity_field(), origin_disk(), (1.5, 1.5), count, 1.0, 1e-2)
         with pytest.raises(ValueError, match="start point dimension"):
             fan(identity_field(), origin_disk(), (0.0, 0.0, 0.0), count, 1.0, 1e-2)
@@ -302,7 +302,7 @@ class TestFan:
     def test_unsupported_dimension(self):
         f = build(["1", "1", "1", "1"], diagonal=True)
         r = region(4, [(-1.0, 1.0)] * 4)
-        with pytest.raises(ValueError, match="dim 2 or 3"):
+        with pytest.raises(RegionError, match="dimension 2 or 3"):
             fan(f, r, (0.0,) * 4, 4, 1.0, 1e-2)
 
 
