@@ -39,7 +39,7 @@ axis, case = candidates[0].axis, candidates[0].sign_case
 shift = compute_shift(grid, axis, case)
 print(f"shift for axis {axis} ({case}): {shift}")
 
-# step 3: doubling + bisection search for the rate
+# step 3: the rate search, one walk of bisection's lattice from rate 1
 cert = find_lambda(field, disk, axis, case, shift=shift, resolution=33)
 print(f"certified at lambda = {cert.lam}")
 print(f"margin = {cert.report.margin:.6g}, min |grad d| = {cert.report.grad_min:.6g}")

@@ -29,7 +29,7 @@ from .curvature import (
     gauss_curvature,
     check_sign_change_window,
 )
-from .domain import Region, SampleGrid, contains, sample
+from .domain import Region, SampleGrid, sample
 from .expr import Expression, differentiate, evaluate, parse, render
 from .rays import RayOutcome, RayState, fan, trace
 from .weight import (
@@ -63,7 +63,6 @@ __all__ = [
     "classify_sign",
     "compute_shift",
     "construct_weight",
-    "contains",
     "curvature_closed_form",
     "detect_index",
     "differentiate",

@@ -610,7 +610,7 @@ def main(argv=None) -> int:
     except (ConfigError, RegionError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RecursionError:  # parsing, differentiation, compile and render all recurse
+    except RecursionError:  # parsing, differentiation and compile recurse
         print("config error: expression nested too deeply to evaluate", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, WeightOverflowError, StepCollapseError) as exc:

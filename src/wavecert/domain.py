@@ -28,8 +28,8 @@ class Region:
 
     ``margin > 0`` tightens every constraint to ``g(x) <= -margin``, the
     grid analogue of testing strictly interior uniformity.  This class alone
-    evaluates the constraints: grids, :func:`contains` and ray tracing all
-    ask :meth:`inside`, which runs each constraint through its tape's
+    evaluates the constraints: grids and ray tracing both ask
+    :meth:`inside`, which runs each constraint through its tape's
     straight-line kernel.
     """
 
@@ -131,14 +131,6 @@ def region(dim, box, constraints=(), margin=0.0) -> Region:
         if not isinstance(c, Expression):
             raise RegionError(f"constraint {c!r} is not an expression")
     return Region(dim=dim, box=tuple(tuple(b) for b in box), constraints=parsed, margin=margin)
-
-
-def contains(r: Region, p, consts=None) -> bool:
-    """True iff ``p`` lies in the box and every constraint holds."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (r.dim,):
-        raise RegionError(f"point has dimension {p.shape}, region has {r.dim}")
-    return bool(r.inside(p[None, :], consts)[0])
 
 
 def check_grid_budget(dim: int, resolution: int):

@@ -49,7 +49,7 @@ class LambdaSearchError(WavecertError):
 
 
 class LambdaMaxExceededError(LambdaSearchError):
-    """The doubling search ran out of budget without certifying."""
+    """The rate search ran out of budget without certifying."""
 
 
 class WeightOverflowError(LambdaSearchError):

@@ -251,51 +251,42 @@ def _fmt_num(v: float) -> str:
     return repr(float(v))
 
 
-def _r_expr(e: Expression) -> str:
-    tail = []  # a sum's terms, last first: its left spine is walked in a loop
-    while isinstance(e, BinOp) and e.op in "+-":
-        tail.append(f" {e.op} {_r_term(e.right)}")
-        e = e.left
-    return _r_term(e) + "".join(reversed(tail))
-
-
-def _r_term(e: Expression) -> str:
-    tail = []  # a product's factors, last first, as :func:`_r_expr` walks a sum
-    while isinstance(e, BinOp) and e.op in "*/":
-        tail.append(f"{e.op}{_r_factor(e.right)}")
-        e = e.left
-    return _r_factor(e) + "".join(reversed(tail))
-
-
-def _r_factor(e: Expression) -> str:
-    if isinstance(e, Pow):
-        n = e.exponent
-        exp_txt = str(n) if n >= 0 else f"-{-n}"
-        return f"{_r_unary(e.base)}^{exp_txt}"
-    return _r_unary(e)
-
-
-def _r_unary(e: Expression) -> str:
-    if isinstance(e, Neg):
-        return f"-{_r_unary(e.arg)}"
-    return _r_atom(e)
-
-
-def _r_atom(e: Expression) -> str:
-    if isinstance(e, Num):
-        return _fmt_num(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({_r_expr(e.arg)})"
-    return f"({_r_expr(e)})"
-
-
 def render(e: Expression) -> str:
-    """Render ``e`` as text that reparses to a structurally equal tree."""
-    return _r_expr(e)
+    """Render ``e`` as text that reparses to a structurally equal tree.
+
+    One loop over a stack of text pieces and (node, level) pairs, the levels
+    being the grammar's sum, product, power, negation and atom: a node that
+    does not fit its level drops to the next, and a compound atom is
+    parenthesized.  No depth of tree recurses."""
+    out, stack = [], [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        e, level = item
+        if level == 0 and isinstance(e, BinOp) and e.op in "+-":
+            parts = [(e.left, 0), f" {e.op} ", (e.right, 1)]
+        elif level == 1 and isinstance(e, BinOp) and e.op in "*/":
+            parts = [(e.left, 1), e.op, (e.right, 2)]
+        elif level == 2 and isinstance(e, Pow):
+            parts = [(e.base, 3), f"^{e.exponent}"]
+        elif level == 3 and isinstance(e, Neg):
+            parts = ["-", (e.arg, 3)]
+        elif level < 4:
+            parts = [(e, level + 1)]
+        elif isinstance(e, Num):
+            parts = [_fmt_num(e.value)]
+        elif isinstance(e, Var):
+            parts = [f"x{e.index}"]
+        elif isinstance(e, Const):
+            parts = [e.name]
+        elif isinstance(e, Call):
+            parts = [f"{e.func}(", (e.arg, 0), ")"]
+        else:
+            parts = ["(", (e, 0), ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

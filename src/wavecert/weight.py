@@ -11,10 +11,10 @@ partial along some axis j, an explicit weight of the form
 certifies the condition once the rate ``lambda`` is large enough.  This
 module detects admissible axes by one rule, :func:`sign_margin`, which also
 gives a certificate's margin and a forced axis's sign case; it picks the
-smallest grid-feasible shift, searches the rate by doubling plus a steered
-search that ends on bisection's lattice (:func:`lattice_search`), and
-exposes the row-scaled matrix together with its explicit rate-to-infinity
-limit so the proof asymptotics can be checked numerically.
+smallest grid-feasible shift, searches the rate by one steered walk of
+bisection's lattice from rate 1 (:func:`rate_search`), and exposes the
+row-scaled matrix together with its explicit rate-to-infinity limit so the
+proof asymptotics can be checked numerically.
 
 Note on the shift in the positive case: the bound actually used mirrors the
 negative case, ``shift >= 1 + max sum_{i != j} |x_i| + max x_j``, because a
@@ -23,6 +23,7 @@ the coordinate axes and no longer controls the derivative ratios the large
 rate analysis needs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,39 +207,53 @@ def _exponential_weight(axis, sign_case, shift, rate, dim) -> WeightFunction:
     return weight_function(expr, dim)
 
 
-def lattice_search(attempt, lo, hi, fail, passing):
-    """The passing end of the adjacent (fail, pass) pair that a search of the
-    lattice ``lo + k (hi - lo) / 1024`` ends on, and its attempt's ``found``.
+def _rate(k):
+    """The rate at lattice index ``k``: ``2**(k // 1024) * (1 + (k % 1024) / 1024)``."""
+    return math.ldexp(_LATTICE + k % _LATTICE, k // _LATTICE - 10)
 
-    ``attempt(rate)`` gives ``(found, passed)``; ``fail`` and ``passing`` are
-    the founds at ``lo`` and ``hi``.  A step is regula falsi on ``found.steer``
-    (Anderson and Björck's variant of the Illinois method), or the midpoint
-    when a value is NaN or of the wrong sign for its side, or after two
-    interpolated steps that together did not halve the bracket: so three
-    attempts at most halve it, and a search makes at most 30.  If pass/fail
-    is monotone on the lattice, ten bisection rounds end on the same pair.
+
+def rate_search(attempt, lambda_max):
+    """The passing rate of the adjacent (fail, pass) pair that a walk of
+    bisection's lattice ends on, and its attempt's ``found``; None when the
+    rate would exceed ``lambda_max`` before any attempt passes.
+
+    Index k is the rate :func:`_rate` (k): k = 0 is rate 1, k + 1024 doubles
+    it, and a binade holds the 1025 rates ten bisection rounds reach in it.
+    ``attempt(rate)`` gives ``(found, passed)``.  The walk adds 1024 to k
+    until an attempt passes.  Inside the bracket a step is regula falsi on
+    ``found.steer`` (Anderson and Björck's variant of the Illinois method),
+    or the midpoint when a value is NaN or of the wrong sign for its side,
+    or after two interpolated steps that together did not halve the bracket:
+    so three attempts at most halve it, and at most 30 run inside it.  If
+    pass/fail is monotone, ten bisection rounds in that binade end on the
+    same pair.
     """
-    step = (hi - lo) / _LATTICE
-    ends = [[0, fail.steer], [_LATTICE, passing.steer]]  # [k, value] failing, passing
-    moved, pair = True, []  # the doubling moved the passing end last
-    while ends[1][0] - ends[0][0] > 1:
-        (a, fa), (b, fb) = ends
-        if len(pair) == 2:  # the brackets before two interpolated steps
-            pair = [] if 2 * (b - a) <= pair[0] else None
-        if pair is not None and fa <= 0.0 < fb:
-            pair.append(b - a)
-            k = min(max(int(a + (b - a) * fa / (fa - fb) + 0.5), a + 1), b - 1)
-        else:
-            pair, k = [], (a + b) // 2
-        found, passed = attempt(lo + k * step)
+    ends = [None, None]  # [k, value, found] of the failing and the passing end
+    k, moved, pair = 0, None, []
+    while True:
+        found, passed = attempt(_rate(k))
         passed = bool(passed)  # it indexes ends
-        if passed == moved:  # the other end is kept twice: Anderson and Björck's
-            old = ends[passed][1]  # factor scales its value, or Illinois' 1/2
+        if passed == moved and ends[not passed] is not None:
+            # the other end is kept twice: Anderson and Björck's factor scales it, or 1/2
+            old = ends[passed][1]
             scale = 1.0 - found.steer / old if old else 0.0
             ends[not passed][1] *= scale if scale > 0.0 else 0.5
-        ends[passed], moved = [k, found.steer], passed
-        passing = found if passed else passing
-    return lo + ends[1][0] * step, passing
+        ends[passed], moved = [k, found.steer, found], passed
+        if ends[1] is None:  # no rate has passed: double it
+            k += _LATTICE
+            if _rate(k) > lambda_max:
+                return None
+        elif ends[0] is None or ends[1][0] - ends[0][0] == 1:
+            return _rate(ends[1][0]), ends[1][2]
+        else:
+            (a, fa, _), (b, fb, _) = ends
+            if len(pair) == 2:  # the brackets before two interpolated steps
+                pair = [] if 2 * (b - a) <= pair[0] else None
+            if pair is not None and fa <= 0.0 < fb:
+                pair.append(b - a)
+                k = min(max(a + int((b - a) * fa / (fa - fb) + 0.5), a + 1), b - 1)
+            else:
+                pair, k = [], (a + b) // 2
 
 
 def find_lambda(
@@ -254,14 +269,14 @@ def find_lambda(
     problem: GridProblem | None = None,
     dump_path=None,
 ) -> WeightCertificate:
-    """Search the exponential rate by doubling, then on bisection's lattice.
+    """Search the exponential rate by one walk of bisection's lattice.
 
-    Doubles ``lambda`` through 1, 2, 4, ... until the condition certifies
-    with margin at least ``target_margin * alpha_min``, then runs
-    :func:`lattice_search` between the last failing and first passing rate
-    and returns a certificate at the near-minimal passing rate found.  The
-    certificate also carries a re-check of that weight at doubled grid
-    resolution (see :class:`WeightCertificate.refinement_report`).
+    :func:`rate_search` walks ``lambda`` from 1, doubling it until the
+    condition certifies with margin at least ``target_margin * alpha_min``
+    and then steering inside the last doubling, and returns a certificate at
+    the near-minimal passing rate it ends on.  The certificate also carries
+    a re-check of that weight at doubled grid resolution (see
+    :class:`WeightCertificate.refinement_report`).
 
     Only the work that depends on the rate runs per attempt.  Every attempt
     is checked on one :class:`GridProblem` of the search grid, and the
@@ -301,49 +316,40 @@ def find_lambda(
     refined_resolution = 2 * problem.grid.resolution - 1
     check_grid_budget(region.dim, refined_resolution)
 
-    def attempt(lam):
-        found = problem._margins(weight, {_RATE: lam})
-        passed = (
-            found.verdict == VERDICT_CERTIFIED
-            and found.margin >= target_margin * problem.alpha_min
-        )
-        return found, passed
-
     best_lam = best_margin = None  # the failing rate with the largest margin seen
 
-    def best_report():
-        return None if best_lam is None else problem._report(attempt(best_lam)[0])
-
-    lam = 1.0
-    lam_fail = found_fail = None
-    while True:
+    def attempt(lam):
+        nonlocal best_lam, best_margin
         try:
-            found, passed = attempt(lam)
+            found = problem._margins(weight, {_RATE: lam})
         except (ExpOverflowError, DomainError) as exc:
-            what = (
-                "weight exponential exceeded 1e300"
-                if isinstance(exc, ExpOverflowError)
-                else "multiplier matrix left double range"
-            )
+            what = "multiplier matrix left double range"
+            if isinstance(exc, ExpOverflowError):
+                what = "weight exponential exceeded 1e300"
             raise WeightOverflowError(
                 f"{what} at lambda={lam:g}; translate the domain toward the origin and retry",
                 best_report=best_report(),
                 best_lambda=best_lam,
             ) from exc
-        if passed:
-            break
-        if best_lam is None or found.margin > best_margin:
+        passed = (
+            found.verdict == VERDICT_CERTIFIED
+            and found.margin >= target_margin * problem.alpha_min
+        )
+        if not passed and (best_lam is None or found.margin > best_margin):
             best_lam, best_margin = lam, found.margin
-        lam_fail, found_fail = lam, found
-        lam *= 2.0
-        if lam > lambda_max:
-            raise LambdaMaxExceededError(
-                "lambda_max exceeded", best_report=best_report(), best_lambda=best_lam
-            )
+        return found, passed
 
-    lam_pass, found_pass = lam, found
-    if lam_fail is not None:
-        lam_pass, found_pass = lattice_search(attempt, lam_fail, lam, found_fail, found)
+    def best_report():  # not through attempt, which calls it: a cycle would hold the grid
+        if best_lam is None:
+            return None
+        return problem._report(problem._margins(weight, {_RATE: best_lam}))
+
+    searched = rate_search(attempt, lambda_max)
+    if searched is None:
+        raise LambdaMaxExceededError(
+            "lambda_max exceeded", best_report=best_report(), best_lambda=best_lam
+        )
+    lam_pass, found_pass = searched
 
     weight_pass = construct_weight(axis, sign_case, shift, lam_pass, field.dim)
     refined = GridProblem(field, region, refined_resolution, consts)
@@ -419,22 +425,6 @@ def limit_matrix(
             out[..., i, i] = half * a[..., j] * da[..., i, j]
             out[..., i, j] = -half * a[..., i] * da[..., j, i]
     return out
-
-
-def scaled_limit_distance(
-    field: CoefficientField,
-    axis: int,
-    sign_case: str,
-    shift: float,
-    lam: float,
-    points,
-    consts=None,
-) -> float:
-    """Sup over points of the entrywise gap between scaled matrix and limit."""
-    weight = construct_weight(axis, sign_case, shift, lam, field.dim)
-    scaled = scaled_multiplier_matrix(field, weight, axis, sign_case, points, consts)
-    limit = limit_matrix(field, axis, sign_case, points, consts)
-    return float(np.max(np.abs(scaled - limit)))
 
 
 def derivative_ratio_maxima(

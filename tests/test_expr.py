@@ -1,3 +1,4 @@
+import sys
 import zlib
 
 import numpy as np
@@ -137,6 +138,17 @@ class TestRender:
         e = Neg(Pow(Var(1), 2))
         assert render(e) == "-(x1^2)"
         assert parse("-(x1^2)", 1) == e
+
+    def test_long_product_derivative_renders_without_recursion(self):
+        # each quotient factor's derivative puts a sum inside a product on
+        # the left spine, so every factor nests one parenthesized level
+        # deeper: 100 factors go past the recursion limit
+        for count in (12, 100):
+            d = differentiate(parse("*".join(["(x1 + 0.5)/x1"] * count), 2), 1)
+            text = render(d)
+            if count == 12:
+                assert parse(text, 2) == d
+        assert text.count("(") == text.count(")") > sys.getrecursionlimit()
 
 
 def random_tree(rng, depth, dim=2):

@@ -16,7 +16,6 @@ from wavecert.weight import (
     find_lambda,
     limit_matrix,
     pick_index,
-    scaled_limit_distance,
     scaled_multiplier_matrix,
     sign_ranges,
 )
@@ -484,29 +483,57 @@ class TestSearchWork:
     @pytest.mark.parametrize("name,attempts", [("isotropic-exp", 3), ("cubic-exp", 13)])
     def test_bundled_searches_take_few_attempts(self, name, attempts, monkeypatch):
         # doubling then ten bisection rounds would make 12 and 17 attempts;
-        # the steered search ends on the same rate in fewer
+        # the steered walk ends on the same rate in fewer
         from wavecert.bundled import config_text
-        from wavecert.cli import RunConfig
-        from wavecert.condition import GridProblem
-        from wavecert.weight import admissible_indices
 
-        cfg = RunConfig.from_text(config_text(name))
-        field, reg = cfg.build_field(), cfg.build_region()
-        problem = GridProblem(field, reg, cfg.options["resolution"])
-        chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
-        rates, margins = [], GridProblem._margins
-
-        def attempt(self, weight, consts, **screen):
-            if self is problem:  # not the refinement's re-check
-                rates.append(consts["lambda"])
-            return margins(self, weight, consts, **screen)
-
-        monkeypatch.setattr(GridProblem, "_margins", attempt)
-        cert = find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
+        rates, cert = search_rates(config_text(name), monkeypatch)
         assert len(rates) == attempts
         assert cert.lam == {"isotropic-exp": 1.0009765625, "cubic-exp": 48.53125}[name]
         if name == "isotropic-exp":  # rate 1 fails, 2 passes, the first lattice point passes
             assert rates == [1.0, 2.0, cert.lam]
+
+    def test_kinked_steering_profile_search(self, monkeypatch):
+        # steep on the failing side of the threshold and nearly flat on the
+        # passing side: regula falsi creeps, and the safeguard's midpoints
+        # keep the walk at 5 growth attempts plus 11 steps
+        rates, cert = search_rates(KINKED, monkeypatch)
+        assert len(rates) == 16 and cert.lam == 10.609375
+        assert rates[:5] == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+KINKED = """
+[problem]
+A.diagonal = true
+A.entries = ["1*exp(1.880*x1^3 + 0.260*x2^2)", "1*exp(0.941*x1^3 + 1.040*x2^1)"]
+[region]
+dim = 2
+box = [[0.261, 1.939], [0.955, 2.633]]
+constraints = ["(x1 - 1.1)^2 + (x2 - 1.794)^2 - 0.703921"]
+[options]
+resolution = 17
+"""
+
+
+def search_rates(text, monkeypatch):
+    """The rates a ``construct`` of config ``text`` tries on its search grid,
+    in order, and its certificate."""
+    from wavecert.cli import RunConfig
+    from wavecert.condition import GridProblem
+    from wavecert.weight import admissible_indices
+
+    cfg = RunConfig.from_text(text)
+    field, reg = cfg.build_field(), cfg.build_region()
+    problem = GridProblem(field, reg, cfg.options["resolution"])
+    chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
+    rates, margins = [], GridProblem._margins
+
+    def attempt(self, weight, consts, **screen):
+        if self is problem:  # not the refinement's re-check
+            rates.append(consts["lambda"])
+        return margins(self, weight, consts, **screen)
+
+    monkeypatch.setattr(GridProblem, "_margins", attempt)
+    return rates, find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
 
 
 def bisection(passes, lo, hi):
@@ -520,7 +547,8 @@ def bisection(passes, lo, hi):
 
 
 class TestLatticeSearch:
-    """The steered lattice search, on synthetic oracles with no grid."""
+    """The rate search's walk of bisection's lattice, on synthetic oracles
+    with no grid."""
 
     STEERING = {
         "linear": lambda k, t: (k - t + 0.5) / 1024,
@@ -531,23 +559,29 @@ class TestLatticeSearch:
     }
 
     @staticmethod
-    def search(lo, hi, passes, value):
-        """``lattice_search`` over ``passes(k)`` and ``value(k)`` on the lattice
-        of [lo, hi]: its rate and found, and every rate it tried."""
+    def search(p, passes, value):
+        """``rate_search`` where every rate below 2**p fails and ``passes(k)``
+        and ``value(k)`` hold on the lattice of [2**p, 2**(p + 1)]: its rate
+        and found, and every rate it tried inside that binade."""
         from types import SimpleNamespace
 
-        from wavecert.weight import lattice_search
+        from wavecert.weight import rate_search
 
-        step, tried = (hi - lo) / 1024, []
+        lo = 2.0**p
+        step, grown, tried = lo / 1024, [], []
 
         def attempt(lam):
+            if lam < lo:
+                grown.append(lam)
+                return SimpleNamespace(steer=-1.0, lam=lam), False
             k = (lam - lo) / step
-            assert k == int(k) and 0 < k < 1024  # an interior lattice point
-            tried.append(lam)
+            assert k == int(k) and 0 <= k <= 1024  # a lattice point of the binade
+            if 0 < k < 1024:
+                tried.append(lam)
             return SimpleNamespace(steer=value(int(k)), lam=lam), passes(int(k))
 
-        fail, passing = (SimpleNamespace(steer=value(k), lam=lo + k * step) for k in (0, 1024))
-        lam, found = lattice_search(attempt, lo, hi, fail, passing)
+        lam, found = rate_search(attempt, 2.0**20)
+        assert grown == [2.0**j for j in range(p)]  # doubling up to the binade
         return lam, found, tried
 
     @pytest.mark.parametrize("shape", STEERING)
@@ -557,7 +591,7 @@ class TestLatticeSearch:
         steer = self.STEERING[shape]
         for threshold in range(1, 1025):
             lam, found, tried = self.search(
-                lo, hi, lambda k: k >= threshold, lambda k: steer(k, threshold)
+                p, lambda k: k >= threshold, lambda k: steer(k, threshold)
             )
             want, probes = bisection(lambda x: x >= lo + threshold * (hi - lo) / 1024, lo, hi)
             assert lam == want and found.lam == lam
@@ -575,7 +609,7 @@ class TestLatticeSearch:
             passes = np.append(np.insert(rng.random(1023) < rng.random(), 0, False), True)
             values = rng.normal(size=1025) * 10.0 ** rng.integers(-12, 1, 1025)
             values[rng.random(1025) < 0.05] = math.nan
-            lam, found, tried = self.search(lo, hi, passes.__getitem__, values.__getitem__)
+            lam, found, tried = self.search(2, passes.__getitem__, values.__getitem__)
             k = int((lam - lo) / step)
             assert found.lam == lam and passes[k] and not passes[k - 1]
             assert all(lo + j * step in tried + [lo, hi] for j in (k - 1, k))
@@ -584,11 +618,43 @@ class TestLatticeSearch:
     def test_interpolation_that_stalls_falls_back_to_the_midpoint(self):
         # each interpolated step moves the passing end by one point; the
         # safeguard's midpoints still halve the bracket every three attempts
-        lam, found, tried = self.search(
-            1.0, 2.0, lambda k: k >= 1, lambda k: -1.0 if k == 0 else 1e-300
-        )
+        lam, found, tried = self.search(0, lambda k: k >= 1, lambda k: -1.0 if k == 0 else 1e-300)
         assert lam == bisection(lambda x: x >= 1.0 + 1 / 1024, 1.0, 2.0)[0]
         assert 10 < len(tried) <= 30
+
+    @staticmethod
+    def walk(threshold, lambda_max):
+        """``rate_search`` with every rate from ``threshold`` on passing and a
+        linear steering value: its result, and every rate it tried."""
+        from types import SimpleNamespace
+
+        from wavecert.weight import rate_search
+
+        tried = []
+
+        def attempt(lam):
+            tried.append(lam)
+            return SimpleNamespace(steer=lam / threshold - 1.0, lam=lam), lam >= threshold
+
+        return rate_search(attempt, lambda_max), tried
+
+    def test_threshold_at_rate_one_takes_one_attempt(self):
+        (lam, found), tried = self.walk(1.0, 2.0**20)
+        assert lam == found.lam == 1.0 and tried == [1.0]
+
+    def test_threshold_above_the_tenth_doubling_is_reached_by_growth(self):
+        threshold = 3000.3
+        (lam, found), tried = self.walk(threshold, 2.0**20)
+        assert lam == found.lam == bisection(lambda x: x >= threshold, 2048.0, 4096.0)[0]
+        assert tried[:13] == [2.0**j for j in range(13)]
+        assert len(tried) - 13 <= 30 and max(tried) == 4096.0
+
+    @pytest.mark.parametrize("lambda_max", [64.0, 100.0])
+    def test_exhausted_budget(self, lambda_max):
+        # no rate passes below the threshold: the walk stops before a rate
+        # above the budget and tries nothing past it
+        result, tried = self.walk(1e6, lambda_max)
+        assert result is None and tried == [2.0**j for j in range(7)]
 
 
 class TestScaledAndLimitMatrices:
@@ -658,6 +724,14 @@ class TestScaledAndLimitMatrices:
 LADDER = (5.0, 10.0, 20.0, 40.0, 80.0)
 
 
+def scaled_limit_gap(field, axis, sign_case, shift, lam, points):
+    """Largest entrywise gap between the row-scaled matrix of the rate-``lam``
+    weight and its rate-to-infinity limit over ``points``."""
+    weight = construct_weight(axis, sign_case, shift, lam, field.dim)
+    scaled = scaled_multiplier_matrix(field, weight, axis, sign_case, points)
+    return float(np.max(np.abs(scaled - limit_matrix(field, axis, sign_case, points))))
+
+
 class TestAsymptotics:
     @pytest.mark.parametrize(
         "make_field,make_region",
@@ -684,7 +758,7 @@ class TestAsymptotics:
         grid = sample(make_region(), 17)
         shift = compute_shift(grid, 1, "positive")
         dists = [
-            scaled_limit_distance(field, 1, "positive", shift, lam, grid.points)
+            scaled_limit_gap(field, 1, "positive", shift, lam, grid.points)
             for lam in LADDER
         ]
         assert all(a > b for a, b in zip(dists, dists[1:])), dists
@@ -719,7 +793,7 @@ class TestThreeDimensional:
         grid = sample(r, 5)
         shift = compute_shift(grid, 2, "positive")
         gaps = [
-            scaled_limit_distance(f, 2, "positive", shift, lam, grid.points)
+            scaled_limit_gap(f, 2, "positive", shift, lam, grid.points)
             for lam in (5.0, 10.0, 20.0)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
