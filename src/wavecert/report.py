@@ -78,23 +78,50 @@ def dumps_stable(obj) -> str:
     return "".join(pieces)
 
 
-# rows per ``%`` in write_csv; 48 or more raised verify-3d peak RSS ~0.4 MB, 8-32 did not
+# rows per ``%`` in write_csv: 128 or 256 raised verify-3d peak RSS 1.6-1.9 MB over
+# the value-by-value writer's, 16-64 at most 0.5 MB; 16 wrote ~7% slower than 32
 CSV_BLOCK_ROWS = 32
+
+
+def _spell_repeats(field):
+    """``field``, or its ``%.17g`` strings formatted once per distinct float64
+    bit pattern when it has at most one per four rows.  A Python set gathers
+    the patterns a quarter of the rows at a time; sorting them (``np.sort``,
+    ``np.unique``) was ~1.4 ms faster per ``verify-3d`` dump but faults in
+    ~0.5 MB of numpy's sort code, which stays resident."""
+    bits, distinct, quarter = field.view(np.int64), set(), len(field) // 4 + 1
+    for start in range(0, len(field), quarter):
+        distinct.update(bits[start : start + quarter].tolist())
+        if 4 * len(distinct) > len(field):
+            return field
+    keys = np.array(sorted(distinct), dtype=np.int64)
+    texts = np.array([format(v, ".17g") for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts[np.searchsorted(keys, bits)]
 
 
 def write_csv(path, header, columns):
     """Write the header, then one CSV row per leading index of ``columns``.
 
     A 1-D column is one field, a 2-D one a field per entry of its second axis.
-    Values print as ``%.17g`` (``inf``, ``nan``; integers below 1e17 as such),
-    lines end with ``\\r\\n``: ``csv.writer`` over ``format(v, ".17g")`` fields.
+    Values print as ``%.17g`` of their float64 value (``inf``, ``nan``;
+    integers below 1e17 as such), lines end with ``\\r\\n``: the output equals
+    ``csv.writer`` over ``format(v, ".17g")`` fields.  A field with at most one
+    distinct bit pattern per four rows (the grid axes, a ray dump's ``ray``
+    and ``t_index``) is formatted once per pattern.  Bits, not values, key
+    that lookup, so ``-0.0`` and ``0.0`` (or two NaN spellings) stay apart.
     """
+    fields = [np.asarray(f, dtype=np.float64) for c in columns for f in (c.T if c.ndim == 2 else [c])]
+    fields = [_spell_repeats(f) for f in fields]
+    rows, width = len(columns[0]), len(fields)
+    template = ",".join("%s" if f.dtype == object else "%.17g" for f in fields) + "\r\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
-            row = ",".join(["%.17g"] * block.shape[1]) + "\r\n"
-            handle.write(row * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            n = min(CSV_BLOCK_ROWS, rows - start)
+            flat = [None] * (width * n)
+            for k, field in enumerate(fields):
+                flat[k::width] = field[start : start + n].tolist()
+            handle.write(template * n % tuple(flat))
 
 
 def strip_duration(text: str) -> str:
