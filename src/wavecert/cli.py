@@ -26,16 +26,17 @@ A run configuration is flat key-value text with three section headers::
     threads = 1
     force_j = 1
 
-Values are JSON; full-line ``#`` comments are allowed; unknown keys are
-errors.  The table ``_OPTIONS`` gives each ``[options]`` key its type,
-default, range check and the subcommands that take it as a flag
-(``lambda_max`` is ``--lambda-max``); a flag overrides the file and is
-converted and checked the same way.  ``threads`` (and ``--threads``) is
-accepted and echoed in the report but has no effect: the grid's linear
-algebra runs on whole stacks.  Exit codes: 0 success or certified, 2 honest
-negative (not certified / no admissible axis / budget exhausted), 3
-configuration or usage error (including a grid above
-``domain.MAX_GRID_POINTS``), 4 numeric or domain error.
+Values are JSON, and a number is never a string; full-line ``#`` comments
+are allowed; unknown keys are errors.  The table ``_OPTIONS`` gives each
+``[options]`` key its type, default, range check and the subcommands that
+take it as a flag (``lambda_max`` is ``--lambda-max``); a flag's text
+overrides the file and is converted and checked the same way.  A constant is
+finite.  ``threads`` (and ``--threads``) is accepted and echoed in the report
+but has no effect: the grid's linear algebra runs on whole stacks.  Exit
+codes: 0 success or certified, 2 honest negative (not certified / no
+admissible axis / budget exhausted), 3 configuration or usage error
+(including a grid above ``domain.MAX_GRID_POINTS``), 4 numeric or domain
+error.
 """
 
 import argparse
@@ -117,16 +118,17 @@ _KEYS = {
 # configuration
 
 
-def _convert(key, value, kind):
+def _convert(key, value, kind, text=False):
     """``kind(value)`` (a ``list`` kind: a list of floats); a value that is not
-    a number (for ``int``, not a whole number) is a :class:`ConfigError`."""
+    a number (for ``int``, not a whole number) is a :class:`ConfigError`.  A
+    string is converted only as a flag's ``text``: in a file it is no number."""
     if kind is list:
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list of numbers")
-        return [_convert(key, v, float) for v in value]
+        return [_convert(key, v, float, text) for v in value]
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
     try:
-        if isinstance(value, bool) or fractional:
+        if isinstance(value, bool) or fractional or (isinstance(value, str) and not text):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -175,14 +177,14 @@ def parse_config_text(text: str) -> dict:
 class RunConfig:
     """Validated problem + region + options, ready to execute.
 
-    ``overrides`` (option key -> value, e.g. from flags) replace ``[options]``
+    ``overrides`` (option key -> value, or a flag's text) replace ``[options]``
     values; an unset or ``null`` option takes its default.
     """
 
     def __init__(self, sections: dict, overrides=None):
         problem = sections.get("problem", {})
         reg = sections.get("region", {})
-        options = {**sections.get("options", {}), **(overrides or {})}
+        options, overrides = sections.get("options", {}), overrides or {}
 
         try:
             self.diagonal = problem["A.diagonal"]
@@ -202,6 +204,9 @@ class RunConfig:
         if not isinstance(consts, dict):
             raise ConfigError("constants must be a table of name -> number")
         self.constants = {k: _convert(f"constant {k!r}", v, float) for k, v in consts.items()}
+        for k, v in self.constants.items():
+            if not math.isfinite(v):
+                raise ConfigError(f"constant {k!r} must be a finite number, got {v!r}")
 
         try:
             self.dim = _convert("dim", reg["dim"], int)
@@ -225,11 +230,12 @@ class RunConfig:
 
         self.options = {}
         for key, option in _OPTIONS.items():
-            value = options.get(key)
+            flag = overrides.get(key) is not None
+            value = overrides[key] if flag else options.get(key)
             if value is None:
                 value = option.default
             if value is not None:
-                value = _convert(key, value, option.kind)
+                value = _convert(key, value, option.kind, text=flag)
                 if option.check is not None and not option.check(value):
                     raise ConfigError(f"{key} must be {option.rule}")
             self.options[key] = value

@@ -48,19 +48,24 @@ from .report import write_csv
 class WeightFunction:
     """A scalar weight with its exact symbolic gradient and Hessian.
 
-    The gradient and the Hessian are compiled into one tape, on first
-    evaluation, and the tape is kept: a weight with a named constant (the
-    rate search's ``lambda``) is evaluated at many values of it without being
-    differentiated or compiled again.
+    The weight is differentiated on first use, and its gradient and Hessian
+    are compiled into one tape on first evaluation; all are kept, so a weight
+    with a named constant (the rate search's ``lambda``) is evaluated at many
+    values of it without being differentiated or compiled again.
     """
 
     expression: Expression
-    grad: tuple  # n expressions
-    hess: tuple  # hess[i][j], 0-based, symmetric sharing
+    dim: int
 
-    @property
-    def dim(self) -> int:
-        return len(self.grad)
+    @cached_property
+    def grad(self) -> tuple:  # n expressions
+        return tuple(differentiate(self.expression, k) for k in range(1, self.dim + 1))
+
+    @cached_property
+    def hess(self) -> tuple:  # hess[i][j], 0-based, symmetric sharing
+        n, grad = self.dim, self.grad
+        upper = {(i, j): differentiate(grad[i], j + 1) for i in range(n) for j in range(i, n)}
+        return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
 
     @cached_property
     def _tape(self):
@@ -77,13 +82,10 @@ class WeightFunction:
 
 
 def weight_function(expression, dim: int) -> WeightFunction:
-    """Differentiate a weight expression (or text) into a WeightFunction."""
+    """A WeightFunction of a weight expression, or of its text, parsed."""
     if isinstance(expression, str):
         expression = parse(expression, dim)
-    grad = tuple(differentiate(expression, k) for k in range(1, dim + 1))
-    upper = {(i, j): differentiate(grad[i], j + 1) for i in range(dim) for j in range(i, dim)}
-    hess = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(dim)) for i in range(dim))
-    return WeightFunction(expression=expression, grad=grad, hess=hess)
+    return WeightFunction(expression=expression, dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +276,7 @@ class GridProblem:
 
     def __init__(self, field: CoefficientField, region: Region, resolution: int, consts=None):
         self.field = field
+        self.region = region
         self.consts = consts
         self.grid = sample(region, resolution, consts)
         self.a = field.values(self.grid.points, consts)

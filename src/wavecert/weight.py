@@ -182,23 +182,13 @@ def _exponential_weight(axis, sign_case, shift, rate, dim) -> WeightFunction:
     """
     if not 1 <= axis <= dim:
         raise ValueError(f"axis {axis} out of range for dimension {dim}")
-    shift_lit = Num(float(shift))
+    shift_lit, others = Num(float(shift)), [Var(i) for i in range(1, dim + 1) if i != axis]
     if sign_case == SIGN_NEGATIVE:
         terms = [Call("exp", BinOp("*", rate, BinOp("+", shift_lit, Var(axis))))]
-        terms += [
-            Call("exp", BinOp("*", rate, Var(i)))
-            for i in range(1, dim + 1)
-            if i != axis
-        ]
+        terms += [Call("exp", BinOp("*", rate, x)) for x in others]
     elif sign_case == SIGN_POSITIVE:
-        terms = [
-            Call("exp", Neg(BinOp("*", rate, BinOp("-", Var(axis), shift_lit))))
-        ]
-        terms += [
-            Call("exp", Neg(BinOp("*", rate, Var(i))))
-            for i in range(1, dim + 1)
-            if i != axis
-        ]
+        terms = [Call("exp", Neg(BinOp("*", rate, BinOp("-", Var(axis), shift_lit))))]
+        terms += [Call("exp", Neg(BinOp("*", rate, x))) for x in others]
     else:
         raise ValueError(f"unknown sign case {sign_case!r}")
     expr = terms[0]
@@ -281,15 +271,16 @@ def find_lambda(
     Only the work that depends on the rate runs per attempt.  Every attempt
     is checked on one :class:`GridProblem` of the search grid, and the
     re-check on one of the refined grid, so the grid, A, its partials and
-    its Cholesky factors are computed once per grid.  The weight is built,
-    differentiated and compiled once per search, with the rate as a named
-    constant bound per attempt.  An attempt computes only the pencil margin
-    and the gradient minimum; the minimum eigenvalue and the minors are
-    computed once, for the report returned.  ``problem``, when given, is the
-    search grid's problem already prepared for (field, region, resolution,
-    consts).  ``dump_path``, when given, receives the search grid's per-point
-    CSV of the certified attempt, as :meth:`GridProblem.check` writes it for
-    the certificate's weight.
+    its Cholesky factors are computed once per grid.  One weight, with the
+    rate as a named constant bound per attempt, is differentiated and
+    compiled once per search, and the re-check runs its tape too.  An
+    attempt computes only the pencil margin and the gradient minimum; the
+    minimum eigenvalue and the minors are computed once per grid, for the
+    reports returned.  ``problem``, when given, is the search grid's problem
+    already prepared, and ``field``, ``region``, ``resolution`` and
+    ``consts`` are not read.  ``dump_path``, when given, receives the search
+    grid's per-point CSV of the certified attempt, as :meth:`GridProblem.check`
+    writes it for the certificate's weight, which has the rate as a literal.
 
     Raises :class:`LambdaMaxExceededError` (best failing report attached)
     when the budget runs out, or before any attempt (with the
@@ -306,15 +297,20 @@ def find_lambda(
         problem = GridProblem(field, region, resolution, consts)
     if shift is None:
         shift = compute_shift(problem.grid, axis, sign_case)
-    weight = _exponential_weight(axis, sign_case, shift, Const(_RATE), field.dim)
+    weight = _exponential_weight(axis, sign_case, shift, Const(_RATE), problem.field.dim)
     if problem.coefficient_failure is not None:
         raise LambdaMaxExceededError(
             "no rate can certify: the coefficient matrix is not positive definite on the grid",
             best_report=problem.coefficient_failure,
         )
-    margin_of_sign = sign_margin(sign_ranges(problem.da), field.dim, axis, sign_case)
+    margin_of_sign = sign_margin(sign_ranges(problem.da), weight.dim, axis, sign_case)
     refined_resolution = 2 * problem.grid.resolution - 1
-    check_grid_budget(region.dim, refined_resolution)
+    check_grid_budget(problem.region.dim, refined_resolution)
+
+    def report_at(grid_problem, lam):  # the search weight's full report at rate lam
+        if grid_problem.coefficient_failure is not None:
+            return grid_problem.coefficient_failure
+        return grid_problem._report(grid_problem._margins(weight, {_RATE: lam}))
 
     best_lam = best_margin = None  # the failing rate with the largest margin seen
 
@@ -340,9 +336,7 @@ def find_lambda(
         return found, passed
 
     def best_report():  # not through attempt, which calls it: a cycle would hold the grid
-        if best_lam is None:
-            return None
-        return problem._report(problem._margins(weight, {_RATE: best_lam}))
+        return None if best_lam is None else report_at(problem, best_lam)
 
     searched = rate_search(attempt, lambda_max)
     if searched is None:
@@ -350,17 +344,15 @@ def find_lambda(
             "lambda_max exceeded", best_report=best_report(), best_lambda=best_lam
         )
     lam_pass, found_pass = searched
-
-    weight_pass = construct_weight(axis, sign_case, shift, lam_pass, field.dim)
-    refined = GridProblem(field, region, refined_resolution, consts)
-    refinement = refined.check(weight_pass)
+    refined = GridProblem(problem.field, problem.region, refined_resolution, problem.consts)
+    refinement = report_at(refined, lam_pass)
 
     return WeightCertificate(
         axis=axis,
         sign_case=sign_case,
         shift=float(shift),
         lam=float(lam_pass),
-        weight=weight_pass,
+        weight=construct_weight(axis, sign_case, shift, lam_pass, weight.dim),
         report=problem._report(found_pass, dump_path),
         sign_margin=margin_of_sign,
         refinement_report=refinement,

@@ -696,7 +696,17 @@ class TestExitCodeContract:
         assert main(["rays", "--config", write(tmp_path, text)]) == EXIT_CONFIG
         assert f"{key} must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("resolution", "17.9"), ("count", "true")])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("resolution", "17.9"),
+            ("count", "true"),
+            # a string in the file is not a number, though a flag's text is
+            ("resolution", '"9"'),
+            ("horizon", '"5"'),
+            ("center", '[0, "0"]'),
+        ],
+    )
     def test_non_integral_option(self, tmp_path, capsys, key, value):
         lines = [line for line in RAYS_CFG.splitlines() if not line.startswith(f"{key} = ")]
         text = "\n".join(lines) + f"\n{key} = {value}\n"
@@ -824,14 +834,22 @@ class TestExitCodeContract:
             ('A.entries = "11"', "A.entries must be a nonempty list of expression strings"),
             ("A.entries = 5", "A.entries must be a nonempty list of expression strings"),
             ('constants = {"mu": true}', "constant 'mu' must be a number, got True"),
+            ('constants = {"mu": "1"}', "constant 'mu' must be a number, got '1'"),
+            ('constants = {"c": NaN}', "constant 'c' must be a finite number, got nan"),
+            ('constants = {"c": -Infinity}', "constant 'c' must be a finite number, got -inf"),
+            ('dim = "2"', "dim must be an integer, got '2'"),
+            ('box = [[1, "3"], [-1, 1]]', "box must be a number, got '3'"),
+            ('margin = "0"', "margin must be a number, got '0'"),
         ],
     )
     def test_problem_values_of_the_wrong_type(self, tmp_path, capsys, line, message):
         # a string is not read as a truth value, nor as the characters of a
-        # list, and a boolean is not a number, as no option takes one
+        # list, nor as a number, and a boolean is not a number, as no option
+        # takes one
         key = line.split(" = ")[0]
+        section = "[region]" if key in ("dim", "box", "margin") else "[problem]"
         lines = [ln for ln in VERIFY_OK.splitlines() if not ln.startswith(f"{key} = ")]
-        text = "\n".join(lines).replace("[problem]", f"[problem]\n{line}")
+        text = "\n".join(lines).replace(section, f"{section}\n{line}")
         assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 

@@ -267,6 +267,19 @@ class TestFindLambda:
             "sample": 2, "values": 2, "partial_values": 2, "cholesky": 0, "_factors": 2
         }
 
+    def test_recheck_runs_on_the_given_problems_region(self):
+        # field, region and resolution are read only to build a problem when
+        # none is given: the re-check refines the search grid's own region
+        from wavecert.condition import GridProblem
+
+        field, disk = cubic_exp_field(), shifted_disk()
+        square = region(2, [(1.0, 3.0), (1.0, 3.0)])
+        problem = GridProblem(field, disk, 17)
+        cert = find_lambda(field, square, 1, "positive", resolution=9, problem=problem)
+        assert cert.report.point_count == len(problem.grid)
+        assert cert.refinement_report.resolution == 33
+        assert cert.refinement_report.point_count == len(sample(disk, 33)) < len(sample(square, 33))
+
     def test_inadmissible_forced_axis_exhausts_budget(self):
         with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
             find_lambda(
@@ -354,30 +367,37 @@ class TestSearchWork:
         import wavecert.expr as expr
         from wavecert.condition import GridProblem
 
-        counts = {}
+        counts, weight_counts = {}, {}
         for module in (expr, coeff, condition):
             for name in ("differentiate", "compile"):
                 _counting(monkeypatch, counts, module, name)
+        for name in ("differentiate", "compile"):  # the weight's, and only its
+            _counting(monkeypatch, weight_counts, condition, name)
         deltas = []
         margins = GridProblem._margins
 
         def attempt(self, weight, consts, **screen):
             before = dict(counts)
             found = margins(self, weight, consts, **screen)
-            if self.grid.resolution == 17:  # not the refinement's re-check
-                grown = {k: v - before.get(k, 0) for k, v in counts.items()}
-                deltas.append({k: d for k, d in grown.items() if d})
+            grown = {k: v - before.get(k, 0) for k, v in counts.items()}
+            deltas.append((self.grid.resolution, {k: d for k, d in grown.items() if d}))
             return found
 
         monkeypatch.setattr(GridProblem, "_margins", attempt)
         cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
         assert cert.report.certified
-        assert len(deltas) > 10
-        # the first attempt compiles the search weight's one derivative tape,
-        # built before it with A's partials; no later attempt compiles or
-        # differentiates anything
-        assert deltas[0] == {"compile": 1}
-        assert all(delta == {} for delta in deltas[1:])
+        *attempts, (resolution, recheck) = deltas
+        assert len(attempts) > 10 and all(r == 17 for r, _ in attempts)
+        # the first attempt differentiates the search weight (2 gradient and 3
+        # Hessian entries) and compiles its one derivative tape, A's partials
+        # having been built before it; no later attempt compiles or
+        # differentiates anything, nor does the re-check on the refined grid,
+        # which runs the same tape
+        assert attempts[0][1] == {"differentiate": 5, "compile": 1}
+        assert all(delta == {} for _, delta in attempts[1:])
+        assert resolution == 33 and recheck == {}
+        assert weight_counts == {"differentiate": 5, "compile": 1}
+        assert "grad" not in vars(cert.weight)  # the rendered weight is never differentiated
 
     def test_spectral_tests_run_once_for_certificate_and_once_for_refinement(
         self, monkeypatch
