@@ -13,13 +13,13 @@ matrix converge to its explicit large-rate limit.
 import numpy as np
 
 from wavecert import (
+    GridProblem,
     build,
     compute_shift,
     construct_weight,
     detect_index,
     find_lambda,
     limit_matrix,
-    sample,
     scaled_multiplier_matrix,
 )
 from wavecert.domain import region
@@ -27,7 +27,8 @@ from wavecert.weight import derivative_ratio_maxima
 
 field = build(["exp(x1 + x2)", "exp(x1 + x2)"], diagonal=True)
 disk = region(2, [(1, 3), (-1, 1)], ["(x1 - 2)^2 + x2^2 - 1"])
-grid = sample(disk, 33)
+problem = GridProblem(field, disk, 33)  # the grid, A and its partials, prepared once
+grid = problem.grid
 
 # step 1: which axes admit the construction?
 candidates = detect_index(field, grid)
@@ -39,8 +40,9 @@ axis, case = candidates[0].axis, candidates[0].sign_case
 shift = compute_shift(grid, axis, case)
 print(f"shift for axis {axis} ({case}): {shift}")
 
-# step 3: the rate search, one walk of bisection's lattice from rate 1
-cert = find_lambda(field, disk, axis, case, shift=shift, resolution=33)
+# step 3: the rate search, one walk of bisection's lattice from rate 1, on the
+# prepared grid; the certificate's shift is the one above
+cert = find_lambda(problem, candidates[0])
 print(f"certified at lambda = {cert.lam}")
 print(f"margin = {cert.report.margin:.6g}, min |grad d| = {cert.report.grad_min:.6g}")
 print(f"re-check at resolution {cert.refinement_report.resolution}: "

@@ -69,14 +69,10 @@ from .rays import fan
 from .report import dumps_stable, fmt_float, write_csv
 from .weight import (
     DEFAULT_LAMBDA_MAX,
-    DEFAULT_RESOLUTION,
-    AdmissibleIndex,
     WeightCertificate,
-    admissible_indices,
     compute_shift,
     find_lambda,
     pick_index,
-    sign_margin,
     sign_ranges,
 )
 
@@ -95,7 +91,7 @@ _NO_DUMP_VERDICTS = ("failed_coefficient", "no_admissible_index", "lambda_max_ex
 _Option = namedtuple("_Option", "kind default commands check rule help", defaults=(None,) * 3)
 _ALL = ("verify", "construct", "curvature", "rays", "examples")
 _OPTIONS = {
-    "resolution": _Option(int, DEFAULT_RESOLUTION, _ALL),
+    "resolution": _Option(int, 33, _ALL),
     "lambda_max": _Option(
         float, float(DEFAULT_LAMBDA_MAX), ("construct",), lambda v: v >= 1.0, ">= 1"
     ),
@@ -382,9 +378,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
     field = cfg.build_field()
     if not field.diagonal:
         raise ConfigError("construct requires diagonal coefficients")
-    reg = cfg.build_region()
-    resolution = cfg.options["resolution"]
-    problem = GridProblem(field, reg, resolution, cfg.constants)
+    problem = GridProblem(field, cfg.build_region(), cfg.options["resolution"], cfg.constants)
     force_axis = cfg.options["force_j"]
     if force_axis is not None and not 1 <= force_axis <= field.dim:
         raise ConfigError(f"force_j={force_axis} out of range for dimension {field.dim}")
@@ -392,38 +386,19 @@ def run_construct(cfg: RunConfig, dump_path=None):
     if failure is not None:  # no weight can pass, so no axis or rate is searched
         return EXIT_NOT_CERTIFIED, failure.verdict, condition_report_dict(failure)
     ranges = sign_ranges(problem.da)
-    candidates = admissible_indices(ranges, field.dim)
-    chosen = pick_index(candidates, force_axis=force_axis)
-    if chosen is None and force_axis is not None:
-        # a forced axis runs even when its partials straddle zero, in the sign
-        # case with the larger measured margin (positive on a tie)
-        margins = {s: sign_margin(ranges, field.dim, force_axis, s) for s in ("positive", "negative")}
-        sign_case = max(margins, key=margins.get)  # the first on a tie
-        chosen = AdmissibleIndex(force_axis, sign_case, margins[sign_case])
+    chosen = pick_index(ranges, field.dim, force_axis)
     if chosen is None:  # so no axis is forced and none is admissible
         result = {"sign_ranges": _sign_ranges_list(ranges), "candidates": []}
         return EXIT_NOT_CERTIFIED, "no_admissible_index", result
-
-    shift = compute_shift(problem.grid, chosen.axis, chosen.sign_case)
     try:
         cert = find_lambda(
-            field,
-            reg,
-            chosen.axis,
-            chosen.sign_case,
-            shift=shift,
-            lambda_max=cfg.options["lambda_max"],
-            target_margin=cfg.options["target_margin"],
-            resolution=resolution,
-            consts=cfg.constants,
-            problem=problem,
-            dump_path=dump_path,
+            problem, chosen, cfg.options["lambda_max"], cfg.options["target_margin"], dump_path
         )
     except LambdaMaxExceededError as exc:
         result = {
             "axis": chosen.axis,
             "sign_case": chosen.sign_case,
-            "shift": shift,
+            "shift": compute_shift(problem.grid, chosen.axis, chosen.sign_case),
             "lambda_max": cfg.options["lambda_max"],
             "best_lambda": exc.best_lambda,
             "best_report": None
@@ -439,11 +414,11 @@ def run_curvature(cfg: RunConfig, dump_path=None):
         raise ConfigError("curvature comparison is two-dimensional")
     if not cfg.diagonal or len(cfg.entries) != 2:
         raise ConfigError("curvature needs two diagonal coefficient entries")
-    reg = cfg.build_region()
+    field = cfg.build_field()
     rep = classify_sign(
-        cfg.entries[0],
-        cfg.entries[1],
-        reg,
+        field.entry(1, 1),
+        field.entry(2, 2),
+        cfg.build_region(),
         cfg.options["resolution"],
         cfg.constants,
         dump_path=dump_path,

@@ -10,7 +10,8 @@ partial along some axis j, an explicit weight of the form
 
 certifies the condition once the rate ``lambda`` is large enough.  This
 module detects admissible axes by one rule, :func:`sign_margin`, which also
-gives a certificate's margin and a forced axis's sign case; it picks the
+gives a certificate's margin; :func:`pick_index` chooses the axis and sign
+case a construction searches, a forced axis included.  It picks the
 smallest grid-feasible shift, searches the rate by one steered walk of
 bisection's lattice from rate 1 (:func:`rate_search`), and exposes the
 row-scaled matrix together with its explicit rate-to-infinity limit so the
@@ -37,14 +38,14 @@ from .condition import (
     multiplier_matrix_diagonal,
     weight_function,
 )
-from .domain import Region, SampleGrid, check_grid_budget
+from .domain import SampleGrid, check_grid_budget
 from .errors import (
     DomainError,
     ExpOverflowError,
     LambdaMaxExceededError,
     WeightOverflowError,
 )
-from .expr import BinOp, Call, Const, Neg, Num, Var
+from .expr import BinOp, Call, Const, Expression, Neg, Num, Var
 from .linalg import row_sums
 
 SIGN_NEGATIVE = "negative"
@@ -52,7 +53,6 @@ SIGN_POSITIVE = "positive"
 _SIGN_ORDER = (SIGN_NEGATIVE, SIGN_POSITIVE)
 
 DEFAULT_LAMBDA_MAX = 2**20
-DEFAULT_RESOLUTION = 33
 _LATTICE = 2**10  # the rates ten bisection rounds can reach
 _RATE = "lambda"  # the rate's constant name in the search weight
 
@@ -144,6 +144,30 @@ def admissible_indices(ranges, dim: int):
     return found
 
 
+def pick_index(ranges, dim: int, force_axis=None):
+    """The (axis, sign) pair a construction searches, from the measured sign
+    ranges of a ``dim``-field; None when no axis is forced and none is
+    admissible.
+
+    Unforced, it is the admissible pair with the largest margin (the first
+    on a tie).  A forced axis takes its admissible pair as is; without one,
+    the search still runs on it, in the sign case with the larger measured
+    margin (positive on a tie).  In one dimension both cases are admissible,
+    and the negative one is picked.
+    """
+    candidates = admissible_indices(ranges, dim)
+    if force_axis is None:
+        return max(candidates, key=lambda cand: cand.sign_margin, default=None)
+    if not 1 <= force_axis <= dim:
+        raise ValueError(f"axis {force_axis} out of range for dimension {dim}")
+    for cand in candidates:
+        if cand.axis == force_axis:
+            return cand
+    margins = {s: sign_margin(ranges, dim, force_axis, s) for s in (SIGN_POSITIVE, SIGN_NEGATIVE)}
+    sign_case = max(margins, key=margins.get)  # the first on a tie
+    return AdmissibleIndex(force_axis, sign_case, margins[sign_case])
+
+
 def compute_shift(grid: SampleGrid, axis: int, sign_case: str) -> float:
     """Smallest grid-feasible shift for the given axis and sign case.
 
@@ -161,34 +185,31 @@ def compute_shift(grid: SampleGrid, axis: int, sign_case: str) -> float:
 
 
 def construct_weight(
-    axis: int, sign_case: str, shift: float, lam: float, dim: int
+    axis: int, sign_case: str, shift: float, lam: float | Expression, dim: int
 ) -> WeightFunction:
     """The explicit exponential weight for one case, with exact derivatives.
 
-    In the negative case every first and second partial is positive; in the
-    positive case first partials are negative and second partials positive.
+    The rate ``lam`` is a positive number, which becomes a literal, or an
+    :class:`Expression`: the rate search passes the constant ``_RATE`` and
+    binds it per attempt.  Differentiation folds neither, so both give trees
+    of the same shape (``rate*(rate*e)`` in the Hessian) and the same values
+    bit for bit.  In the negative case every first and second partial is
+    positive; in the positive case first partials are negative and second
+    partials positive.
     """
-    if lam <= 0.0:
-        raise ValueError("rate must be positive")
-    return _exponential_weight(axis, sign_case, shift, Num(float(lam)), dim)
-
-
-def _exponential_weight(axis, sign_case, shift, rate, dim) -> WeightFunction:
-    """:func:`construct_weight` with the rate given as an expression: a
-    literal, or the constant ``_RATE`` that the rate search binds per attempt.
-
-    Differentiation folds neither, so both give trees of the same shape
-    (``rate*(rate*e)`` in the Hessian) and the same values bit for bit.
-    """
+    if not isinstance(lam, Expression):
+        if lam <= 0.0:
+            raise ValueError("rate must be positive")
+        lam = Num(float(lam))
     if not 1 <= axis <= dim:
         raise ValueError(f"axis {axis} out of range for dimension {dim}")
     shift_lit, others = Num(float(shift)), [Var(i) for i in range(1, dim + 1) if i != axis]
     if sign_case == SIGN_NEGATIVE:
-        terms = [Call("exp", BinOp("*", rate, BinOp("+", shift_lit, Var(axis))))]
-        terms += [Call("exp", BinOp("*", rate, x)) for x in others]
+        terms = [Call("exp", BinOp("*", lam, BinOp("+", shift_lit, Var(axis))))]
+        terms += [Call("exp", BinOp("*", lam, x)) for x in others]
     elif sign_case == SIGN_POSITIVE:
-        terms = [Call("exp", Neg(BinOp("*", rate, BinOp("-", Var(axis), shift_lit))))]
-        terms += [Call("exp", Neg(BinOp("*", rate, x))) for x in others]
+        terms = [Call("exp", Neg(BinOp("*", lam, BinOp("-", Var(axis), shift_lit))))]
+        terms += [Call("exp", Neg(BinOp("*", lam, x))) for x in others]
     else:
         raise ValueError(f"unknown sign case {sign_case!r}")
     expr = terms[0]
@@ -247,40 +268,35 @@ def rate_search(attempt, lambda_max):
 
 
 def find_lambda(
-    field: CoefficientField,
-    region: Region,
-    axis: int,
-    sign_case: str,
-    shift: float | None = None,
+    problem: GridProblem,
+    chosen: AdmissibleIndex,
     lambda_max: float = DEFAULT_LAMBDA_MAX,
     target_margin: float = 0.0,
-    resolution: int = DEFAULT_RESOLUTION,
-    consts=None,
-    problem: GridProblem | None = None,
     dump_path=None,
 ) -> WeightCertificate:
-    """Search the exponential rate by one walk of bisection's lattice.
+    """Search the exponential rate for the pair ``chosen`` (as
+    :func:`pick_index` gives it) on the prepared search grid ``problem``.
 
     :func:`rate_search` walks ``lambda`` from 1, doubling it until the
     condition certifies with margin at least ``target_margin * alpha_min``
     and then steering inside the last doubling, and returns a certificate at
-    the near-minimal passing rate it ends on.  The certificate also carries
-    a re-check of that weight at doubled grid resolution (see
+    the near-minimal passing rate it ends on.  Its shift is
+    :func:`compute_shift` on the search grid and its sign margin is
+    ``chosen.sign_margin``.  The certificate also carries a re-check of that
+    weight on the refined grid of the same region (see
     :class:`WeightCertificate.refinement_report`).
 
     Only the work that depends on the rate runs per attempt.  Every attempt
-    is checked on one :class:`GridProblem` of the search grid, and the
-    re-check on one of the refined grid, so the grid, A, its partials and
-    its Cholesky factors are computed once per grid.  One weight, with the
-    rate as a named constant bound per attempt, is differentiated and
-    compiled once per search, and the re-check runs its tape too.  An
-    attempt computes only the pencil margin and the gradient minimum; the
-    minimum eigenvalue and the minors are computed once per grid, for the
-    reports returned.  ``problem``, when given, is the search grid's problem
-    already prepared, and ``field``, ``region``, ``resolution`` and
-    ``consts`` are not read.  ``dump_path``, when given, receives the search
-    grid's per-point CSV of the certified attempt, as :meth:`GridProblem.check`
-    writes it for the certificate's weight, which has the rate as a literal.
+    is checked on ``problem``, and the re-check on one problem of the
+    refined grid, so the grid, A, its partials and its Cholesky factors are
+    computed once per grid.  One weight, with the rate as a named constant
+    bound per attempt, is differentiated and compiled once per search, and
+    the re-check runs its tape too.  An attempt computes only the pencil
+    margin and the gradient minimum; the minimum eigenvalue and the minors
+    are computed once per grid, for the reports returned.  ``dump_path``,
+    when given, receives the search grid's per-point CSV of the certified
+    attempt, as :meth:`GridProblem.check` writes it for the certificate's
+    weight, which has the rate as a literal.
 
     Raises :class:`LambdaMaxExceededError` (best failing report attached)
     when the budget runs out, or before any attempt (with the
@@ -293,17 +309,14 @@ def find_lambda(
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    if problem is None:
-        problem = GridProblem(field, region, resolution, consts)
-    if shift is None:
-        shift = compute_shift(problem.grid, axis, sign_case)
-    weight = _exponential_weight(axis, sign_case, shift, Const(_RATE), problem.field.dim)
+    axis, sign_case = chosen.axis, chosen.sign_case
+    shift = compute_shift(problem.grid, axis, sign_case)
+    weight = construct_weight(axis, sign_case, shift, Const(_RATE), problem.field.dim)
     if problem.coefficient_failure is not None:
         raise LambdaMaxExceededError(
             "no rate can certify: the coefficient matrix is not positive definite on the grid",
             best_report=problem.coefficient_failure,
         )
-    margin_of_sign = sign_margin(sign_ranges(problem.da), weight.dim, axis, sign_case)
     refined_resolution = 2 * problem.grid.resolution - 1
     check_grid_budget(problem.region.dim, refined_resolution)
 
@@ -350,11 +363,11 @@ def find_lambda(
     return WeightCertificate(
         axis=axis,
         sign_case=sign_case,
-        shift=float(shift),
+        shift=shift,
         lam=float(lam_pass),
         weight=construct_weight(axis, sign_case, shift, lam_pass, weight.dim),
         report=problem._report(found_pass, dump_path),
-        sign_margin=margin_of_sign,
+        sign_margin=chosen.sign_margin,
         refinement_report=refinement,
     )
 
@@ -438,22 +451,3 @@ def derivative_ratio_maxima(
     diag2 = np.diagonal(hess, axis1=-2, axis2=-1)[..., others]
     fam3 = float(np.max(np.abs(diag2 / dj)))
     return fam1, fam2, fam3
-
-
-def pick_index(candidates, force_axis=None):
-    """Choose the admissible pair with the largest margin (earliest on ties).
-
-    With ``force_axis``, the first candidate on that axis is returned.  None
-    means nothing qualifies; callers holding the grid report the measured
-    sign ranges alongside that outcome.
-    """
-    if force_axis is not None:
-        for cand in candidates:
-            if cand.axis == force_axis:
-                return cand
-        return None
-    best = None
-    for cand in candidates:
-        if best is None or cand.sign_margin > best.sign_margin:
-            best = cand
-    return best

@@ -16,6 +16,7 @@ from wavecert.bundled import EXAMPLES, config_text
 from wavecert.cli import RunConfig, main
 from wavecert.coeff import build
 from wavecert.condition import (
+    GridProblem,
     check_condition,
     multiplier_matrix,
     multiplier_matrix_diagonal,
@@ -38,11 +39,12 @@ from wavecert.weight import (
     construct_weight,
     derivative_ratio_maxima,
     detect_index,
-    find_lambda,
     limit_matrix,
     scaled_multiplier_matrix,
     sign_ranges,
 )
+
+from test_weight import search
 
 SQRT2 = math.sqrt(2.0)
 SQRT15 = math.sqrt(1.5)
@@ -79,9 +81,7 @@ def example_bad_field():
 def case2_certificate():
     """Shared end-to-end construction for criteria 3, 4, and 5."""
     started = time.perf_counter()
-    cert = find_lambda(
-        isotropic_exp_field(), offset_disk(), 1, "positive", resolution=33
-    )
+    cert = search(GridProblem(isotropic_exp_field(), offset_disk(), 33), 1, "positive")
     return cert, time.perf_counter() - started
 
 
@@ -166,7 +166,7 @@ def test_criterion_04_construction_negative_case(case2_certificate):
     # negative-case one with the same shift and margins
     field = build(["exp(-x1 - x2)", "exp(-x1 - x2)"], diagonal=True)
     reflected = region(2, [(-3.0, -1.0), (-1.0, 1.0)], ["(x1 + 2)^2 + x2^2 - 1"])
-    cert_neg = find_lambda(field, reflected, 1, "negative", resolution=33)
+    cert_neg = search(GridProblem(field, reflected, 33), 1, "negative")
     gap = abs(cert_neg.report.margin - cert_pos.report.margin) / abs(
         cert_pos.report.margin
     )
@@ -221,7 +221,7 @@ def test_criterion_06_honest_negative():
     try:
         # lambda_max is kept below the overflow guard's ceiling (~132 for
         # this geometry) so the budget, not the guard, ends the search
-        find_lambda(field, origin_disk(), 1, "positive", lambda_max=64, resolution=33)
+        search(GridProblem(field, origin_disk(), 33), 1, "positive", lambda_max=64)
     except LambdaMaxExceededError as exc:
         exhausted = exc.best_report is not None and not exc.best_report.certified
     ok = candidates == [] and straddle and exhausted

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import re
 import warnings
 
 import pytest
@@ -256,6 +257,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="dimension"):
             cfg.build_field()
 
+    def test_readme_config_example_is_a_valid_config(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            block = re.search(r"```ini\n(.*?)```", handle.read(), re.DOTALL).group(1)
+        cfg = RunConfig.from_text(block)
+        assert cfg.entries == ["exp(x1 + x2)", "exp(x1 + x2)"]
+        assert cfg.options["force_j"] == 1 and cfg.options["center"] == [0, 0]
+
 
 class TestVerifyCommand:
     def test_certified_exit_zero(self, tmp_path, capsys):
@@ -458,6 +467,43 @@ class TestConstructCommand:
         assert "out of range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name,flags,want",
+        [
+            ("cubic-exp", ["--lambda-max", "8"], (1, "positive", 7.0, 1.0, -2.3028231689242316e20)),
+            (
+                "disk-trap",
+                ["--force-j", "1"],
+                (1, "positive", 3.6516504294495533, 1.0, -391.34958040780305),
+            ),
+        ],
+    )
+    def test_lambda_max_exceeded_result(self, tmp_path, name, flags, want):
+        # the reported shift is computed apart from the search, for the pair it ran on
+        out = tmp_path / "exceeded.json"
+        argv = ["construct", "--config", write(tmp_path, config_text(name)), *flags]
+        assert main([*argv, "--json", str(out)]) == EXIT_NOT_CERTIFIED
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "lambda_max_exceeded"
+        result = report["result"]
+        got = (result["axis"], result["sign_case"], result["shift"], result["best_lambda"])
+        assert (*got, result["best_report"]["margin"]) == want
+
+    def test_construct_measures_the_sign_ranges_once(self, tmp_path, monkeypatch):
+        import wavecert.cli as cli
+        import wavecert.weight as weight
+
+        calls, measure = [], weight.sign_ranges
+
+        def counted(da):
+            calls.append(da.shape)
+            return measure(da)
+
+        for module in (cli, weight):
+            monkeypatch.setattr(module, "sign_ranges", counted)
+        assert main(["construct", "--config", write(tmp_path, CONSTRUCT_OK)]) == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
         "name", ["isotropic-exp", "cubic-exp"], ids=["construct-isotropic", "construct-cubic"]
     )
     def test_certificate_replays_through_verify(self, tmp_path, name):
@@ -522,15 +568,16 @@ class TestConstructCommand:
         assert header == "x1,x2,eig_min_pencil,eig_min_matrix,grad_norm,minor1,minor2"
 
     def test_construct_dump_grid_matches_check_condition(self, tmp_path):
-        from wavecert.condition import check_condition
-        from wavecert.weight import find_lambda
+        from wavecert.condition import GridProblem, check_condition
+
+        from test_weight import search
 
         dump = tmp_path / "cert_grid.csv"
         cfg_path = write(tmp_path, CONSTRUCT_OK)
         assert main(["construct", "--config", cfg_path, "--dump-grid", str(dump)]) == EXIT_OK
         cfg = RunConfig.from_text(CONSTRUCT_OK)
         field, reg = cfg.build_field(), cfg.build_region()
-        cert = find_lambda(field, reg, 1, "positive", resolution=17)
+        cert = search(GridProblem(field, reg, 17), 1, "positive")
         direct = tmp_path / "direct.csv"
         check_condition(field, cert.weight, reg, 17, dump_path=direct)
         assert dump.read_bytes() == direct.read_bytes()
@@ -755,6 +802,13 @@ class TestExitCodeContract:
         text = VERIFY_OK.replace('A.entries = ["1", "1"]', f'A.entries = ["{entry}", "1"]')
         assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
         assert "config error: expression nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["exp(x1", "exp(x3)", "foo(x1)"])
+    def test_malformed_curvature_entry_is_config_error(self, tmp_path, capsys, entry):
+        # curvature parses its entries where every other command does
+        text = VERIFY_OK.replace('A.entries = ["1", "1"]', f'A.entries = ["{entry}", "1"]')
+        assert main(["curvature", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert "config error: bad coefficient entries" in capsys.readouterr().err
 
     def test_long_flat_sum_is_evaluated_left_to_right(self, tmp_path):
         # a flat sum parses to a left-leaning tree as deep as it is long;

@@ -21,8 +21,9 @@ import pytest
 
 from wavecert.cli import RunConfig, main
 from wavecert.condition import VERDICT_CERTIFIED, GridProblem
-from wavecert.weight import admissible_indices, construct_weight, find_lambda, pick_index
-from wavecert.weight import sign_ranges
+from wavecert.weight import construct_weight
+
+from test_weight import search
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 OPERATORS = ("+", "-", "*", "/", "^")
@@ -248,7 +249,6 @@ def test_lattice_phase_ends_on_ten_round_bisection(monkeypatch, dim, seed):
     cfg = RunConfig.from_text(lattice_config(random.Random(f"{seed}/{dim}"), dim))
     field, reg = cfg.build_field(), cfg.build_region()
     problem = GridProblem(field, reg, cfg.options["resolution"])
-    chosen = pick_index(admissible_indices(sign_ranges(problem.da), dim))
     rates, found_at, margins = [], {}, GridProblem._margins
 
     def recorded(self, weight, consts, **screen):
@@ -259,11 +259,11 @@ def test_lattice_phase_ends_on_ten_round_bisection(monkeypatch, dim, seed):
         return found
 
     monkeypatch.setattr(GridProblem, "_margins", recorded)
-    cert = find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
+    cert = search(problem)
     monkeypatch.undo()
 
     def attempt(lam):  # a literal rate gives the search's values bit for bit
-        weight = construct_weight(chosen.axis, chosen.sign_case, cert.shift, lam, dim)
+        weight = construct_weight(cert.axis, cert.sign_case, cert.shift, lam, dim)
         found = problem._margins(weight, None)
         return found, found.verdict == VERDICT_CERTIFIED
 

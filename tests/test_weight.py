@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from wavecert.coeff import build
+from wavecert.condition import GridProblem
 from wavecert.domain import region, sample
 from wavecert.errors import LambdaMaxExceededError, WeightOverflowError
 from wavecert.linalg import leading_principal_minors
 from wavecert.weight import (
+    AdmissibleIndex,
     compute_shift,
     construct_weight,
     derivative_ratio_maxima,
@@ -47,6 +49,15 @@ def shifted_disk():
 
 def origin_disk():
     return region(2, [(-SQRT2, SQRT2)] * 2, ["x1^2 + x2^2 - 2"])
+
+
+def search(problem, axis=None, sign_case=None, **options):
+    """``find_lambda`` on ``problem`` for the pair that ``construct`` picks:
+    ``axis`` is forced when given, and ``sign_case``, when given, is the
+    case the pick must come to."""
+    chosen = pick_index(sign_ranges(problem.da), problem.field.dim, axis)
+    assert sign_case in (None, chosen.sign_case)
+    return find_lambda(problem, chosen, **options)
 
 
 class TestIndexSignRanges:
@@ -122,16 +133,36 @@ class TestDetectIndex:
         ]
         assert all(math.isinf(c.sign_margin) for c in found)
 
-    def test_pick_index_prefers_largest_margin(self):
-        grid = sample(shifted_disk(), 17)
-        # da^2/dx1 = 3 x1^2 e^(...) vs da^1/dx2 = 3 x2^2 e^(...): same by
-        # symmetry, so the tie goes to the first axis
-        found = detect_index(cubic_exp_field(), grid)
-        best = pick_index(found)
-        assert best.axis == 1
-        forced = pick_index(found, force_axis=2)
-        assert forced.axis == 2
-        assert pick_index(found, force_axis=3) is None
+    @pytest.mark.parametrize(
+        "ranges,dim,force_axis,want",
+        [
+            # unforced: the largest margin, the first on a tie, None if none is admissible
+            ({(1, 2): (1.0, 2.0), (2, 1): (1.0, 3.0)}, 2, None, (1, "positive", 1.0)),
+            ({(1, 2): (0.5, 2.0), (2, 1): (-3.0, -1.5)}, 2, None, (2, "negative", 1.5)),
+            ({(1, 2): (-1.0, 1.0), (2, 1): (-2.0, 2.0)}, 2, None, None),
+            # forced, admissible: that pair as is, though another axis is larger
+            ({(1, 2): (0.5, 2.0), (2, 1): (-3.0, -1.5)}, 2, 1, (1, "positive", 0.5)),
+            # forced, inadmissible: the larger measured margin, positive on a tie
+            ({(1, 2): (-1.0, 2.0), (2, 1): (1.0, 3.0)}, 2, 1, (1, "positive", -1.0)),
+            ({(1, 2): (-2.0, 1.0), (2, 1): (1.0, 3.0)}, 2, 1, (1, "negative", -1.0)),
+            ({(1, 2): (-1.0, 1.0), (2, 1): (1.0, 3.0)}, 2, 1, (1, "positive", -1.0)),
+            # one dimension: both cases admissible, negative picked
+            ({}, 1, None, (1, "negative", math.inf)),
+            ({}, 1, 1, (1, "negative", math.inf)),
+        ],
+        ids=[
+            "unforced-tie", "unforced-largest", "unforced-none", "forced-admissible",
+            "forced-positive-larger", "forced-negative-larger", "forced-tie",
+            "one-dimensional", "one-dimensional-forced",
+        ],
+    )
+    def test_pick_index_rule(self, ranges, dim, force_axis, want):
+        got = pick_index(ranges, dim, force_axis)
+        assert got == (None if want is None else AdmissibleIndex(*want))
+
+    def test_pick_index_rejects_an_axis_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            pick_index({(1, 2): (1.0, 2.0), (2, 1): (1.0, 3.0)}, 2, 3)
 
     def test_requires_diagonal(self):
         f = build(["2", "x1", "3"], diagonal=False)
@@ -212,9 +243,7 @@ class TestConstructWeight:
 
 class TestFindLambda:
     def test_isotropic_certificate(self):
-        cert = find_lambda(
-            isotropic_exp_field(), offset_disk(), 1, "positive", resolution=33
-        )
+        cert = search(GridProblem(isotropic_exp_field(), offset_disk(), 33), 1, "positive")
         assert cert.report.certified
         assert cert.report.margin > 0.0
         assert cert.lam <= 1024.0
@@ -225,9 +254,7 @@ class TestFindLambda:
         assert cert.resolution_robust  # threshold is grid independent here
 
     def test_cubic_certificate(self):
-        cert = find_lambda(
-            cubic_exp_field(), shifted_disk(), 1, "positive", resolution=33
-        )
+        cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 33), 1, "positive")
         assert cert.report.certified
         assert cert.lam <= 2**20
         # the near-minimal rate certifies its own grid; whether it still
@@ -258,7 +285,7 @@ class TestFindLambda:
                 CoefficientField, name, counted(name, getattr(CoefficientField, name))
             )
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
-        cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
+        cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 17), 1, "positive")
         assert cert.report.certified
         # the search grid and the refinement grid, whatever the attempt count,
         # assembly factors included; the diagonal field is whitened without a
@@ -268,23 +295,19 @@ class TestFindLambda:
         }
 
     def test_recheck_runs_on_the_given_problems_region(self):
-        # field, region and resolution are read only to build a problem when
-        # none is given: the re-check refines the search grid's own region
-        from wavecert.condition import GridProblem
-
+        # the re-check refines the search grid's own region
         field, disk = cubic_exp_field(), shifted_disk()
         square = region(2, [(1.0, 3.0), (1.0, 3.0)])
         problem = GridProblem(field, disk, 17)
-        cert = find_lambda(field, square, 1, "positive", resolution=9, problem=problem)
+        cert = search(problem, 1, "positive")
         assert cert.report.point_count == len(problem.grid)
         assert cert.refinement_report.resolution == 33
         assert cert.refinement_report.point_count == len(sample(disk, 33)) < len(sample(square, 33))
 
     def test_inadmissible_forced_axis_exhausts_budget(self):
         with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
-            find_lambda(
-                example_bad_field(), origin_disk(), 1, "positive",
-                lambda_max=64, resolution=17,
+            search(
+                GridProblem(example_bad_field(), origin_disk(), 17), 1, "positive", lambda_max=64
             )
         assert err.value.best_report is not None
         assert err.value.best_report.margin < 0.0
@@ -293,9 +316,7 @@ class TestFindLambda:
         # without a budget cap the exponent range of this geometry leaves
         # double range near rate 256, and the search says so
         with pytest.raises(WeightOverflowError, match="translate the domain"):
-            find_lambda(
-                example_bad_field(), origin_disk(), 1, "positive", resolution=17
-            )
+            search(GridProblem(example_bad_field(), origin_disk(), 17), 1, "positive")
 
     def test_non_finite_multiplier_is_weight_overflow(self):
         # the exponentials stay below 1e300 at rate 64, but the Hessian
@@ -304,13 +325,13 @@ class TestFindLambda:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(WeightOverflowError, match="at lambda=64; translate") as err:
-                find_lambda(cubic_exp_field(), disk, 1, "positive", resolution=33)
+                search(GridProblem(cubic_exp_field(), disk, 33), 1, "positive")
         assert err.value.best_lambda is not None
 
     def test_one_dimensional_construction_certifies(self):
         f = build(["1 + x1^2"], diagonal=True)
         r = region(1, [(1.0, 2.0)])
-        cert = find_lambda(f, r, 1, "negative", resolution=33)
+        cert = search(GridProblem(f, r, 33), 1, "negative")
         assert cert.report.certified
         assert math.isinf(cert.sign_margin)
 
@@ -332,11 +353,11 @@ class TestSearchWork:
     @pytest.mark.parametrize("lam", [1.0, 1.5, 3.0, 48.21875])
     def test_rate_constant_matches_literal_bit_for_bit(self, sign_case, lam):
         from wavecert.expr import Const
-        from wavecert.weight import _RATE, _exponential_weight
+        from wavecert.weight import _RATE
 
         pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 3))
         literal = construct_weight(2, sign_case, 4.0, lam, 3)
-        named = _exponential_weight(2, sign_case, 4.0, Const(_RATE), 3)
+        named = construct_weight(2, sign_case, 4.0, Const(_RATE), 3)
         bound = {_RATE: lam}
         for got, want in zip(named.derivatives(pts, bound), literal.derivatives(pts)):
             assert np.array_equal(got, want)
@@ -350,7 +371,6 @@ class TestSearchWork:
         # certify it instead and move the certified rate
         from wavecert.bundled import config_text
         from wavecert.cli import RunConfig
-        from wavecert.condition import GridProblem
 
         cfg = RunConfig.from_text(config_text("isotropic-exp"))
         field, disk = cfg.build_field(), cfg.build_region()
@@ -358,14 +378,13 @@ class TestSearchWork:
         shift = compute_shift(problem.grid, axis, "positive")
         weight = construct_weight(axis, "positive", shift, 1.0, 2)
         assert problem._margins(weight, None).margin == margin
-        cert = find_lambda(field, disk, axis, "positive", problem=problem)
+        cert = search(problem, axis, "positive")
         assert cert.lam == 1.0009765625
 
     def test_attempts_neither_differentiate_nor_compile(self, monkeypatch):
         import wavecert.coeff as coeff
         import wavecert.condition as condition
         import wavecert.expr as expr
-        from wavecert.condition import GridProblem
 
         counts, weight_counts = {}, {}
         for module in (expr, coeff, condition):
@@ -384,7 +403,7 @@ class TestSearchWork:
             return found
 
         monkeypatch.setattr(GridProblem, "_margins", attempt)
-        cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
+        cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 17), 1, "positive")
         assert cert.report.certified
         *attempts, (resolution, recheck) = deltas
         assert len(attempts) > 10 and all(r == 17 for r, _ in attempts)
@@ -407,7 +426,7 @@ class TestSearchWork:
         counts = {}
         for name in ("min_eigenvalue", "leading_principal_minors", "pencil_margins"):
             _counting(monkeypatch, counts, condition, name)
-        cert = find_lambda(cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17)
+        cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 17), 1, "positive")
         assert cert.report.certified and cert.refinement_report is not None
         attempts = counts["pencil_margins"] - 1  # one pencil per attempt, one the refinement's
         assert attempts > 10
@@ -416,7 +435,6 @@ class TestSearchWork:
 
     def test_attempts_whiten_by_one_reciprocal_per_grid(self, monkeypatch):
         import wavecert.condition as condition
-        from wavecert.condition import GridProblem
 
         counts, operands = {}, []
         _counting(monkeypatch, counts, np.linalg, "solve")
@@ -428,9 +446,7 @@ class TestSearchWork:
 
         monkeypatch.setattr(condition, "pencil_margins", recorded)
         problem = GridProblem(cubic_exp_field(), shifted_disk(), 17)
-        cert = find_lambda(
-            cubic_exp_field(), shifted_disk(), 1, "positive", resolution=17, problem=problem
-        )
+        cert = search(problem, 1, "positive")
         assert cert.report.certified
         assert counts == {}
         # every attempt scales by the search grid's one reciprocal; the last
@@ -446,16 +462,13 @@ class TestSearchWork:
         # each minimum, of a grid of several hundred
         from wavecert.bundled import config_text
         from wavecert.cli import RunConfig
-        from wavecert.condition import GridProblem
-        from wavecert.weight import admissible_indices
 
         cfg = RunConfig.from_text(config_text("cubic-exp"))
         field, reg = cfg.build_field(), cfg.build_region()
         problem = GridProblem(field, reg, cfg.options["resolution"])
-        chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
         rows, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
-        cert = find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
+        cert = search(problem)
         assert cert.report.certified
         assert len(problem.grid) > 500
         assert len(rows) > 10 and max(rows) <= 4
@@ -463,20 +476,15 @@ class TestSearchWork:
     def test_best_failing_report_equals_a_full_check(self):
         from wavecert.bundled import config_text
         from wavecert.cli import RunConfig
-        from wavecert.condition import GridProblem
-        from wavecert.weight import admissible_indices
 
         cfg = RunConfig.from_text(config_text("cubic-exp"), {"lambda_max": 8})
         field, reg = cfg.build_field(), cfg.build_region()
         resolution = cfg.options["resolution"]
         problem = GridProblem(field, reg, resolution)
-        chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
+        chosen = pick_index(sign_ranges(problem.da), field.dim)
         shift = compute_shift(problem.grid, chosen.axis, chosen.sign_case)
         with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
-            find_lambda(
-                field, reg, chosen.axis, chosen.sign_case, shift=shift,
-                lambda_max=8, resolution=resolution, problem=problem,
-            )
+            find_lambda(problem, chosen, lambda_max=8)
         exc = err.value
         assert exc.best_lambda is not None
         weight = construct_weight(chosen.axis, chosen.sign_case, shift, exc.best_lambda, 2)
@@ -486,8 +494,6 @@ class TestSearchWork:
         assert exc.best_report == full
 
     def test_field_not_definite_makes_no_attempt(self, monkeypatch):
-        from wavecert.condition import GridProblem
-
         def refuse(*args, **kwargs):
             raise AssertionError("a search attempt ran")
 
@@ -495,7 +501,7 @@ class TestSearchWork:
         field = build(["x2 - 0.5", "x1 - 0.5"], diagonal=True)
         square = region(2, [(0.0, 1.0), (0.0, 1.0)])
         with pytest.raises(LambdaMaxExceededError, match="not positive definite") as err:
-            find_lambda(field, square, 1, "positive", resolution=17)
+            search(GridProblem(field, square, 17), 1, "positive")
         assert err.value.best_lambda is None
         assert err.value.best_report.verdict == "failed_coefficient"
         assert err.value.best_report.alpha_min == -0.5
@@ -538,13 +544,9 @@ def search_rates(text, monkeypatch):
     """The rates a ``construct`` of config ``text`` tries on its search grid,
     in order, and its certificate."""
     from wavecert.cli import RunConfig
-    from wavecert.condition import GridProblem
-    from wavecert.weight import admissible_indices
 
     cfg = RunConfig.from_text(text)
-    field, reg = cfg.build_field(), cfg.build_region()
-    problem = GridProblem(field, reg, cfg.options["resolution"])
-    chosen = pick_index(admissible_indices(sign_ranges(problem.da), field.dim))
+    problem = GridProblem(cfg.build_field(), cfg.build_region(), cfg.options["resolution"])
     rates, margins = [], GridProblem._margins
 
     def attempt(self, weight, consts, **screen):
@@ -553,7 +555,7 @@ def search_rates(text, monkeypatch):
         return margins(self, weight, consts, **screen)
 
     monkeypatch.setattr(GridProblem, "_margins", attempt)
-    return rates, find_lambda(field, reg, chosen.axis, chosen.sign_case, problem=problem)
+    return rates, search(problem)
 
 
 def bisection(passes, lo, hi):
@@ -800,7 +802,7 @@ class TestThreeDimensional:
         assert (2, "positive") in [(c.axis, c.sign_case) for c in found]
         shift = compute_shift(grid, 2, "positive")
         assert shift == pytest.approx(1.0 + 2.0 + 1.0)  # 1 + max(|x1|+|x3|) + max x2
-        cert = find_lambda(f, r, 2, "positive", resolution=7)
+        cert = search(GridProblem(f, r, 7), 2, "positive")
         assert cert.report.certified
         assert cert.report.margin > 0.0
 
@@ -836,8 +838,8 @@ class TestCaseSymmetry:
         neg_region = region(
             2, [(-3.0, -1.0), (-1.0, 1.0)], ["(x1 + 2)^2 + x2^2 - 1"]
         )
-        cert_pos = find_lambda(pos_field, pos_region, 1, "positive", resolution=17)
-        cert_neg = find_lambda(neg_field, neg_region, 1, "negative", resolution=17)
+        cert_pos = search(GridProblem(pos_field, pos_region, 17), 1, "positive")
+        cert_neg = search(GridProblem(neg_field, neg_region, 17), 1, "negative")
         assert cert_neg.shift == pytest.approx(cert_pos.shift)
         assert cert_neg.lam == pytest.approx(cert_pos.lam)
         assert cert_neg.report.margin == pytest.approx(
