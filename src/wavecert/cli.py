@@ -27,16 +27,16 @@ A run configuration is flat key-value text with three section headers::
     force_j = 1
 
 Values are JSON, and a number is never a string; full-line ``#`` comments
-are allowed; unknown keys are errors.  The table ``_OPTIONS`` gives each
-``[options]`` key its type, default, range check and the subcommands that
+are allowed; unknown keys are errors.  One table, ``_KEYS``, gives every key
+its kind, default and check, and each ``[options]`` key the subcommands that
 take it as a flag (``lambda_max`` is ``--lambda-max``); a flag's text
-overrides the file and is converted and checked the same way.  A constant is
-finite.  ``threads`` (and ``--threads``) is accepted and echoed in the report
-but has no effect: the grid's linear algebra runs on whole stacks.  Exit
-codes: 0 success or certified, 2 honest negative (not certified / no
+overrides the file and is read the same way.  An unset or ``null`` key takes
+its default; a required key has none.  ``threads`` is accepted and echoed in
+the report but has no effect: the grid's linear algebra runs on whole stacks.
+Exit codes: 0 success or certified, 2 honest negative (not certified / no
 admissible axis / budget exhausted), 3 configuration or usage error
-(including a grid above ``domain.MAX_GRID_POINTS``), 4 numeric or domain
-error.
+(including a grid above ``domain.MAX_GRID_POINTS`` and a constant that
+``constants`` does not define), 4 numeric or domain error.
 """
 
 import argparse
@@ -62,6 +62,7 @@ from .errors import (
     LambdaMaxExceededError,
     RegionError,
     StepCollapseError,
+    UnboundConstantError,
     WavecertError,
     WeightOverflowError,
 )
@@ -85,51 +86,91 @@ EXIT_NUMERIC = 4
 _NO_DUMP_VERDICTS = ("failed_coefficient", "no_admissible_index", "lambda_max_exceeded")
 
 
-# One [options] key: ``kind`` is int, float or list (of numbers; its flag takes
-# them comma-separated); ``commands`` take the key as a flag; a set value must
-# pass ``check`` once converted, else the error is "{key} must be {rule}".
-_Option = namedtuple("_Option", "kind default commands check rule help", defaults=(None,) * 3)
-_ALL = ("verify", "construct", "curvature", "rays", "examples")
-_OPTIONS = {
-    "resolution": _Option(int, 33, _ALL),
-    "lambda_max": _Option(
-        float, float(DEFAULT_LAMBDA_MAX), ("construct",), lambda v: v >= 1.0, ">= 1"
-    ),
-    "target_margin": _Option(float, 0.0, ("construct",), math.isfinite, "a finite number"),
-    "horizon": _Option(float, 20.0, ("rays",), lambda v: 0.0 < v < math.inf, "a positive number"),
-    "step": _Option(float, 0.01, ("rays",), lambda v: 0.0 < v < math.inf, "a positive number"),
-    "count": _Option(int, 32, ("rays",), lambda v: v >= 0, "nonnegative"),
-    "center": _Option(list, None, ("rays",), help="comma-separated start point"),
-    "threads": _Option(int, None, _ALL, help="accepted; has no effect"),
-    "force_j": _Option(int, None, ("construct",)),
-}
-_KEYS = {
-    "problem": {"A.diagonal", "A.entries", "weight", "constants"},
-    "region": {"dim", "box", "constraints", "margin"},
-    "options": _OPTIONS,
-}
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
 
-def _convert(key, value, kind, text=False):
-    """``kind(value)`` (a ``list`` kind: a list of floats); a value that is not
-    a number (for ``int``, not a whole number) is a :class:`ConfigError`.  A
-    string is converted only as a flag's ``text``: in a file it is no number."""
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list of numbers")
-        return [_convert(key, v, float, text) for v in value]
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    try:
-        if isinstance(value, bool) or fractional or (isinstance(value, str) and not text):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+def _read(key, value, kind, cfg, text=False):
+    """``value`` read as ``kind``: ``bool``, ``int``, ``float``, ``str`` (an
+    expression), ``"expressions"`` (a list of them), ``"table"`` (name -> finite
+    number), ``"pairs"`` (``cfg.dim`` [lo, hi] pairs) or ``"point"``
+    (``cfg.dim`` numbers).  A string is a number only as a flag's ``text``.  A
+    value of the wrong kind raises ValueError; a wrong truth value or number
+    raises a ConfigError naming the value it got."""
+    if kind in (int, float):
+        fractional = kind is int and isinstance(value, float) and not value.is_integer()
+        try:
+            if isinstance(value, bool) or fractional or (isinstance(value, str) and not text):
+                raise ValueError
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    if kind == "point" and text:  # a flag lists the numbers comma-separated
+        value = value.split(",")
+    if kind == "table" and isinstance(value, dict):
+        value = {k: _read(f"constant {k!r}", v, float, cfg) for k, v in value.items()}
+        for k, v in value.items():
+            if not math.isfinite(v):
+                raise ConfigError(f"constant {k!r} must be a finite number, got {v!r}")
+    elif kind == "point" and isinstance(value, list):
+        value = [_read(key, v, float, cfg, text) for v in value]
+        if len(value) != cfg.dim:
+            raise ConfigError(f"{key} dimension does not match the region")
+    elif kind == "pairs" and isinstance(value, list) and len(value) == cfg.dim and all(
+        isinstance(b, list) and len(b) == 2 for b in value
+    ):
+        value = [[_read(key, v, float, cfg) for v in b] for b in value]
+    elif kind == "expressions" and isinstance(value, list) and all(
+        isinstance(e, str) for e in value
+    ):
+        value = list(value)
+    elif kind not in (bool, str) or not isinstance(value, kind):
+        raise ValueError
+    return value
+
+
+# One config key, read as ``kind``; a value of the wrong kind, or one that fails
+# ``check`` once read, is the error "{key} must be {rule}".  Unset or ``null``
+# takes ``default`` (computed from the keys before it when callable).  An option
+# is in ``RunConfig.options``, and ``commands`` take it as a flag (``lambda_max``
+# is ``--lambda-max``); another key is the attribute ``attr``, by default the key.
+_Key = namedtuple("_Key", "kind default commands check rule help attr", defaults=(None,) * 5)
+_REQUIRED = object()  # the default of a key that every config sets
+_ALL = ("verify", "construct", "curvature", "rays", "examples")
+_KEYS = {
+    "problem": {
+        "A.diagonal": _Key(bool, _REQUIRED, attr="diagonal"),
+        "A.entries": _Key(
+            "expressions", _REQUIRED, check=bool, rule="a nonempty list of expression strings",
+            attr="entries",
+        ),
+        "weight": _Key(str, None, rule="an expression string", attr="weight_text"),
+        "constants": _Key("table", {}, rule="a table of name -> number"),
+    },
+    "region": {
+        "dim": _Key(int, _REQUIRED),
+        "box": _Key("pairs", _REQUIRED, rule="a list of [lo, hi] pairs, one per axis"),
+        "constraints": _Key("expressions", [], rule="a list of expression strings"),
+        "margin": _Key(float, 0.0),
+    },
+    "options": {
+        "resolution": _Key(int, 33, _ALL),
+        "lambda_max": _Key(float, DEFAULT_LAMBDA_MAX, ("construct",), lambda v: v >= 1.0, ">= 1"),
+        "target_margin": _Key(float, 0.0, ("construct",), math.isfinite, "a finite number"),
+        "horizon": _Key(float, 20.0, ("rays",), lambda v: 0.0 < v < math.inf, "a positive number"),
+        "step": _Key(float, 0.01, ("rays",), lambda v: 0.0 < v < math.inf, "a positive number"),
+        "count": _Key(int, 32, ("rays",), lambda v: v >= 0, "nonnegative"),
+        "center": _Key(
+            "point", lambda cfg: [0.5 * (lo + hi) for lo, hi in cfg.box], ("rays",),
+            rule="a list of numbers", help="comma-separated start point",
+        ),
+        "threads": _Key(int, None, _ALL, help="accepted; has no effect"),
+        "force_j": _Key(int, None, ("construct",)),
+    },
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -171,75 +212,32 @@ def parse_config_text(text: str) -> dict:
 
 
 class RunConfig:
-    """Validated problem + region + options, ready to execute.
-
-    ``overrides`` (option key -> value, or a flag's text) replace ``[options]``
-    values; an unset or ``null`` option takes its default.
-    """
+    """Validated problem + region + options, ready to execute: ``diagonal``,
+    ``entries``, ``weight_text``, ``constants``, ``dim``, ``box``, ``constraints``,
+    ``margin`` and ``options`` hold every key as its ``_KEYS`` entry reads it, in
+    table order, with ``overrides`` (option key -> a flag's text, or None) in
+    place of the ``[options]`` values."""
 
     def __init__(self, sections: dict, overrides=None):
-        problem = sections.get("problem", {})
-        reg = sections.get("region", {})
-        options, overrides = sections.get("options", {}), overrides or {}
-
-        try:
-            self.diagonal = problem["A.diagonal"]
-            self.entries = problem["A.entries"]
-        except KeyError as exc:
-            raise ConfigError(f"[problem] is missing {exc.args[0]!r}") from None
-        if not isinstance(self.diagonal, bool):
-            raise ConfigError(f"A.diagonal must be true or false, got {self.diagonal!r}")
-        if not (isinstance(self.entries, list) and self.entries) or not all(
-            isinstance(e, str) for e in self.entries
-        ):
-            raise ConfigError("A.entries must be a nonempty list of expression strings")
-        self.weight_text = problem.get("weight")
-        if self.weight_text is not None and not isinstance(self.weight_text, str):
-            raise ConfigError("weight must be an expression string")
-        consts = problem.get("constants", {})
-        if not isinstance(consts, dict):
-            raise ConfigError("constants must be a table of name -> number")
-        self.constants = {k: _convert(f"constant {k!r}", v, float) for k, v in consts.items()}
-        for k, v in self.constants.items():
-            if not math.isfinite(v):
-                raise ConfigError(f"constant {k!r} must be a finite number, got {v!r}")
-
-        try:
-            self.dim = _convert("dim", reg["dim"], int)
-            box = reg["box"]
-        except KeyError as exc:
-            raise ConfigError(f"[region] is missing {exc.args[0]!r}") from None
-        if (
-            not isinstance(box, list)
-            or len(box) != self.dim
-            or not all(isinstance(b, list) and len(b) == 2 for b in box)
-        ):
-            raise ConfigError("box must be a list of [lo, hi] pairs, one per axis")
-        self.box = [[_convert("box", v, float) for v in b] for b in box]
-        raw_constraints = reg.get("constraints", [])
-        if not isinstance(raw_constraints, list) or not all(
-            isinstance(c, str) for c in raw_constraints
-        ):
-            raise ConfigError("constraints must be a list of expression strings")
-        self.constraints = list(raw_constraints)
-        self.margin = _convert("margin", reg.get("margin", 0.0), float)
-
+        overrides = overrides or {}
         self.options = {}
-        for key, option in _OPTIONS.items():
-            flag = overrides.get(key) is not None
-            value = overrides[key] if flag else options.get(key)
-            if value is None:
-                value = option.default
-            if value is not None:
-                value = _convert(key, value, option.kind, text=flag)
-                if option.check is not None and not option.check(value):
-                    raise ConfigError(f"{key} must be {option.rule}")
-            self.options[key] = value
-        center = self.options["center"]
-        if center is None:
-            self.options["center"] = [0.5 * (lo + hi) for lo, hi in self.box]
-        elif len(center) != self.dim:
-            raise ConfigError("center dimension does not match the region")
+        for section, keys in _KEYS.items():
+            values = self.options if section == "options" else vars(self)
+            for key, spec in keys.items():
+                flag = overrides.get(key) is not None
+                value = overrides[key] if flag else sections.get(section, {}).get(key)
+                if value is None:
+                    value = spec.default(self) if callable(spec.default) else spec.default
+                if value is _REQUIRED:
+                    raise ConfigError(f"[{section}] is missing {key!r}")
+                if value is not None:
+                    try:
+                        value = _read(key, value, spec.kind, self, flag)
+                        if spec.check is not None and not spec.check(value):
+                            raise ValueError
+                    except ValueError:
+                        raise ConfigError(f"{key} must be {spec.rule}") from None
+                values[spec.attr or key] = value
 
     @classmethod
     def from_text(cls, text: str, overrides=None) -> "RunConfig":
@@ -271,23 +269,13 @@ class RunConfig:
             raise ConfigError(f"bad weight expression: {exc}") from exc
 
     def echo(self) -> dict:
-        problem = {
-            "A.diagonal": self.diagonal,
-            "A.entries": list(self.entries),
-            "constants": dict(self.constants),
-        }
-        if self.weight_text is not None:
-            problem["weight"] = self.weight_text
-        return {
-            "problem": problem,
-            "region": {
-                "dim": self.dim,
-                "box": [list(b) for b in self.box],
-                "constraints": list(self.constraints),
-                "margin": self.margin,
-            },
-            "options": dict(self.options),
-        }
+        """Every key's value; outside ``[options]`` an unset key is left out."""
+        echo = {}
+        for section, keys in _KEYS.items():
+            values = self.options if section == "options" else vars(self)
+            read = {key: values[spec.attr or key] for key, spec in keys.items()}
+            echo[section] = {k: v for k, v in read.items() if v is not None or section == "options"}
+        return echo
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +366,10 @@ def run_construct(cfg: RunConfig, dump_path=None):
     field = cfg.build_field()
     if not field.diagonal:
         raise ConfigError("construct requires diagonal coefficients")
-    problem = GridProblem(field, cfg.build_region(), cfg.options["resolution"], cfg.constants)
     force_axis = cfg.options["force_j"]
     if force_axis is not None and not 1 <= force_axis <= field.dim:
         raise ConfigError(f"force_j={force_axis} out of range for dimension {field.dim}")
+    problem = GridProblem(field, cfg.build_region(), cfg.options["resolution"], cfg.constants)
     failure = problem.coefficient_failure
     if failure is not None:  # no weight can pass, so no axis or rate is searched
         return EXIT_NOT_CERTIFIED, failure.verdict, condition_report_dict(failure)
@@ -545,9 +533,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to a run configuration")
             p.add_argument("--dump-grid", help="write per-point CSV here")
         p.add_argument("--json", help="write the machine report here")
-        for key, option in _OPTIONS.items():
-            if command in option.commands:
-                p.add_argument("--" + key.replace("_", "-"), help=option.help)
+        for key, spec in _KEYS["options"].items():
+            if command in spec.commands:
+                p.add_argument("--" + key.replace("_", "-"), help=spec.help)
     return parser
 
 
@@ -569,17 +557,13 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = _build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
-        overrides = {
-            key: value.split(",") if option.kind is list else value
-            for key, option in _OPTIONS.items()
-            if (value := getattr(args, key, None)) is not None
-        }
+        overrides = {key: getattr(args, key, None) for key in _KEYS["options"]}
         if args.command == "examples":
             code, verdict, result = run_examples(args.name, overrides)
             echo = {"examples": sorted(result["examples"])}
         else:
             try:
-                with open(args.config, "r", encoding="utf-8") as handle:
+                with open(args.config, "r", encoding="utf-8-sig") as handle:
                     text = handle.read()
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
@@ -588,7 +572,7 @@ def main(argv=None) -> int:
             if args.dump_grid is not None and verdict in _NO_DUMP_VERDICTS:
                 print(f"no grid dump written: {verdict}", file=sys.stderr)
             echo = cfg.echo()
-    except (ConfigError, RegionError, OSError) as exc:
+    except (ConfigError, RegionError, OSError, UnboundConstantError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RecursionError:  # parsing, differentiation and compile recurse

@@ -466,6 +466,20 @@ class TestConstructCommand:
         assert main(argv) == EXIT_CONFIG
         assert "out of range" in capsys.readouterr().err
 
+    def test_forced_axis_out_of_range_prepares_no_grid(self, tmp_path, monkeypatch):
+        import wavecert.cli as cli
+
+        builds, prepare = [], cli.GridProblem
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "GridProblem", counted)
+        argv = ["construct", "--config", write(tmp_path, config_text("cubic-exp")), "--force-j", "3"]
+        assert main(argv) == EXIT_CONFIG
+        assert builds == []
+
     @pytest.mark.parametrize(
         "name,flags,want",
         [
@@ -803,6 +817,21 @@ class TestExitCodeContract:
         assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
         assert "config error: expression nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('A.entries = ["1", "1"]', 'A.entries = ["1 + c", "1"]'),
+            ('weight = "(x1^2 + x2^2)/2"', 'weight = "c*(x1^2 + x2^2)/2"'),
+            ('constraints = ["(x1 - 2)^2 + x2^2 - 1"]', 'constraints = ["(x1 - 2)^2 + x2^2 - c"]'),
+        ],
+        ids=["entries", "weight", "constraint"],
+    )
+    def test_undefined_constant_is_config_error(self, tmp_path, capsys, old, new):
+        # a constant that [problem] constants does not define is a config mistake
+        text = VERIFY_OK.replace(old, new)
+        assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert "config error: unbound constant 'c'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["exp(x1", "exp(x3)", "foo(x1)"])
     def test_malformed_curvature_entry_is_config_error(self, tmp_path, capsys, entry):
         # curvature parses its entries where every other command does
@@ -894,6 +923,11 @@ class TestExitCodeContract:
             ('dim = "2"', "dim must be an integer, got '2'"),
             ('box = [[1, "3"], [-1, 1]]', "box must be a number, got '3'"),
             ('margin = "0"', "margin must be a number, got '0'"),
+            # null means unset, so a required key set to null is missing
+            ("A.diagonal = null", "[problem] is missing 'A.diagonal'"),
+            ("A.entries = null", "[problem] is missing 'A.entries'"),
+            ("dim = null", "[region] is missing 'dim'"),
+            ("box = null", "[region] is missing 'box'"),
         ],
     )
     def test_problem_values_of_the_wrong_type(self, tmp_path, capsys, line, message):
@@ -960,6 +994,12 @@ class TestUsageErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "construct" in capsys.readouterr().out
+
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        # some editors start a UTF-8 file with a byte-order mark
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + config_text("cubic-exp").encode("utf-8"))
+        assert main(["construct", "--config", str(path)]) == EXIT_OK
 
     def test_config_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
@@ -1064,10 +1104,19 @@ class TestOneOptionTable:
         every_flag = set().union(*expected.values())
         assert every_flag == {"--" + k.replace("_", "-") for k in FLAG_VALUES} | common
 
-    @pytest.mark.parametrize("key", ["resolution", "lambda_max", "horizon", "step", "count"])
+    @pytest.mark.parametrize(
+        "key",
+        ["weight", "constants", "constraints", "margin", "resolution", "lambda_max",
+         "target_margin", "horizon", "step", "count", "center", "threads", "force_j"],
+    )
     def test_null_option_takes_its_default(self, key):
+        # every optional key in every section: null means unset
+        section = {
+            "weight": "problem", "constants": "problem", "constraints": "region", "margin": "region"
+        }.get(key, "options")
         unset = "\n".join(line for line in RAYS_CFG.splitlines() if not line.startswith(key))
-        null = RunConfig.from_text(f"{unset}\n{key} = null\n").echo()
+        text = unset.replace(f"[{section}]", f"[{section}]\n{key} = null")
+        null = RunConfig.from_text(text).echo()
         assert null == RunConfig.from_text(unset).echo()
 
 
