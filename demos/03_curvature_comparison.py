@@ -15,15 +15,17 @@ from wavecert import (
     build,
     check_sign_change_window,
     classify_sign,
-    curvature_closed_form,
+    curvature_closed_form_expression,
     detect_index,
-    gauss_curvature,
+    evaluate,
+    gauss_curvature_expression,
     sample,
 )
 from wavecert.domain import region
 
 MU = {"mu1": 0.5, "mu2": 0.1}
 A1, A2 = "exp(mu1*x1)", "exp(-mu2*x1^2)"
+K = gauss_curvature_expression(A1, A2)
 
 window = check_sign_change_window(MU["mu1"], MU["mu2"])
 print("parameter window:")
@@ -49,10 +51,10 @@ print(f"k range: [{report.k_min:.5f}, {report.k_max:.5f}]")
 print("positive witness:", np.round(report.witness_positive, 4))
 print("negative witness:", np.round(report.witness_negative, 4))
 for x1 in (1.0, 3.0):
-    print(f"k at ({x1}, 0): {gauss_curvature(A1, A2, (x1, 0.0), MU):+.5f}")
+    print(f"k at ({x1}, 0): {evaluate(K, (x1, 0.0), MU):+.5f}")
 
 # the compact closed form (valid for x1-only coefficients) agrees with the
 # general orthogonal-metric route
 pt = (1.7, 0.4)
-print("\nclosed form:", curvature_closed_form(A1, A2, pt, MU))
-print("general:    ", gauss_curvature(A1, A2, pt, MU))
+print("\nclosed form:", evaluate(curvature_closed_form_expression(A1, A2), pt, MU))
+print("general:    ", evaluate(K, pt, MU))

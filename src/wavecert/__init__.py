@@ -16,7 +16,6 @@ from .condition import (
     ConditionReport,
     GridProblem,
     WeightFunction,
-    check_condition,
     multiplier_matrix,
     multiplier_matrix_diagonal,
     quadratic_form_matrix,
@@ -25,8 +24,8 @@ from .condition import (
 from .curvature import (
     CurvatureReport,
     classify_sign,
-    curvature_closed_form,
-    gauss_curvature,
+    curvature_closed_form_expression,
+    gauss_curvature_expression,
     check_sign_change_window,
 )
 from .domain import Region, SampleGrid, sample
@@ -58,18 +57,17 @@ __all__ = [
     "WeightFunction",
     "build",
     "certify_positivity",
-    "check_condition",
     "check_sign_change_window",
     "classify_sign",
     "compute_shift",
     "construct_weight",
-    "curvature_closed_form",
+    "curvature_closed_form_expression",
     "detect_index",
     "differentiate",
     "evaluate",
     "fan",
     "find_lambda",
-    "gauss_curvature",
+    "gauss_curvature_expression",
     "limit_matrix",
     "multiplier_matrix",
     "multiplier_matrix_diagonal",

@@ -41,6 +41,7 @@ admissible axis / budget exhausted), 3 configuration or usage error
 
 import argparse
 import math
+import os
 import re
 import sys
 import time
@@ -53,7 +54,7 @@ import numpy as np
 from . import __version__
 from .bundled import EXAMPLES, config_text
 from .coeff import CoefficientField, build
-from .condition import ConditionReport, GridProblem, check_condition, weight_function
+from .condition import ConditionReport, GridProblem, weight_function
 from .curvature import check_sign_change_window, classify_sign
 from .domain import Region, region
 from .errors import (
@@ -347,17 +348,9 @@ def ray_summary_dict(outcomes) -> dict:
 
 
 def run_verify(cfg: RunConfig, dump_path=None):
-    field = cfg.build_field()
-    reg = cfg.build_region()
-    weight = cfg.build_weight()
-    rep = check_condition(
-        field,
-        weight,
-        reg,
-        cfg.options["resolution"],
-        consts=cfg.constants,
-        dump_path=dump_path,
-    )
+    field, reg, weight = cfg.build_field(), cfg.build_region(), cfg.build_weight()
+    problem = GridProblem(field, reg, cfg.options["resolution"], cfg.constants)
+    rep = problem.check(weight, dump_path)
     code = EXIT_OK if rep.certified else EXIT_NOT_CERTIFIED
     return code, rep.verdict, condition_report_dict(rep)
 
@@ -497,6 +490,9 @@ def _print_human(report: dict, stream):
                 if isinstance(value, float):
                     value = fmt_float(value)
                 print(f"  {key}: {value}", file=stream)
+        refined = result.get("refinement")  # construct's re-check on the refined grid
+        if refined is not None:
+            print(f"  refinement: {refined['verdict']} at {refined['resolution']}", file=stream)
         if "examples" in result:
             for name, entry in result["examples"].items():
                 status = "ok" if entry["matched"] else "MISMATCH"
@@ -597,7 +593,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"config error: cannot write the report: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    _print_human(report, sys.stdout)
+    try:
+        _print_human(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -36,10 +36,6 @@ class CoefficientField:
         """Entry a^{ij} with 1-based indices."""
         return self.entries[i - 1][j - 1]
 
-    def partial(self, i: int, j: int, k: int) -> Expression:
-        """Symbolic derivative of a^{ij} along x_k, 1-based indices."""
-        return self.partials[i - 1][j - 1][k - 1]
-
     @cached_property
     def _entries_tape(self):
         return compile(self.entries)

@@ -26,8 +26,8 @@ diagonal one entrywise (:func:`_terms`).  ``quadratic_form_matrix`` gives the
 unsymmetrized matrix of the quadratic form, whose symmetric part is twice
 the multiplier matrix.  ``multiplier_matrix_diagonal``, the constructive
 proof's form, drops the weight's mixed second derivatives; it matches the
-general path for every weight family this toolkit constructs.
-``check_condition`` is a one-off check.
+general path for every weight family this toolkit constructs.  A one-off
+check is ``GridProblem(field, region, resolution, consts).check(weight)``.
 """
 
 from dataclasses import dataclass, replace
@@ -38,7 +38,7 @@ import numpy as np
 from .coeff import CoefficientField, certify_positivity, require_diagonal
 from .domain import Region, sample
 from .errors import DomainError, EvaluationError
-from .expr import Expression, compile, differentiate, evaluate, parse
+from .expr import Expression, compile, differentiate, parse
 from .linalg import eigen_bounds, leading_principal_minors, min_eigenvalue, minor_bounds
 from .linalg import SCREENED, matprod, pencil_margins, row_norms, screened
 from .report import write_csv
@@ -70,9 +70,6 @@ class WeightFunction:
     @cached_property
     def _tape(self):
         return compile([self.grad, *self.hess])
-
-    def value(self, points, consts=None):
-        return evaluate(self.expression, points, consts)
 
     def derivatives(self, points, consts=None) -> tuple:
         """Gradient ``(..., n)`` and Hessian ``(..., n, n)`` at a point or a
@@ -319,9 +316,15 @@ class GridProblem:
         return None
 
     def check(self, weight: WeightFunction, dump_path=None) -> ConditionReport:
-        """Certify both inequalities for ``weight`` on this grid.
+        """Certify both inequalities for ``weight`` on this grid, writing the
+        per-point CSV to ``dump_path`` when given.
 
-        Same verdicts and report as :func:`check_condition`, which wraps it.
+        The verdict is ``certified`` iff the coefficient matrix is positive
+        definite on the grid, the pencil margin is strictly positive, and the
+        weight gradient never vanishes.  Raises :class:`EvaluationError` when
+        A, though positive on the grid, is too close to singular to whiten the
+        pencil, and :class:`DomainError` when some multiplier matrix is not
+        finite.
         """
         if self.coefficient_failure is not None:
             return self.coefficient_failure
@@ -399,27 +402,3 @@ class GridProblem:
             resolution=self.grid.resolution,
             point_count=pts.shape[0],
         )
-
-
-def check_condition(
-    field: CoefficientField,
-    weight: WeightFunction,
-    region: Region,
-    resolution: int,
-    consts=None,
-    dump_path=None,
-) -> ConditionReport:
-    """Certify both inequalities over the region's sample grid.
-
-    The verdict is ``certified`` iff the coefficient matrix is positive
-    definite on the grid, the pencil margin is strictly positive, and the
-    weight gradient never vanishes.  A one-off check: it prepares a
-    :class:`GridProblem` and checks the weight on it; to check several
-    weights on one grid, prepare the problem once and call its
-    :meth:`GridProblem.check`.  Raises :class:`EvaluationError` when A,
-    though positive on the grid, is too close to singular to whiten the
-    pencil, and :class:`DomainError` when some multiplier matrix is not
-    finite.
-    """
-    return GridProblem(field, region, resolution, consts).check(weight, dump_path)
-

@@ -1,13 +1,14 @@
 """Sectional curvature of 2D diagonal metrics and the sign comparison.
 
-Two evaluation routes are provided for coefficients ``diag(a1, a2)``:
+Two curvature expressions, each evaluated by :func:`~wavecert.expr.evaluate`,
+are built for coefficients ``diag(a1, a2)``:
 
-* :func:`curvature_closed_form` - the compact closed form
+* :func:`curvature_closed_form_expression` - the compact closed form
   ``[a2 a1_x1 a2_x1 + a1 (a2_x1)^2 - 2 a1 a2 a2_x1x1] / (4 (a1 a2)^2)``,
   valid when both coefficients depend on x1 only (all its derivatives are
   along x1);
-* :func:`gauss_curvature` - the standard orthogonal-metric Gaussian
-  curvature built symbolically for the metric ``a1 dx1^2 + a2 dx2^2``,
+* :func:`gauss_curvature_expression` - the standard orthogonal-metric
+  Gaussian curvature built symbolically for the metric ``a1 dx1^2 + a2 dx2^2``,
   valid for any 2D diagonal coefficients.
 
 Both routes use exact symbolic derivatives and describe the same geometric
@@ -70,11 +71,6 @@ def curvature_closed_form_expression(a1, a2) -> Expression:
     return BinOp("/", num, den)
 
 
-def curvature_closed_form(a1, a2, point, consts=None):
-    """Evaluate the closed-form curvature at one point or a batch."""
-    return evaluate(curvature_closed_form_expression(a1, a2), point, consts)
-
-
 def gauss_curvature_expression(a1, a2) -> Expression:
     """Symbolic Gaussian curvature of the metric ``a1 dx1^2 + a2 dx2^2``.
 
@@ -90,11 +86,6 @@ def gauss_curvature_expression(a1, a2) -> Expression:
     term2 = differentiate(BinOp("/", differentiate(metric_e, 2), s), 2)
     total = BinOp("+", term1, term2)
     return BinOp("/", Neg(total), BinOp("*", Num(2.0), s))
-
-
-def gauss_curvature(a1, a2, point, consts=None):
-    """Evaluate the general Gaussian curvature at one point or a batch."""
-    return evaluate(gauss_curvature_expression(a1, a2), point, consts)
 
 
 @dataclass(frozen=True)

@@ -506,9 +506,6 @@ class Tape:
     shape: tuple  # shape of the results at one point
     size: int  # unique nodes, literals included
 
-    def __len__(self) -> int:
-        return self.size
-
     def __call__(self, points, consts=None) -> np.ndarray:
         """Evaluate at one point ``(n,)`` or a batch ``(m, n)``; the result
         has shape ``points.shape[:-1] + shape``, a batch's with the batch axis

@@ -218,19 +218,25 @@ def _launch(flow: _Flow, x, xi0, horizon, step, store_paths):
     if not len(xi0):
         return []
     y = np.hstack([np.tile(x, (len(xi0), 1)), xi0])
-    energy = flow.derivatives(y)[1]
-    if not (energy > 0.0).all():
-        raise EvaluationError("initial covector has nonpositive energy", x)
-    y[:, flow.n :] = (1.0 / np.sqrt(2.0 * energy))[:, None] * xi0
+    try:
+        energy = flow.derivatives(y)[1]
+        if not (energy > 0.0).all():
+            raise EvaluationError("initial covector has nonpositive energy", x)
+        y[:, flow.n :] = (1.0 / np.sqrt(2.0 * energy))[:, None] * xi0
 
-    outcomes = [None] * len(y)
-    ids = np.arange(len(y))
-    h = float(step)
-    for _ in range(_MAX_HALVINGS + 1):
-        ids = _trace_pass(flow, y[ids], ids, horizon, h, store_paths, outcomes)
-        if not ids.size:
-            return outcomes
-        h *= 0.5
+        outcomes = [None] * len(y)
+        ids = np.arange(len(y))
+        h = float(step)
+        for _ in range(_MAX_HALVINGS + 1):
+            ids = _trace_pass(flow, y[ids], ids, horizon, h, store_paths, outcomes)
+            if not ids.size:
+                return outcomes
+            h *= 0.5
+    except EvaluationError as exc:  # the tapes read states (x, xi): name the position x
+        if exc.point is None:
+            raise
+        reason = str(exc).removesuffix(f" at point {exc.point}")
+        raise type(exc)(reason, exc.point[: flow.n]) from None
     raise StepCollapseError(
         f"drift above {DRIFT_TOLERANCE:g} even after {_MAX_HALVINGS} step halvings"
     )

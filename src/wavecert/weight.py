@@ -85,10 +85,6 @@ class WeightCertificate:
     sign_margin: float
     refinement_report: ConditionReport | None = None
 
-    @property
-    def resolution_robust(self) -> bool:
-        return self.refinement_report is not None and self.refinement_report.certified
-
 
 def sign_ranges(da):
     """Grid range of every off-index partial, ``{(axis, entry): (min, max)}``,

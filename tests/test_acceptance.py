@@ -17,7 +17,6 @@ from wavecert.cli import RunConfig, main
 from wavecert.coeff import build
 from wavecert.condition import (
     GridProblem,
-    check_condition,
     multiplier_matrix,
     multiplier_matrix_diagonal,
     quadratic_form_matrix,
@@ -26,8 +25,7 @@ from wavecert.condition import (
 from wavecert.curvature import (
     check_sign_change_window,
     classify_sign,
-    curvature_closed_form,
-    gauss_curvature,
+    curvature_closed_form_expression,
     gauss_curvature_expression,
 )
 from wavecert.domain import region, sample
@@ -89,7 +87,7 @@ def test_criterion_01_classical_multiplier_sanity():
     started = time.perf_counter()
     field = build(["1", "1"], diagonal=True)
     weight = weight_function("(x1^2 + x2^2)/2", 2)
-    rep = check_condition(field, weight, offset_disk(), resolution=33)
+    rep = GridProblem(field, offset_disk(), 33).check(weight)
     elapsed = time.perf_counter() - started
     ok = (
         rep.certified
@@ -243,9 +241,9 @@ def test_criterion_07_curvature_reproduction():
 
     grid = sample(disk, 33)
     pts = grid.points
-    ks = evaluate(
-        gauss_curvature_expression("exp(mu1*x1)", "exp(-mu2*x1^2)"), pts, consts
-    )
+    general = gauss_curvature_expression("exp(mu1*x1)", "exp(-mu2*x1^2)")
+    closed = curvature_closed_form_expression("exp(mu1*x1)", "exp(-mu2*x1^2)")
+    ks = evaluate(general, pts, consts)
     left = (pts[:, 0] >= 0.9) & (pts[:, 0] <= 1.1)
     right = (pts[:, 0] >= 2.9) & (pts[:, 0] <= 3.1)
     left_witness = bool(left.any() and np.max(ks[left]) > 0.0)
@@ -260,8 +258,8 @@ def test_criterion_07_curvature_reproduction():
             )
             if (pt[0] - 2.0) ** 2 + pt[1] ** 2 <= 1.5:
                 break
-        kw = curvature_closed_form("exp(mu1*x1)", "exp(-mu2*x1^2)", pt, consts)
-        kg = gauss_curvature("exp(mu1*x1)", "exp(-mu2*x1^2)", pt, consts)
+        kw = evaluate(closed, pt, consts)
+        kg = evaluate(general, pt, consts)
         if abs(kw - kg) / max(abs(kw), abs(kg), 1e-300) >= 1e-8:
             agree = False
             break

@@ -3,10 +3,13 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import wavecert
 from wavecert.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CERTIFIED,
@@ -355,6 +358,14 @@ class TestConstructCommand:
         stdout = capsys.readouterr().out
         assert "lambda" in stdout
 
+    @pytest.mark.parametrize(
+        "name,verdict", [("isotropic-exp", "certified"), ("cubic-exp", "failed_positivity")]
+    )
+    def test_refinement_is_printed(self, tmp_path, capsys, name, verdict):
+        # the re-check of the certified weight on the 2r - 1 grid, r = 33
+        assert main(["construct", "--config", write(tmp_path, config_text(name))]) == EXIT_OK
+        assert f"\n  refinement: {verdict} at 65\n" in capsys.readouterr().out
+
     def test_no_admissible_index(self, tmp_path):
         out = tmp_path / "na.json"
         code = main(
@@ -581,8 +592,8 @@ class TestConstructCommand:
         header = dump.read_text().splitlines()[0]
         assert header == "x1,x2,eig_min_pencil,eig_min_matrix,grad_norm,minor1,minor2"
 
-    def test_construct_dump_grid_matches_check_condition(self, tmp_path):
-        from wavecert.condition import GridProblem, check_condition
+    def test_construct_dump_grid_matches_a_direct_check(self, tmp_path):
+        from wavecert.condition import GridProblem
 
         from test_weight import search
 
@@ -593,7 +604,7 @@ class TestConstructCommand:
         field, reg = cfg.build_field(), cfg.build_region()
         cert = search(GridProblem(field, reg, 17), 1, "positive")
         direct = tmp_path / "direct.csv"
-        check_condition(field, cert.weight, reg, 17, dump_path=direct)
+        GridProblem(field, reg, 17).check(cert.weight, direct)
         assert dump.read_bytes() == direct.read_bytes()
 
     def test_nondiagonal_rejected(self, tmp_path):
@@ -731,6 +742,30 @@ class TestRaysCommand:
         assert main(["rays", "--config", write(tmp_path, text)]) == EXIT_NUMERIC
         assert "nonpositive energy at point (0.0, 0.0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edits,code,message",
+        [
+            # the fan's flow tape: Hamilton's equations read a constant A leaves unbound
+            ([('["1", "1"]', '["1 + x1^2 + x2^2", "d + x1^2"]')],
+             EXIT_CONFIG, "config error: unbound constant 'd'"),
+            # the flow tape again: a ray from (1, 0) to the left reaches x1 = -1.2
+            ([('["1", "1"]', '["1", "2 + log(x1 + 1.2)"]'), ("[0, 0]", "[1, 0]")],
+             EXIT_NUMERIC, "numeric error: log of non-positive value"),
+            # the region's tape: a ray from (0, 0) downward reaches x2 = -0.5
+            ([('"x1^2 + x2^2 - 2"', '"x1^2 + x2^2 - 2", "log(x2 + 0.5) - 10"')],
+             EXIT_NUMERIC, "numeric error: log of non-positive value"),
+        ],
+        ids=["flow-unbound", "flow-log", "region-log"],
+    )
+    def test_evaluation_error_names_a_position(self, tmp_path, capsys, edits, code, message):
+        # the tapes read the rays' states (x, xi); an error names x alone
+        text = RAYS_CFG
+        for old, new in edits:
+            text = text.replace(old, new)
+        assert main(["rays", "--config", write(tmp_path, text)]) == code
+        err = capsys.readouterr().err
+        assert re.fullmatch(re.escape(message) + r" at point \([^,()]+, [^,()]+\)\n", err), err
+
     def test_four_dimensional_fan_is_config_error(self, tmp_path, capsys):
         text = (
             '[problem]\nA.diagonal = true\nA.entries = ["1", "1", "1", "1"]\n'
@@ -838,6 +873,31 @@ class TestExitCodeContract:
         text = VERIFY_OK.replace('A.entries = ["1", "1"]', f'A.entries = ["{entry}", "1"]')
         assert main(["curvature", "--config", write(tmp_path, text)]) == EXIT_CONFIG
         assert "config error: bad coefficient entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "name,flags,code",
+        [("isotropic-exp", [], EXIT_OK), ("cubic-exp", ["--lambda-max", "8"], EXIT_NOT_CERTIFIED)],
+        ids=["certified", "not-certified"],
+    )
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, unbuffered, name, flags, code):
+        # the reader left before the run: a buffered stdout fails at the flush
+        # at exit, an unbuffered one at the first print
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(wavecert.__file__))
+        report = tmp_path / "report.json"
+        argv = ["construct", "--config", write(tmp_path, config_text(name)), "--json", str(report)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "wavecert.cli", *argv, *flags],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (code, b"")
+        assert json.loads(report.read_text())["command"] == "construct"
 
     def test_long_flat_sum_is_evaluated_left_to_right(self, tmp_path):
         # a flat sum parses to a left-leaning tree as deep as it is long;

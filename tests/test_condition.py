@@ -15,7 +15,6 @@ from wavecert.condition import (
     _Margins,
     _multiplier,
     _terms,
-    check_condition,
     multiplier_matrix,
     multiplier_matrix_diagonal,
     quadratic_form_matrix,
@@ -309,28 +308,21 @@ class TestIdentities:
 
 class TestCheckCondition:
     def test_classical_multiplier_on_offset_disk(self):
-        report = check_condition(
-            identity_field(), quadratic_weight(), offset_disk(), resolution=33
-        )
+        report = GridProblem(identity_field(), offset_disk(), 33).check(quadratic_weight())
         assert report.certified
         assert report.margin == pytest.approx(2.0, abs=1e-12)
         assert report.grad_min >= 1.0 - 1e-9
 
     def test_constant_diagonal_margin(self):
-        report = check_condition(
-            build(["2", "3"], diagonal=True),
-            quadratic_weight(),
-            offset_disk(),
-            resolution=17,
+        report = GridProblem(build(["2", "3"], diagonal=True), offset_disk(), 17).check(
+            quadratic_weight()
         )
         assert report.certified
         assert report.margin == pytest.approx(4.0, abs=1e-12)
 
     def test_gradient_failure_at_origin(self):
         r = region(2, [(-1.0, 1.0), (-1.0, 1.0)], ["x1^2 + x2^2 - 1"])
-        report = check_condition(
-            identity_field(), quadratic_weight(), r, resolution=33
-        )
+        report = GridProblem(identity_field(), r, 33).check(quadratic_weight())
         assert report.verdict == "failed_gradient"
         assert report.grad_min == 0.0
         assert np.allclose(report.worst_point_grad, (0.0, 0.0))
@@ -338,7 +330,7 @@ class TestCheckCondition:
     def test_coefficient_failure_short_circuits(self):
         f = build(["x1", "1"], diagonal=True)
         r = region(2, [(-1.0, 1.0), (-1.0, 1.0)])
-        report = check_condition(f, quadratic_weight(), r, resolution=9)
+        report = GridProblem(f, r, 9).check(quadratic_weight())
         assert report.verdict == "failed_coefficient"
         assert report.alpha_min <= 0.0
         assert report.margin is None
@@ -346,19 +338,15 @@ class TestCheckCondition:
     def test_positivity_failure_verdict(self):
         # weight with negative Hessian cannot certify the identity field
         w = weight_function("-(x1^2 + x2^2)/2 + 10*x1", 2)
-        report = check_condition(identity_field(), w, offset_disk(), resolution=9)
+        report = GridProblem(identity_field(), offset_disk(), 9).check(w)
         assert report.verdict == "failed_positivity"
         assert report.margin < 0.0
 
     @pytest.mark.parametrize("scale", [2.0, 0.5])
     def test_pencil_margin_scales_exactly_with_weight(self, scale):
-        base = check_condition(
-            isotropic_exp_field(), quadratic_weight(), offset_disk(), resolution=9
-        )
-        scaled_weight = weight_function(f"{scale!r}*((x1^2 + x2^2)/2)", 2)
-        scaled = check_condition(
-            isotropic_exp_field(), scaled_weight, offset_disk(), resolution=9
-        )
+        problem = GridProblem(isotropic_exp_field(), offset_disk(), 9)
+        base = problem.check(quadratic_weight())
+        scaled = problem.check(weight_function(f"{scale!r}*((x1^2 + x2^2)/2)", 2))
         assert scaled.margin == pytest.approx(scale * base.margin, rel=1e-12)
 
     def test_radial_field_quadratic_weight_regression(self):
@@ -367,7 +355,7 @@ class TestCheckCondition:
         # failure is the vanishing gradient at the grid's origin (the matrix
         # inequality itself holds: det(2B) = 2a^2(1 + 2|x|^2) > 0 here)
         r = region(2, [(-SQRT2, SQRT2)] * 2, ["x1^2 + x2^2 - 2"])
-        report = check_condition(example_bad_field(), quadratic_weight(), r, 33)
+        report = GridProblem(example_bad_field(), r, 33).check(quadratic_weight())
         assert report.verdict == "failed_gradient"
         assert report.margin > 0.0
         assert report.grad_min == 0.0
@@ -388,13 +376,7 @@ class TestCheckCondition:
 
     def test_dump_grid_columns(self, tmp_path):
         path = tmp_path / "grid.csv"
-        check_condition(
-            identity_field(),
-            quadratic_weight(),
-            offset_disk(),
-            resolution=5,
-            dump_path=path,
-        )
+        GridProblem(identity_field(), offset_disk(), 5).check(quadratic_weight(), path)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,eig_min_pencil,eig_min_matrix,grad_norm,minor1,minor2"
 
@@ -648,15 +630,15 @@ class TestFactorSplit:
 
 
 class TestGridProblem:
-    def test_check_matches_check_condition(self, tmp_path):
+    def test_a_reused_problem_checks_as_a_fresh_one(self, tmp_path):
         f = isotropic_exp_field()
         problem = GridProblem(f, offset_disk(), 17)
         for lam in (1.0, 1.5, 3.0):
             w = construct_weight(axis=1, sign_case="positive", shift=5.0, lam=lam, dim=2)
-            assert problem.check(w) == check_condition(f, w, offset_disk(), 17)
+            assert problem.check(w) == GridProblem(f, offset_disk(), 17).check(w)
         w = quadratic_weight()
         problem.check(w, dump_path=tmp_path / "a.csv")
-        check_condition(f, w, offset_disk(), 17, dump_path=tmp_path / "b.csv")
+        GridProblem(f, offset_disk(), 17).check(w, dump_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_non_finite_multiplier_raises_at_first_point(self):
@@ -665,7 +647,7 @@ class TestGridProblem:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match="multiplier matrix is not finite") as err:
-                check_condition(f, weight_function("exp(230*x1)", 2), disk, 33)
+                GridProblem(f, disk, 33).check(weight_function("exp(230*x1)", 2))
         pts = sample(disk, 33).points
         with np.errstate(over="ignore", invalid="ignore"):
             mats = 2.0 * multiplier_matrix(f, weight_function("exp(230*x1)", 2), pts)

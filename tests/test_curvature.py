@@ -6,8 +6,7 @@ import pytest
 from wavecert.curvature import (
     check_sign_change_window,
     classify_sign,
-    curvature_closed_form,
-    gauss_curvature,
+    curvature_closed_form_expression,
     gauss_curvature_expression,
 )
 from wavecert.domain import region
@@ -30,22 +29,23 @@ def window_disk():
 class TestClosedForm:
     def test_positive_on_left_slice(self):
         # the closed-form factor mu1*x1 + 2*mu2*x1^2 - 2 is -1.3 at x1 = 1
-        k = curvature_closed_form(A1, A2, (1.0, 0.0), WINDOW_CONSTS)
+        k = evaluate(curvature_closed_form_expression(A1, A2), (1.0, 0.0), WINDOW_CONSTS)
         assert k > 0.0
 
     def test_negative_on_right_slice(self):
         # the same factor is +1.3 at x1 = 3
-        k = curvature_closed_form(A1, A2, (3.0, 0.0), WINDOW_CONSTS)
+        k = evaluate(curvature_closed_form_expression(A1, A2), (3.0, 0.0), WINDOW_CONSTS)
         assert k < 0.0
 
     def test_flat_metric(self):
-        assert curvature_closed_form("1", "1", (0.3, 0.7)) == 0.0
+        assert evaluate(curvature_closed_form_expression("1", "1"), (0.3, 0.7)) == 0.0
 
     def test_matches_factored_form(self):
         # 4 (a1 a2)^2 k = -2 mu2 e^(mu1 x1 - 2 mu2 x1^2) (mu1 x1 + 2 mu2 x1^2 - 2)
         mu1, mu2 = 0.5, 0.1
+        closed = curvature_closed_form_expression(A1, A2)
         for x1 in (0.9, 1.7, 2.4, 3.1):
-            k = curvature_closed_form(A1, A2, (x1, 0.2), WINDOW_CONSTS)
+            k = evaluate(closed, (x1, 0.2), WINDOW_CONSTS)
             a1 = math.exp(mu1 * x1)
             a2 = math.exp(-mu2 * x1 * x1)
             lhs = 4.0 * (a1 * a2) ** 2 * k
@@ -60,14 +60,15 @@ class TestClosedForm:
 
 class TestGaussCurvature:
     def test_flat_metric(self):
-        assert abs(gauss_curvature("1", "1", (0.3, 0.7))) < 1e-15
+        assert abs(evaluate(gauss_curvature_expression("1", "1"), (0.3, 0.7))) < 1e-15
 
     def test_isotropic_exponential_is_flat(self):
         # conformal metric e^{-(x+y)} (dx^2 + dy^2) has zero curvature
         rng = np.random.default_rng(8)
+        k = gauss_curvature_expression("exp(x1 + x2)", "exp(x1 + x2)")
         for _ in range(20):
             pt = rng.uniform(-1.0, 1.0, size=2)
-            assert abs(gauss_curvature("exp(x1 + x2)", "exp(x1 + x2)", pt)) < 1e-10
+            assert abs(evaluate(k, pt)) < 1e-10
 
     def test_agrees_with_closed_form_on_x1_only_pairs(self):
         rng = np.random.default_rng(17)
@@ -77,10 +78,12 @@ class TestGaussCurvature:
             ("1 + x1^2", "2 + x1^2", {}),
         ]
         for a1, a2, consts in pairs:
+            closed = curvature_closed_form_expression(a1, a2)
+            general = gauss_curvature_expression(a1, a2)
             for _ in range(50):
                 pt = rng.uniform([0.8, -1.2], [3.2, 1.2])
-                kw = curvature_closed_form(a1, a2, pt, consts)
-                kg = gauss_curvature(a1, a2, pt, consts)
+                kw = evaluate(closed, pt, consts)
+                kg = evaluate(general, pt, consts)
                 denom = max(abs(kw), abs(kg), 1e-12)
                 assert abs(kw - kg) / denom < 1e-8
 
@@ -89,10 +92,12 @@ class TestGaussCurvature:
         # its stated scope; record the discrepancy without judging it
         rng = np.random.default_rng(23)
         gaps = []
+        closed = curvature_closed_form_expression("exp(x1*x2)", "1 + x2^2")
+        general = gauss_curvature_expression("exp(x1*x2)", "1 + x2^2")
         for _ in range(20):
             pt = rng.uniform([0.5, 0.5], [1.5, 1.5])
-            kw = curvature_closed_form("exp(x1*x2)", "1 + x2^2", pt)
-            kg = gauss_curvature("exp(x1*x2)", "1 + x2^2", pt)
+            kw = evaluate(closed, pt)
+            kg = evaluate(general, pt)
             gaps.append(abs(kw - kg))
         print(f"general-pair closed-form vs Gauss gap: max {max(gaps):.3e}")
 
@@ -100,13 +105,13 @@ class TestGaussCurvature:
         # scaling both coefficients by s scales the metric by s, hence the
         # curvature by 1/s
         rng = np.random.default_rng(31)
+        base_k = gauss_curvature_expression(A1, A2)
         for s in (2.0, 10.0):
+            scaled_k = gauss_curvature_expression(f"{s!r}*exp(mu1*x1)", f"{s!r}*exp(-mu2*x1^2)")
             for _ in range(10):
                 pt = rng.uniform([0.8, -1.0], [3.0, 1.0])
-                base = gauss_curvature(A1, A2, pt, WINDOW_CONSTS)
-                scaled = gauss_curvature(
-                    f"{s!r}*exp(mu1*x1)", f"{s!r}*exp(-mu2*x1^2)", pt, WINDOW_CONSTS
-                )
+                base = evaluate(base_k, pt, WINDOW_CONSTS)
+                scaled = evaluate(scaled_k, pt, WINDOW_CONSTS)
                 assert scaled == pytest.approx(base / s, rel=1e-10, abs=1e-18)
 
     def test_second_derivative_ingredients_by_finite_differences(self):

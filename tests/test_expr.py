@@ -351,7 +351,7 @@ class TestCompile:
         for k in (1, 2, 1, 2):
             e = differentiate(e, k)
         assert tree_size(e) == 5152
-        assert len(compile(e)) <= 257
+        assert compile(e).size <= 257
 
     def test_nested_shape(self):
         rows = [[parse("x1", 2), parse("x2", 2)], [parse("2", 2), parse("x1*x2", 2)]]

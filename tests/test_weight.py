@@ -8,6 +8,7 @@ from wavecert.coeff import build
 from wavecert.condition import GridProblem
 from wavecert.domain import region, sample
 from wavecert.errors import LambdaMaxExceededError, WeightOverflowError
+from wavecert.expr import evaluate
 from wavecert.linalg import leading_principal_minors
 from wavecert.weight import (
     AdmissibleIndex,
@@ -204,13 +205,13 @@ class TestConstructWeight:
         w = construct_weight(axis=1, sign_case="negative", shift=2.0, lam=1.0, dim=2)
         x = (0.3, -0.8)
         expected = math.exp(2.0 + x[0]) + math.exp(x[1])
-        assert w.value(x) == pytest.approx(expected, rel=1e-15)
+        assert evaluate(w.expression, x) == pytest.approx(expected, rel=1e-15)
 
     def test_positive_case_formula(self):
         w = construct_weight(axis=1, sign_case="positive", shift=3.0, lam=1.0, dim=2)
         x = (0.3, -0.8)
         expected = math.exp(-(x[0] - 3.0)) + math.exp(-x[1])
-        assert w.value(x) == pytest.approx(expected, rel=1e-15)
+        assert evaluate(w.expression, x) == pytest.approx(expected, rel=1e-15)
 
     def test_negative_case_derivative_signs(self):
         w = construct_weight(axis=2, sign_case="negative", shift=4.0, lam=2.5, dim=3)
@@ -251,7 +252,7 @@ class TestFindLambda:
         assert cert.sign_margin > 0.0
         # near-minimal: the true threshold for this instance is exactly 1
         assert 1.0 < cert.lam <= 2.0
-        assert cert.resolution_robust  # threshold is grid independent here
+        assert cert.refinement_report.certified  # threshold is grid independent here
 
     def test_cubic_certificate(self):
         cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 33), 1, "positive")
