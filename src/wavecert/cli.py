@@ -68,7 +68,7 @@ from .errors import (
     WeightOverflowError,
 )
 from .rays import fan
-from .report import dumps_stable, fmt_float, write_csv
+from .report import dumps_stable, write_csv
 from .weight import (
     DEFAULT_LAMBDA_MAX,
     WeightCertificate,
@@ -302,9 +302,7 @@ def certificate_dict(cert: WeightCertificate) -> dict:
         "sign_margin": cert.sign_margin,
         "weight": render(cert.weight.expression),
         "report": condition_report_dict(cert.report),
-        "refinement": None
-        if cert.refinement_report is None
-        else condition_report_dict(cert.refinement_report),
+        "refinement": condition_report_dict(cert.refinement_report),
     }
 
 
@@ -478,6 +476,8 @@ def run_examples(name: str, overrides):
 
 
 def _print_human(report: dict, stream):
+    import json
+
     verdict = report.get("verdict")
     print(f"wavecert {report['command']}: {verdict}", file=stream)
     result = report.get("result", {})
@@ -487,8 +487,8 @@ def _print_human(report: dict, stream):
                     "trapped_until_horizon"):
             value = result.get(key)
             if value is not None and not isinstance(value, (dict, list)):
-                if isinstance(value, float):
-                    value = fmt_float(value)
+                if isinstance(value, float):  # spelled as in the report
+                    value = json.dumps(value)
                 print(f"  {key}: {value}", file=stream)
         refined = result.get("refinement")  # construct's re-check on the refined grid
         if refined is not None:

@@ -1,81 +1,25 @@
 """Deterministic report serialization.
 
-Reports are emitted as a stable key-value tree: keys sorted, floats printed
-with 17 significant digits, two-space indentation.  Identical inputs yield
+Reports are emitted as JSON with keys sorted and two-space indentation.
+Floats are spelled as Python's ``repr`` spells them, the shortest decimal
+that reads back to the same double, so every value, ``-0.0`` included,
+parses back bit for bit; non-finite ones are ``Infinity``, ``-Infinity`` and
+``NaN``.  Text outside ASCII, a lone surrogate from a path byte that is not
+UTF-8 included, is written as ``\\uXXXX`` escapes.  Identical inputs yield
 byte-identical documents, which CI snapshot tests rely on; the wall-clock
 duration field is the single intentionally nondeterministic entry and
-consumers strip it (``strip_duration``) before comparing.
+consumers strip it (``strip_duration``) before comparing.  Grid dumps are
+CSV (``write_csv``) and keep ``%.17g``.
 """
-
-import math
 
 import numpy as np
 
 
-def fmt_float(v: float) -> str:
-    v = float(v)
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    if math.isnan(v):
-        return "NaN"
-    return format(v, ".17g")
-
-
-# control characters, and surrogates (a lone one has no UTF-8), are written as \uXXXX
-_ESCAPES = {c: f"\\u{c:04x}" for c in [*range(0x20), *range(0xD800, 0xE000)]}
-_ESCAPES.update({ord("\""): "\\\"", ord("\\"): "\\\\", ord("\n"): "\\n", ord("\t"): "\\t"})
-
-
-def _escape(text: str) -> str:
-    return "\"" + text.translate(_ESCAPES) + "\""
-
-
-def _write(obj, indent: int, pieces: list):
-    pad = "  " * indent
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, str):
-        pieces.append(_escape(obj))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(fmt_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        keys = sorted(obj.keys())
-        for idx, key in enumerate(keys):
-            pieces.append(f"{pad}  {_escape(str(key))}: ")
-            _write(obj[key], indent + 1, pieces)
-            pieces.append(",\n" if idx + 1 < len(keys) else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for idx, item in enumerate(items):
-            pieces.append(pad + "  ")
-            _write(item, indent + 1, pieces)
-            pieces.append(",\n" if idx + 1 < len(items) else "\n")
-        pieces.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_stable(obj) -> str:
-    """Serialize to the stable JSON-style document, newline terminated."""
-    pieces = []
-    _write(obj, 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    """Serialize to the stable JSON document, newline terminated."""
+    import json  # imported on call, so importing this module does not load json
+
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # rows per ``%`` in write_csv: 128 or 256 raised verify-3d peak RSS 1.6-1.9 MB over
@@ -126,10 +70,10 @@ def write_csv(path, header, columns):
 
 def strip_duration(text: str) -> str:
     """The report re-serialized without its top-level ``duration_seconds``,
-    so two runs of the same config compare equal.  Integers parse as floats,
-    so a ``-0`` keeps its sign; both print as they were written."""
-    import json  # imported on call, so importing this module does not load json
+    so two runs of the same config compare equal.  Every value reads back
+    as it was written, a ``-0.0`` with its sign and an integer as an integer."""
+    import json
 
-    report = json.loads(text, parse_int=float)
+    report = json.loads(text)
     report.pop("duration_seconds", None)
     return dumps_stable(report)

@@ -83,7 +83,7 @@ class WeightCertificate:
     weight: WeightFunction
     report: ConditionReport
     sign_margin: float
-    refinement_report: ConditionReport | None = None
+    refinement_report: ConditionReport
 
 
 def sign_ranges(da):

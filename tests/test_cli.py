@@ -1235,9 +1235,9 @@ def assert_matches_reference(got, want, path="report"):
 class TestStableSerialization:
     def test_float_formatting(self):
         text = dumps_stable({"value": 0.1, "whole": 2.0, "neg": -1.5e-7})
-        assert '"value": 0.10000000000000001' in text
-        assert '"whole": 2' in text
-        assert f'"neg": {format(-1.5e-7, ".17g")}' in text
+        assert '"value": 0.1,' in text
+        assert '"whole": 2.0' in text
+        assert '"neg": -1.5e-07' in text
 
     def test_key_order_stable(self):
         a = dumps_stable({"b": 1, "a": {"z": 1, "y": 2}})

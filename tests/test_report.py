@@ -1,5 +1,8 @@
 import csv
 import io
+import json
+import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from test_cli import VERIFY_FULL_3D, write
 from wavecert import cli, condition
 from wavecert.bundled import config_text
-from wavecert.report import CSV_BLOCK_ROWS, _spell_repeats, write_csv
+from wavecert.report import CSV_BLOCK_ROWS, _spell_repeats, dumps_stable, strip_duration, write_csv
 
 B = CSV_BLOCK_ROWS
 VALUES = [-0.0, 5e-324, 1e300, -1.5e-7, 0.1, 2.0, -3.0, float("inf"), float("-inf"), float("nan")]
@@ -38,6 +41,27 @@ def repeated(m, distinct, shift=0):
     integral floats), starting ``shift`` places in."""
     pool = np.array(SPECIALS + [10.0 + k for k in range(max(0, distinct - len(SPECIALS)))])
     return np.roll(np.resize(pool[:distinct], m), shift)
+
+
+class TestJsonReport:
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_float_reads_back_bit_for_bit(self, value):
+        got = json.loads(dumps_stable({"v": value}))["v"]
+        assert type(got) is float
+        if math.isnan(value):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", value)
+
+    def test_strip_duration_keeps_signed_zero_and_integer(self):
+        doc = dumps_stable({"duration_seconds": 1.5, "zero": -0.0, "count": 3})
+        got = json.loads(strip_duration(doc))
+        assert got == {"zero": -0.0, "count": 3}
+        assert math.copysign(1.0, got["zero"]) == -1.0 and type(got["count"]) is int
+
+    def test_text_outside_ascii_is_escaped(self):
+        # a lone surrogate (a path byte that is not UTF-8) has no UTF-8 of its own
+        assert dumps_stable({"path": "\udcff-\u00e9\n"}) == '{\n  "path": "\\udcff-\\u00e9\\n"\n}\n'
 
 
 class TestWriteCsv:
