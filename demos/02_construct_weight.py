@@ -20,6 +20,7 @@ from wavecert import (
     detect_index,
     find_lambda,
     limit_matrix,
+    sample,
     scaled_multiplier_matrix,
 )
 from wavecert.domain import region
@@ -27,11 +28,11 @@ from wavecert.weight import derivative_ratio_maxima
 
 field = build(["exp(x1 + x2)", "exp(x1 + x2)"], diagonal=True)
 disk = region(2, [(1, 3), (-1, 1)], ["(x1 - 2)^2 + x2^2 - 1"])
-problem = GridProblem(field, disk, 33)  # the grid, A and its partials, prepared once
-grid = problem.grid
+grid = sample(disk, 33)  # sampled once, read by every step below
+problem = GridProblem(field, grid)  # A and its partials on the grid, prepared once
 
 # step 1: which axes admit the construction?
-candidates = detect_index(field, grid)
+candidates = detect_index(problem)
 for cand in candidates:
     print(f"axis {cand.axis}: {cand.sign_case} case, sign margin {cand.sign_margin:.4f}")
 

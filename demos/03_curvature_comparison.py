@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from wavecert import (
+    GridProblem,
     build,
     check_sign_change_window,
     classify_sign,
@@ -37,15 +38,17 @@ print("  3 mu1 + 18 mu2 > 2: ", window.weighted_above_two)  # 3.3 > 2
 r15 = math.sqrt(1.5)
 disk = region(2, [(2 - r15, 2 + r15), (-r15, r15)], ["(x1 - 2)^2 + x2^2 - 1.5"])
 
-# the construction hypothesis holds: da2/dx1 = -2 mu2 x1 e^{...} < 0 here
+# one grid, read by both sides of the comparison
 grid = sample(disk, 33)
+
+# the construction hypothesis holds: da2/dx1 = -2 mu2 x1 e^{...} < 0 here
 field = build([A1, A2], diagonal=True)
-for cand in detect_index(field, grid, MU):
+for cand in detect_index(GridProblem(field, grid, MU)):
     print(f"admissible: axis {cand.axis}, {cand.sign_case}, margin {cand.sign_margin:.4f}")
 
 # but the curvature changes sign: positive on the slice x1 = 1, negative on
 # the slice x1 = 3
-report = classify_sign(A1, A2, disk, resolution=33, consts=MU)
+report = classify_sign(A1, A2, grid, MU)
 print("\ncurvature classification:", report.classification)
 print(f"k range: [{report.k_min:.5f}, {report.k_max:.5f}]")
 print("positive witness:", np.round(report.witness_positive, 4))

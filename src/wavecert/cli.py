@@ -6,7 +6,8 @@ A run configuration is flat key-value text with three section headers::
     [problem]
     A.diagonal = true
     A.entries = ["exp(x1 + x2)", "exp(x1 + x2)"]
-    weight = "(x1^2 + x2^2)/2"        # verify only
+    # verify only
+    weight = "(x1^2 + x2^2)/2"
     constants = {"mu1": 0.5}
 
     [region]
@@ -56,7 +57,7 @@ from .bundled import EXAMPLES, config_text
 from .coeff import CoefficientField, build
 from .condition import ConditionReport, GridProblem, weight_function
 from .curvature import check_sign_change_window, classify_sign
-from .domain import Region, region
+from .domain import Region, region, sample
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -347,7 +348,8 @@ def ray_summary_dict(outcomes) -> dict:
 
 def run_verify(cfg: RunConfig, dump_path=None):
     field, reg, weight = cfg.build_field(), cfg.build_region(), cfg.build_weight()
-    problem = GridProblem(field, reg, cfg.options["resolution"], cfg.constants)
+    grid = sample(reg, cfg.options["resolution"], cfg.constants)
+    problem = GridProblem(field, grid, cfg.constants)
     rep = problem.check(weight, dump_path)
     code = EXIT_OK if rep.certified else EXIT_NOT_CERTIFIED
     return code, rep.verdict, condition_report_dict(rep)
@@ -360,7 +362,8 @@ def run_construct(cfg: RunConfig, dump_path=None):
     force_axis = cfg.options["force_j"]
     if force_axis is not None and not 1 <= force_axis <= field.dim:
         raise ConfigError(f"force_j={force_axis} out of range for dimension {field.dim}")
-    problem = GridProblem(field, cfg.build_region(), cfg.options["resolution"], cfg.constants)
+    grid = sample(cfg.build_region(), cfg.options["resolution"], cfg.constants)
+    problem = GridProblem(field, grid, cfg.constants)
     failure = problem.coefficient_failure
     if failure is not None:  # no weight can pass, so no axis or rate is searched
         return EXIT_NOT_CERTIFIED, failure.verdict, condition_report_dict(failure)
@@ -377,7 +380,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
         result = {
             "axis": chosen.axis,
             "sign_case": chosen.sign_case,
-            "shift": compute_shift(problem.grid, chosen.axis, chosen.sign_case),
+            "shift": compute_shift(grid, chosen.axis, chosen.sign_case),
             "lambda_max": cfg.options["lambda_max"],
             "best_lambda": exc.best_lambda,
             "best_report": None
@@ -393,15 +396,9 @@ def run_curvature(cfg: RunConfig, dump_path=None):
         raise ConfigError("curvature comparison is two-dimensional")
     if not cfg.diagonal or len(cfg.entries) != 2:
         raise ConfigError("curvature needs two diagonal coefficient entries")
-    field = cfg.build_field()
-    rep = classify_sign(
-        field.entry(1, 1),
-        field.entry(2, 2),
-        cfg.build_region(),
-        cfg.options["resolution"],
-        cfg.constants,
-        dump_path=dump_path,
-    )
+    (a1, _), (_, a2) = cfg.build_field().entries
+    grid = sample(cfg.build_region(), cfg.options["resolution"], cfg.constants)
+    rep = classify_sign(a1, a2, grid, cfg.constants, dump_path)
     result = asdict(rep)
     if "mu1" in cfg.constants and "mu2" in cfg.constants:
         window = check_sign_change_window(cfg.constants["mu1"], cfg.constants["mu2"])

@@ -32,10 +32,6 @@ class CoefficientField:
     entries: tuple  # entries[i][j], 0-based, symmetric sharing
     partials: tuple  # partials[i][j][k]
 
-    def entry(self, i: int, j: int) -> Expression:
-        """Entry a^{ij} with 1-based indices."""
-        return self.entries[i - 1][j - 1]
-
     @cached_property
     def _entries_tape(self):
         return compile(self.entries)
@@ -115,22 +111,20 @@ def build(entries, diagonal: bool) -> CoefficientField:
     )
 
 
-def certify_positivity(field: CoefficientField, grid: SampleGrid, consts=None, values=None):
-    """Smallest eigenvalue of the coefficient matrix over the grid.
+def certify_positivity(field: CoefficientField, grid: SampleGrid, values):
+    """Smallest eigenvalue of the coefficient matrix over the grid, from
+    ``values``, ``field.values`` at the grid points.
 
     Returns ``(alpha_min, worst_point)``; a nonpositive ``alpha_min`` rejects
     the field for every downstream certification.  The worst point is the
-    first grid point (lexicographic order) attaining the minimum.
-    ``values``, when given, is ``field.values`` at the grid points, already
-    evaluated by the caller.  A diagonal field's smallest eigenvalue is its
-    smallest diagonal entry, read off exactly whatever the entries' range;
-    of tied entries (0.0 and -0.0) the first, as the sorted eigenvalues give.
+    first grid point (lexicographic order) attaining the minimum.  A diagonal
+    field's smallest eigenvalue is its smallest diagonal entry, read off
+    exactly whatever the entries' range; of tied entries (0.0 and -0.0) the
+    first, as the sorted eigenvalues give.
     """
     pts = grid.points
     if pts.shape[0] == 0:
         raise ValueError("empty grid")
-    if values is None:
-        values = field.values(pts, consts)
     if field.diagonal:
         diag = np.diagonal(values, axis1=-2, axis2=-1)
         lams = diag[np.arange(len(diag)), np.argmin(diag, axis=-1)]

@@ -27,7 +27,7 @@ unsymmetrized matrix of the quadratic form, whose symmetric part is twice
 the multiplier matrix.  ``multiplier_matrix_diagonal``, the constructive
 proof's form, drops the weight's mixed second derivatives; it matches the
 general path for every weight family this toolkit constructs.  A one-off
-check is ``GridProblem(field, region, resolution, consts).check(weight)``.
+check is ``GridProblem(field, sample(region, resolution)).check(weight)``.
 """
 
 from dataclasses import dataclass, replace
@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .coeff import CoefficientField, certify_positivity, require_diagonal
-from .domain import Region, sample
+from .domain import SampleGrid
 from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, parse
 from .linalg import eigen_bounds, leading_principal_minors, min_eigenvalue, minor_bounds
@@ -257,8 +257,8 @@ class _Margins:
 class GridProblem:
     """The part of a grid check that does not depend on the weight.
 
-    Built once per (field, region, resolution, consts): it samples the grid,
-    evaluates A there and certifies its positivity.  The first derivatives
+    Built once per (field, grid, consts): it evaluates A at the grid's
+    points and certifies its positivity.  The first derivatives
     of A, the assembly :attr:`factors` and the pencil's :attr:`whitening`
     operand are computed on first use and kept, so a rate search pays for
     them once per grid, whatever the number of attempts; a field that fails
@@ -271,15 +271,12 @@ class GridProblem:
     per attempt and :meth:`_report` for the attempt whose report it returns.
     """
 
-    def __init__(self, field: CoefficientField, region: Region, resolution: int, consts=None):
+    def __init__(self, field: CoefficientField, grid: SampleGrid, consts=None):
         self.field = field
-        self.region = region
+        self.grid = grid
         self.consts = consts
-        self.grid = sample(region, resolution, consts)
-        self.a = field.values(self.grid.points, consts)
-        self.alpha_min, self.worst_point_alpha = certify_positivity(
-            field, self.grid, consts, values=self.a
-        )
+        self.a = field.values(grid.points, consts)
+        self.alpha_min, self.worst_point_alpha = certify_positivity(field, grid, self.a)
 
     @cached_property
     def da(self) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Region, sample
+from .domain import SampleGrid
 from .expr import (
     BinOp,
     Call,
@@ -101,14 +101,13 @@ class CurvatureReport:
     point_count: int
 
 
-def classify_sign(a1, a2, region: Region, resolution: int, consts=None, dump_path=None) -> CurvatureReport:
-    """Sweep the Gaussian curvature over the grid and classify its sign.
+def classify_sign(a1, a2, grid: SampleGrid, consts=None, dump_path=None) -> CurvatureReport:
+    """Sweep the Gaussian curvature over ``grid`` and classify its sign.
 
     ``sign_changing`` iff the grid minimum and maximum straddle zero, with
     the extremal points reported as witnesses; ``degenerate`` when |k| never
     exceeds 1e-12.
     """
-    grid = sample(region, resolution, consts)
     pts = grid.points
     k_expr = gauss_curvature_expression(a1, a2)
     values = evaluate(k_expr, pts, consts)
@@ -135,7 +134,7 @@ def classify_sign(a1, a2, region: Region, resolution: int, consts=None, dump_pat
         k_max=k_max,
         witness_positive=tuple(pts[i_max]) if k_max > 0.0 else None,
         witness_negative=tuple(pts[i_min]) if k_min < 0.0 else None,
-        resolution=resolution,
+        resolution=grid.resolution,
         point_count=pts.shape[0],
     )
 

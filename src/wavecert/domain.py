@@ -2,9 +2,10 @@
 "uniformly over the closed domain" check.
 
 A region is a bounding box intersected with inequality constraints
-``g(x) <= 0``.  Grids are tensor products of per-axis linspaces filtered by
-the constraints, ordered lexicographically by axis index, so two runs with
-identical inputs see the identical point list.
+``g(x) <= 0``.  :func:`sample` builds every grid: a tensor product of
+per-axis linspaces filtered by the constraints, ordered lexicographically by
+axis index, so two runs with identical inputs see the identical point list.
+A :class:`SampleGrid` carries its region, so a reader needs nothing else.
 """
 
 from dataclasses import dataclass
@@ -113,8 +114,10 @@ class Region:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Ordered in-region points of the tensor grid at ``resolution`` per axis."""
+    """Points of ``region`` labelled by ``resolution``; :func:`sample` gives
+    the in-region points of the tensor grid at ``resolution`` per axis."""
 
+    region: Region
     resolution: int
     points: np.ndarray  # (m, dim), lexicographic order
 
@@ -133,17 +136,6 @@ def region(dim, box, constraints=(), margin=0.0) -> Region:
     return Region(dim=dim, box=tuple(tuple(b) for b in box), constraints=parsed, margin=margin)
 
 
-def check_grid_budget(dim: int, resolution: int):
-    """Raise :class:`RegionError` when the tensor grid of ``resolution`` points
-    per axis in ``dim`` dimensions exceeds :data:`MAX_GRID_POINTS`."""
-    count = int(resolution) ** dim
-    if count > MAX_GRID_POINTS:
-        raise RegionError(
-            f"resolution {resolution} in dimension {dim} asks for {count} grid points;"
-            f" the budget is {MAX_GRID_POINTS}"
-        )
-
-
 def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
     """Tensor grid of the box filtered by the constraints.
 
@@ -154,7 +146,12 @@ def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
     """
     if resolution < 2:
         raise RegionError("resolution must be >= 2")
-    check_grid_budget(r.dim, resolution)
+    count = int(resolution) ** r.dim
+    if count > MAX_GRID_POINTS:
+        raise RegionError(
+            f"resolution {resolution} in dimension {r.dim} asks for {count} grid points;"
+            f" the budget is {MAX_GRID_POINTS}"
+        )
     axes = [np.linspace(lo, hi, resolution) for lo, hi in r.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh])
@@ -164,4 +161,4 @@ def sample(r: Region, resolution: int, consts=None) -> SampleGrid:
             f"region too thin for resolution {resolution}: no grid point passes the constraints"
         )
     pts.setflags(write=False)
-    return SampleGrid(resolution=resolution, points=pts)
+    return SampleGrid(r, resolution, pts)

@@ -38,7 +38,7 @@ from .condition import (
     multiplier_matrix_diagonal,
     weight_function,
 )
-from .domain import SampleGrid, check_grid_budget
+from .domain import SampleGrid, sample
 from .errors import (
     DomainError,
     ExpOverflowError,
@@ -118,15 +118,16 @@ def sign_margin(ranges, dim: int, axis: int, sign_case: str) -> float:
     return min(lo for lo, _ in others)
 
 
-def detect_index(field: CoefficientField, grid: SampleGrid, consts=None):
-    """All admissible (axis, sign) pairs, ordered by axis then sign.
+def detect_index(problem: GridProblem):
+    """All admissible (axis, sign) pairs of ``problem``'s diagonal field on
+    its grid, from the partials it holds, ordered by axis then sign.
 
     The axis's own partial along itself is deliberately not tested.  For a
     one-dimensional field the hypothesis is vacuous and both sign cases are
     admissible with an infinite margin sentinel.
     """
-    require_diagonal(field)
-    return admissible_indices(sign_ranges(field.partial_values(grid.points, consts)), field.dim)
+    require_diagonal(problem.field)
+    return admissible_indices(sign_ranges(problem.da), problem.field.dim)
 
 
 def admissible_indices(ranges, dim: int):
@@ -279,8 +280,8 @@ def find_lambda(
     the near-minimal passing rate it ends on.  Its shift is
     :func:`compute_shift` on the search grid and its sign margin is
     ``chosen.sign_margin``.  The certificate also carries a re-check of that
-    weight on the refined grid of the same region (see
-    :class:`WeightCertificate.refinement_report`).
+    weight on the refined grid of the same region, ``sample(grid.region,
+    2 * grid.resolution - 1)`` (see :class:`WeightCertificate.refinement_report`).
 
     Only the work that depends on the rate runs per attempt.  Every attempt
     is checked on ``problem``, and the re-check on one problem of the
@@ -300,21 +301,20 @@ def find_lambda(
     definite on the grid.  Raises :class:`WeightOverflowError` when the
     weight's exponentials, or the multiplier matrices built from them, leave
     double range first; translating the domain toward the origin shrinks the
-    exponent range in that case.  Raises :class:`RegionError`, before any
-    attempt, when the re-check's grid would exceed the grid budget.
+    exponent range in that case.  Before any attempt, raises what
+    :func:`sample` raises when the re-check's grid cannot be sampled.
     """
     if lambda_max < 1:
         raise ValueError("lambda_max must be >= 1")
-    axis, sign_case = chosen.axis, chosen.sign_case
-    shift = compute_shift(problem.grid, axis, sign_case)
+    axis, sign_case, grid = chosen.axis, chosen.sign_case, problem.grid
+    shift = compute_shift(grid, axis, sign_case)
     weight = construct_weight(axis, sign_case, shift, Const(_RATE), problem.field.dim)
     if problem.coefficient_failure is not None:
         raise LambdaMaxExceededError(
             "no rate can certify: the coefficient matrix is not positive definite on the grid",
             best_report=problem.coefficient_failure,
         )
-    refined_resolution = 2 * problem.grid.resolution - 1
-    check_grid_budget(problem.region.dim, refined_resolution)
+    refined_grid = sample(grid.region, 2 * grid.resolution - 1, problem.consts)
 
     def report_at(grid_problem, lam):  # the search weight's full report at rate lam
         if grid_problem.coefficient_failure is not None:
@@ -353,8 +353,7 @@ def find_lambda(
             "lambda_max exceeded", best_report=best_report(), best_lambda=best_lam
         )
     lam_pass, found_pass = searched
-    refined = GridProblem(problem.field, problem.region, refined_resolution, problem.consts)
-    refinement = report_at(refined, lam_pass)
+    refinement = report_at(GridProblem(problem.field, refined_grid, problem.consts), lam_pass)
 
     return WeightCertificate(
         axis=axis,

@@ -79,7 +79,7 @@ def example_bad_field():
 def case2_certificate():
     """Shared end-to-end construction for criteria 3, 4, and 5."""
     started = time.perf_counter()
-    cert = search(GridProblem(isotropic_exp_field(), offset_disk(), 33), 1, "positive")
+    cert = search(GridProblem(isotropic_exp_field(), sample(offset_disk(), 33)), 1, "positive")
     return cert, time.perf_counter() - started
 
 
@@ -87,7 +87,7 @@ def test_criterion_01_classical_multiplier_sanity():
     started = time.perf_counter()
     field = build(["1", "1"], diagonal=True)
     weight = weight_function("(x1^2 + x2^2)/2", 2)
-    rep = GridProblem(field, offset_disk(), 33).check(weight)
+    rep = GridProblem(field, sample(offset_disk(), 33)).check(weight)
     elapsed = time.perf_counter() - started
     ok = (
         rep.certified
@@ -164,7 +164,7 @@ def test_criterion_04_construction_negative_case(case2_certificate):
     # negative-case one with the same shift and margins
     field = build(["exp(-x1 - x2)", "exp(-x1 - x2)"], diagonal=True)
     reflected = region(2, [(-3.0, -1.0), (-1.0, 1.0)], ["(x1 + 2)^2 + x2^2 - 1"])
-    cert_neg = search(GridProblem(field, reflected, 33), 1, "negative")
+    cert_neg = search(GridProblem(field, sample(reflected, 33)), 1, "negative")
     gap = abs(cert_neg.report.margin - cert_pos.report.margin) / abs(
         cert_pos.report.margin
     )
@@ -211,15 +211,15 @@ def test_criterion_05_proof_asymptotics(case2_certificate):
 
 def test_criterion_06_honest_negative():
     field = example_bad_field()
-    grid = sample(origin_disk(), 33)
-    candidates = detect_index(field, grid)
-    ranges = sign_ranges(field.partial_values(grid.points))
+    problem = GridProblem(field, sample(origin_disk(), 33))
+    candidates = detect_index(problem)
+    ranges = sign_ranges(problem.da)
     straddle = all(lo <= -0.05 and hi >= 0.05 for lo, hi in ranges.values())
     exhausted = False
     try:
         # lambda_max is kept below the overflow guard's ceiling (~132 for
         # this geometry) so the budget, not the guard, ends the search
-        search(GridProblem(field, origin_disk(), 33), 1, "positive", lambda_max=64)
+        search(problem, 1, "positive", lambda_max=64)
     except LambdaMaxExceededError as exc:
         exhausted = exc.best_report is not None and not exc.best_report.certified
     ok = candidates == [] and straddle and exhausted
@@ -237,9 +237,8 @@ def test_criterion_07_curvature_reproduction():
     disk = region(
         2, [(2 - SQRT15, 2 + SQRT15), (-SQRT15, SQRT15)], ["(x1 - 2)^2 + x2^2 - 1.5"]
     )
-    rep = classify_sign("exp(mu1*x1)", "exp(-mu2*x1^2)", disk, 33, consts)
-
     grid = sample(disk, 33)
+    rep = classify_sign("exp(mu1*x1)", "exp(-mu2*x1^2)", grid, consts)
     pts = grid.points
     general = gauss_curvature_expression("exp(mu1*x1)", "exp(-mu2*x1^2)")
     closed = curvature_closed_form_expression("exp(mu1*x1)", "exp(-mu2*x1^2)")

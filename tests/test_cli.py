@@ -268,6 +268,24 @@ class TestConfigParsing:
         assert cfg.entries == ["exp(x1 + x2)", "exp(x1 + x2)"]
         assert cfg.options["force_j"] == 1 and cfg.options["center"] == [0, 0]
 
+    def test_module_docstring_config_example_is_a_valid_config(self):
+        import wavecert.cli as cli
+
+        block = re.search(r"::\n\n(.*?)\n\n(?=\S)", cli.__doc__, re.DOTALL).group(1)
+        cfg = RunConfig.from_text(block)
+        assert cfg.weight_text == "(x1^2 + x2^2)/2" and cfg.constants == {"mu1": 0.5}
+        assert cfg.options["force_j"] == 1 and cfg.options["center"] == [0, 0]
+
+    def test_readme_library_example_prints_what_its_comments_state(self, capsys):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            block = re.search(r"```python\n(.*?)```", handle.read(), re.DOTALL).group(1)
+        namespace = {}
+        exec(block, namespace)
+        lam, margin, verdict = capsys.readouterr().out.split()
+        assert lam == "1.0009765625" and margin.startswith("0.0607")
+        assert verdict == "certified" and namespace["cert"].refinement_report.resolution == 65
+
 
 class TestVerifyCommand:
     def test_certified_exit_zero(self, tmp_path, capsys):
@@ -487,9 +505,30 @@ class TestConstructCommand:
             return prepare(*args, **kwargs)
 
         monkeypatch.setattr(cli, "GridProblem", counted)
+        monkeypatch.setattr(cli, "sample", counted)
         argv = ["construct", "--config", write(tmp_path, config_text("cubic-exp")), "--force-j", "3"]
         assert main(argv) == EXIT_CONFIG
         assert builds == []
+
+    def test_recheck_grid_that_cannot_be_sampled_exits_before_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from wavecert.condition import GridProblem
+
+        def attempt(*args):
+            raise AssertionError("the rate search ran")
+
+        # the search grid at 3 misses x1 = 1.5, where the constraint takes
+        # log(0); the re-check grid at 5 holds it, and is sampled first
+        monkeypatch.setattr(GridProblem, "_margins", attempt)
+        text = (
+            '[problem]\nA.diagonal = true\nA.entries = ["1 + x1^2 + x2^2", "1 + x1^2 + x2^2"]\n'
+            '[region]\ndim = 2\nbox = [[1, 3], [1, 3]]\nconstraints = ["log((x1 - 1.5)^2) - 10"]\n'
+            "[options]\nresolution = 3\nlambda_max = 8\ntarget_margin = 1e300\n"
+        )
+        assert main(["construct", "--config", write(tmp_path, text)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numeric error: log of non-positive value at point (1.5, 1.0)\n"
 
     @pytest.mark.parametrize(
         "name,flags,want",
@@ -594,6 +633,7 @@ class TestConstructCommand:
 
     def test_construct_dump_grid_matches_a_direct_check(self, tmp_path):
         from wavecert.condition import GridProblem
+        from wavecert.domain import sample
 
         from test_weight import search
 
@@ -601,10 +641,10 @@ class TestConstructCommand:
         cfg_path = write(tmp_path, CONSTRUCT_OK)
         assert main(["construct", "--config", cfg_path, "--dump-grid", str(dump)]) == EXIT_OK
         cfg = RunConfig.from_text(CONSTRUCT_OK)
-        field, reg = cfg.build_field(), cfg.build_region()
-        cert = search(GridProblem(field, reg, 17), 1, "positive")
+        field, grid = cfg.build_field(), sample(cfg.build_region(), 17)
+        cert = search(GridProblem(field, grid), 1, "positive")
         direct = tmp_path / "direct.csv"
-        GridProblem(field, reg, 17).check(cert.weight, direct)
+        GridProblem(field, grid).check(cert.weight, direct)
         assert dump.read_bytes() == direct.read_bytes()
 
     def test_nondiagonal_rejected(self, tmp_path):

@@ -50,7 +50,7 @@ class TestBuild:
     def test_diagonal_entries_and_partials(self):
         f = example_bad_field()
         assert f.dim == 2 and f.diagonal
-        assert f.entry(1, 2).value == 0.0  # structural zero off-diagonal
+        assert f.entries[0][1].value == 0.0  # structural zero off-diagonal
         # da^1/dx2 = 2*x2
         from wavecert.expr import evaluate
 
@@ -64,7 +64,7 @@ class TestBuild:
     def test_general_triangle_count(self):
         f = build(["2", "x1*x2", "3"], diagonal=False)
         assert f.dim == 2
-        assert f.entry(1, 2) is f.entry(2, 1)
+        assert f.entries[0][1] is f.entries[1][0]
         with pytest.raises(ValueError):
             build(["1", "2"], diagonal=False)
 
@@ -74,30 +74,35 @@ class TestBuild:
         assert np.array_equal(mats, np.swapaxes(mats, -1, -2))
 
 
+def certify(field, grid):
+    """:func:`certify_positivity` of ``field`` on ``grid``, from its values there."""
+    return certify_positivity(field, grid, field.values(grid.points))
+
+
 class TestCertifyPositivity:
     def test_constant_diagonal(self):
         f = build(["2", "3"], diagonal=True)
         grid = sample(origin_disk(), 9)
-        alpha, _ = certify_positivity(f, grid)
+        alpha, _ = certify(f, grid)
         assert alpha == pytest.approx(2.0, abs=1e-14)
 
     def test_identity(self):
         f = build(["1", "1"], diagonal=True)
         grid = sample(origin_disk(), 9)
-        alpha, _ = certify_positivity(f, grid)
+        alpha, _ = certify(f, grid)
         assert alpha == pytest.approx(1.0, abs=1e-14)
 
     def test_example_field_minimum_at_origin(self):
         f = example_bad_field()
         grid = sample(origin_disk(), 33)  # odd resolution puts 0 on the grid
-        alpha, worst = certify_positivity(f, grid)
+        alpha, worst = certify(f, grid)
         assert alpha == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(worst) < 1e-12
 
     def test_indefinite_field_rejected(self):
         f = build(["x1", "1"], diagonal=True)  # negative for x1 < 0
         grid = sample(origin_disk(), 9)
-        alpha, worst = certify_positivity(f, grid)
+        alpha, worst = certify(f, grid)
         assert alpha < 0.0
         assert worst[0] < 0.0
 
@@ -106,13 +111,13 @@ class TestCertifyPositivity:
         # rescaled by its 1e200 peak, the 1e-200 entry underflows to zero in
         # the eigenvalue route; the diagonal itself is exact
         f = build(["1e-200", "1e200"], diagonal=True)
-        alpha, _ = certify_positivity(f, sample(region(2, [(1.0, 3.0)] * 2), 5))
+        alpha, _ = certify(f, sample(region(2, [(1.0, 3.0)] * 2), 5))
         assert alpha == 1e-200
 
     def test_diagonal_exponential_minimum_is_the_smallest_entry(self):
         f = build(["exp(-600*x1)", "exp(600*x1)"], diagonal=True)
         grid = sample(region(2, [(0.0, 1.0)] * 2), 5)
-        alpha, worst = certify_positivity(f, grid)
+        alpha, worst = certify(f, grid)
         entries = np.diagonal(f.values(grid.points), axis1=-2, axis2=-1)
         assert alpha > 0.0 and alpha == np.min(entries)
         assert worst[0] == 1.0
@@ -120,7 +125,7 @@ class TestCertifyPositivity:
     def test_diagonal_signed_zero_tie_takes_the_first_entry(self):
         # as the sorted eigenvalues of diag(0.0, -0.0) do
         f = build(["x1", "-(0*x1)"], diagonal=True)
-        alpha, worst = certify_positivity(f, sample(region(2, [(0.0, 1.0)] * 2), 5))
+        alpha, worst = certify(f, sample(region(2, [(0.0, 1.0)] * 2), 5))
         assert alpha == 0.0 and math.copysign(1.0, alpha) == 1.0
         assert worst == (0.0, 0.0)
 

@@ -20,7 +20,7 @@ from wavecert.condition import (
     quadratic_form_matrix,
     weight_function,
 )
-from wavecert.domain import region, sample
+from wavecert.domain import SampleGrid, region, sample
 from wavecert.errors import DomainError
 from wavecert.weight import (
     construct_weight,
@@ -231,7 +231,7 @@ class TestQuadraticFormOracle:
         step = 1e-6
 
         def product_value(p_idx, j_idx, w, x):
-            a_val = evaluate(field.entry(p_idx, j_idx), x)
+            a_val = evaluate(field.entries[p_idx - 1][j_idx - 1], x)
             g_val = evaluate(w.grad[p_idx - 1], x)
             return a_val * g_val
 
@@ -308,13 +308,13 @@ class TestIdentities:
 
 class TestCheckCondition:
     def test_classical_multiplier_on_offset_disk(self):
-        report = GridProblem(identity_field(), offset_disk(), 33).check(quadratic_weight())
+        report = GridProblem(identity_field(), sample(offset_disk(), 33)).check(quadratic_weight())
         assert report.certified
         assert report.margin == pytest.approx(2.0, abs=1e-12)
         assert report.grad_min >= 1.0 - 1e-9
 
     def test_constant_diagonal_margin(self):
-        report = GridProblem(build(["2", "3"], diagonal=True), offset_disk(), 17).check(
+        report = GridProblem(build(["2", "3"], diagonal=True), sample(offset_disk(), 17)).check(
             quadratic_weight()
         )
         assert report.certified
@@ -322,7 +322,7 @@ class TestCheckCondition:
 
     def test_gradient_failure_at_origin(self):
         r = region(2, [(-1.0, 1.0), (-1.0, 1.0)], ["x1^2 + x2^2 - 1"])
-        report = GridProblem(identity_field(), r, 33).check(quadratic_weight())
+        report = GridProblem(identity_field(), sample(r, 33)).check(quadratic_weight())
         assert report.verdict == "failed_gradient"
         assert report.grad_min == 0.0
         assert np.allclose(report.worst_point_grad, (0.0, 0.0))
@@ -330,7 +330,7 @@ class TestCheckCondition:
     def test_coefficient_failure_short_circuits(self):
         f = build(["x1", "1"], diagonal=True)
         r = region(2, [(-1.0, 1.0), (-1.0, 1.0)])
-        report = GridProblem(f, r, 9).check(quadratic_weight())
+        report = GridProblem(f, sample(r, 9)).check(quadratic_weight())
         assert report.verdict == "failed_coefficient"
         assert report.alpha_min <= 0.0
         assert report.margin is None
@@ -338,13 +338,13 @@ class TestCheckCondition:
     def test_positivity_failure_verdict(self):
         # weight with negative Hessian cannot certify the identity field
         w = weight_function("-(x1^2 + x2^2)/2 + 10*x1", 2)
-        report = GridProblem(identity_field(), offset_disk(), 9).check(w)
+        report = GridProblem(identity_field(), sample(offset_disk(), 9)).check(w)
         assert report.verdict == "failed_positivity"
         assert report.margin < 0.0
 
     @pytest.mark.parametrize("scale", [2.0, 0.5])
     def test_pencil_margin_scales_exactly_with_weight(self, scale):
-        problem = GridProblem(isotropic_exp_field(), offset_disk(), 9)
+        problem = GridProblem(isotropic_exp_field(), sample(offset_disk(), 9))
         base = problem.check(quadratic_weight())
         scaled = problem.check(weight_function(f"{scale!r}*((x1^2 + x2^2)/2)", 2))
         assert scaled.margin == pytest.approx(scale * base.margin, rel=1e-12)
@@ -355,7 +355,7 @@ class TestCheckCondition:
         # failure is the vanishing gradient at the grid's origin (the matrix
         # inequality itself holds: det(2B) = 2a^2(1 + 2|x|^2) > 0 here)
         r = region(2, [(-SQRT2, SQRT2)] * 2, ["x1^2 + x2^2 - 2"])
-        report = GridProblem(example_bad_field(), r, 33).check(quadratic_weight())
+        report = GridProblem(example_bad_field(), sample(r, 33)).check(quadratic_weight())
         assert report.verdict == "failed_gradient"
         assert report.margin > 0.0
         assert report.grad_min == 0.0
@@ -376,7 +376,7 @@ class TestCheckCondition:
 
     def test_dump_grid_columns(self, tmp_path):
         path = tmp_path / "grid.csv"
-        GridProblem(identity_field(), offset_disk(), 5).check(quadratic_weight(), path)
+        GridProblem(identity_field(), sample(offset_disk(), 5)).check(quadratic_weight(), path)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,eig_min_pencil,eig_min_matrix,grad_norm,minor1,minor2"
 
@@ -615,13 +615,13 @@ class TestFactorSplit:
 
     def test_full_grid_problem_keeps_one_copy_of_a(self):
         ball = region(3, [(1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)], ["(x1 - 2)^2 + x2^2 + x3^2 - 1"])
-        problem = GridProblem(FULL_3D, ball, 7)
+        problem = GridProblem(FULL_3D, sample(ball, 7))
         assert problem.a.strides[0] == problem.a.itemsize  # as the tape gives it
         a, da = problem.factors  # the grid's own arrays, with no copy
         assert problem.a is a and problem.da is da
 
     def test_grid_problem_keeps_the_factors_of_its_grid(self):
-        problem = GridProblem(isotropic_exp_field(), offset_disk(), 17)
+        problem = GridProblem(isotropic_exp_field(), sample(offset_disk(), 17))
         first = problem.factors
         problem.check(quadratic_weight())
         assert problem.factors is first
@@ -632,14 +632,32 @@ class TestFactorSplit:
 class TestGridProblem:
     def test_a_reused_problem_checks_as_a_fresh_one(self, tmp_path):
         f = isotropic_exp_field()
-        problem = GridProblem(f, offset_disk(), 17)
+        problem = GridProblem(f, sample(offset_disk(), 17))
         for lam in (1.0, 1.5, 3.0):
             w = construct_weight(axis=1, sign_case="positive", shift=5.0, lam=lam, dim=2)
-            assert problem.check(w) == GridProblem(f, offset_disk(), 17).check(w)
+            assert problem.check(w) == GridProblem(f, sample(offset_disk(), 17)).check(w)
         w = quadratic_weight()
         problem.check(w, dump_path=tmp_path / "a.csv")
-        GridProblem(f, offset_disk(), 17).check(w, dump_path=tmp_path / "b.csv")
+        GridProblem(f, sample(offset_disk(), 17)).check(w, dump_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_grid_of_some_points_dumps_their_rows_of_the_full_grid(self, tmp_path, dim):
+        # each row of a check depends on its point alone, so a grid of every
+        # other point of a sampled grid dumps those rows, bit for bit
+        if dim == 2:
+            field, reg, weight = isotropic_exp_field(), offset_disk(), EXP_2D
+        else:
+            field, weight = FULL_3D, weight_function("(x1^2 + x2^2 + x3^2)/2", 3)
+            box = [(1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)]
+            reg = region(3, box, ["(x1 - 2)^2 + x2^2 + x3^2 - 1"])
+        grid = sample(reg, 9)
+        GridProblem(field, grid).check(weight, tmp_path / "full.csv")
+        part = SampleGrid(reg, 9, grid.points[::2])
+        report = GridProblem(field, part).check(weight, tmp_path / "part.csv")
+        header, *rows = (tmp_path / "full.csv").read_text().splitlines()
+        assert (tmp_path / "part.csv").read_text().splitlines() == [header, *rows[::2]]
+        assert (report.resolution, report.point_count) == (9, len(rows[::2]))
 
     def test_non_finite_multiplier_raises_at_first_point(self):
         f = build(["exp(x1^3 + x2^3)", "exp(x1^3 + x2^3)"], diagonal=True)
@@ -647,7 +665,7 @@ class TestGridProblem:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match="multiplier matrix is not finite") as err:
-                GridProblem(f, disk, 33).check(weight_function("exp(230*x1)", 2))
+                GridProblem(f, sample(disk, 33)).check(weight_function("exp(230*x1)", 2))
         pts = sample(disk, 33).points
         with np.errstate(over="ignore", invalid="ignore"):
             mats = 2.0 * multiplier_matrix(f, weight_function("exp(230*x1)", 2), pts)
@@ -668,13 +686,13 @@ class TestGridProblem:
         for name in linalg:
             monkeypatch.setattr(np.linalg, name, counting(name))
         # a diagonal field is whitened by 1 / sqrt(diag A), with no factorization
-        diagonal = GridProblem(isotropic_exp_field(), offset_disk(), 17)
+        diagonal = GridProblem(isotropic_exp_field(), sample(offset_disk(), 17))
         diagonal.check(quadratic_weight())
         assert diagonal.whitening.shape == (len(diagonal.grid), 2) and counts == {}
         chol = linalg["cholesky"](diagonal.a)
         assert np.array_equal(diagonal.whitening, 1.0 / np.diagonal(chol, axis1=1, axis2=2))
         # a full field is factored and inverted once per grid, not per check
-        full = GridProblem(build(["2", "0.5", "3"], diagonal=False), offset_disk(), 17)
+        full = GridProblem(build(["2", "0.5", "3"], diagonal=False), sample(offset_disk(), 17))
         full.check(quadratic_weight())
         assert full.whitening.shape == (len(full.grid), 2, 2)
         assert counts == {"cholesky": 1, "inv": 1}
@@ -688,7 +706,7 @@ class TestGridProblem:
         # reads every minimum at its first minimizer in grid order.  LAPACK's
         # det gives no -0.0, so the minors here are the matrices' first rows.
         monkeypatch.setattr(condition, "leading_principal_minors", lambda m: m[..., 0, :].copy())
-        problem = GridProblem(identity_field(), region(2, [(-1.0, 1.0), (-1.0, 1.0)]), 3)
+        problem = GridProblem(identity_field(), sample(region(2, [(-1.0, 1.0), (-1.0, 1.0)]), 3))
         m = len(problem.grid)
         mats = np.tile(np.eye(2), (m, 1, 1))
         mats[2, 0, 0], mats[m - 2, 0, 0] = zeros
@@ -699,7 +717,7 @@ class TestGridProblem:
 
     def test_failed_coefficient_skips_partials_and_factor(self):
         f = build(["x1", "1"], diagonal=True)
-        problem = GridProblem(f, region(2, [(-1.0, 1.0), (-1.0, 1.0)]), 9)
+        problem = GridProblem(f, sample(region(2, [(-1.0, 1.0), (-1.0, 1.0)]), 9))
         report = problem.check(quadratic_weight())
         assert report.verdict == "failed_coefficient"
         assert "da" not in vars(problem) and "whitening" not in vars(problem)

@@ -9,7 +9,7 @@ from wavecert.curvature import (
     curvature_closed_form_expression,
     gauss_curvature_expression,
 )
-from wavecert.domain import region
+from wavecert.domain import region, sample
 from wavecert.expr import evaluate
 
 SQRT_15 = math.sqrt(1.5)
@@ -128,7 +128,7 @@ class TestGaussCurvature:
 
 class TestClassifySign:
     def test_window_example_changes_sign(self):
-        report = classify_sign(A1, A2, window_disk(), 33, WINDOW_CONSTS)
+        report = classify_sign(A1, A2, sample(window_disk(), 33), WINDOW_CONSTS)
         assert report.classification == "sign_changing"
         assert report.k_min < 0.0 < report.k_max
         assert report.witness_positive is not None
@@ -141,8 +141,6 @@ class TestClassifySign:
     def test_grid_exhibits_the_slice_witnesses(self):
         # slice check: a positive value on the slice x1 near 1 and
         # a negative value on the slice x1 near 3
-        from wavecert.domain import sample
-
         grid = sample(window_disk(), 33)
         pts = grid.points
         ks = evaluate(gauss_curvature_expression(A1, A2), pts, WINDOW_CONSTS)
@@ -154,29 +152,29 @@ class TestClassifySign:
 
     def test_flat_metric_degenerate(self):
         r = region(2, [(0.0, 1.0), (0.0, 1.0)])
-        report = classify_sign("1", "1", r, 9)
+        report = classify_sign("1", "1", sample(r, 9))
         assert report.classification == "degenerate"
         assert report.witness_positive is None
 
     def test_uniformly_signed_classifications(self):
-        r = region(2, [(0.2, 1.0), (0.2, 1.0)])
+        grid = sample(region(2, [(0.2, 1.0), (0.2, 1.0)]), 9)
         # round-sphere components 4/(1 + |x|^2)^2 give constant curvature +1
         sphere = "4/(1 + x1^2 + x2^2)^2"
-        pos = classify_sign(sphere, sphere, r, 9)
+        pos = classify_sign(sphere, sphere, grid)
         assert pos.classification == "uniformly_positive"
         assert pos.k_min == pytest.approx(1.0, rel=1e-9)
         # the reciprocal pair has curvature -4/(1 + |x|^2)^4
         bowl = "(1 + x1^2 + x2^2)^2"
-        neg = classify_sign(bowl, bowl, r, 9)
+        neg = classify_sign(bowl, bowl, grid)
         assert neg.classification == "uniformly_negative"
 
     def test_exact_zero_extremes_keep_the_sign_of_the_rest(self):
         # the curvature is an exact (signed) zero on the grid line x1 = 0
-        r = region(2, [(-1.0, 1.0), (0.0, 1.0)])
-        pos = classify_sign("1/(1 + x1^4)", "1/(1 + x1^4)", r, 9)
+        grid = sample(region(2, [(-1.0, 1.0), (0.0, 1.0)]), 9)
+        pos = classify_sign("1/(1 + x1^4)", "1/(1 + x1^4)", grid)
         assert pos.k_min == 0.0 and pos.k_max > 0.0
         assert pos.classification == "uniformly_positive" and pos.witness_negative is None
-        neg = classify_sign("1 + x1^4", "1 + x1^4", r, 9)
+        neg = classify_sign("1 + x1^4", "1 + x1^4", grid)
         assert neg.k_max == 0.0 and neg.k_min < 0.0
         assert neg.classification == "uniformly_negative" and neg.witness_positive is None
 
@@ -184,12 +182,12 @@ class TestClassifySign:
         # flat instance handled by the weight construction as well; the
         # comparison point is that its curvature carries no sign information
         r = region(2, [(1.0, 3.0), (-1.0, 1.0)], ["(x1 - 2)^2 + x2^2 - 1"])
-        report = classify_sign("exp(x1 + x2)", "exp(x1 + x2)", r, 17)
+        report = classify_sign("exp(x1 + x2)", "exp(x1 + x2)", sample(r, 17))
         assert report.classification == "degenerate"
 
     def test_dump_csv(self, tmp_path):
         path = tmp_path / "k.csv"
-        classify_sign(A1, A2, window_disk(), 9, WINDOW_CONSTS, dump_path=path)
+        classify_sign(A1, A2, sample(window_disk(), 9), WINDOW_CONSTS, dump_path=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,k"
         assert len(lines) > 1

@@ -21,6 +21,7 @@ import pytest
 
 from wavecert.cli import RunConfig, main
 from wavecert.condition import VERDICT_CERTIFIED, GridProblem
+from wavecert.domain import sample
 from wavecert.weight import construct_weight
 
 from test_weight import search
@@ -248,7 +249,7 @@ def test_lattice_phase_ends_on_ten_round_bisection(monkeypatch, dim, seed):
     # attempts after doubling; in 3-D it steers on the 3x3 closed form
     cfg = RunConfig.from_text(lattice_config(random.Random(f"{seed}/{dim}"), dim))
     field, reg = cfg.build_field(), cfg.build_region()
-    problem = GridProblem(field, reg, cfg.options["resolution"])
+    problem = GridProblem(field, sample(reg, cfg.options["resolution"]))
     rates, found_at, margins = [], {}, GridProblem._margins
 
     def recorded(self, weight, consts, **screen):

@@ -113,7 +113,7 @@ class TestIndexSignRanges:
 class TestDetectIndex:
     def test_isotropic_exponential_both_axes(self):
         grid = sample(offset_disk(), 17)
-        found = detect_index(isotropic_exp_field(), grid)
+        found = detect_index(GridProblem(isotropic_exp_field(), grid))
         assert [(c.axis, c.sign_case) for c in found] == [
             (1, "positive"),
             (2, "positive"),
@@ -122,12 +122,12 @@ class TestDetectIndex:
 
     def test_example_field_inadmissible(self):
         grid = sample(origin_disk(), 33)
-        assert detect_index(example_bad_field(), grid) == []
+        assert detect_index(GridProblem(example_bad_field(), grid)) == []
 
     def test_one_dimensional_vacuous(self):
         f = build(["1 + x1^2"], diagonal=True)
         grid = sample(region(1, [(0.0, 1.0)]), 5)
-        found = detect_index(f, grid)
+        found = detect_index(GridProblem(f, grid))
         assert [(c.axis, c.sign_case) for c in found] == [
             (1, "negative"),
             (1, "positive"),
@@ -169,7 +169,7 @@ class TestDetectIndex:
         f = build(["2", "x1", "3"], diagonal=False)
         grid = sample(origin_disk(), 5)
         with pytest.raises(ValueError, match="requires a diagonal"):
-            detect_index(f, grid)
+            detect_index(GridProblem(f, grid))
 
 
 class TestComputeShift:
@@ -244,7 +244,7 @@ class TestConstructWeight:
 
 class TestFindLambda:
     def test_isotropic_certificate(self):
-        cert = search(GridProblem(isotropic_exp_field(), offset_disk(), 33), 1, "positive")
+        cert = search(GridProblem(isotropic_exp_field(), sample(offset_disk(), 33)), 1, "positive")
         assert cert.report.certified
         assert cert.report.margin > 0.0
         assert cert.lam <= 1024.0
@@ -255,7 +255,7 @@ class TestFindLambda:
         assert cert.refinement_report.certified  # threshold is grid independent here
 
     def test_cubic_certificate(self):
-        cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 33), 1, "positive")
+        cert = search(GridProblem(cubic_exp_field(), sample(shifted_disk(), 33)), 1, "positive")
         assert cert.report.certified
         assert cert.lam <= 2**20
         # the near-minimal rate certifies its own grid; whether it still
@@ -268,6 +268,7 @@ class TestFindLambda:
 
     def test_lambda_independent_work_runs_once_per_grid(self, monkeypatch):
         import wavecert.condition as condition
+        import wavecert.weight as weight
         from wavecert.coeff import CoefficientField
 
         counts = dict.fromkeys(("sample", "values", "partial_values", "cholesky", "_factors"), 0)
@@ -279,27 +280,27 @@ class TestFindLambda:
 
             return wrapper
 
-        for name in ("sample", "_factors"):
-            monkeypatch.setattr(condition, name, counted(name, getattr(condition, name)))
+        monkeypatch.setattr(weight, "sample", counted("sample", weight.sample))
+        monkeypatch.setattr(condition, "_factors", counted("_factors", condition._factors))
         for name in ("values", "partial_values"):
             monkeypatch.setattr(
                 CoefficientField, name, counted(name, getattr(CoefficientField, name))
             )
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
-        cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 17), 1, "positive")
+        cert = search(GridProblem(cubic_exp_field(), sample(shifted_disk(), 17)), 1, "positive")
         assert cert.report.certified
         # the search grid and the refinement grid, whatever the attempt count,
-        # assembly factors included; the diagonal field is whitened without a
-        # factorization
+        # assembly factors included; the search samples only the refinement
+        # grid, and the diagonal field is whitened without a factorization
         assert counts == {
-            "sample": 2, "values": 2, "partial_values": 2, "cholesky": 0, "_factors": 2
+            "sample": 1, "values": 2, "partial_values": 2, "cholesky": 0, "_factors": 2
         }
 
     def test_recheck_runs_on_the_given_problems_region(self):
         # the re-check refines the search grid's own region
         field, disk = cubic_exp_field(), shifted_disk()
         square = region(2, [(1.0, 3.0), (1.0, 3.0)])
-        problem = GridProblem(field, disk, 17)
+        problem = GridProblem(field, sample(disk, 17))
         cert = search(problem, 1, "positive")
         assert cert.report.point_count == len(problem.grid)
         assert cert.refinement_report.resolution == 33
@@ -308,7 +309,7 @@ class TestFindLambda:
     def test_inadmissible_forced_axis_exhausts_budget(self):
         with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
             search(
-                GridProblem(example_bad_field(), origin_disk(), 17), 1, "positive", lambda_max=64
+                GridProblem(example_bad_field(), sample(origin_disk(), 17)), 1, "positive", lambda_max=64
             )
         assert err.value.best_report is not None
         assert err.value.best_report.margin < 0.0
@@ -317,7 +318,7 @@ class TestFindLambda:
         # without a budget cap the exponent range of this geometry leaves
         # double range near rate 256, and the search says so
         with pytest.raises(WeightOverflowError, match="translate the domain"):
-            search(GridProblem(example_bad_field(), origin_disk(), 17), 1, "positive")
+            search(GridProblem(example_bad_field(), sample(origin_disk(), 17)), 1, "positive")
 
     def test_non_finite_multiplier_is_weight_overflow(self):
         # the exponentials stay below 1e300 at rate 64, but the Hessian
@@ -326,13 +327,13 @@ class TestFindLambda:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(WeightOverflowError, match="at lambda=64; translate") as err:
-                search(GridProblem(cubic_exp_field(), disk, 33), 1, "positive")
+                search(GridProblem(cubic_exp_field(), sample(disk, 33)), 1, "positive")
         assert err.value.best_lambda is not None
 
     def test_one_dimensional_construction_certifies(self):
         f = build(["1 + x1^2"], diagonal=True)
         r = region(1, [(1.0, 2.0)])
-        cert = search(GridProblem(f, r, 33), 1, "negative")
+        cert = search(GridProblem(f, sample(r, 33)), 1, "negative")
         assert cert.report.certified
         assert math.isinf(cert.sign_margin)
 
@@ -375,7 +376,7 @@ class TestSearchWork:
 
         cfg = RunConfig.from_text(config_text("isotropic-exp"))
         field, disk = cfg.build_field(), cfg.build_region()
-        problem = GridProblem(field, disk, cfg.options["resolution"])
+        problem = GridProblem(field, sample(disk, cfg.options["resolution"]))
         shift = compute_shift(problem.grid, axis, "positive")
         weight = construct_weight(axis, "positive", shift, 1.0, 2)
         assert problem._margins(weight, None).margin == margin
@@ -404,7 +405,7 @@ class TestSearchWork:
             return found
 
         monkeypatch.setattr(GridProblem, "_margins", attempt)
-        cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 17), 1, "positive")
+        cert = search(GridProblem(cubic_exp_field(), sample(shifted_disk(), 17)), 1, "positive")
         assert cert.report.certified
         *attempts, (resolution, recheck) = deltas
         assert len(attempts) > 10 and all(r == 17 for r, _ in attempts)
@@ -427,7 +428,7 @@ class TestSearchWork:
         counts = {}
         for name in ("min_eigenvalue", "leading_principal_minors", "pencil_margins"):
             _counting(monkeypatch, counts, condition, name)
-        cert = search(GridProblem(cubic_exp_field(), shifted_disk(), 17), 1, "positive")
+        cert = search(GridProblem(cubic_exp_field(), sample(shifted_disk(), 17)), 1, "positive")
         assert cert.report.certified and cert.refinement_report is not None
         attempts = counts["pencil_margins"] - 1  # one pencil per attempt, one the refinement's
         assert attempts > 10
@@ -446,7 +447,7 @@ class TestSearchWork:
             return pencil_margins(m, w, *rest)
 
         monkeypatch.setattr(condition, "pencil_margins", recorded)
-        problem = GridProblem(cubic_exp_field(), shifted_disk(), 17)
+        problem = GridProblem(cubic_exp_field(), sample(shifted_disk(), 17))
         cert = search(problem, 1, "positive")
         assert cert.report.certified
         assert counts == {}
@@ -466,7 +467,7 @@ class TestSearchWork:
 
         cfg = RunConfig.from_text(config_text("cubic-exp"))
         field, reg = cfg.build_field(), cfg.build_region()
-        problem = GridProblem(field, reg, cfg.options["resolution"])
+        problem = GridProblem(field, sample(reg, cfg.options["resolution"]))
         rows, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
         cert = search(problem)
@@ -481,7 +482,7 @@ class TestSearchWork:
         cfg = RunConfig.from_text(config_text("cubic-exp"), {"lambda_max": 8})
         field, reg = cfg.build_field(), cfg.build_region()
         resolution = cfg.options["resolution"]
-        problem = GridProblem(field, reg, resolution)
+        problem = GridProblem(field, sample(reg, resolution))
         chosen = pick_index(sign_ranges(problem.da), field.dim)
         shift = compute_shift(problem.grid, chosen.axis, chosen.sign_case)
         with pytest.raises(LambdaMaxExceededError, match="lambda_max exceeded") as err:
@@ -489,7 +490,7 @@ class TestSearchWork:
         exc = err.value
         assert exc.best_lambda is not None
         weight = construct_weight(chosen.axis, chosen.sign_case, shift, exc.best_lambda, 2)
-        full = GridProblem(field, reg, resolution).check(weight)
+        full = GridProblem(field, sample(reg, resolution)).check(weight)
         assert not full.certified
         assert repr(exc.best_report) == repr(full)
         assert exc.best_report == full
@@ -502,7 +503,7 @@ class TestSearchWork:
         field = build(["x2 - 0.5", "x1 - 0.5"], diagonal=True)
         square = region(2, [(0.0, 1.0), (0.0, 1.0)])
         with pytest.raises(LambdaMaxExceededError, match="not positive definite") as err:
-            search(GridProblem(field, square, 17), 1, "positive")
+            search(GridProblem(field, sample(square, 17)), 1, "positive")
         assert err.value.best_lambda is None
         assert err.value.best_report.verdict == "failed_coefficient"
         assert err.value.best_report.alpha_min == -0.5
@@ -547,7 +548,7 @@ def search_rates(text, monkeypatch):
     from wavecert.cli import RunConfig
 
     cfg = RunConfig.from_text(text)
-    problem = GridProblem(cfg.build_field(), cfg.build_region(), cfg.options["resolution"])
+    problem = GridProblem(cfg.build_field(), sample(cfg.build_region(), cfg.options["resolution"]))
     rates, margins = [], GridProblem._margins
 
     def attempt(self, weight, consts, **screen):
@@ -799,11 +800,12 @@ class TestThreeDimensional:
         )
         r = region(3, [(0.0, 1.0)] * 3)
         grid = sample(r, 7)
-        found = detect_index(f, grid)
+        problem = GridProblem(f, grid)
+        found = detect_index(problem)
         assert (2, "positive") in [(c.axis, c.sign_case) for c in found]
         shift = compute_shift(grid, 2, "positive")
         assert shift == pytest.approx(1.0 + 2.0 + 1.0)  # 1 + max(|x1|+|x3|) + max x2
-        cert = search(GridProblem(f, r, 7), 2, "positive")
+        cert = search(problem, 2, "positive")
         assert cert.report.certified
         assert cert.report.margin > 0.0
 
@@ -839,8 +841,8 @@ class TestCaseSymmetry:
         neg_region = region(
             2, [(-3.0, -1.0), (-1.0, 1.0)], ["(x1 + 2)^2 + x2^2 - 1"]
         )
-        cert_pos = search(GridProblem(pos_field, pos_region, 17), 1, "positive")
-        cert_neg = search(GridProblem(neg_field, neg_region, 17), 1, "negative")
+        cert_pos = search(GridProblem(pos_field, sample(pos_region, 17)), 1, "positive")
+        cert_neg = search(GridProblem(neg_field, sample(neg_region, 17)), 1, "negative")
         assert cert_neg.shift == pytest.approx(cert_pos.shift)
         assert cert_neg.lam == pytest.approx(cert_pos.lam)
         assert cert_neg.report.margin == pytest.approx(
