@@ -55,7 +55,7 @@ import numpy as np
 from . import __version__
 from .bundled import EXAMPLES, config_text
 from .coeff import CoefficientField, build
-from .condition import ConditionReport, GridProblem, weight_function
+from .condition import GridProblem, weight_function
 from .curvature import check_sign_change_window, classify_sign
 from .domain import Region, region, sample
 from .errors import (
@@ -284,13 +284,6 @@ class RunConfig:
 # report dictionaries
 
 
-def condition_report_dict(rep: ConditionReport) -> dict:
-    out = asdict(rep)
-    if rep.dump_path is None:
-        del out["dump_path"]
-    return out
-
-
 def certificate_dict(cert: WeightCertificate) -> dict:
     from .expr import render
 
@@ -302,8 +295,8 @@ def certificate_dict(cert: WeightCertificate) -> dict:
         "margin": cert.report.margin,
         "sign_margin": cert.sign_margin,
         "weight": render(cert.weight.expression),
-        "report": condition_report_dict(cert.report),
-        "refinement": condition_report_dict(cert.refinement_report),
+        "report": asdict(cert.report),
+        "refinement": asdict(cert.refinement_report),
     }
 
 
@@ -351,8 +344,11 @@ def run_verify(cfg: RunConfig, dump_path=None):
     grid = sample(reg, cfg.options["resolution"], cfg.constants)
     problem = GridProblem(field, grid, cfg.constants)
     rep = problem.check(weight, dump_path)
+    result = asdict(rep)
+    if dump_path is not None and rep.verdict not in _NO_DUMP_VERDICTS:
+        result["dump_path"] = str(dump_path)  # no other command's report names its dump
     code = EXIT_OK if rep.certified else EXIT_NOT_CERTIFIED
-    return code, rep.verdict, condition_report_dict(rep)
+    return code, rep.verdict, result
 
 
 def run_construct(cfg: RunConfig, dump_path=None):
@@ -366,7 +362,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
     problem = GridProblem(field, grid, cfg.constants)
     failure = problem.coefficient_failure
     if failure is not None:  # no weight can pass, so no axis or rate is searched
-        return EXIT_NOT_CERTIFIED, failure.verdict, condition_report_dict(failure)
+        return EXIT_NOT_CERTIFIED, failure.verdict, asdict(failure)
     ranges = sign_ranges(problem.da)
     chosen = pick_index(ranges, field.dim, force_axis)
     if chosen is None:  # so no axis is forced and none is admissible
@@ -385,7 +381,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
             "best_lambda": exc.best_lambda,
             "best_report": None
             if exc.best_report is None
-            else condition_report_dict(exc.best_report),
+            else asdict(exc.best_report),
         }
         return EXIT_NOT_CERTIFIED, "lambda_max_exceeded", result
     return EXIT_OK, "certified", certificate_dict(cert)

@@ -16,10 +16,10 @@ multiplies the factors by the weight's gradient and Hessian into one
 ``(m, n, n)`` stack for :mod:`wavecert.linalg`, whose routines give one
 pencil margin (``min_eigenvalue(2 * mats, W)``), smallest eigenvalue
 (``min_eigenvalue(mats)``) and row of leading minors per point;
-worst points are the first minimizers in grid order.  For 2x2 and 3x3
-matrices they run only where a minimum can be, and a grid dump runs them on
-every row, once.  A rate search runs only the part that decides the verdict
-on each attempt.
+worst points are the first minimizers in grid order.  They run only where a
+minimum can be (+inf elsewhere); a grid dump runs every row, the pencil only
+at the rows the check skipped.  A rate search runs only the part that
+decides the verdict on each attempt.
 
 A full field is assembled by matrix products summed in index order, a
 diagonal one entrywise (:func:`_terms`).  ``quadratic_form_matrix`` gives the
@@ -30,7 +30,7 @@ general path for every weight family this toolkit constructs.  A one-off
 check is ``GridProblem(field, sample(region, resolution)).check(weight)``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,7 @@ from .domain import SampleGrid
 from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, parse
 from .linalg import eigen_bounds, leading_principal_minors, min_eigenvalue, minor_bounds
-from .linalg import SCREENED, matprod, pencil_margins, row_norms, screened
+from .linalg import matprod, pencil_margins, row_norms, screened
 from .report import write_csv
 
 
@@ -229,7 +229,6 @@ class ConditionReport:
     minors_min: tuple | None = None
     resolution: int = 0
     point_count: int = 0
-    dump_path: str | None = None  # per-point CSV handle when one was written
 
     @property
     def certified(self) -> bool:
@@ -239,13 +238,13 @@ class ConditionReport:
 @dataclass(frozen=True)
 class _Margins:
     """The part of a grid check that decides its verdict: the assembled
-    multiplier matrices, the gradient norm at every point, the pencil margin
-    (at every point too, unless only the rows that can attain it ran), the
-    first minimizers of both, the verdict, and the grid minimum of the
-    normalized pencil margin, which steers a rate search."""
+    multiplier matrices, the gradient norm and the pencil margin at every
+    point (+inf at the rows :func:`pencil_margins` skipped, until a dump fills
+    them in), the first minimizers of both, the verdict, and the grid minimum
+    of the normalized pencil margin, which steers a rate search."""
 
     mats: np.ndarray  # (m, n, n)
-    pencil: np.ndarray | None  # (m,), None when screened (n in SCREENED)
+    pencil: np.ndarray  # (m,)
     grad_norms: np.ndarray  # (m,)
     margin: float
     margin_idx: int
@@ -325,14 +324,12 @@ class GridProblem:
         """
         if self.coefficient_failure is not None:
             return self.coefficient_failure
-        margins = self._margins(weight, self.consts, screen=dump_path is None)
-        report = self._report(margins, dump_path)
-        return report if dump_path is None else replace(report, dump_path=str(dump_path))
+        return self._report(self._margins(weight, self.consts, dump_path is None), dump_path)
 
     def _margins(self, weight: WeightFunction, consts, screen=True) -> _Margins:
         """The weight-dependent part of :meth:`check`, with the weight
         evaluated under ``consts``; A must be positive definite on the grid.
-        Unless ``screen`` holds, the pencil runs on every row, as a dump needs.
+        Unless ``screen`` holds, the pencil runs on every row: a dump then fills none.
 
         Raises :class:`DomainError` at the first grid point whose pencil
         matrix is not finite: the weight's derivatives times A left double
@@ -364,26 +361,25 @@ class GridProblem:
             verdict = VERDICT_FAILED_POSITIVITY
         else:
             verdict = VERDICT_FAILED_GRADIENT
-        if screen and mats.shape[-1] in SCREENED:  # only the kept rows ran
-            pencil = None
         return _Margins(mats, pencil, grad_norms, margin, margin_idx, grad_idx, verdict, steer)
 
     def _report(self, margins: _Margins, dump_path=None) -> ConditionReport:
         """The full report of one :meth:`_margins` result, with its grid dump
-        written to ``dump_path`` when given; the report does not name the
-        dump (:meth:`check` does).  A dump runs every row once."""
-        pts, mats, dump = self.grid.points, margins.mats, dump_path is not None
-        mineig = screened(min_eigenvalue, None if dump else eigen_bounds, mats)
-        minors = screened(leading_principal_minors, None if dump else minor_bounds, mats)
-
-        if dump:
-            pencil = margins.pencil
-            if pencil is None:
-                pencil = min_eigenvalue(2.0 * mats, self.whitening)
+        written to ``dump_path`` when given: every row's smallest eigenvalue
+        and minors, and the pencil filled in at its +inf rows (those the
+        screen skipped; a row that ran to +inf gives +inf again)."""
+        pts, mats = self.grid.points, margins.mats
+        if dump_path is None:
+            mineig = screened(min_eigenvalue, eigen_bounds, mats)
+            minors = screened(leading_principal_minors, minor_bounds, mats)
+        else:
+            mineig, minors = min_eigenvalue(mats), leading_principal_minors(mats)
+            skipped = margins.pencil == np.inf
+            margins.pencil[skipped] = min_eigenvalue(2.0 * mats[skipped], self.whitening[skipped])
             axes = range(1, pts.shape[1] + 1)
             header = [f"x{k}" for k in axes] + ["eig_min_pencil", "eig_min_matrix", "grad_norm"]
             header += [f"minor{k}" for k in axes]
-            write_csv(dump_path, header, [pts, pencil, mineig, margins.grad_norms, minors])
+            write_csv(dump_path, header, [pts, margins.pencil, mineig, margins.grad_norms, minors])
 
         firsts = np.argmin(minors, axis=0)  # each minimum is read at its first minimizer
         return ConditionReport(

@@ -112,10 +112,11 @@ class Region:
         return np.maximum(0.0, dist)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Points of ``region`` labelled by ``resolution``; :func:`sample` gives
-    the in-region points of the tensor grid at ``resolution`` per axis."""
+    the in-region points of the tensor grid at ``resolution`` per axis.  A
+    grid equals and hashes as itself only, so it can key a cache."""
 
     region: Region
     resolution: int

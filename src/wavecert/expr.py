@@ -111,7 +111,6 @@ _VAR_RE = re.compile(r"^x(\d+)$")
 
 class _Parser:
     def __init__(self, text: str, dim: int):
-        self.text = text
         self.dim = dim
         self.tokens = []  # (kind, value, offset)
         pos = 0

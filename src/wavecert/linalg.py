@@ -17,8 +17,8 @@ routine only on the rows whose closed-form interval (2x2 and 3x3 stacks,
 :data:`SCREENED`), from the interval routine of the same ``(m, w)``
 arguments, reaches the smallest upper end: a band far above the
 rounding of LAPACK and of the closed form, plus a floor for what the
-rescaling below loses to underflow.  LAPACK acts per matrix, so the minimum
-and its first row are the full stack's bit for bit.
+rescaling below loses to underflow.  LAPACK acts per matrix, so the minimum,
+its first row and a skipped row run alone are the full stack's bit for bit.
 
 Each matrix is first rescaled by its own exact power of two (lossless) and
 the results are scaled back: entries near double range at large exponential
@@ -82,9 +82,9 @@ def leading_principal_minors(mats) -> np.ndarray:
 
 def pencil_margins(m, w, screen=True):
     """:func:`min_eigenvalue` ``(m, w)``, :func:`screened` by :func:`eigen_bounds`
-    when ``screen`` holds, and the grid minimum of each row's smallest
-    eigenvalue over its largest magnitude, which steers a rate search: the
-    closed form's when it screens, else LAPACK's; NaN if a row's is."""
+    when ``screen`` holds (+inf at the rows it skips), and the grid minimum of
+    each row's smallest eigenvalue over its largest magnitude, which steers a
+    rate search: the closed form's when it screens, else LAPACK's; NaN if a row's is."""
     if not screen or m.shape[-1] not in SCREENED:  # the power-of-two scale cancels in the ratio
         ev, exp = _spectrum(m, w)
         with np.errstate(invalid="ignore"):  # 0 / 0 at a zero matrix
@@ -109,7 +109,7 @@ def screened(routine, bounds, *stacks) -> np.ndarray:
     is above the smallest ``hi`` in every column, for ``lo, hi`` the first
     two items of ``bounds(*stacks)`` (a NaN runs a row).  The first minimizer
     along axis 0, and its value, are the full values' bit for bit."""
-    if bounds is None or stacks[0].shape[-1] not in SCREENED:
+    if stacks[0].shape[-1] not in SCREENED:
         return routine(*stacks)
     with np.errstate(all="ignore"):
         lo, hi = bounds(*stacks)[:2]

@@ -86,6 +86,14 @@ class WeightCertificate:
     refinement_report: ConditionReport
 
 
+def _check_case(dim: int, axis: int, sign_case: str = SIGN_NEGATIVE):
+    """Raise ValueError unless ``1 <= axis <= dim`` and ``sign_case`` names a case."""
+    if not 1 <= axis <= dim:
+        raise ValueError(f"axis {axis} out of range for dimension {dim}")
+    if sign_case not in _SIGN_ORDER:
+        raise ValueError(f"unknown sign case {sign_case!r}")
+
+
 def sign_ranges(da):
     """Grid range of every off-index partial, ``{(axis, entry): (min, max)}``,
     from the partials of A at the grid points, ``(m, n, n, n)``, last axis k.
@@ -110,6 +118,7 @@ def sign_margin(ranges, dim: int, axis: int, sign_case: str) -> float:
     """The admissibility rule: ``-max`` of the maxima of the off-index partials
     along ``axis`` (negative case) or ``min`` of their minima (positive case);
     the pair is admissible iff it is > 0.  Infinite in one dimension."""
+    _check_case(dim, axis, sign_case)
     others = [ranges[(axis, i)] for i in range(1, dim + 1) if i != axis]
     if not others:
         return float("inf")
@@ -155,8 +164,7 @@ def pick_index(ranges, dim: int, force_axis=None):
     candidates = admissible_indices(ranges, dim)
     if force_axis is None:
         return max(candidates, key=lambda cand: cand.sign_margin, default=None)
-    if not 1 <= force_axis <= dim:
-        raise ValueError(f"axis {force_axis} out of range for dimension {dim}")
+    _check_case(dim, force_axis)
     for cand in candidates:
         if cand.axis == force_axis:
             return cand
@@ -172,13 +180,12 @@ def compute_shift(grid: SampleGrid, axis: int, sign_case: str) -> float:
     case is the mirror with ``+ max x_axis`` (see the module note).
     """
     pts = grid.points
+    _check_case(pts.shape[1], axis, sign_case)
     j = axis - 1
     abs_sum_max = float(np.max(row_sums(np.delete(np.abs(pts), j, axis=1))))
     if sign_case == SIGN_NEGATIVE:
         return 1.0 + abs_sum_max - float(np.min(pts[:, j]))
-    if sign_case == SIGN_POSITIVE:
-        return 1.0 + abs_sum_max + float(np.max(pts[:, j]))
-    raise ValueError(f"unknown sign case {sign_case!r}")
+    return 1.0 + abs_sum_max + float(np.max(pts[:, j]))
 
 
 def construct_weight(
@@ -198,17 +205,14 @@ def construct_weight(
         if lam <= 0.0:
             raise ValueError("rate must be positive")
         lam = Num(float(lam))
-    if not 1 <= axis <= dim:
-        raise ValueError(f"axis {axis} out of range for dimension {dim}")
+    _check_case(dim, axis, sign_case)
     shift_lit, others = Num(float(shift)), [Var(i) for i in range(1, dim + 1) if i != axis]
     if sign_case == SIGN_NEGATIVE:
         terms = [Call("exp", BinOp("*", lam, BinOp("+", shift_lit, Var(axis))))]
         terms += [Call("exp", BinOp("*", lam, x)) for x in others]
-    elif sign_case == SIGN_POSITIVE:
+    else:
         terms = [Call("exp", Neg(BinOp("*", lam, BinOp("-", Var(axis), shift_lit))))]
         terms += [Call("exp", Neg(BinOp("*", lam, x))) for x in others]
-    else:
-        raise ValueError(f"unknown sign case {sign_case!r}")
     expr = terms[0]
     for t in terms[1:]:
         expr = BinOp("+", expr, t)
@@ -386,6 +390,7 @@ def scaled_multiplier_matrix(
     the axis row is divided by the axis second partial.  Exponential weights
     make both divisors nonvanishing.
     """
+    _check_case(field.dim, axis, sign_case)
     mats = multiplier_matrix_diagonal(field, weight, point, consts)
     grad, hess = weight.derivatives(point, consts)
     j = axis - 1
@@ -410,12 +415,11 @@ def limit_matrix(
     """
     require_diagonal(field)
     n = field.dim
+    _check_case(n, axis, sign_case)
     idx = np.arange(n)
     a = field.values(point, consts)[..., idx, idx]
     da = field.partial_values(point, consts)[..., idx, idx, :]
     j = axis - 1
-    if sign_case not in _SIGN_ORDER:
-        raise ValueError(f"unknown sign case {sign_case!r}")
     half = 0.5 if sign_case == SIGN_POSITIVE else -0.5  # s/2
     out = np.zeros(a.shape + (n,))
     for i in range(n):
@@ -435,6 +439,7 @@ def derivative_ratio_maxima(
     Returns ``(max |d_i / d_jj| over all i, max |d_i / d_j| over i != j,
     max |d_ii / d_j| over i != j)`` with j the given axis.
     """
+    _check_case(weight.dim, axis)
     grad, hess = weight.derivatives(points, consts)
     j = axis - 1
     dj = grad[..., j, None]

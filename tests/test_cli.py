@@ -204,6 +204,28 @@ constraints = ["(x1 - 2)^2 + x2^2 + x3^2 - 1"]
 resolution = 21
 """
 
+# a full 4-D field on the 4-ball of the same center: no closed-form screen
+FULL_4D_ENTRIES = [
+    "2 + 0.3*sin(x1*x2)", "0.1*cos(x2)", "0.05*x3", "0.02*x4",
+    "2 + 0.3*exp(-x2^2)", "0.1*sin(x1*x3)", "0.03*cos(x4)",
+    "1.5 + log(1 + x1^2)/8", "0.05*x1*x4",
+    "1.8 + 0.1*x4^2",
+]
+VERIFY_FULL_4D = f"""
+[problem]
+A.diagonal = false
+A.entries = {json.dumps(FULL_4D_ENTRIES)}
+weight = "(x1^2 + x2^2 + x3^2 + x4^2)/2"
+
+[region]
+dim = 4
+box = [[1, 3], [-1, 1], [-1, 1], [-1, 1]]
+constraints = ["(x1 - 2)^2 + x2^2 + x3^2 + x4^2 - 1"]
+
+[options]
+resolution = 11
+"""
+
 # a power literal beyond double range: not folded at parse time, it evaluates
 # to a non-finite coefficient
 VERIFY_HUGE_POWER = VERIFY_OK.replace(
@@ -619,6 +641,25 @@ class TestConstructCommand:
         assert runs[1] == {**runs[0], "min_eigenvalue": runs[0]["min_eigenvalue"] + 1}
         assert runs[1]["leading_principal_minors"] == 2
 
+    def test_grid_dump_fills_only_the_rows_the_screen_skipped(self, tmp_path, monkeypatch):
+        import wavecert.condition as condition
+
+        rows, full = [], condition.min_eigenvalue
+
+        def counted(m, w=None):
+            rows.append((len(m), w is not None))
+            return full(m, w)
+
+        monkeypatch.setattr(condition, "min_eigenvalue", counted)
+        out, dump = tmp_path / "cert.json", tmp_path / "grid.csv"
+        argv = ["construct", "--config", write(tmp_path, config_text("cubic-exp"))]
+        assert main([*argv, "--dump-grid", str(dump), "--json", str(out)]) == EXIT_OK
+        # the certified attempt ran LAPACK on one of the 797 pencils, which
+        # attains the margin; the dump runs the other 796 and no row twice
+        assert json.loads(out.read_text())["result"]["report"]["point_count"] == 797
+        assert [count for count, pencil in rows if pencil] == [796]
+        assert len(dump.read_text().splitlines()) == 798
+
     def test_construct_dump_grid(self, tmp_path):
         dump = tmp_path / "cert_grid.csv"
         code = main(
@@ -659,22 +700,32 @@ class TestConstructCommand:
 
 class TestDumpedEqualsUndumped:
     # a dump runs every row, the report without one only the rows that can
-    # attain each 3x3 minimum: the reports are equal but for the dump's name
+    # attain each 2x2 or 3x3 minimum (every row in 4-D): the reports are equal
+    # but for verify's name of its dump
     @pytest.mark.parametrize(
         "command, text",
-        [("verify", VERIFY_FULL_3D), ("construct", CONSTRUCT_3D)],
-        ids=["verify-full-field", "construct-ball"],
+        [
+            ("verify", VERIFY_OK),
+            ("verify", VERIFY_FULL_3D),
+            ("construct", CONSTRUCT_3D),
+            ("verify", VERIFY_FULL_4D),
+        ],
+        ids=["verify-diagonal-2d", "verify-full-field", "construct-ball", "verify-full-4d"],
     )
-    def test_3d_reports_match(self, tmp_path, command, text):
+    def test_reports_match(self, tmp_path, command, text):
         cfg, dump = write(tmp_path, text), tmp_path / "grid.csv"
         plain, dumped = tmp_path / "plain.json", tmp_path / "dumped.json"
         assert main([command, "--config", cfg, "--json", str(plain)]) == EXIT_OK
         argv = [command, "--config", cfg, "--dump-grid", str(dump), "--json", str(dumped)]
         assert main(argv) == EXIT_OK
         reports = [json.loads(strip_duration(p.read_text())) for p in (plain, dumped)]
-        assert reports[1]["result"].pop("dump_path", str(dump)) == str(dump)
+        named = reports[1]["result"].pop("dump_path", None)
+        assert named == (str(dump) if command == "verify" else None)
         assert reports[0] == reports[1]
-        assert len(dump.read_text().splitlines()) > 1000
+        result = reports[0]["result"]
+        points = result.get("report", result)["point_count"]
+        assert len(dump.read_text().splitlines()) == points + 1
+        assert points > 100
 
 
 class TestDumpNotWritten:

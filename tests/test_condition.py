@@ -629,6 +629,16 @@ class TestFactorSplit:
             assert np.array_equal(got, want)
 
 
+def _grid_case(dim):
+    """A field, a region and a weight that certifies on it: a diagonal 2-D
+    field, or a full 3-D one."""
+    if dim == 2:
+        return isotropic_exp_field(), offset_disk(), EXP_2D
+    box = [(1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)]
+    reg = region(3, box, ["(x1 - 2)^2 + x2^2 + x3^2 - 1"])
+    return FULL_3D, reg, weight_function("(x1^2 + x2^2 + x3^2)/2", 3)
+
+
 class TestGridProblem:
     def test_a_reused_problem_checks_as_a_fresh_one(self, tmp_path):
         f = isotropic_exp_field()
@@ -645,12 +655,7 @@ class TestGridProblem:
     def test_a_grid_of_some_points_dumps_their_rows_of_the_full_grid(self, tmp_path, dim):
         # each row of a check depends on its point alone, so a grid of every
         # other point of a sampled grid dumps those rows, bit for bit
-        if dim == 2:
-            field, reg, weight = isotropic_exp_field(), offset_disk(), EXP_2D
-        else:
-            field, weight = FULL_3D, weight_function("(x1^2 + x2^2 + x3^2)/2", 3)
-            box = [(1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)]
-            reg = region(3, box, ["(x1 - 2)^2 + x2^2 + x3^2 - 1"])
+        field, reg, weight = _grid_case(dim)
         grid = sample(reg, 9)
         GridProblem(field, grid).check(weight, tmp_path / "full.csv")
         part = SampleGrid(reg, 9, grid.points[::2])
@@ -658,6 +663,15 @@ class TestGridProblem:
         header, *rows = (tmp_path / "full.csv").read_text().splitlines()
         assert (tmp_path / "part.csv").read_text().splitlines() == [header, *rows[::2]]
         assert (report.resolution, report.point_count) == (9, len(rows[::2]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_dump_leaves_the_report_as_it_is(self, tmp_path, dim):
+        # the report does not name its dump: the CLI decides which reports do
+        field, reg, weight = _grid_case(dim)
+        problem = GridProblem(field, sample(reg, 9))
+        dumped = problem.check(weight, tmp_path / "grid.csv")
+        assert dumped == problem.check(weight) and dumped.certified
+        assert (tmp_path / "grid.csv").exists()
 
     def test_non_finite_multiplier_raises_at_first_point(self):
         f = build(["exp(x1^3 + x2^3)", "exp(x1^3 + x2^3)"], diagonal=True)

@@ -56,6 +56,12 @@ class TestSample:
         grid = sample(region(2, [(0.0, 1.0), (0.0, 1.0)]), 3)
         assert len(grid) == 9
 
+    def test_grids_compare_and_hash_as_themselves(self):
+        r = region(2, [(0.0, 1.0), (0.0, 1.0)])
+        grid, other = sample(r, 3), sample(r, 3)
+        assert grid != other and grid == grid
+        assert {grid: "a", other: "b"}[grid] == "a"
+
     def test_disk_filter_oracle(self):
         # oracle: enumerate the 9 tensor points of [-1.5, 1.5]^2 at
         # resolution 3 and keep those with x^2 + y^2 <= 2

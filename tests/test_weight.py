@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from wavecert.weight import (
     limit_matrix,
     pick_index,
     scaled_multiplier_matrix,
+    sign_margin,
     sign_ranges,
 )
 
@@ -743,6 +745,47 @@ class TestScaledAndLimitMatrices:
                     assert lim[i, j] == 0.0
         minors = leading_principal_minors(lim)
         assert np.allclose(minors, np.cumprod(np.diag(lim)), rtol=1e-12)
+
+
+def _case_callers():
+    """The functions that take an axis or a sign case, each as
+    ``call(axis, sign_case)`` on ``exp(x1 + x2)`` over the disk at (2, 0)."""
+    field, grid = isotropic_exp_field(), sample(offset_disk(), 9)
+    weight = construct_weight(1, "negative", 2.0, 1.0, 2)
+    ranges, point = sign_ranges(GridProblem(field, grid).da), (2.0, 0.0)
+    return {
+        "scaled_multiplier_matrix": lambda axis, case: scaled_multiplier_matrix(
+            field, weight, axis, case, point
+        ),
+        "sign_margin": lambda axis, case: sign_margin(ranges, 2, axis, case),
+        "compute_shift": lambda axis, case: compute_shift(grid, axis, case),
+        "limit_matrix": lambda axis, case: limit_matrix(field, axis, case, point),
+        "derivative_ratio_maxima": lambda axis, _: derivative_ratio_maxima(
+            weight, axis, grid.points
+        ),
+    }
+
+
+_CASE_FUNCTIONS = ("scaled_multiplier_matrix", "sign_margin", "compute_shift", "limit_matrix")
+
+
+@pytest.mark.parametrize(
+    "name, axis, sign_case",
+    [
+        (name, axis, "positive")
+        for name in _CASE_FUNCTIONS + ("derivative_ratio_maxima",)  # it takes no sign case
+        for axis in (0, 3)
+    ]
+    + [(name, 1, "Positive") for name in _CASE_FUNCTIONS],
+)
+def test_a_bad_axis_or_sign_case_is_rejected(name, axis, sign_case):
+    # each of these once read axis 0 as the last axis, or a misspelled case
+    # as one of the two
+    message = f"axis {axis} out of range for dimension 2"
+    if axis == 1:
+        message = f"unknown sign case {sign_case!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _case_callers()[name](axis, sign_case)
 
 
 LADDER = (5.0, 10.0, 20.0, 40.0, 80.0)
