@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .domain import SampleGrid
-from .expr import Expression, Num, compile, differentiate, parse
+from .expr import Num, compile, differentiate, parse
 from .linalg import eigen_bounds, min_eigenvalue, screened
 
 _ZERO = Num(0.0)
@@ -60,8 +60,8 @@ def build(entries, diagonal: bool) -> CoefficientField:
 
     ``entries`` holds the n diagonal entries for a diagonal field, otherwise
     the n(n+1)/2 upper-triangle entries in row-major order
-    (a11, a12, ..., a1n, a22, ...).  All first derivatives are precomputed
-    symbolically.
+    (a11, a12, ..., a1n, a22, ...), each taken by :func:`parse`.  All first
+    derivatives are precomputed symbolically.
     """
     entries = list(entries)
     if diagonal:
@@ -74,10 +74,7 @@ def build(entries, diagonal: bool) -> CoefficientField:
             raise ValueError(
                 f"{len(entries)} entries do not form an upper triangle of any size"
             )
-    parsed = [parse(e, n) if isinstance(e, str) else e for e in entries]
-    for e in parsed:
-        if not isinstance(e, Expression):
-            raise TypeError(f"entry {e!r} is not an expression")
+    parsed = [parse(e, n) for e in entries]
 
     grid_entries = [[_ZERO] * n for _ in range(n)]
     if diagonal:

@@ -79,10 +79,8 @@ class WeightFunction:
 
 
 def weight_function(expression, dim: int) -> WeightFunction:
-    """A WeightFunction of a weight expression, or of its text, parsed."""
-    if isinstance(expression, str):
-        expression = parse(expression, dim)
-    return WeightFunction(expression=expression, dim=dim)
+    """A WeightFunction of a weight expression or its text, taken by :func:`parse`."""
+    return WeightFunction(expression=parse(expression, dim), dim=dim)
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,10 @@ CLASS_SIGN_CHANGING = "sign_changing"
 CLASS_DEGENERATE = "degenerate"
 
 
-def _as_expr(e, dim=2):
-    return parse(e, dim) if isinstance(e, str) else e
-
-
 def curvature_closed_form_expression(a1, a2) -> Expression:
-    """Symbolic closed-form curvature for x1-only diagonal coefficients."""
-    a1 = _as_expr(a1)
-    a2 = _as_expr(a2)
+    """Symbolic closed-form curvature for x1-only diagonal coefficients,
+    each taken by :func:`parse` in two dimensions."""
+    a1, a2 = parse(a1, 2), parse(a2, 2)
     a1_x = differentiate(a1, 1)
     a2_x = differentiate(a2, 1)
     a2_xx = differentiate(a2_x, 1)
@@ -77,10 +73,9 @@ def gauss_curvature_expression(a1, a2) -> Expression:
     Orthogonal-metric formula: with E = a1, G = a2 and s = sqrt(E G),
     ``K = -(1/(2 s)) * (d/dx1 (G_x1 / s) + d/dx2 (E_x2 / s))``.
     Second derivatives of the coefficients enter through repeated symbolic
-    differentiation.
+    differentiation; each coefficient is taken by :func:`parse` in two dimensions.
     """
-    metric_e = _as_expr(a1)
-    metric_g = _as_expr(a2)
+    metric_e, metric_g = parse(a1, 2), parse(a2, 2)
     s = Call("sqrt", BinOp("*", metric_e, metric_g))
     term1 = differentiate(BinOp("/", differentiate(metric_g, 1), s), 1)
     term2 = differentiate(BinOp("/", differentiate(metric_e, 2), s), 2)

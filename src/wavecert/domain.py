@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RegionError
-from .expr import Expression, compile, differentiate, parse
+from .expr import compile, differentiate, parse
 from .linalg import row_sums
 
 # largest tensor grid ``sample`` builds (resolution ** dim points): 2**22 admits
@@ -127,13 +127,8 @@ class SampleGrid:
 
 
 def region(dim, box, constraints=(), margin=0.0) -> Region:
-    """Build a region, parsing any constraint given as text."""
-    parsed = tuple(
-        parse(c, dim) if isinstance(c, str) else c for c in constraints
-    )
-    for c in parsed:
-        if not isinstance(c, Expression):
-            raise RegionError(f"constraint {c!r} is not an expression")
+    """Build a region, each constraint taken by :func:`parse`."""
+    parsed = tuple(parse(c, dim) for c in constraints)
     return Region(dim=dim, box=tuple(tuple(b) for b in box), constraints=parsed, margin=margin)
 
 

@@ -14,13 +14,13 @@ class ParseError(WavecertError):
 
 
 class EvaluationError(WavecertError):
-    """Raised when an expression cannot be evaluated at a point."""
+    """Raised when an expression cannot be evaluated at a point; ``reason``
+    is the message without the point."""
 
     def __init__(self, message: str, point=None):
-        if point is not None:
-            message = f"{message} at point {tuple(float(v) for v in point)}"
-        super().__init__(message)
+        self.reason = message
         self.point = None if point is None else tuple(float(v) for v in point)
+        super().__init__(message if point is None else f"{message} at point {self.point}")
 
 
 class DomainError(EvaluationError):

@@ -233,11 +233,17 @@ def _make_power(base: Expression, exponent: Expression) -> Expression:
     return Call("exp", BinOp("*", exponent, Call("log", base)))
 
 
-def parse(text: str, dim: int) -> Expression:
-    """Parse ``text`` into an expression over at most ``dim`` variables."""
+def parse(source, dim: int) -> Expression:
+    """An expression over at most ``dim`` variables from ``source``: an
+    :class:`Expression` is returned as it is, text is parsed, and anything
+    else raises TypeError."""
+    if isinstance(source, Expression):
+        return source
+    if not isinstance(source, str):
+        raise TypeError(f"{source!r} is neither expression text nor an expression")
     if dim < 1:
         raise ParseError("dimension must be >= 1", 0)
-    return _Parser(text, dim).parse()
+    return _Parser(source, dim).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +390,6 @@ def powi(base: Expression, exponent: int) -> Expression:
     return Pow(base, exponent)
 
 
-def call(func: str, arg: Expression) -> Expression:
-    v = _lit(arg)
-    if v is not None:
-        if func == "exp" and v <= _EXP_MAX_ARG:
-            return _num(math.exp(v))
-        if func == "log" and v > 0.0:
-            return _num(math.log(v))
-        if func == "sqrt" and v > 0.0:
-            return _num(math.sqrt(v))
-        if func == "sin":
-            return _num(math.sin(v))
-        if func == "cos":
-            return _num(math.cos(v))
-    return Call(func, arg)
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -459,9 +449,9 @@ def _d(e: Expression, k: int, done: dict) -> Expression:
         if e.func == "sqrt":
             return div(da, mul(Num(2.0), e))
         if e.func == "sin":
-            return mul(da, call("cos", e.arg))
+            return mul(da, Call("cos", e.arg))
         if e.func == "cos":
-            return neg(mul(da, call("sin", e.arg)))
+            return neg(mul(da, Call("sin", e.arg)))
     raise TypeError(f"cannot differentiate node {e!r}")
 
 

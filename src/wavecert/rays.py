@@ -235,8 +235,7 @@ def _launch(flow: _Flow, x, xi0, horizon, step, store_paths):
     except EvaluationError as exc:  # the tapes read states (x, xi): name the position x
         if exc.point is None:
             raise
-        reason = str(exc).removesuffix(f" at point {exc.point}")
-        raise type(exc)(reason, exc.point[: flow.n]) from None
+        raise type(exc)(exc.reason, exc.point[: flow.n]) from None
     raise StepCollapseError(
         f"drift above {DRIFT_TOLERANCE:g} even after {_MAX_HALVINGS} step halvings"
     )

@@ -299,13 +299,14 @@ def find_lambda(
     attempt, as :meth:`GridProblem.check` writes it for the certificate's
     weight, which has the rate as a literal.
 
-    Raises :class:`LambdaMaxExceededError` (best failing report attached)
-    when the budget runs out, or before any attempt (with the
-    ``failed_coefficient`` report and no rate) when A is not positive
-    definite on the grid.  Raises :class:`WeightOverflowError` when the
-    weight's exponentials, or the multiplier matrices built from them, leave
-    double range first; translating the domain toward the origin shrinks the
-    exponent range in that case.  Before any attempt, raises what
+    Raises :class:`LambdaMaxExceededError` (best failing report attached,
+    built from the margins its attempt already computed) when the budget
+    runs out, or before any attempt (with the ``failed_coefficient`` report
+    and no rate) when A is not positive definite on the grid.  Raises
+    :class:`WeightOverflowError` (best failing report attached likewise) when
+    the weight's exponentials, or the multiplier matrices built from them,
+    leave double range first; translating the domain toward the origin
+    shrinks the exponent range in that case.  Before any attempt, raises what
     :func:`sample` raises when the re-check's grid cannot be sampled.
     """
     if lambda_max < 1:
@@ -319,16 +320,10 @@ def find_lambda(
             best_report=problem.coefficient_failure,
         )
     refined_grid = sample(grid.region, 2 * grid.resolution - 1, problem.consts)
-
-    def report_at(grid_problem, lam):  # the search weight's full report at rate lam
-        if grid_problem.coefficient_failure is not None:
-            return grid_problem.coefficient_failure
-        return grid_problem._report(grid_problem._margins(weight, {_RATE: lam}))
-
-    best_lam = best_margin = None  # the failing rate with the largest margin seen
+    best_lam = best = None  # the failing rate with the largest margin seen, and its margins
 
     def attempt(lam):
-        nonlocal best_lam, best_margin
+        nonlocal best_lam, best
         try:
             found = problem._margins(weight, {_RATE: lam})
         except (ExpOverflowError, DomainError) as exc:
@@ -344,12 +339,12 @@ def find_lambda(
             found.verdict == VERDICT_CERTIFIED
             and found.margin >= target_margin * problem.alpha_min
         )
-        if not passed and (best_lam is None or found.margin > best_margin):
-            best_lam, best_margin = lam, found.margin
+        if not passed and (best is None or found.margin > best.margin):
+            best_lam, best = lam, found
         return found, passed
 
     def best_report():  # not through attempt, which calls it: a cycle would hold the grid
-        return None if best_lam is None else report_at(problem, best_lam)
+        return None if best is None else problem._report(best)
 
     searched = rate_search(attempt, lambda_max)
     if searched is None:
@@ -357,7 +352,10 @@ def find_lambda(
             "lambda_max exceeded", best_report=best_report(), best_lambda=best_lam
         )
     lam_pass, found_pass = searched
-    refinement = report_at(GridProblem(problem.field, refined_grid, problem.consts), lam_pass)
+    refined = GridProblem(problem.field, refined_grid, problem.consts)
+    refinement = refined.coefficient_failure or refined._report(
+        refined._margins(weight, {_RATE: lam_pass})
+    )
 
     return WeightCertificate(
         axis=axis,

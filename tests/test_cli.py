@@ -64,6 +64,21 @@ resolution = 17
 threads = 1
 """
 
+# A = cos(4 pi (x1 - 1))^2 - 1/2 is positive on the 5-point search grid, and
+# -1/2 at x1 = 1.125 on the refined grid of 9
+CONSTRUCT_REFINED_NOT_DEFINITE = """
+[problem]
+A.diagonal = true
+A.entries = ["cos(12.566370614359172*(x1 - 1))^2 - 0.5"]
+
+[region]
+dim = 1
+box = [[1, 2]]
+
+[options]
+resolution = 5
+"""
+
 # a diagonal field that is not positive definite on the unit square
 CONSTRUCT_NOT_DEFINITE = """
 [problem]
@@ -399,12 +414,18 @@ class TestConstructCommand:
         assert "lambda" in stdout
 
     @pytest.mark.parametrize(
-        "name,verdict", [("isotropic-exp", "certified"), ("cubic-exp", "failed_positivity")]
+        "text,verdict,resolution",
+        [
+            (config_text("isotropic-exp"), "certified", 65),
+            (config_text("cubic-exp"), "failed_positivity", 65),
+            (CONSTRUCT_REFINED_NOT_DEFINITE, "failed_coefficient", 9),
+        ],
+        ids=["isotropic-exp-certified", "cubic-exp-failed_positivity", "1d-failed_coefficient"],
     )
-    def test_refinement_is_printed(self, tmp_path, capsys, name, verdict):
-        # the re-check of the certified weight on the 2r - 1 grid, r = 33
-        assert main(["construct", "--config", write(tmp_path, config_text(name))]) == EXIT_OK
-        assert f"\n  refinement: {verdict} at 65\n" in capsys.readouterr().out
+    def test_refinement_is_printed(self, tmp_path, capsys, text, verdict, resolution):
+        # the re-check of the certified weight on the 2r - 1 grid
+        assert main(["construct", "--config", write(tmp_path, text)]) == EXIT_OK
+        assert f"\n  refinement: {verdict} at {resolution}\n" in capsys.readouterr().out
 
     def test_no_admissible_index(self, tmp_path):
         out = tmp_path / "na.json"
@@ -827,6 +848,12 @@ class TestRaysCommand:
     def test_bad_ray_options_are_config_errors(self, tmp_path, edit, flags):
         text = RAYS_CFG if edit is None else RAYS_CFG.replace(*edit)
         assert main(["rays", "--config", write(tmp_path, text), *flags]) == EXIT_CONFIG
+
+    def test_step_collapse_is_numeric_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, config_text("disk-trap"))
+        assert main(["rays", "--config", cfg, "--step", "64", "--count", "4"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numeric error: drift above 1e-06 even after 8 step halvings\n"
 
     def test_start_where_a_is_not_positive_is_numeric_error(self, tmp_path, capsys):
         text = RAYS_CFG.replace('A.entries = ["1", "1"]', 'A.entries = ["x1", "x1"]')

@@ -4,6 +4,10 @@ import zlib
 import numpy as np
 import pytest
 
+from wavecert.coeff import build
+from wavecert.condition import weight_function
+from wavecert.curvature import curvature_closed_form_expression, gauss_curvature_expression
+from wavecert.domain import region
 from wavecert.errors import (
     DomainError,
     EvaluationError,
@@ -114,6 +118,38 @@ class TestParse:
         # grammar: factor := unary ('^' unary)?, so -x1^2 means (-x1)^2
         assert evaluate(parse("-x1^2", dim=1), (3.0,)) == pytest.approx(9.0)
 
+    def test_a_tree_is_returned_as_it_is(self):
+        tree = parse("1 + x1", dim=1)
+        assert parse(tree, dim=2) is tree
+
+    @pytest.mark.parametrize("source", [None, 1.5, b"x1", ["x1"]])
+    def test_anything_else_is_a_type_error(self, source):
+        with pytest.raises(TypeError, match="neither expression text nor an expression"):
+            parse(source, dim=1)
+
+
+# each builder of expressions, returning where it keeps the one it was given
+BUILDERS = {
+    "build": lambda e: build([e, "1"], diagonal=True).entries[0][0],
+    "region": lambda e: region(2, [(1, 3), (-1, 1)], [e]).constraints[0],
+    "weight_function": lambda e: weight_function(e, 2).expression,
+    "closed_form": lambda e: curvature_closed_form_expression(e, "1"),
+    "gauss": lambda e: gauss_curvature_expression("1", e),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_take_expressions_through_parse(name):
+    # every builder hands its expressions to parse, which alone tells text
+    # from a tree; a non-expression is rejected there, before any other use
+    make = BUILDERS[name]
+    tree = parse("2 + x1", dim=2)
+    if name not in ("closed_form", "gauss"):
+        assert make(tree) is tree
+        assert make("2 + x1") == tree
+    with pytest.raises(TypeError, match="neither expression text nor an expression"):
+        make(2.0)
+
 
 class TestRender:
     @pytest.mark.parametrize("dim,text,_box,_consts", CORPUS)
@@ -192,6 +228,12 @@ class TestRenderProperty:
 class TestEvaluate:
     def test_direct_arithmetic(self):
         assert evaluate(parse("1 + x1^2 + x2^2", 2), (1.0, 1.0)) == 3.0
+
+    def test_error_keeps_its_reason_apart_from_the_point(self):
+        with pytest.raises(DomainError) as err:
+            evaluate(parse("log(x1)", 1), (0.0,))
+        assert err.value.reason == "log of non-positive value"
+        assert str(err.value) == "log of non-positive value at point (0.0,)"
 
     def test_exp_zero(self):
         assert evaluate(parse("exp(mu1*x1)", 2), (0.0, 0.0), {"mu1": 0.5}) == 1.0

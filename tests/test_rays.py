@@ -10,7 +10,13 @@ from test_fuzz import coefficient, expression
 from wavecert import rays
 from wavecert.coeff import build
 from wavecert.domain import region
-from wavecert.errors import DomainError, EvaluationError, ExpOverflowError, RegionError
+from wavecert.errors import (
+    DomainError,
+    EvaluationError,
+    ExpOverflowError,
+    RegionError,
+    StepCollapseError,
+)
 from wavecert.rays import RayState, _Flow, fan, trace
 
 SQRT2 = math.sqrt(2.0)
@@ -195,6 +201,12 @@ class TestFan:
 
     def test_count_zero(self):
         assert fan(identity_field(), origin_disk(), (0.0, 0.0), 0, 1.0, 1e-2) == []
+
+    def test_a_step_too_long_to_halve_into_tolerance_collapses(self):
+        # eight halvings of a step of 64 still leave a step of 0.25, whose
+        # energy drift exceeds the tolerance on the trapping field
+        with pytest.raises(StepCollapseError, match="drift above 1e-06 even after 8 step halvings"):
+            fan(example_field(), origin_disk(), (0.0, 0.0), 4, 20.0, 64.0)
 
     @pytest.mark.parametrize("count", [0, 3])
     def test_arguments_checked_for_any_count(self, count):

@@ -332,6 +332,18 @@ class TestFindLambda:
                 search(GridProblem(cubic_exp_field(), sample(disk, 33)), 1, "positive")
         assert err.value.best_lambda is not None
 
+    def test_refinement_where_a_is_not_positive_is_failed_coefficient(self):
+        # A = cos(4 pi (x1 - 1))^2 - 1/2 is 1/2 at every point of the
+        # 5-point grid, but -1/2 at x1 = 1.125 on the refined grid of 9
+        f = build(["cos(12.566370614359172*(x1 - 1))^2 - 0.5"], diagonal=True)
+        problem = GridProblem(f, sample(region(1, [(1.0, 2.0)]), 5))
+        cert = find_lambda(problem, pick_index(sign_ranges(problem.da), 1))
+        assert cert.lam == 1.0 and cert.report.certified
+        refinement = cert.refinement_report
+        assert (refinement.verdict, refinement.resolution) == ("failed_coefficient", 9)
+        assert refinement.alpha_min == -0.5
+        assert refinement.worst_point_alpha == (1.125,)
+
     def test_one_dimensional_construction_certifies(self):
         f = build(["1 + x1^2"], diagonal=True)
         r = region(1, [(1.0, 2.0)])
@@ -496,6 +508,32 @@ class TestSearchWork:
         assert not full.certified
         assert repr(exc.best_report) == repr(full)
         assert exc.best_report == full
+
+    def test_best_failing_report_reuses_its_attempt(self, monkeypatch):
+        # the report of the best failing rate is built from the margins its
+        # attempt computed: every grid check is an attempt, on a rate once
+        from wavecert.bundled import config_text
+        from wavecert.cli import RunConfig
+
+        cfg = RunConfig.from_text(config_text("cubic-exp"))
+        problem = GridProblem(cfg.build_field(), sample(cfg.build_region(), 33))
+        rates, margins = [], GridProblem._margins
+
+        def attempt(self, weight, consts, **screen):
+            rates.append(consts["lambda"])
+            return margins(self, weight, consts, **screen)
+
+        monkeypatch.setattr(GridProblem, "_margins", attempt)
+        with pytest.raises(LambdaMaxExceededError) as err:
+            search(problem, lambda_max=8)
+        assert rates == [1.0, 2.0, 4.0, 8.0]
+        assert err.value.best_lambda in rates and not err.value.best_report.certified
+        disk = region(2, [(3.0, 5.0), (3.0, 5.0)], ["(x1 - 4)^2 + (x2 - 4)^2 - 1"])
+        problem, rates[:] = GridProblem(cubic_exp_field(), sample(disk, 33)), []
+        with pytest.raises(WeightOverflowError) as err:
+            search(problem, 1, "positive")
+        assert rates == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        assert err.value.best_lambda in rates[:-1] and not err.value.best_report.certified
 
     def test_field_not_definite_makes_no_attempt(self, monkeypatch):
         def refuse(*args, **kwargs):
