@@ -17,8 +17,6 @@ from .condition import (
     GridProblem,
     WeightFunction,
     multiplier_matrix,
-    multiplier_matrix_diagonal,
-    quadratic_form_matrix,
     weight_function,
 )
 from .curvature import (
@@ -70,9 +68,7 @@ __all__ = [
     "gauss_curvature_expression",
     "limit_matrix",
     "multiplier_matrix",
-    "multiplier_matrix_diagonal",
     "parse",
-    "quadratic_form_matrix",
     "render",
     "sample",
     "scaled_multiplier_matrix",

@@ -22,12 +22,9 @@ at the rows the check skipped.  A rate search runs only the part that
 decides the verdict on each attempt.
 
 A full field is assembled by matrix products summed in index order, a
-diagonal one entrywise (:func:`_terms`).  ``quadratic_form_matrix`` gives the
-unsymmetrized matrix of the quadratic form, whose symmetric part is twice
-the multiplier matrix.  ``multiplier_matrix_diagonal``, the constructive
-proof's form, drops the weight's mixed second derivatives; it matches the
-general path for every weight family this toolkit constructs.  A one-off
-check is ``GridProblem(field, sample(region, resolution)).check(weight)``.
+diagonal one entrywise (:func:`_terms`); :func:`multiplier_matrix` is that
+assembly at a point or a batch.  A one-off check is
+``GridProblem(field, sample(region, resolution)).check(weight)``.
 """
 
 from dataclasses import dataclass
@@ -35,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeff import CoefficientField, certify_positivity, require_diagonal
+from .coeff import CoefficientField, certify_positivity
 from .domain import SampleGrid
 from .errors import DomainError, EvaluationError
 from .expr import Expression, compile, differentiate, parse
@@ -85,12 +82,6 @@ def weight_function(expression, dim: int) -> WeightFunction:
 
 # ---------------------------------------------------------------------------
 # matrix assembly
-
-
-def _operands(field, weight, points, consts):
-    """A's assembly factors and the weight's gradient and Hessian at a point or a batch."""
-    a, da = field.values(points, consts), field.partial_values(points, consts)
-    return (_factors(a, da, field.diagonal), *weight.derivatives(points, consts))
 
 
 def _factors(a, da, diagonal):
@@ -158,40 +149,9 @@ def multiplier_matrix(
     assembly is symmetric up to rounding, and a final exact averaging with
     the transpose makes it symmetric.
     """
-    return _multiplier(*_operands(field, weight, point, consts), field.diagonal)
-
-
-def quadratic_form_matrix(
-    field: CoefficientField, weight: WeightFunction, point, consts=None
-) -> np.ndarray:
-    """Unsymmetrized coefficient matrix of the certified quadratic form.
-
-    Entry (i, j) is ``sum_{p,q} [2 a^{iq} (a^{pj} d_{x_p})_{x_q}
-    - da^{ij}/dx_q a^{pq} d_{x_p}]`` with the product rule expanded through
-    the symbolic derivatives.  Its symmetric part equals twice
-    :func:`multiplier_matrix`.
-    """
-    out, t_a, t_c = _terms(*_operands(field, weight, point, consts), field.diagonal)
-    out += t_a
-    out *= 2.0
-    out -= t_c
-    return out
-
-
-def multiplier_matrix_diagonal(
-    field: CoefficientField, weight: WeightFunction, point, consts=None
-) -> np.ndarray:
-    """Diagonal-field multiplier matrix in its specialized form.
-
-    ``0.5 * (a^i da^j/dx_i d_{x_j} + a^j da^i/dx_j d_{x_i})`` plus the
-    diagonal ``(a^i)^2 d_{x_i x_i} - 0.5 * sum_k a^k da^i/dx_k d_{x_k}``: the
-    diagonal assembly of :func:`multiplier_matrix` with the weight's mixed
-    second derivatives dropped, so the two agree whenever the weight has
-    none.
-    """
-    require_diagonal(field)
-    factors, grad, hess = _operands(field, weight, point, consts)
-    return _multiplier(factors, grad, hess * np.eye(field.dim), True)
+    a, da = field.values(point, consts), field.partial_values(point, consts)
+    grad, hess = weight.derivatives(point, consts)
+    return _multiplier(_factors(a, da, field.diagonal), grad, hess, field.diagonal)
 
 
 # ---------------------------------------------------------------------------

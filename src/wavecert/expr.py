@@ -199,20 +199,22 @@ class _Parser:
                 return Call(value, arg)
             m = _VAR_RE.match(value)
             if m:
-                index = int(m.group(1))
-                if index < 1:
-                    raise ParseError("variable index must be >= 1", offset)
-                if index > self.dim:
-                    raise ParseError(
-                        f"variable x{index} exceeds dimension {self.dim}", offset
-                    )
-                return Var(index)
+                return _variable(int(m.group(1)), self.dim, offset)
             return Const(value)
         if kind == "op" and value == "(":
             e = self.expr()
             self._expect_op(")")
             return e
         raise ParseError(f"unexpected token {value!r}", offset)
+
+
+def _variable(index: int, dim: int, offset: int) -> Var:
+    """``Var(index)``, or the ParseError at ``offset`` for an index outside 1..dim."""
+    if index < 1:
+        raise ParseError("variable index must be >= 1", offset)
+    if index > dim:
+        raise ParseError(f"variable x{index} exceeds dimension {dim}", offset)
+    return Var(index)
 
 
 def _integer_literal(e: Expression):
@@ -234,10 +236,17 @@ def _make_power(base: Expression, exponent: Expression) -> Expression:
 
 
 def parse(source, dim: int) -> Expression:
-    """An expression over at most ``dim`` variables from ``source``: an
-    :class:`Expression` is returned as it is, text is parsed, and anything
-    else raises TypeError."""
+    """An expression over at most ``dim`` variables from ``source``: text is
+    parsed, a tree checked and returned as it is, else TypeError is raised."""
     if isinstance(source, Expression):
+        stack, seen = [source], set()  # a loop, walking each shared subtree once
+        while stack:
+            e = stack.pop()
+            if id(e) not in seen:
+                seen.add(id(e))
+                if type(e) is Var:
+                    _variable(e.index, dim, 0)
+                stack.extend(getattr(e, f) for f in ("arg", "left", "right", "base") if hasattr(e, f))
         return source
     if not isinstance(source, str):
         raise TypeError(f"{source!r} is neither expression text nor an expression")
@@ -632,6 +641,8 @@ def compile(exprs) -> Tape:
             if t is Num:
                 slot = node(("num", float(e.value).hex()), e.value)
             elif t is Var:
+                if e.index < 1:
+                    raise EvaluationError(f"variable index must be >= 1, not {e.index}")
                 slot = node(("var", e.index - 1))
             elif t is Const:
                 slot = node(("const", e.name))

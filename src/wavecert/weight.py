@@ -35,7 +35,7 @@ from .condition import (
     ConditionReport,
     GridProblem,
     WeightFunction,
-    multiplier_matrix_diagonal,
+    multiplier_matrix,
     weight_function,
 )
 from .domain import SampleGrid, sample
@@ -385,11 +385,14 @@ def scaled_multiplier_matrix(
 
     Rows other than ``axis`` are divided by the weight's first partial along
     the axis (negated in the positive case so the scaling stays positive);
-    the axis row is divided by the axis second partial.  Exponential weights
-    make both divisors nonvanishing.
+    the axis row is divided by the axis second partial.  ``field`` must be
+    diagonal and ``weight`` without mixed second partials, as every
+    :func:`construct_weight` weight is; its exponentials make both divisors
+    nonvanishing.
     """
     _check_case(field.dim, axis, sign_case)
-    mats = multiplier_matrix_diagonal(field, weight, point, consts)
+    require_diagonal(field)
+    mats = multiplier_matrix(field, weight, point, consts)
     grad, hess = weight.derivatives(point, consts)
     j = axis - 1
     scale = np.repeat(grad[..., j, None], field.dim, axis=-1)

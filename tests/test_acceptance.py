@@ -18,8 +18,6 @@ from wavecert.coeff import build
 from wavecert.condition import (
     GridProblem,
     multiplier_matrix,
-    multiplier_matrix_diagonal,
-    quadratic_form_matrix,
     weight_function,
 )
 from wavecert.curvature import (
@@ -42,6 +40,7 @@ from wavecert.weight import (
     sign_ranges,
 )
 
+from test_ray_identity import TOLERANCE, ray_identity_gaps, rays_from
 from test_weight import search
 
 SQRT2 = math.sqrt(2.0)
@@ -106,7 +105,8 @@ def test_criterion_01_classical_multiplier_sanity():
 def test_criterion_02_assembly_identities():
     rng = np.random.default_rng(20250808)
     checked = 0
-    worst = 0.0
+    worst = ray_worst = 0.0
+    doubled = []
     for name in EXAMPLES:
         cfg = RunConfig.from_text(config_text(name))
         field = cfg.build_field()
@@ -125,16 +125,26 @@ def test_criterion_02_assembly_identities():
                 lam = float(rng.uniform(0.5, 2.5))
                 case = "positive" if k % 4 == 1 else "negative"
                 w = construct_weight(1, case, float(rng.uniform(4.0, 7.0)), lam, 2)
-            m = quadratic_form_matrix(field, w, pt, cfg.constants)
             b = multiplier_matrix(field, w, pt, cfg.constants)
-            bd = multiplier_matrix_diagonal(field, w, pt, cfg.constants)
-            worst = max(worst, rel_frobenius(0.5 * (m + m.T), 2.0 * b))
-            worst = max(worst, rel_frobenius(bd, b))
             worst = max(worst, rel_frobenius(multiplier_matrix(full, w, pt, cfg.constants), b))
             checked += 1
-    ok = worst < 1e-10 and checked == 400
+        # along rays from the box's center, d(grad d . A xi)/dt = xi^T M xi
+        center = [(low + high) / 2.0 for low, high in cfg.box]
+        gaps = ray_identity_gaps(field, w, *rays_from(center), cfg.constants)
+        ray_worst = max(ray_worst, gaps[0])
+        doubled.append(gaps[1])
+    ok = (
+        worst < 1e-10
+        and checked == 400
+        and ray_worst < TOLERANCE
+        and all(abs(gap - 0.5) < 0.01 for gap in doubled)
+    )
     report_line(
-        2, ok, f"{checked} random triples, worst relative gap {worst:.3e} < 1e-10"
+        2,
+        ok,
+        f"{checked} random triples, worst relative gap {worst:.3e} < 1e-10; "
+        f"ray identity gap {ray_worst:.3e} < {TOLERANCE:g}, "
+        f"{min(doubled):.3f}..{max(doubled):.3f} with M doubled",
     )
 
 

@@ -16,8 +16,6 @@ from wavecert.condition import (
     _multiplier,
     _terms,
     multiplier_matrix,
-    multiplier_matrix_diagonal,
-    quadratic_form_matrix,
     weight_function,
 )
 from wavecert.domain import SampleGrid, region, sample
@@ -67,7 +65,7 @@ def random_separable_weight(rng):
 
 
 def random_coupled_weight(rng):
-    """Quadratic weight with a mixed term; only the half-sum identity holds."""
+    """Quadratic weight with a mixed second partial."""
     a1, a2, c, b1 = (float(v) for v in rng.uniform(-2.0, 2.0, size=4))
     text = f"{a1!r}*x1^2/2 + {a2!r}*x2^2/2 + {c!r}*x1*x2 + {b1!r}*x1"
     return weight_function(text, 2)
@@ -109,11 +107,6 @@ HELPERS = [
     ),
     pytest.param(lambda p: multiplier_matrix(DIAGONAL_2D, EXP_2D, p), 2, id="multiplier-exp2"),
     pytest.param(lambda p: multiplier_matrix(FULL_3D, COUPLED_3D, p), 3, id="multiplier-full3"),
-    pytest.param(lambda p: quadratic_form_matrix(DIAGONAL_2D, EXP_2D, p), 2, id="form-diag2"),
-    pytest.param(lambda p: quadratic_form_matrix(FULL_3D, COUPLED_3D, p), 3, id="form-full3"),
-    pytest.param(
-        lambda p: multiplier_matrix_diagonal(DIAGONAL_2D, EXP_2D, p), 2, id="diagonal-diag2"
-    ),
     pytest.param(
         lambda p: scaled_multiplier_matrix(DIAGONAL_2D, EXP_2D, 1, "positive", p),
         2,
@@ -137,18 +130,22 @@ class TestMultiplierMatrix:
         assert np.allclose(b, np.diag([4.0, 9.0]), atol=1e-13)
 
     def test_dual_paths_agree_on_example_field(self):
+        # the entrywise diagonal assembly and the matrix products of the
+        # same field stated in full
         f = example_bad_field()
         w = quadratic_weight()
         general = multiplier_matrix(f, w, (1.0, 1.0))
-        diagonal = multiplier_matrix_diagonal(f, w, (1.0, 1.0))
-        assert rel_frobenius(general, diagonal) < 1e-10
         full = build(as_full(["1 + x1^2 + x2^2"] * 2), diagonal=False)
         assert rel_frobenius(general, multiplier_matrix(full, w, (1.0, 1.0))) < 1e-10
 
     def test_diagonal_path_requires_diagonal(self):
+        # the row-scaled matrix needs a diagonal field, and an axis out of
+        # range is reported first
         f = build(["2", "x1", "3"], diagonal=False)
         with pytest.raises(ValueError, match="requires a diagonal"):
-            multiplier_matrix_diagonal(f, quadratic_weight(), (1.0, 1.0))
+            scaled_multiplier_matrix(f, EXP_2D, 1, "positive", (1.0, 1.0))
+        with pytest.raises(ValueError, match="axis 3 out of range"):
+            scaled_multiplier_matrix(f, EXP_2D, 3, "positive", (1.0, 1.0))
 
     def test_hand_expanded_entries(self):
         # field 1 + |x|^2 at (1, 0) with weight d = x1: the only nonzero
@@ -157,16 +154,16 @@ class TestMultiplierMatrix:
         # -(1/2)*a*da/dx1 = -2 on the second, and zero off the diagonal
         f = example_bad_field()
         w = weight_function("x1", 2)
-        b = multiplier_matrix_diagonal(f, w, (1.0, 0.0))
+        b = multiplier_matrix(f, w, (1.0, 0.0))
         assert np.allclose(b, np.diag([2.0, -2.0]), atol=1e-13)
-        assert rel_frobenius(b, multiplier_matrix(f, w, (1.0, 0.0))) < 1e-10
+        full = build(as_full(["1 + x1^2 + x2^2"] * 2), diagonal=False)
+        assert rel_frobenius(b, multiplier_matrix(full, w, (1.0, 0.0))) < 1e-10
 
     def test_diagonal_path_matches_general_for_exponential_weight(self):
         f = isotropic_exp_field()
         w = construct_weight(axis=1, sign_case="positive", shift=5.0, lam=1.7, dim=2)
         pt = (0.0, 0.0)
         general = multiplier_matrix(f, w, pt)
-        assert rel_frobenius(general, multiplier_matrix_diagonal(f, w, pt)) < 1e-10
         full = build(as_full(["exp(x1 + x2)"] * 2), diagonal=False)
         assert rel_frobenius(general, multiplier_matrix(full, w, pt)) < 1e-10
 
@@ -198,32 +195,28 @@ class TestMultiplierMatrix:
 
 
 class TestQuadraticFormMatrix:
+    """The certified quadratic form's symmetric matrix, ``multiplier_matrix``,
+    on constant fields, where the weight's Hessian is all there is: exactly
+    A H A for the unit Hessian of ``(x1^2 + x2^2)/2``."""
+
     def test_identity_field(self):
-        m = quadratic_form_matrix(identity_field(), quadratic_weight(), (0.3, 0.4))
-        assert np.allclose(m, 2.0 * np.eye(2), atol=1e-14)
+        m = multiplier_matrix(identity_field(), quadratic_weight(), (0.3, 0.4))
+        assert np.array_equal(m, np.eye(2))
 
     def test_constant_field_diagonal_formula(self):
         f = build(["2", "3"], diagonal=True)
-        m = quadratic_form_matrix(f, quadratic_weight(), (0.3, 0.4))
-        assert np.allclose(m, 2.0 * np.diag([4.0, 9.0]), atol=1e-13)
-
-    def test_half_sum_identity_random_diagonal(self):
-        rng = np.random.default_rng(11)
-        f = example_bad_field()
-        for _ in range(20):
-            w = random_coupled_weight(rng)
-            pt = rng.uniform(-1.0, 1.0, size=2)
-            m = quadratic_form_matrix(f, w, pt)
-            b = multiplier_matrix(f, w, pt)
-            assert rel_frobenius(0.5 * (m + m.T), 2.0 * b) < 1e-10
+        m = multiplier_matrix(f, quadratic_weight(), (0.3, 0.4))
+        assert np.array_equal(m, np.diag([4.0, 9.0]))
 
 
 class TestQuadraticFormOracle:
     def test_matches_finite_difference_definition(self):
-        # independent oracle: entry (i, j) sums 2 a^{iq} (a^{pj} d_{x_p})_{x_q}
-        # minus da^{ij}/dx_q a^{pq} d_{x_p}, with the inner derivative taken
-        # by central differences of the evaluated product instead of the
-        # symbolic product-rule expansion the implementation uses
+        # independent oracle: entry (i, j) of the quadratic form's matrix sums
+        # 2 a^{iq} (a^{pj} d_{x_p})_{x_q} minus da^{ij}/dx_q a^{pq} d_{x_p},
+        # with the inner derivative taken by central differences of the
+        # evaluated product instead of the symbolic product-rule expansion
+        # the implementation uses; its symmetric part is twice the
+        # multiplier matrix
         from wavecert.expr import evaluate
 
         field = build(["2 + x1^2", "x1*x2/4", "3 + x2^2"], diagonal=False)
@@ -263,8 +256,8 @@ class TestQuadraticFormOracle:
                                 * grad_at[p - 1]
                             )
                     oracle[i - 1, j - 1] = total
-            m = quadratic_form_matrix(field, w, pt)
-            assert np.allclose(m, oracle, rtol=1e-6, atol=1e-6)
+            m = 2.0 * multiplier_matrix(field, w, pt)
+            assert np.allclose(m, 0.5 * (oracle + oracle.T), rtol=1e-6, atol=1e-6)
 
 
 class TestIdentities:
@@ -288,22 +281,8 @@ class TestIdentities:
                 shift = rng.uniform(4.0, 7.0)
                 case = "positive" if k % 4 == 1 else "negative"
                 w = construct_weight(1, case, shift, lam, 2)
-            m = quadratic_form_matrix(f, w, pt, consts)
             b = multiplier_matrix(f, w, pt, consts)
-            assert rel_frobenius(0.5 * (m + m.T), 2.0 * b) < 1e-10
-            bd = multiplier_matrix_diagonal(f, w, pt, consts)
-            assert rel_frobenius(bd, b) < 1e-10
             assert rel_frobenius(multiplier_matrix(full, w, pt, consts), b) < 1e-10
-
-    def test_half_sum_identity_general_field(self):
-        rng = np.random.default_rng(55)
-        f = build(["2 + x1^2", "x1*x2/4", "3 + x2^2"], diagonal=False)
-        for _ in range(25):
-            w = random_coupled_weight(rng)
-            pt = rng.uniform(-1.0, 1.0, size=2)
-            m = quadratic_form_matrix(f, w, pt)
-            b = multiplier_matrix(f, w, pt)
-            assert rel_frobenius(0.5 * (m + m.T), 2.0 * b) < 1e-10
 
 
 class TestCheckCondition:

@@ -122,6 +122,25 @@ class TestParse:
         tree = parse("1 + x1", dim=1)
         assert parse(tree, dim=2) is tree
 
+    def test_a_tree_has_its_variables_checked_as_text_does(self):
+        with pytest.raises(ParseError, match=r"variable x3 exceeds dimension 2 \(offset 0\)"):
+            build([parse("1 + x3^2", 3), "1"], diagonal=True)
+        with pytest.raises(ParseError, match="variable index must be >= 1"):
+            weight_function(BinOp("*", Var(0), Var(0)), 2)
+
+    def test_a_tree_is_checked_once_per_shared_node_without_recursion(self):
+        # 300 doublings share each half: 2^300 leaves, 301 distinct nodes;
+        # and a chain of negations deeper than the recursion limit
+        shared, deep = Var(1), Var(1)
+        for _ in range(300):
+            shared = BinOp("+", shared, shared)
+        for _ in range(2 * sys.getrecursionlimit()):
+            deep = Neg(deep)
+        for tree in (shared, deep):
+            assert parse(tree, 1) is tree
+            with pytest.raises(ParseError, match="variable x2 exceeds dimension 1"):
+                parse(BinOp("*", tree, Var(2)), 1)
+
     @pytest.mark.parametrize("source", [None, 1.5, b"x1", ["x1"]])
     def test_anything_else_is_a_type_error(self, source):
         with pytest.raises(TypeError, match="neither expression text nor an expression"):
@@ -360,6 +379,14 @@ class TestCompile:
             tape = compile(parse(text, 2))
             raised(lambda: tape(points, consts))
             assert tape.kernel(points, consts, np.empty((2, 1))) is None
+
+    def test_variable_below_x1_is_rejected_when_compiled(self):
+        # Var(0) would read a point's last column, though its derivative is
+        # zero in every variable; neither the tape nor its kernel is built
+        with pytest.raises(EvaluationError, match="variable index must be >= 1, not 0"):
+            evaluate(Var(0), (1.0, 2.0))
+        with pytest.raises(EvaluationError, match="variable index must be >= 1, not -1"):
+            compile([parse("x1", 2), BinOp("+", Var(1), Var(-1))])
 
     def test_kernel_leaves_finiteness_to_the_caller(self):
         tape = compile(parse("(10*x1)^400", 1))
