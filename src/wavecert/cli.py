@@ -564,8 +564,8 @@ def main(argv=None) -> int:
     except (ConfigError, RegionError, OSError, UnboundConstantError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RecursionError:  # parsing, differentiation and compile recurse
-        print("config error: expression nested too deeply to evaluate", file=sys.stderr)
+    except RecursionError:  # the text parser recurses once per nesting level
+        print("config error: expression nested too deeply to parse", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, WeightOverflowError, StepCollapseError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -26,6 +26,9 @@ structurally distinct node once over a whole batch of points; :func:`evaluate`
 runs a one-expression tape, a single point being a batch of one row.  For
 callers of many small batches, :attr:`Tape.kernel` is the same tape as one
 generated straight-line function.
+
+Only the text parser recurses: :func:`parse`'s tree check, :func:`differentiate`
+and :func:`compile` share one post-order loop, and still fail depth first.
 """
 
 import builtins
@@ -235,18 +238,40 @@ def _make_power(base: Expression, exponent: Expression) -> Expression:
     return Call("exp", BinOp("*", exponent, Call("log", base)))
 
 
+_WALKED = object()  # marks a node on the walk's stack whose operands are done
+
+
+def _walk(root: Expression, seen: set) -> list:
+    """Each node of ``root`` whose id is not in ``seen``, once, after its
+    operands, left before right; a negated literal is a leaf.  The ids walked
+    join ``seen``.  One loop, so no depth of tree recurses."""
+    order, stack = [], [root]
+    while stack:
+        e = stack.pop()
+        if e is _WALKED:  # the node under the mark has its operands walked
+            e = stack.pop()
+        elif id(e) in seen:
+            continue
+        else:
+            t = type(e)
+            if t is BinOp:
+                stack += (e, _WALKED, e.right, e.left)
+                continue
+            if t is Pow or t is Call or (t is Neg and type(e.arg) is not Num):
+                stack += (e, _WALKED, e.base if t is Pow else e.arg)
+                continue
+        seen.add(id(e))
+        order.append(e)
+    return order
+
+
 def parse(source, dim: int) -> Expression:
     """An expression over at most ``dim`` variables from ``source``: text is
     parsed, a tree checked and returned as it is, else TypeError is raised."""
     if isinstance(source, Expression):
-        stack, seen = [source], set()  # a loop, walking each shared subtree once
-        while stack:
-            e = stack.pop()
-            if id(e) not in seen:
-                seen.add(id(e))
-                if type(e) is Var:
-                    _variable(e.index, dim, 0)
-                stack.extend(getattr(e, f) for f in ("arg", "left", "right", "base") if hasattr(e, f))
+        for e in _walk(source, set()):
+            if type(e) is Var:
+                _variable(e.index, dim, 0)
         return source
     if not isinstance(source, str):
         raise TypeError(f"{source!r} is neither expression text nor an expression")
@@ -412,56 +437,41 @@ def differentiate(e: Expression, var_index: int) -> Expression:
     """
     if var_index < 1:
         raise ValueError("variable index must be >= 1")
-    return _d(e, var_index, {})
-
-
-def _d(e: Expression, k: int, done: dict) -> Expression:
-    """The derivative of ``e``; ``done`` maps the id of each binary node
-    already differentiated to its derivative, so a subtree shared along a
-    chain (a product's partial products in its derivative) is walked once."""
-    if id(e) in done:
-        return done[id(e)]
-    t = type(e)
-    if t is Num or t is Const:
-        return Num(0.0)
-    if t is Var:
-        return Num(1.0) if e.index == k else Num(0.0)
-    if t is Neg:
-        return neg(_d(e.arg, k, done))
-    if t is BinOp:  # the left spine in a loop, as long as a sum or product is
-        spine = []
-        while type(e) is BinOp and id(e) not in done:
-            spine.append(e)
-            e = e.left
-        d = _d(e, k, done)
-        for e in reversed(spine):  # d is the derivative of e.left
-            dr = _d(e.right, k, done)
-            if e.op in "+-":
-                d = (add if e.op == "+" else sub)(d, dr)
-            elif e.op == "*":
-                d = add(mul(d, e.right), mul(e.left, dr))
-            else:  # quotient rule; the folded numerator keeps literal zeros out
-                d = div(sub(mul(d, e.right), mul(e.left, dr)), powi(e.right, 2))
-            done[id(e)] = d
-        return d
-    if t is Pow:
-        n = e.exponent
-        if n == 0:
-            return Num(0.0)
-        return mul(mul(_num(float(n)), powi(e.base, n - 1)), _d(e.base, k, done))
-    if t is Call:
-        da = _d(e.arg, k, done)
-        if e.func == "exp":
-            return mul(da, e)
-        if e.func == "log":
-            return div(da, e.arg)
-        if e.func == "sqrt":
-            return div(da, mul(Num(2.0), e))
-        if e.func == "sin":
-            return mul(da, Call("cos", e.arg))
-        if e.func == "cos":
-            return neg(mul(da, Call("sin", e.arg)))
-    raise TypeError(f"cannot differentiate node {e!r}")
+    d = {}  # id(node) -> its derivative
+    for node in _walk(e, set()):
+        t = type(node)
+        if t is Const or _lit(node) is not None:
+            dn = Num(0.0)
+        elif t is Var:
+            dn = Num(1.0) if node.index == var_index else Num(0.0)
+        elif t is Neg:
+            dn = neg(d[id(node.arg)])
+        elif t is BinOp and node.op in "+-":
+            dn = (add if node.op == "+" else sub)(d[id(node.left)], d[id(node.right)])
+        elif t is BinOp and node.op == "*":
+            dn = add(mul(d[id(node.left)], node.right), mul(node.left, d[id(node.right)]))
+        elif t is BinOp:  # quotient rule; the folded numerator keeps literal zeros out
+            dl, dr = d[id(node.left)], d[id(node.right)]
+            dn = div(sub(mul(dl, node.right), mul(node.left, dr)), powi(node.right, 2))
+        elif t is Pow and node.exponent == 0:
+            dn = Num(0.0)
+        elif t is Pow:
+            n = node.exponent
+            dn = mul(mul(_num(float(n)), powi(node.base, n - 1)), d[id(node.base)])
+        elif t is Call and node.func == "exp":
+            dn = mul(d[id(node.arg)], node)
+        elif t is Call and node.func == "log":
+            dn = div(d[id(node.arg)], node.arg)
+        elif t is Call and node.func == "sqrt":
+            dn = div(d[id(node.arg)], mul(Num(2.0), node))
+        elif t is Call and node.func == "sin":
+            dn = mul(d[id(node.arg)], Call("cos", node.arg))
+        elif t is Call and node.func == "cos":
+            dn = neg(mul(d[id(node.arg)], Call("sin", node.arg)))
+        else:
+            raise TypeError(f"cannot differentiate node {node!r}")
+        d[id(node)] = dn
+    return d[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +631,8 @@ def compile(exprs) -> Tape:
     table = np.array(exprs, dtype=object)  # nodes are not sequences, so they stay cells
     flat, shape = table.ravel().tolist(), table.shape
     slots = {}  # structural key -> slot
-    seen = {}  # id(node) -> slot; every node stays alive in ``flat``
-    code, literals = [], []
+    slot_of = {}  # id(node) -> slot; every node stays alive in ``flat``
+    seen, code, literals, outputs, ends = set(), [], [], [], []
 
     def node(key, literal=None):
         slot = slots.get(key)
@@ -634,47 +644,33 @@ def compile(exprs) -> Tape:
                 code.append((key[0], slot, key[1], key[2] if len(key) > 2 else None))
         return slot
 
-    def visit(e):
-        slot = seen.get(id(e))
-        if slot is None:
+    for root in flat:
+        for e in _walk(root, seen):
             t = type(e)
-            if t is Num:
-                slot = node(("num", float(e.value).hex()), e.value)
+            v = _lit(e)
+            if v is not None:  # a literal, or exactly the negative of one
+                slot = node(("num", float(v).hex()), v)
             elif t is Var:
                 if e.index < 1:
                     raise EvaluationError(f"variable index must be >= 1, not {e.index}")
                 slot = node(("var", e.index - 1))
             elif t is Const:
                 slot = node(("const", e.name))
-            elif t is Neg and type(e.arg) is Num:  # a negative literal, exactly
-                v = -e.arg.value
-                slot = node(("num", float(v).hex()), v)
             elif t is Neg:
-                slot = node(("neg", visit(e.arg)))
-            elif t is BinOp:  # the left spine in a loop, as long as a sum or product is
-                spine = []
-                while type(e) is BinOp and id(e) not in seen:
-                    spine.append(e)
-                    e = e.left
-                slot = visit(e)
-                for e in reversed(spine):
-                    slot = seen[id(e)] = node((e.op, slot, visit(e.right)))
+                slot = node(("neg", slot_of[id(e.arg)]))
+            elif t is BinOp:
+                slot = node((e.op, slot_of[id(e.left)], slot_of[id(e.right)]))
             elif t is Pow:
                 k = float(e.exponent)
                 op = "^" if k >= 0 else "^-"
-                slot = node((op, visit(e.base), node(("num", k.hex()), k)))
+                slot = node((op, slot_of[id(e.base)], node(("num", k.hex()), k)))
             elif t is Call:
-                slot = node((e.func, visit(e.arg)))
+                slot = node((e.func, slot_of[id(e.arg)]))
             else:
                 raise TypeError(f"cannot evaluate node {e!r}")
-            seen[id(e)] = slot
-        return slot
-
-    outputs, ends = [], []
-    for e in flat:
-        outputs.append(visit(e))
+            slot_of[id(e)] = slot
+        outputs.append(slot_of[id(root)])
         ends.append(len(code))
-    del visit  # it refers to itself
     last_use = {
         s: i for i, (op, _, a, b) in enumerate(code) if op not in ("var", "const") for s in (a, b)
     }

@@ -414,9 +414,9 @@ def limit_matrix(
     * entry (i, i), i != axis, is ``s/2 * a^axis * da^i/dx_axis``,
     * entry (i, axis), i != axis, is ``-s/2 * a^i * da^axis/dx_i``.
     """
-    require_diagonal(field)
     n = field.dim
     _check_case(n, axis, sign_case)
+    require_diagonal(field)
     idx = np.arange(n)
     a = field.values(point, consts)[..., idx, idx]
     da = field.partial_values(point, consts)[..., idx, idx, :]

@@ -127,19 +127,40 @@ class TestParse:
             build([parse("1 + x3^2", 3), "1"], diagonal=True)
         with pytest.raises(ParseError, match="variable index must be >= 1"):
             weight_function(BinOp("*", Var(0), Var(0)), 2)
+        for source in ("x3 + x4", BinOp("+", Var(3), Var(4))):  # the first bad one is named
+            with pytest.raises(ParseError, match="variable x3 exceeds dimension 2"):
+                parse(source, 2)
 
     def test_a_tree_is_checked_once_per_shared_node_without_recursion(self):
         # 300 doublings share each half: 2^300 leaves, 301 distinct nodes;
-        # and a chain of negations deeper than the recursion limit
-        shared, deep = Var(1), Var(1)
+        # and chains of negations, right operands and exponentials deeper
+        # than the recursion limit.  parse, differentiate and compile each
+        # walk a tree in one loop, a shared node once
+        depth = 2 * sys.getrecursionlimit()
+        shared, negations, rights, exps = Var(1), Var(1), Var(1), Var(1)
         for _ in range(300):
             shared = BinOp("+", shared, shared)
-        for _ in range(2 * sys.getrecursionlimit()):
-            deep = Neg(deep)
-        for tree in (shared, deep):
+        for _ in range(depth):
+            negations, rights = Neg(negations), BinOp("+", Var(1), rights)
+            exps = Call("exp", exps)
+        for tree in (shared, negations, rights, exps):
             assert parse(tree, 1) is tree
             with pytest.raises(ParseError, match="variable x2 exceeds dimension 1"):
                 parse(BinOp("*", tree, Var(2)), 1)
+        for tree, slope, size in ((shared, 2.0**300, 301), (negations, 1.0, depth + 1),
+                                  (rights, depth + 1.0, depth + 1)):
+            assert differentiate(tree, 1) == Num(slope)
+            assert compile(tree).size == size
+            assert compile([tree, differentiate(tree, 1)])((1.0,)).tolist() == [slope, slope]
+        # the chain rule multiplies each exponential into the one below:
+        # depth exponentials, x1 and depth - 1 products
+        assert compile([exps, differentiate(exps, 1)]).size == 2 * depth
+        # a field and a weight of such a tree build and evaluate
+        field, point = build([negations, "1"], diagonal=True), np.array([3.0, 1.0])
+        assert field.values(point).tolist() == [[3.0, 0.0], [0.0, 1.0]]
+        assert field.partial_values(point)[0, 0].tolist() == [1.0, 0.0]
+        grad, hess = weight_function(BinOp("*", negations, Var(2)), 2).derivatives(point)
+        assert grad.tolist() == [1.0, 3.0] and hess.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     @pytest.mark.parametrize("source", [None, 1.5, b"x1", ["x1"]])
     def test_anything_else_is_a_type_error(self, source):
@@ -410,6 +431,19 @@ class TestCompile:
         assert np.copysign(1.0, zero(np.zeros(1))) == -1.0
         assert len(compile([Neg(Num(0.0)), Num(0.0)]).literals) == 2
 
+    def test_walk_order_is_pinned(self):
+        # operands before their node, left before right, one expression
+        # after another; a shared node keeps its first slot, a negated
+        # literal is a literal and an exponent a literal after its base
+        tape = compile([parse("exp(x2)/x1^2 - -2*c", 2), parse("-x1 + exp(x2)", 2)])
+        assert [(op, slot, a, b) for op, _, _, slot, a, b, _ in tape.code] == [
+            ("var", 0, 1, None), ("exp", 1, 0, None), ("var", 2, 0, None), ("^", 4, 2, 3),
+            ("/", 5, 1, 4), ("const", 7, "c", None), ("*", 8, 6, 7), ("-", 9, 5, 8),
+            ("neg", 10, 2, None), ("+", 11, 10, 1),
+        ]
+        assert tape.literals == ((3, 2.0), (6, -2.0))
+        assert (tape.outputs, tape.ends, tape.size) == ((9, 11), (8, 10), 12)
+
     def test_error_after_a_negative_literal(self):
         pts = np.array([[1.0], [0.0], [-1.0]])
         want = (DomainError, "log of non-positive value at point (0.0,)", (0.0,))
@@ -508,7 +542,7 @@ class TestDifferentiate:
         assert differentiate(parse("mu1*mu2", 1), 1) == Num(0.0)
 
     def test_chains_match_the_recursive_rules(self):
-        # a chain of + - * / is walked along its left spine in a loop; on short
+        # a chain of + - * / is differentiated in one post-order loop; on short
         # chains it gives the tree that recursing on both sides of each node
         # gives, by the sum, product and quotient rules
         def reference(e, k):

@@ -10,6 +10,8 @@ partials with no code shared with the assembly, and ``dg/dt`` is
 central-differenced along each path.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,12 @@ from wavecert.bundled import EXAMPLES, config_text
 from wavecert.cli import RunConfig
 from wavecert.coeff import build
 from wavecert.condition import multiplier_matrix, weight_function
+from wavecert.domain import sample
 from wavecert.rays import _Flow
+from wavecert.weight import SIGN_NEGATIVE, SIGN_POSITIVE, compute_shift, construct_weight
 
 from test_cli import FULL_3D_ENTRIES
+from test_fuzz import lattice_config
 
 # each ray moves about this far per step: the time step scales with
 # 1/speed, which is about 9e6 at the center of cubic-exp's box, where A's
@@ -27,6 +32,7 @@ from test_cli import FULL_3D_ENTRIES
 STEP_LENGTH = 1e-4
 STEPS = 100
 TOLERANCE = 1e-5
+COVECTORS_3D = [(1.0, 0.0, 0.0), (0.0, 0.6, -0.8), (0.48, 0.6, 0.64)]
 
 
 def ray_identity_gaps(field, weight, starts, covectors, consts=None):
@@ -71,9 +77,8 @@ def test_diagonal_field_exponential_weight():
 
 def test_full_3d_field_with_a_mixed_second_partial():
     weight = weight_function("(x1^2 + x2^2 + x3^2)/2 + x1*x2/3", 3)
-    covectors = [(1.0, 0.0, 0.0), (0.0, 0.6, -0.8), (0.48, 0.6, 0.64)]
     field = build(FULL_3D_ENTRIES, diagonal=False)  # verify-3d's field
-    assert_identity(field, weight, [(2.0, 0.1, -0.2)] * 3, covectors)
+    assert_identity(field, weight, [(2.0, 0.1, -0.2)] * 3, COVECTORS_3D)
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
@@ -82,3 +87,25 @@ def test_bundled_field(name):
     weight = weight_function("(x1^2 + x2^2)/2 + x1*x2/3", 2)
     center = [(low + high) / 2.0 for low, high in cfg.box]
     assert_identity(cfg.build_field(), weight, *rays_from(center), cfg.constants)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["quadratic", "constructed"])
+def test_fuzz_field(kind, dim, seed):
+    # the fuzz suite's searchable fields, exp(+-c (x1^3 + ... + xn^3)) on a
+    # ball off the axes, with a weight with a mixed second partial or the
+    # rate search's exponential weight, its axis and sign case by seed
+    cfg = RunConfig.from_text(lattice_config(random.Random(f"{seed}/{dim}"), dim))
+    if kind == "quadratic":
+        squares = " + ".join(f"x{k}^2" for k in range(1, dim + 1))
+        weight = weight_function(f"({squares})/2 + x1*x2/3", dim)
+    else:
+        axis, case = 1 + seed % dim, (SIGN_NEGATIVE, SIGN_POSITIVE)[seed % 2]
+        shift = compute_shift(sample(cfg.build_region(), cfg.options["resolution"]), axis, case)
+        weight = construct_weight(axis, case, shift, 2.0, dim)
+    center = [(low + high) / 2.0 for low, high in cfg.box]
+    if dim == 2:
+        assert_identity(cfg.build_field(), weight, *rays_from(center))
+    else:
+        assert_identity(cfg.build_field(), weight, [center] * 3, COVECTORS_3D)

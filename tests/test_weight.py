@@ -742,9 +742,12 @@ class TestScaledAndLimitMatrices:
         assert leading_principal_minors(lim)[-1] == 0.0
 
     def test_limit_matrix_requires_diagonal(self):
+        # as for the row-scaled matrix, an axis out of range is reported first
         f = build(["2", "x1", "3"], diagonal=False)
         with pytest.raises(ValueError, match="requires a diagonal"):
             limit_matrix(f, 1, "negative", (0.4, 0.4))
+        with pytest.raises(ValueError, match="axis 5 out of range"):
+            limit_matrix(f, 5, "negative", (0.4, 0.4))
 
     def test_scaled_rows_converge_to_limit_constant_field(self):
         f = build(["2", "3"], diagonal=True)
