@@ -318,9 +318,7 @@ def ray_summary_dict(outcomes) -> dict:
             {
                 "index": idx,
                 "outcome": o.label,
-                "escape_time": o.escape_time
-                if o.escaped
-                else "trapped_until_horizon",
+                "escape_time": o.escape_time if o.escaped else "trapped_until_horizon",
                 "min_boundary_distance": o.min_boundary_distance,
                 "drift": o.hamiltonian_drift,
                 "step": o.step_used,
@@ -379,9 +377,7 @@ def run_construct(cfg: RunConfig, dump_path=None):
             "shift": compute_shift(grid, chosen.axis, chosen.sign_case),
             "lambda_max": cfg.options["lambda_max"],
             "best_lambda": exc.best_lambda,
-            "best_report": None
-            if exc.best_report is None
-            else asdict(exc.best_report),
+            "best_report": asdict(exc.best_report),
         }
         return EXIT_NOT_CERTIFIED, "lambda_max_exceeded", result
     return EXIT_OK, "certified", certificate_dict(cert)
@@ -403,16 +399,10 @@ def run_curvature(cfg: RunConfig, dump_path=None):
 
 
 def run_rays(cfg: RunConfig, dump_path=None):
-    field = cfg.build_field()
-    reg = cfg.build_region()
+    options = cfg.options
     outcomes = fan(
-        field,
-        reg,
-        cfg.options["center"],
-        cfg.options["count"],
-        cfg.options["horizon"],
-        cfg.options["step"],
-        consts=cfg.constants,
+        cfg.build_field(), cfg.build_region(), options["center"], options["count"],
+        options["horizon"], options["step"], consts=cfg.constants,
         store_paths=dump_path is not None,
     )
     if dump_path is not None:
@@ -423,8 +413,7 @@ def run_rays(cfg: RunConfig, dump_path=None):
         points = np.vstack(paths + [np.empty((0, cfg.dim))])  # empty fan: no rows
         header = ["ray", "t_index"] + [f"x{k}" for k in range(1, cfg.dim + 1)]
         write_csv(dump_path, header, [ray, t_index, points])
-    summary = ray_summary_dict(outcomes)
-    return EXIT_OK, "traced", summary
+    return EXIT_OK, "traced", ray_summary_dict(outcomes)
 
 
 _COMMANDS = {  # subcommand -> (help, runner of a RunConfig)

@@ -60,8 +60,9 @@ def build(entries, diagonal: bool) -> CoefficientField:
 
     ``entries`` holds the n diagonal entries for a diagonal field, otherwise
     the n(n+1)/2 upper-triangle entries in row-major order
-    (a11, a12, ..., a1n, a22, ...), each taken by :func:`parse`.  All first
-    derivatives are precomputed symbolically.
+    (a11, a12, ..., a1n, a22, ...), each taken by :func:`parse`.  Once all
+    are parsed, each is placed in both symmetric slots and differentiated once
+    there, so a shared entry shares its partials; other slots hold zeros.
     """
     entries = list(entries)
     if diagonal:
@@ -69,42 +70,22 @@ def build(entries, diagonal: bool) -> CoefficientField:
         if n < 1:
             raise ValueError("a diagonal field needs at least one entry")
     else:
-        n = int(round((math.sqrt(8 * len(entries) + 1) - 1) / 2))
+        n = (math.isqrt(8 * len(entries) + 1) - 1) // 2
         if n * (n + 1) // 2 != len(entries) or n < 1:
-            raise ValueError(
-                f"{len(entries)} entries do not form an upper triangle of any size"
-            )
-    parsed = [parse(e, n) for e in entries]
-
+            raise ValueError(f"{len(entries)} entries do not form an upper triangle of any size")
+    parsed = iter([parse(e, n) for e in entries])
     grid_entries = [[_ZERO] * n for _ in range(n)]
-    if diagonal:
-        for i in range(n):
-            grid_entries[i][i] = parsed[i]
-    else:
-        it = iter(parsed)
-        for i in range(n):
-            for j in range(i, n):
-                e = next(it)
-                grid_entries[i][j] = e
-                grid_entries[j][i] = e
-
-    zero_partials = tuple(Num(0.0) for _ in range(n))
-    partials = [[None] * n for _ in range(n)]
+    partials = [[(_ZERO,) * n] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            e = grid_entries[i][j]
-            if e is _ZERO:
-                ps = zero_partials
-            else:
-                ps = tuple(differentiate(e, k) for k in range(1, n + 1))
-            partials[i][j] = ps
-            partials[j][i] = ps
-
+        for j in [i] if diagonal else range(i, n):
+            e = next(parsed)
+            grid_entries[i][j] = grid_entries[j][i] = e
+            partials[i][j] = partials[j][i] = tuple(differentiate(e, k) for k in range(1, n + 1))
     return CoefficientField(
         dim=n,
         diagonal=diagonal,
-        entries=tuple(tuple(row) for row in grid_entries),
-        partials=tuple(tuple(row) for row in partials),
+        entries=tuple(map(tuple, grid_entries)),
+        partials=tuple(map(tuple, partials)),
     )
 
 

@@ -239,6 +239,7 @@ def _make_power(base: Expression, exponent: Expression) -> Expression:
 
 
 _WALKED = object()  # marks a node on the walk's stack whose operands are done
+_NODES = (Num, Var, Const, Neg, BinOp, Pow, Call)
 
 
 def _walk(root: Expression, seen: set) -> list:
@@ -272,6 +273,8 @@ def parse(source, dim: int) -> Expression:
         for e in _walk(source, set()):
             if type(e) is Var:
                 _variable(e.index, dim, 0)
+            elif type(e) not in _NODES:
+                raise TypeError(f"{type(e).__name__} is not an expression node")
         return source
     if not isinstance(source, str):
         raise TypeError(f"{source!r} is neither expression text nor an expression")
@@ -295,8 +298,8 @@ def render(e: Expression) -> str:
 
     One loop over a stack of text pieces and (node, level) pairs, the levels
     being the grammar's sum, product, power, negation and atom: a node that
-    does not fit its level drops to the next, and a compound atom is
-    parenthesized.  No depth of tree recurses."""
+    does not fit its level drops to the next, a compound atom is parenthesized
+    and a node of another type is a TypeError.  No depth of tree recurses."""
     out, stack = [], [(e, 0)]
     while stack:
         item = stack.pop()
@@ -322,8 +325,10 @@ def render(e: Expression) -> str:
             parts = [e.name]
         elif isinstance(e, Call):
             parts = [f"{e.func}(", (e.arg, 0), ")"]
-        else:
+        elif isinstance(e, (BinOp, Pow)):
             parts = ["(", (e, 0), ")"]
+        else:
+            raise TypeError(f"cannot render node of type {type(e).__name__}")
         stack.extend(reversed(parts))
     return "".join(out)
 
@@ -469,7 +474,7 @@ def differentiate(e: Expression, var_index: int) -> Expression:
         elif t is Call and node.func == "cos":
             dn = neg(mul(d[id(node.arg)], Call("sin", node.arg)))
         else:
-            raise TypeError(f"cannot differentiate node {node!r}")
+            raise TypeError(f"cannot differentiate node of type {type(node).__name__}")
         d[id(node)] = dn
     return d[id(e)]
 
@@ -667,7 +672,7 @@ def compile(exprs) -> Tape:
             elif t is Call:
                 slot = node((e.func, slot_of[id(e.arg)]))
             else:
-                raise TypeError(f"cannot evaluate node {e!r}")
+                raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
             slot_of[id(e)] = slot
         outputs.append(slot_of[id(root)])
         ends.append(len(code))

@@ -285,6 +285,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad JSON"):
             parse_config_text("[region]\ndim = two\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[problem]\nA.diagonal\n", "line 2: expected 'key = value'"),
+            ("A.diagonal = true\n[problem]\n", "line 1: key outside any section"),
+        ],
+    )
+    def test_malformed_line(self, tmp_path, capsys, text, message):
+        assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="missing"):
             RunConfig.from_text("[problem]\nA.diagonal = true\n")
@@ -582,6 +593,8 @@ class TestConstructCommand:
                 ["--force-j", "1"],
                 (1, "positive", 3.6516504294495533, 1.0, -391.34958040780305),
             ),
+            # rate 1 runs first, so a budget of 1 still reports a failing attempt
+            ("cubic-exp", ["--lambda-max", "1"], (1, "positive", 7.0, 1.0, -2.3028231689242316e20)),
         ],
     )
     def test_lambda_max_exceeded_result(self, tmp_path, name, flags, want):
@@ -594,6 +607,7 @@ class TestConstructCommand:
         result = report["result"]
         got = (result["axis"], result["sign_case"], result["shift"], result["best_lambda"])
         assert (*got, result["best_report"]["margin"]) == want
+        assert result["best_report"]["verdict"] == "failed_positivity"
 
     def test_construct_measures_the_sign_ranges_once(self, tmp_path, monkeypatch):
         import wavecert.cli as cli
@@ -849,6 +863,15 @@ class TestRaysCommand:
         text = RAYS_CFG if edit is None else RAYS_CFG.replace(*edit)
         assert main(["rays", "--config", write(tmp_path, text), *flags]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "edit,flags", [(("center = [0, 0]", "center = [0.5]"), []), (None, ["--center", "0.5,0,0"])]
+    )
+    def test_center_of_another_dimension_is_a_config_error(self, tmp_path, capsys, edit, flags):
+        text = RAYS_CFG if edit is None else RAYS_CFG.replace(*edit)
+        assert main(["rays", "--config", write(tmp_path, text), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: center dimension does not match the region\n"
+
     def test_step_collapse_is_numeric_error(self, tmp_path, capsys):
         cfg = write(tmp_path, config_text("disk-trap"))
         assert main(["rays", "--config", cfg, "--step", "64", "--count", "4"]) == EXIT_NUMERIC
@@ -992,6 +1015,29 @@ class TestExitCodeContract:
         assert main(["curvature", "--config", write(tmp_path, text)]) == EXIT_CONFIG
         assert "config error: bad coefficient entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                '[problem]\nA.diagonal = true\nA.entries = ["1", "1", "1"]\n'
+                "[region]\ndim = 3\nbox = [[1, 3], [-1, 1], [-1, 1]]\n",
+                "curvature comparison is two-dimensional",
+            ),
+            (
+                VERIFY_OK.replace(
+                    'true\nA.entries = ["1", "1"]', 'false\nA.entries = ["1", "0", "1"]'
+                ),
+                "curvature needs two diagonal coefficient entries",
+            ),
+        ],
+        ids=["three-dimensional", "full"],
+    )
+    def test_curvature_takes_a_two_dimensional_diagonal_field(
+        self, tmp_path, capsys, text, message
+    ):
+        assert main(["curvature", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "name,flags,code",
@@ -1106,6 +1152,9 @@ class TestExitCodeContract:
             ("A.entries = null", "[problem] is missing 'A.entries'"),
             ("dim = null", "[region] is missing 'dim'"),
             ("box = null", "[region] is missing 'box'"),
+            # an expression string that does not parse in the region's dimension
+            ('weight = "x1 +"', "bad weight expression: unexpected token '' (offset 4)"),
+            ('weight = "x3"', "bad weight expression: variable x3 exceeds dimension 2 (offset 0)"),
         ],
     )
     def test_problem_values_of_the_wrong_type(self, tmp_path, capsys, line, message):

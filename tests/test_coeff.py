@@ -6,6 +6,7 @@ import pytest
 
 from wavecert.coeff import build, certify_positivity
 from wavecert.domain import region, sample
+from wavecert.expr import Num, differentiate, parse
 from wavecert.linalg import (
     SCREENED,
     _scaled,
@@ -72,6 +73,38 @@ class TestBuild:
         f = build(["2", "x1*x2", "3"], diagonal=False)
         mats = f.values(np.array([[0.4, 0.9], [1.2, -0.3]]))
         assert np.array_equal(mats, np.swapaxes(mats, -1, -2))
+
+    def test_full_layout_is_the_upper_triangle_in_row_order(self):
+        # a11, a12, a13, a22, a23, a33: each entry and its partials fill both
+        # symmetric slots, shared
+        texts = ["x1", "x2", "x3", "x1*x2", "x2*x3", "x1*x3"]
+        f = build(texts, diagonal=False)
+        slots = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        for text, (i, j) in zip(texts, slots):
+            assert f.entries[i][j] == parse(text, 3)
+            assert f.entries[i][j] is f.entries[j][i]
+            assert f.partials[i][j] is f.partials[j][i]
+            assert f.partials[i][j] == tuple(differentiate(f.entries[i][j], k) for k in (1, 2, 3))
+
+    def test_diagonal_field_is_zero_off_the_diagonal(self):
+        texts = ["1 + x1^2", "2 + x2", "3 + x3"]
+        f = build(texts, diagonal=True)
+        for i, text in enumerate(texts):
+            assert f.entries[i][i] == parse(text, 3)
+            for j in range(3):
+                if j != i:
+                    assert f.entries[i][j] == Num(0.0)
+                    assert f.partials[i][j] == (Num(0.0),) * 3
+
+    def test_diagonal_field_needs_an_entry(self):
+        with pytest.raises(ValueError, match="a diagonal field needs at least one entry"):
+            build([], True)
+
+    @pytest.mark.parametrize("count", [0, 2, 4, 5])
+    def test_full_entries_must_fill_a_triangle(self, count):
+        message = f"{count} entries do not form an upper triangle of any size"
+        with pytest.raises(ValueError, match=message):
+            build(["1"] * count, diagonal=False)
 
 
 def certify(field, grid):

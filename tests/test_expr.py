@@ -168,6 +168,27 @@ class TestParse:
             parse(source, dim=1)
 
 
+class Foreign(Expression):
+    """An expression node type that no part of the toolkit knows."""
+
+
+@pytest.mark.parametrize("leaf,name", [(3.0, "float"), (Foreign(), "Foreign")])
+def test_a_node_of_unknown_type_is_a_type_error(leaf, name):
+    # each entry point names the node's type; render must not parenthesize
+    # such a node back into itself, which would never end
+    tree = BinOp("+", Var(1), leaf)
+    with pytest.raises(TypeError, match=f"^{name} is not an expression node$"):
+        parse(tree, 1)
+    with pytest.raises(TypeError, match=f"^{name} is not an expression node$"):
+        build([tree, "1"], diagonal=True)
+    with pytest.raises(TypeError, match=f"^cannot render node of type {name}$"):
+        render(tree)
+    with pytest.raises(TypeError, match=f"^cannot differentiate node of type {name}$"):
+        differentiate(tree, 1)
+    with pytest.raises(TypeError, match=f"^cannot evaluate node of type {name}$"):
+        compile(tree)
+
+
 # each builder of expressions, returning where it keeps the one it was given
 BUILDERS = {
     "build": lambda e: build([e, "1"], diagonal=True).entries[0][0],
