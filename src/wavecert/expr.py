@@ -27,8 +27,10 @@ runs a one-expression tape, a single point being a batch of one row.  For
 callers of many small batches, :attr:`Tape.kernel` is the same tape as one
 generated straight-line function.
 
-Only the text parser recurses: :func:`parse`'s tree check, :func:`differentiate`
-and :func:`compile` share one post-order loop, and still fail depth first.
+Only the text parser recurses.  :func:`parse`, :func:`differentiate`,
+:func:`compile` and :func:`render` share one post-order loop, which raises
+one TypeError for a node type, operator, function or variable index outside
+the grammar; :func:`render` reads each node's own level in the grammar.
 """
 
 import builtins
@@ -37,6 +39,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -108,6 +111,8 @@ _TOKEN_RE = re.compile(
     r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)"  # a newline is whitespace, so this is any other character
 )
 _VAR_RE = re.compile(r"^x(\d+)$")
 
@@ -116,19 +121,12 @@ class _Parser:
     def __init__(self, text: str, dim: int):
         self.dim = dim
         self.tokens = []  # (kind, value, offset)
-        pos = 0
-        n = len(text)
-        while pos < n:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(), pos))
-            pos = m.end()
-        self.tokens.append(("end", "", n))
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            if m.lastgroup != "space":
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        self.tokens.append(("end", "", len(text)))
         self.i = 0
 
     def _peek(self):
@@ -151,25 +149,15 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {value!r}", offset)
         return e
 
-    def expr(self) -> Expression:
-        e = self.term()
-        while True:
+    def expr(self, ops="+-") -> Expression:
+        """A sum, or with ``ops`` "*/" a product, folded to the left."""
+        e = self.expr("*/") if ops == "+-" else self.factor()
+        kind, value, _ = self._peek()
+        while kind == "op" and value in ops:
+            self._next()
+            e = BinOp(value, e, self.expr("*/") if ops == "+-" else self.factor())
             kind, value, _ = self._peek()
-            if kind == "op" and value in "+-":
-                self._next()
-                e = BinOp(value, e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expression:
-        e = self.factor()
-        while True:
-            kind, value, _ = self._peek()
-            if kind == "op" and value in "*/":
-                self._next()
-                e = BinOp(value, e, self.factor())
-            else:
-                return e
+        return e
 
     def factor(self) -> Expression:
         base = self.unary()
@@ -239,13 +227,15 @@ def _make_power(base: Expression, exponent: Expression) -> Expression:
 
 
 _WALKED = object()  # marks a node on the walk's stack whose operands are done
-_NODES = (Num, Var, Const, Neg, BinOp, Pow, Call)
+_BINOPS = ("+", "-", "*", "/")
+_LEAVES = (Num, Var, Const, Neg)  # the walk takes a Neg as a leaf only over a Num
 
 
 def _walk(root: Expression, seen: set) -> list:
     """Each node of ``root`` whose id is not in ``seen``, once, after its
     operands, left before right; a negated literal is a leaf.  The ids walked
-    join ``seen``.  One loop, so no depth of tree recurses."""
+    join ``seen``.  A node outside the grammar is a TypeError, raised before
+    any node is returned.  One loop, so no depth of tree recurses."""
     order, stack = [], [root]
     while stack:
         e = stack.pop()
@@ -255,12 +245,16 @@ def _walk(root: Expression, seen: set) -> list:
             continue
         else:
             t = type(e)
-            if t is BinOp:
+            if t is BinOp and e.op in _BINOPS:
                 stack += (e, _WALKED, e.right, e.left)
                 continue
-            if t is Pow or t is Call or (t is Neg and type(e.arg) is not Num):
+            if t is Pow or t is Neg and type(e.arg) is not Num or t is Call and e.func in FUNCTIONS:
                 stack += (e, _WALKED, e.base if t is Pow else e.arg)
                 continue
+            if t not in _LEAVES or (t is Var and not isinstance(e.index, Integral)):
+                field = {BinOp: "op", Call: "func", Var: "index"}.get(t)
+                what = f" with {field} {getattr(e, field)!r}" if field else ""
+                raise TypeError(f"{t.__name__}{what} is not an expression node")
         seen.add(id(e))
         order.append(e)
     return order
@@ -273,8 +267,6 @@ def parse(source, dim: int) -> Expression:
         for e in _walk(source, set()):
             if type(e) is Var:
                 _variable(e.index, dim, 0)
-            elif type(e) not in _NODES:
-                raise TypeError(f"{type(e).__name__} is not an expression node")
         return source
     if not isinstance(source, str):
         raise TypeError(f"{source!r} is neither expression text nor an expression")
@@ -296,39 +288,34 @@ def _fmt_num(v: float) -> str:
 def render(e: Expression) -> str:
     """Render ``e`` as text that reparses to a structurally equal tree.
 
-    One loop over a stack of text pieces and (node, level) pairs, the levels
-    being the grammar's sum, product, power, negation and atom: a node that
-    does not fit its level drops to the next, a compound atom is parenthesized
-    and a node of another type is a TypeError.  No depth of tree recurses."""
+    After the walk checks the grammar, one loop over a stack of text pieces
+    and (node, level asked) pairs: a node's own level is sum 0, product 1,
+    power 2, negation 3 or atom 4, and a node below the level asked of it is
+    parenthesized.  No depth of tree recurses."""
+    _walk(e, set())
     out, stack = [], [(e, 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        e, level = item
-        if level == 0 and isinstance(e, BinOp) and e.op in "+-":
-            parts = [(e.left, 0), f" {e.op} ", (e.right, 1)]
-        elif level == 1 and isinstance(e, BinOp) and e.op in "*/":
-            parts = [(e.left, 1), e.op, (e.right, 2)]
-        elif level == 2 and isinstance(e, Pow):
-            parts = [(e.base, 3), f"^{e.exponent}"]
-        elif level == 3 and isinstance(e, Neg):
-            parts = ["-", (e.arg, 3)]
-        elif level < 4:
-            parts = [(e, level + 1)]
-        elif isinstance(e, Num):
-            parts = [_fmt_num(e.value)]
-        elif isinstance(e, Var):
-            parts = [f"x{e.index}"]
-        elif isinstance(e, Const):
-            parts = [e.name]
-        elif isinstance(e, Call):
-            parts = [f"{e.func}(", (e.arg, 0), ")"]
-        elif isinstance(e, (BinOp, Pow)):
-            parts = ["(", (e, 0), ")"]
-        else:
-            raise TypeError(f"cannot render node of type {type(e).__name__}")
+        e, asked = item
+        t = type(e)
+        if t is BinOp and e.op in "+-":
+            level, parts = 0, [(e.left, 0), f" {e.op} ", (e.right, 1)]
+        elif t is BinOp:
+            level, parts = 1, [(e.left, 1), e.op, (e.right, 2)]
+        elif t is Pow:
+            level, parts = 2, [(e.base, 3), f"^{e.exponent}"]
+        elif t is Neg:
+            level, parts = 3, ["-", (e.arg, 3)]
+        elif t is Call:
+            level, parts = 4, [f"{e.func}(", (e.arg, 0), ")"]
+        else:  # a literal, a variable or a named constant
+            text = _fmt_num(e.value) if t is Num else f"x{e.index}" if t is Var else e.name
+            level, parts = 4, [text]
+        if level < asked:
+            parts = ["(", *parts, ")"]
         stack.extend(reversed(parts))
     return "".join(out)
 
@@ -471,10 +458,8 @@ def differentiate(e: Expression, var_index: int) -> Expression:
             dn = div(d[id(node.arg)], mul(Num(2.0), node))
         elif t is Call and node.func == "sin":
             dn = mul(d[id(node.arg)], Call("cos", node.arg))
-        elif t is Call and node.func == "cos":
+        else:  # cos, the one node left in the grammar
             dn = neg(mul(d[id(node.arg)], Call("sin", node.arg)))
-        else:
-            raise TypeError(f"cannot differentiate node of type {type(node).__name__}")
         d[id(node)] = dn
     return d[id(e)]
 
@@ -669,10 +654,8 @@ def compile(exprs) -> Tape:
                 k = float(e.exponent)
                 op = "^" if k >= 0 else "^-"
                 slot = node((op, slot_of[id(e.base)], node(("num", k.hex()), k)))
-            elif t is Call:
+            else:  # a Call, the one node left in the grammar
                 slot = node((e.func, slot_of[id(e.arg)]))
-            else:
-                raise TypeError(f"cannot evaluate node of type {type(e).__name__}")
             slot_of[id(e)] = slot
         outputs.append(slot_of[id(root)])
         ends.append(len(code))

@@ -1,3 +1,4 @@
+import re
 import sys
 import zlib
 
@@ -100,6 +101,25 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x0", dim=2)
 
+    @pytest.mark.parametrize("text,dim,message,offset", [
+        ("x1 $ 2", 1, "unexpected character '$'", 3),
+        ("exp(x1", 1, "expected ')', found ''", 6),
+        ("x1 )", 1, "unexpected trailing input ')'", 3),
+        ("x1^2^3", 1, "unexpected trailing input '^'", 4),
+        ("tan(x1)", 1, "unknown function name 'tan'", 0),
+        ("1 + * 2", 1, "unexpected token '*'", 4),
+        ("", 1, "unexpected token ''", 0),
+        ("x0", 2, "variable index must be >= 1", 0),
+        ("x3", 2, "variable x3 exceeds dimension 2", 0),
+        ("x1", 0, "dimension must be >= 1", 0),
+        # a tab and a non-breaking space are whitespace, as str.isspace says
+        ("2 +\t\u00a0x1 ^", 1, "unexpected token ''", 9),
+    ])
+    def test_every_parse_error_has_its_message_and_offset(self, text, dim, message, offset):
+        with pytest.raises(ParseError) as err:
+            parse(text, dim)
+        assert (str(err.value), err.value.offset) == (f"{message} (offset {offset})", offset)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse("x1 )", dim=1)
@@ -172,21 +192,40 @@ class Foreign(Expression):
     """An expression node type that no part of the toolkit knows."""
 
 
-@pytest.mark.parametrize("leaf,name", [(3.0, "float"), (Foreign(), "Foreign")])
+@pytest.mark.parametrize("leaf,name", [
+    (3.0, "float"),
+    (Foreign(), "Foreign"),
+    pytest.param(BinOp("%", Var(1), Var(2)), "BinOp with op '%'", id="modulo"),
+    pytest.param(Call("tan", Var(1)), "Call with func 'tan'", id="tan"),
+    pytest.param(Var(1.0), "Var with index 1.0", id="float-index"),
+])
 def test_a_node_of_unknown_type_is_a_type_error(leaf, name):
-    # each entry point names the node's type; render must not parenthesize
-    # such a node back into itself, which would never end
+    # the walk every entry point shares checks the grammar, so each names the
+    # node alike; render must not parenthesize such a node back into itself,
+    # which would never end, and compile must not read an unknown function
+    # as a constant
     tree = BinOp("+", Var(1), leaf)
-    with pytest.raises(TypeError, match=f"^{name} is not an expression node$"):
-        parse(tree, 1)
-    with pytest.raises(TypeError, match=f"^{name} is not an expression node$"):
-        build([tree, "1"], diagonal=True)
-    with pytest.raises(TypeError, match=f"^cannot render node of type {name}$"):
-        render(tree)
-    with pytest.raises(TypeError, match=f"^cannot differentiate node of type {name}$"):
-        differentiate(tree, 1)
-    with pytest.raises(TypeError, match=f"^cannot evaluate node of type {name}$"):
-        compile(tree)
+    entries = (
+        lambda: parse(tree, 2),
+        lambda: build([tree, "1"], diagonal=True),
+        lambda: region(2, [(1, 3), (-1, 1)], [tree]),
+        lambda: weight_function(tree, 2),
+        lambda: differentiate(tree, 1),
+        lambda: compile(tree),
+        lambda: evaluate(tree, (1.0, 2.0)),
+        lambda: render(tree),
+    )
+    for entry in entries:
+        with pytest.raises(TypeError, match=f"^{re.escape(name)} is not an expression node$"):
+            entry()
+
+
+def test_a_numpy_integer_is_a_variable_index():
+    tree = BinOp("*", Var(np.int64(1)), Pow(Var(np.int64(2)), 2))
+    assert parse(tree, 2) is tree
+    assert evaluate(tree, (2.0, 3.0)) == 18.0
+    assert differentiate(tree, 2) == BinOp("*", Var(1), BinOp("*", Num(2.0), Var(2)))
+    assert render(tree) == "x1*x2^2"
 
 
 # each builder of expressions, returning where it keeps the one it was given

@@ -22,11 +22,11 @@ import pytest
 from wavecert.cli import RunConfig, main
 from wavecert.condition import VERDICT_CERTIFIED, GridProblem
 from wavecert.domain import sample
+from wavecert.expr import FUNCTIONS
 from wavecert.weight import construct_weight
 
 from test_weight import search
 
-FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 OPERATORS = ("+", "-", "*", "/", "^")
 LITERALS = ("0", "1", "2", "0.5", "3", "1e-8", "1e8", "1e308", "1e-308", "1e-300", "1e300")
 COMMANDS = ("verify", "construct", "curvature", "rays")
