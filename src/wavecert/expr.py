@@ -29,8 +29,9 @@ generated straight-line function.
 
 Only the text parser recurses.  :func:`parse`, :func:`differentiate`,
 :func:`compile` and :func:`render` share one post-order loop, which raises
-one TypeError for a node type, operator, function or variable index outside
-the grammar; :func:`render` reads each node's own level in the grammar.
+one TypeError for a node type, operator, function, variable index, power
+exponent, literal or constant name outside the grammar; :func:`render`
+reads each node's own level in the grammar.
 """
 
 import builtins
@@ -39,7 +40,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -228,7 +229,11 @@ def _make_power(base: Expression, exponent: Expression) -> Expression:
 
 _WALKED = object()  # marks a node on the walk's stack whose operands are done
 _BINOPS = ("+", "-", "*", "/")
-_LEAVES = (Num, Var, Const, Neg)  # the walk takes a Neg as a leaf only over a Num
+_FIELDS = {BinOp: "op", Call: "func", Pow: "exponent", Var: "index", Num: "value", Const: "name"}
+
+
+def _integer(v) -> bool:  # numpy integers pass; an int skips the slow ABC check
+    return type(v) is int or isinstance(v, Integral) and type(v) is not bool
 
 
 def _walk(root: Expression, seen: set) -> list:
@@ -248,12 +253,16 @@ def _walk(root: Expression, seen: set) -> list:
             if t is BinOp and e.op in _BINOPS:
                 stack += (e, _WALKED, e.right, e.left)
                 continue
-            if t is Pow or t is Neg and type(e.arg) is not Num or t is Call and e.func in FUNCTIONS:
+            if (t is Pow and _integer(e.exponent) or t is Neg and type(e.arg) is not Num
+                    or t is Call and e.func in FUNCTIONS):
                 stack += (e, _WALKED, e.base if t is Pow else e.arg)
                 continue
-            if t not in _LEAVES or (t is Var and not isinstance(e.index, Integral)):
-                field = {BinOp: "op", Call: "func", Var: "index"}.get(t)
-                what = f" with {field} {getattr(e, field)!r}" if field else ""
+            leaf = e.arg if t is Neg else e  # a negated literal is checked as its Num
+            t = type(leaf)
+            if not (t is Num and (type(leaf.value) is float or isinstance(leaf.value, Real))
+                    or t is Var and _integer(leaf.index) or t is Const and isinstance(leaf.name, str)):
+                field = _FIELDS.get(t)
+                what = f" with {field} {getattr(leaf, field)!r}" if field else ""
                 raise TypeError(f"{t.__name__}{what} is not an expression node")
         seen.add(id(e))
         order.append(e)

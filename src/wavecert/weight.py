@@ -99,19 +99,18 @@ def sign_ranges(da):
     from the partials of A at the grid points, ``(m, n, n, n)``, last axis k.
     A zero minimum is -0.0 whenever a -0.0 attains it, and a zero maximum
     +0.0 whenever a +0.0 does, in any memory layout."""
+    table = np.diagonal(da, axis1=-3, axis2=-2)  # [q, j, i]: da^ii/dx_j at point q
+    zero, signs = table == 0.0, np.signbit(table)
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    lo = np.where((lo == 0.0) & (zero & signs).any(axis=0), -0.0, lo)
+    hi = np.where((hi == 0.0) & (zero & ~signs).any(axis=0), 0.0, hi)
     n = da.shape[-1]
-    ranges = {}
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            vals = da[:, i - 1, i - 1, j - 1]
-            lo, hi = float(np.min(vals)), float(np.max(vals))
-            signs = np.signbit(vals[vals == 0.0])
-            lo = -0.0 if lo == 0.0 and signs.any() else lo
-            hi = 0.0 if hi == 0.0 and not signs.all() else hi
-            ranges[(j, i)] = (lo, hi)
-    return ranges
+    return {
+        (j, i): (float(lo[j - 1, i - 1]), float(hi[j - 1, i - 1]))
+        for j in range(1, n + 1)
+        for i in range(1, n + 1)
+        if i != j
+    }
 
 
 def sign_margin(ranges, dim: int, axis: int, sign_case: str) -> float:
@@ -127,6 +126,11 @@ def sign_margin(ranges, dim: int, axis: int, sign_case: str) -> float:
     return min(lo for lo, _ in others)
 
 
+def _pairs(ranges, dim: int, axes) -> list:
+    """Each (axis, sign) pair of ``axes`` with its :func:`sign_margin`, by axis then sign."""
+    return [AdmissibleIndex(j, s, sign_margin(ranges, dim, j, s)) for j in axes for s in _SIGN_ORDER]
+
+
 def detect_index(problem: GridProblem):
     """All admissible (axis, sign) pairs of ``problem``'s diagonal field on
     its grid, from the partials it holds, ordered by axis then sign.
@@ -136,18 +140,8 @@ def detect_index(problem: GridProblem):
     admissible with an infinite margin sentinel.
     """
     require_diagonal(problem.field)
-    return admissible_indices(sign_ranges(problem.da), problem.field.dim)
-
-
-def admissible_indices(ranges, dim: int):
-    """:func:`detect_index` from measured sign ranges of a ``dim``-field."""
-    found = []
-    for j in range(1, dim + 1):
-        for sign in _SIGN_ORDER:
-            margin = sign_margin(ranges, dim, j, sign)
-            if margin > 0.0:
-                found.append(AdmissibleIndex(j, sign, margin))
-    return found
+    n = problem.field.dim
+    return [p for p in _pairs(sign_ranges(problem.da), n, range(1, n + 1)) if p.sign_margin > 0.0]
 
 
 def pick_index(ranges, dim: int, force_axis=None):
@@ -155,22 +149,18 @@ def pick_index(ranges, dim: int, force_axis=None):
     ranges of a ``dim``-field; None when no axis is forced and none is
     admissible.
 
-    Unforced, it is the admissible pair with the largest margin (the first
-    on a tie).  A forced axis takes its admissible pair as is; without one,
-    the search still runs on it, in the sign case with the larger measured
-    margin (positive on a tie).  In one dimension both cases are admissible,
-    and the negative one is picked.
+    One rule over the pairs of the axes it may choose (every axis, or the
+    forced one), each with its :func:`sign_margin`: the admissible pair with
+    the largest margin (the first on a tie); for a forced axis with no
+    admissible pair, the sign case with the larger measured margin
+    (positive on a tie).  In one dimension both cases are admissible, and
+    the negative one is picked.
     """
-    candidates = admissible_indices(ranges, dim)
-    if force_axis is None:
-        return max(candidates, key=lambda cand: cand.sign_margin, default=None)
-    _check_case(dim, force_axis)
-    for cand in candidates:
-        if cand.axis == force_axis:
-            return cand
-    margins = {s: sign_margin(ranges, dim, force_axis, s) for s in (SIGN_POSITIVE, SIGN_NEGATIVE)}
-    sign_case = max(margins, key=margins.get)  # the first on a tie
-    return AdmissibleIndex(force_axis, sign_case, margins[sign_case])
+    pairs = _pairs(ranges, dim, range(1, dim + 1) if force_axis is None else [force_axis])
+    admissible = [p for p in pairs if p.sign_margin > 0.0]
+    if admissible or force_axis is None:
+        return max(admissible, key=lambda p: p.sign_margin, default=None)
+    return max(reversed(pairs), key=lambda p: p.sign_margin)  # positive on a tie
 
 
 def compute_shift(grid: SampleGrid, axis: int, sign_case: str) -> float:
@@ -420,15 +410,12 @@ def limit_matrix(
     idx = np.arange(n)
     a = field.values(point, consts)[..., idx, idx]
     da = field.partial_values(point, consts)[..., idx, idx, :]
-    j = axis - 1
+    j, others = axis - 1, idx[idx != axis - 1]
     half = 0.5 if sign_case == SIGN_POSITIVE else -0.5  # s/2
     out = np.zeros(a.shape + (n,))
-    for i in range(n):
-        if i == j:
-            out[..., j, j] = a[..., j] ** 2
-        else:
-            out[..., i, i] = half * a[..., j] * da[..., i, j]
-            out[..., i, j] = -half * a[..., i] * da[..., j, i]
+    out[..., j, j] = a[..., j] ** 2
+    out[..., others, others] = half * a[..., j, None] * da[..., others, j]
+    out[..., others, j] = -half * a[..., others] * da[..., j, others]
     return out
 
 

@@ -198,6 +198,13 @@ class Foreign(Expression):
     pytest.param(BinOp("%", Var(1), Var(2)), "BinOp with op '%'", id="modulo"),
     pytest.param(Call("tan", Var(1)), "Call with func 'tan'", id="tan"),
     pytest.param(Var(1.0), "Var with index 1.0", id="float-index"),
+    pytest.param(Var(True), "Var with index True", id="bool-index"),
+    pytest.param(Num("3"), "Num with value '3'", id="string-literal"),
+    pytest.param(Neg(Num("3")), "Num with value '3'", id="negated-string-literal"),
+    pytest.param(Const(3), "Const with name 3", id="integer-constant-name"),
+    pytest.param(Pow(Var(1), 0.5), "Pow with exponent 0.5", id="float-exponent"),
+    pytest.param(Pow(Var(1), "2"), "Pow with exponent '2'", id="string-exponent"),
+    pytest.param(Pow(Var(1), True), "Pow with exponent True", id="bool-exponent"),
 ])
 def test_a_node_of_unknown_type_is_a_type_error(leaf, name):
     # the walk every entry point shares checks the grammar, so each names the
@@ -221,7 +228,7 @@ def test_a_node_of_unknown_type_is_a_type_error(leaf, name):
 
 
 def test_a_numpy_integer_is_a_variable_index():
-    tree = BinOp("*", Var(np.int64(1)), Pow(Var(np.int64(2)), 2))
+    tree = BinOp("*", Var(np.int64(1)), Pow(Var(np.int64(2)), np.int64(2)))
     assert parse(tree, 2) is tree
     assert evaluate(tree, (2.0, 3.0)) == 18.0
     assert differentiate(tree, 2) == BinOp("*", Var(1), BinOp("*", Num(2.0), Var(2)))

@@ -7,7 +7,8 @@ the weight in the metric ``A^-1`` along a geodesic (Yao, SIAM J. Control
 Optim. 37, 1999).  So a pencil margin bounds the weight's convexity along
 every ray.  The rays come from the ray module's flow, built from A and its
 partials with no code shared with the assembly, and ``dg/dt`` is
-central-differenced along each path.
+central-differenced along each path.  A ray that stays in the region for a
+long time bounds every weight's margin from above.
 """
 
 import random
@@ -18,10 +19,19 @@ import pytest
 from wavecert.bundled import EXAMPLES, config_text
 from wavecert.cli import RunConfig
 from wavecert.coeff import build
-from wavecert.condition import multiplier_matrix, weight_function
+from wavecert.condition import GridProblem, multiplier_matrix, weight_function
 from wavecert.domain import sample
-from wavecert.rays import _Flow
-from wavecert.weight import SIGN_NEGATIVE, SIGN_POSITIVE, compute_shift, construct_weight
+from wavecert.expr import evaluate
+from wavecert.rays import _Flow, fan
+from wavecert.weight import (
+    SIGN_NEGATIVE,
+    SIGN_POSITIVE,
+    compute_shift,
+    construct_weight,
+    find_lambda,
+    pick_index,
+    sign_ranges,
+)
 
 from test_cli import FULL_3D_ENTRIES
 from test_fuzz import lattice_config
@@ -109,3 +119,49 @@ def test_fuzz_field(kind, dim, seed):
         assert_identity(cfg.build_field(), weight, *rays_from(center))
     else:
         assert_identity(cfg.build_field(), weight, [center] * 3, COVECTORS_3D)
+
+
+# the ray-gallery benchmark's seed-0 field: 10 of its 32 rays stay in the
+# disk until the horizon
+RAY_GALLERY = """
+[problem]
+A.diagonal = true
+A.entries = ["exp(x1^2 + x2^2)", "exp(x1^2 + x2^2)"]
+[region]
+dim = 2
+box = [[-1.4142135623730951, 1.4142135623730951], [-1.4142135623730951, 1.4142135623730951]]
+constraints = ["x1^2 + x2^2 - 2"]
+[options]
+count = 32
+center = [1, 0]
+horizon = 20
+step = 0.01
+"""
+GALLERY_WEIGHTS = ["(x1^2 + x2^2)/2", "(x1 - 0.3)^2 + 3*x2^2", "x1", "exp(2*x1) + exp(2*x2)"]
+H = 0.5  # the energy a fan normalizes each covector to
+
+
+@pytest.mark.parametrize("name,trapped", [("ray-gallery", 10), ("isotropic-exp", 0)])
+def test_a_ray_that_stays_bounds_the_margin(name, trapped):
+    # the pencil is (2M, A) and xi^T A xi = 2H, so d'' = xi^T M xi >= mu H
+    # along a ray, and a ray in the region for a time T gives
+    # osc(d) >= mu H T^2 / 8, that is mu <= 8 osc(d) / (H T^2), osc taken
+    # over the ray's path points; on isotropic-exp, whose rays all leave
+    # within 0.6, the bound is loose
+    cfg = RunConfig.from_text(RAY_GALLERY if name == "ray-gallery" else config_text(name))
+    field, reg, opts = cfg.build_field(), cfg.build_region(), cfg.options
+    problem = GridProblem(field, sample(reg, opts["resolution"]))
+    if name == "ray-gallery":
+        weights = [weight_function(text, 2) for text in GALLERY_WEIGHTS]
+        margins = [problem.check(weight).margin for weight in weights]
+    else:  # the certificate construct finds
+        cert = find_lambda(problem, pick_index(sign_ranges(problem.da), 2))
+        weights, margins = [cert.weight], [cert.report.margin]
+    outcomes = fan(
+        field, reg, opts["center"], opts["count"], opts["horizon"], opts["step"], store_paths=True
+    )
+    assert sum(not out.escaped for out in outcomes) == trapped
+    times = [out.escape_time if out.escaped else opts["horizon"] for out in outcomes]
+    for weight, margin in zip(weights, margins):
+        osc = [np.ptp(evaluate(weight.expression, out.path)) for out in outcomes]
+        assert margin <= min(8.0 * d / (H * t * t) for d, t in zip(osc, times))

@@ -94,6 +94,37 @@ class TestIndexSignRanges:
                 np.signbit(v) for r in want.values() for v in r
             ]
 
+    def test_every_pair_matches_the_per_pair_rule_bit_for_bit(self):
+        # each off-index partial of this 3-D field is one-signed on the grid
+        # and reaches zeros of both signs at its zero end, so the rule sets
+        # the end's sign (numpy 2.4's own min or max gives the other sign on
+        # every pair here)
+        def per_pair(da):  # the rule stated one pair at a time
+            n, ranges = da.shape[-1], {}
+            for j in range(1, n + 1):
+                for i in range(1, n + 1):
+                    if i != j:
+                        vals = da[:, i - 1, i - 1, j - 1]
+                        lo, hi = float(np.min(vals)), float(np.max(vals))
+                        signs = np.signbit(vals[vals == 0.0])
+                        lo = -0.0 if lo == 0.0 and signs.any() else lo
+                        hi = 0.0 if hi == 0.0 and not signs.all() else hi
+                        ranges[(j, i)] = (lo, hi)
+            return ranges
+
+        def bits(ranges):
+            return [(pair, np.array(ends).view(np.uint64).tolist()) for pair, ends in ranges.items()]
+
+        field = build(["4 + x1*x2*x3", "4 - x1*x2*x3", "4 + x1*x2*x3"], diagonal=True)
+        da = field.partial_values(sample(region(3, [(-1.0, 0.0)] * 3), 5).points)
+        want = per_pair(da)
+        assert len(want) == 6
+        for (j, i), (lo, hi) in want.items():
+            values = da[:, i - 1, i - 1, j - 1]
+            assert 0.0 in (lo, hi) and set(np.signbit(values[values == 0.0])) == {False, True}
+        for layout in LAYOUTS.values():
+            assert bits(sign_ranges(layout(da))) == bits(per_pair(layout(da))) == bits(want)
+
     @pytest.mark.parametrize(
         "values,signs",
         [
