@@ -92,39 +92,45 @@ _NO_DUMP_VERDICTS = ("failed_coefficient", "no_admissible_index", "lambda_max_ex
 # configuration
 
 
+def _number(key, value, kind, text=False):
+    """``value`` read as ``kind``, ``int`` or ``float``, else a ConfigError
+    naming the value it got.  A string is a number only as a flag's ``text``."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    try:
+        if isinstance(value, bool) or fractional or (isinstance(value, str) and not text):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+
+
 def _read(key, value, kind, cfg, text=False):
     """``value`` read as ``kind``: ``bool``, ``int``, ``float``, ``str`` (an
     expression), ``"expressions"`` (a list of them), ``"table"`` (name -> finite
     number), ``"pairs"`` (``cfg.dim`` [lo, hi] pairs) or ``"point"``
-    (``cfg.dim`` numbers).  A string is a number only as a flag's ``text``.  A
-    value of the wrong kind raises ValueError; a wrong truth value or number
-    raises a ConfigError naming the value it got."""
+    (``cfg.dim`` numbers), each number by :func:`_number`.  A value of the
+    wrong kind raises ValueError; a wrong truth value or number raises a
+    ConfigError naming the value it got."""
     if kind in (int, float):
-        fractional = kind is int and isinstance(value, float) and not value.is_integer()
-        try:
-            if isinstance(value, bool) or fractional or (isinstance(value, str) and not text):
-                raise ValueError
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            noun = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+        return _number(key, value, kind, text)
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     if kind == "point" and text:  # a flag lists the numbers comma-separated
         value = value.split(",")
     if kind == "table" and isinstance(value, dict):
-        value = {k: _read(f"constant {k!r}", v, float, cfg) for k, v in value.items()}
+        value = {k: _number(f"constant {k!r}", v, float) for k, v in value.items()}
         for k, v in value.items():
             if not math.isfinite(v):
                 raise ConfigError(f"constant {k!r} must be a finite number, got {v!r}")
     elif kind == "point" and isinstance(value, list):
-        value = [_read(key, v, float, cfg, text) for v in value]
+        value = [_number(key, v, float, text) for v in value]
         if len(value) != cfg.dim:
             raise ConfigError(f"{key} dimension does not match the region")
     elif kind == "pairs" and isinstance(value, list) and len(value) == cfg.dim and all(
         isinstance(b, list) and len(b) == 2 for b in value
     ):
-        value = [[_read(key, v, float, cfg) for v in b] for b in value]
+        value = [[_number(key, v, float) for v in b] for b in value]
     elif kind == "expressions" and isinstance(value, list) and all(
         isinstance(e, str) for e in value
     ):
@@ -208,7 +214,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             sections[current][key] = json.loads(value_text.strip())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # json nests by recursion
             raise ConfigError(f"line {lineno}: bad JSON value for {key!r}: {exc}") from None
     return sections
 
@@ -552,9 +558,6 @@ def main(argv=None) -> int:
             echo = cfg.echo()
     except (ConfigError, RegionError, OSError, UnboundConstantError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RecursionError:  # the text parser recurses once per nesting level
-        print("config error: expression nested too deeply to parse", file=sys.stderr)
         return EXIT_CONFIG
     except (EvaluationError, WeightOverflowError, StepCollapseError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -27,11 +27,12 @@ runs a one-expression tape, a single point being a batch of one row.  For
 callers of many small batches, :attr:`Tape.kernel` is the same tape as one
 generated straight-line function.
 
-Only the text parser recurses.  :func:`parse`, :func:`differentiate`,
-:func:`compile` and :func:`render` share one post-order loop, which raises
-one TypeError for a node type, operator, function, variable index, power
-exponent, literal or constant name outside the grammar; :func:`render`
-reads each node's own level in the grammar.
+No code path recurses, so text and trees of any depth are taken.  Text is
+parsed in one loop over its tokens.  :func:`parse`, :func:`differentiate`,
+:func:`compile` and :func:`render` share one post-order loop over a tree,
+which raises one TypeError for a node type, operator, function, variable
+index, power exponent, literal or constant name outside the grammar;
+:func:`render` reads each node's own level in the grammar.
 """
 
 import builtins
@@ -62,7 +63,7 @@ _EXP_MAX_ARG = math.log(EXP_LIMIT)
 
 @dataclass(frozen=True, slots=True)
 class Expression:
-    """Abstract syntax tree node; immutable and safe to share across threads."""
+    """Abstract syntax tree node; immutable, so subtrees may be shared."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,88 +117,71 @@ _TOKEN_RE = re.compile(
     r"|(?P<bad>.)"  # a newline is whitespace, so this is any other character
 )
 _VAR_RE = re.compile(r"^x(\d+)$")
+_CONST_RE = re.compile(r"(?!x\d+$)[A-Za-z_][A-Za-z0-9_]*")  # an identifier, not a variable
+_PRECEDENCE = {"+": 0, "-": 0, "*": 1, "/": 1, "^": 2}
 
 
-class _Parser:
-    def __init__(self, text: str, dim: int):
-        self.dim = dim
-        self.tokens = []  # (kind, value, offset)
-        for m in _TOKEN_RE.finditer(text):
-            if m.lastgroup == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}", m.start())
-            if m.lastgroup != "space":
-                self.tokens.append((m.lastgroup, m.group(), m.start()))
-        self.tokens.append(("end", "", len(text)))
-        self.i = 0
-
-    def _peek(self):
-        return self.tokens[self.i]
-
-    def _next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _expect_op(self, op: str):
-        kind, value, offset = self._next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, found {value!r}", offset)
-
-    def parse(self) -> Expression:
-        e = self.expr()
-        kind, value, offset = self._peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", offset)
-        return e
-
-    def expr(self, ops="+-") -> Expression:
-        """A sum, or with ``ops`` "*/" a product, folded to the left."""
-        e = self.expr("*/") if ops == "+-" else self.factor()
-        kind, value, _ = self._peek()
-        while kind == "op" and value in ops:
-            self._next()
-            e = BinOp(value, e, self.expr("*/") if ops == "+-" else self.factor())
-            kind, value, _ = self._peek()
-        return e
-
-    def factor(self) -> Expression:
-        base = self.unary()
-        kind, value, offset = self._peek()
-        if kind == "op" and value == "^":
-            self._next()
-            exponent = self.unary()
-            return _make_power(base, exponent)
-        return base
-
-    def unary(self) -> Expression:
-        kind, value, _ = self._peek()
-        if kind == "op" and value == "-":
-            self._next()
-            return Neg(self.unary())
-        return self.atom()
-
-    def atom(self) -> Expression:
-        kind, value, offset = self._next()
-        if kind == "num":
-            return Num(float(value))
-        if kind == "ident":
-            peek_kind, peek_value, _ = self._peek()
-            if peek_kind == "op" and peek_value == "(":
-                if value not in FUNCTIONS:
-                    raise ParseError(f"unknown function name {value!r}", offset)
-                self._next()
-                arg = self.expr()
-                self._expect_op(")")
-                return Call(value, arg)
-            m = _VAR_RE.match(value)
-            if m:
-                return _variable(int(m.group(1)), self.dim, offset)
-            return Const(value)
-        if kind == "op" and value == "(":
-            e = self.expr()
-            self._expect_op(")")
-            return e
-        raise ParseError(f"unexpected token {value!r}", offset)
+def _parse_text(text: str, dim: int) -> Expression:
+    """The tree of ``text`` by the grammar above, in one loop over its
+    tokens (operator precedence, Dijkstra's shunting-yard): ``out`` holds
+    finished operands, ``ops`` the binary operators not yet applied and,
+    below them, each open ``(`` or ``f(`` with the negations before it.
+    Negations apply as soon as their operand is finished, so they bind
+    before ``^``, and a ``^`` over a finished exponent ends the expression
+    as the grammar's one optional ``^`` does.  All of the text is tokenized
+    before any syntax error is raised."""
+    tokens = []  # (kind, value, offset)
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "space":
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    out, ops, negations, operand, i = [], [], 0, True, 0
+    while True:
+        kind, value, offset = tokens[i]
+        i += 1
+        if operand:  # a unary: '-'s, then an atom
+            if value == "-":
+                negations += 1
+                continue
+            if value == "(" or kind == "ident" and tokens[i][1] == "(":
+                if value != "(":  # a function's name, and its '(' next
+                    if value not in FUNCTIONS:
+                        raise ParseError(f"unknown function name {value!r}", offset)
+                    i += 1
+                ops.append((value, negations))
+                negations = 0
+                continue
+            if kind == "num":
+                e = Num(float(value))
+            elif kind == "ident":
+                m = _VAR_RE.match(value)
+                e = _variable(int(m.group(1)), dim, offset) if m else Const(value)
+            else:
+                raise ParseError(f"unexpected token {value!r}", offset)
+        else:  # after an operand: an operator, else the end of a context
+            level = -1 if value == "^" and ops[-1:] == ["^"] else _PRECEDENCE.get(value, -1)
+            while ops and type(ops[-1]) is str and _PRECEDENCE[ops[-1]] >= level:
+                op, right = ops.pop(), out.pop()
+                left = out.pop()
+                out.append(_make_power(left, right) if op == "^" else BinOp(op, left, right))
+            if level >= 0:
+                ops.append(value)
+                operand = True
+                continue
+            if not ops:
+                if kind != "end":
+                    raise ParseError(f"unexpected trailing input {value!r}", offset)
+                return out.pop()
+            if value != ")":
+                raise ParseError(f"expected ')', found {value!r}", offset)
+            opened, negations = ops.pop()
+            e = out.pop() if opened == "(" else Call(opened, out.pop())
+        for _ in range(negations):
+            e = Neg(e)
+        out.append(e)
+        negations, operand = 0, False
 
 
 def _variable(index: int, dim: int, offset: int) -> Var:
@@ -211,12 +195,11 @@ def _variable(index: int, dim: int, offset: int) -> Var:
 
 def _integer_literal(e: Expression):
     """Return the int value of a (possibly negated) integral literal, else None."""
+    sign = 1
+    while isinstance(e, Neg):
+        sign, e = -sign, e.arg
     if isinstance(e, Num) and float(e.value).is_integer() and abs(e.value) < 2**31:
-        return int(e.value)
-    if isinstance(e, Neg):
-        inner = _integer_literal(e.arg)
-        if inner is not None:
-            return -inner
+        return sign * int(e.value)
     return None
 
 
@@ -260,7 +243,7 @@ def _walk(root: Expression, seen: set) -> list:
             leaf = e.arg if t is Neg else e  # a negated literal is checked as its Num
             t = type(leaf)
             if not (t is Num and (type(leaf.value) is float or isinstance(leaf.value, Real))
-                    or t is Var and _integer(leaf.index) or t is Const and isinstance(leaf.name, str)):
+                    or t is Var and _integer(leaf.index) or t is Const and isinstance(leaf.name, str) and _CONST_RE.fullmatch(leaf.name)):
                 field = _FIELDS.get(t)
                 what = f" with {field} {getattr(leaf, field)!r}" if field else ""
                 raise TypeError(f"{t.__name__}{what} is not an expression node")
@@ -281,7 +264,7 @@ def parse(source, dim: int) -> Expression:
         raise TypeError(f"{source!r} is neither expression text nor an expression")
     if dim < 1:
         raise ParseError("dimension must be >= 1", 0)
-    return _Parser(source, dim).parse()
+    return _parse_text(source, dim)
 
 
 # ---------------------------------------------------------------------------

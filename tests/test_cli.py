@@ -985,13 +985,31 @@ class TestExitCodeContract:
             assert not dump.exists()
 
     @pytest.mark.parametrize(
-        "entry", ["1 + 0*" + "(" * 1500 + "x1" + ")" * 1500], ids=["nested-parentheses"]
+        "old,new",
+        [
+            ('A.entries = ["1", "1"]', 'A.entries = ["1 + 0*' + "(" * 1500 + "x1" + ")" * 1500 + '", "1"]'),
+            ('A.entries = ["1", "1"]', 'A.entries = ["' + "-" * 3000 + '1", "1"]'),
+            ('weight = "(x1^2', 'weight = "(x1^' + "-" * 3000 + "2"),
+        ],
+        ids=["nested-parentheses", "negations", "negated-exponent"],
     )
-    def test_expression_too_deep_is_config_error(self, tmp_path, capsys, entry):
-        # the parser recurses on the parentheses
-        text = VERIFY_OK.replace('A.entries = ["1", "1"]', f'A.entries = ["{entry}", "1"]')
+    def test_deeply_nested_expressions_verify(self, tmp_path, old, new):
+        # the parser is one loop over the tokens, so text nested past the
+        # recursion limit parses; each config's A and weight are VERIFY_OK's
+        reports = []
+        for config in (VERIFY_OK, VERIFY_OK.replace(old, new)):
+            out = tmp_path / "report.json"
+            argv = ["verify", "--config", write(tmp_path, config), "--json", str(out)]
+            assert main(argv) == EXIT_OK
+            reports.append(json.loads(out.read_text())["result"])
+        assert reports[0] == reports[1]
+
+    def test_json_value_nested_too_deeply_is_config_error(self, tmp_path, capsys):
+        # json.loads recurses once per level; the message names the key
+        text = VERIFY_OK.replace('A.entries = ["1", "1"]', "A.entries = " + "[" * 5000 + "]" * 5000)
         assert main(["verify", "--config", write(tmp_path, text)]) == EXIT_CONFIG
-        assert "config error: expression nested too deeply" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: line 5: bad JSON value for 'A.entries': maximum recursion depth" in err
 
     @pytest.mark.parametrize(
         "old,new",

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import zlib
@@ -17,6 +18,7 @@ from wavecert.errors import (
     UnboundConstantError,
 )
 from wavecert.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -68,6 +70,116 @@ def interior_points(box, count, seed):
     # stay away from the walls so finite differences never step out
     pad = 0.01 * (highs - lows)
     return rng.uniform(lows + pad, highs - pad, size=(count, len(box)))
+
+
+def reference_parse(text, dim):
+    """The grammar of the expr module's docstring by recursive descent, one
+    function per rule, with the parser's messages and offsets.  It recurses
+    once per nesting level, so it is given short texts only."""
+    tokens, at = [], 0
+    pattern = r"(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()])|(\s+)|(.)"
+    for m in re.finditer(pattern, text):
+        if m.lastindex == 5:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastindex != 4:
+            tokens.append((("num", "ident", "op")[m.lastindex - 1], m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+
+    def take():
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def closed(e):
+        _, value, offset = take()
+        if value != ")":
+            raise ParseError(f"expected ')', found {value!r}", offset)
+        return e
+
+    def chain(ops, operand):  # expr and term: operands folded to the left
+        e = operand()
+        while tokens[at][1] in ops:
+            e = BinOp(take()[1], e, operand())
+        return e
+
+    def integer(e):
+        if type(e) is Neg:
+            k = integer(e.arg)
+            return None if k is None else -k
+        return int(e.value) if type(e) is Num and e.value.is_integer() and abs(e.value) < 2**31 else None
+
+    def factor():
+        base = unary()
+        if tokens[at][1] != "^":
+            return base
+        take()
+        exponent = unary()
+        k = integer(exponent)
+        return Call("exp", BinOp("*", exponent, Call("log", base))) if k is None else Pow(base, k)
+
+    def unary():
+        return Neg(take() and unary()) if tokens[at][1] == "-" else atom()
+
+    def atom():
+        kind, value, offset = take()
+        if kind == "num":
+            return Num(float(value))
+        if kind == "ident" and tokens[at][1] == "(":
+            if value not in FUNCTIONS:
+                raise ParseError(f"unknown function name {value!r}", offset)
+            take()
+            return closed(Call(value, expr()))
+        if kind == "ident" and re.fullmatch(r"x\d+", value):
+            if int(value[1:]) < 1:
+                raise ParseError("variable index must be >= 1", offset)
+            if int(value[1:]) > dim:
+                raise ParseError(f"variable x{int(value[1:])} exceeds dimension {dim}", offset)
+            return Var(int(value[1:]))
+        if kind == "ident":
+            return Const(value)
+        if value == "(":
+            return closed(expr())
+        raise ParseError(f"unexpected token {value!r}", offset)
+
+    def expr():
+        return chain(("+", "-"), lambda: chain(("*", "/"), factor))
+
+    e = expr()
+    _, value, offset = tokens[at]
+    if value:
+        raise ParseError(f"unexpected trailing input {value!r}", offset)
+    return e
+
+
+def short_texts(rng, count):
+    """Short expression texts, valid and not: token soup, and grown
+    expressions with a few characters inserted, dropped or doubled."""
+    pieces = ["x1", "x2", "x3", "x0", "x01", "2", "3.5", "1e3", "0", "-", "+", "*", "/", "^",
+              "(", ")", "sin", "exp(", "tan(", "mu", " ", "$", "2^-", "--", "x1^2^3", "\u00a0"]
+    atoms = ["x1", "x2", "2", "0.5", "mu", "sin", "3"]
+    exponents = ["2", "-2", "--3", "0.5", "(2)", "x1", "-(1)", "-2.5"]
+
+    def grow(depth):
+        pick = rng.randrange(6) if depth and rng.random() > 0.3 else -1
+        if pick == 0:
+            return grow(depth - 1) + rng.choice(["+", "-", "*", "/", " + ", "^"]) + grow(depth - 1)
+        if pick in (1, 2, 3):
+            inner = grow(depth - 1)
+            return ("-" + inner, f"({inner})", f"{rng.choice(FUNCTIONS)}({inner})")[pick - 1]
+        if pick == 4:
+            return grow(depth - 1) + "^" + rng.choice(exponents)
+        return rng.choice(atoms) if pick < 0 else grow(depth - 1)
+
+    for _ in range(count):
+        if rng.random() < 0.5:
+            text = "".join(rng.choice(pieces) for _ in range(rng.randrange(13)))
+        else:
+            text = grow(rng.randrange(6))
+            for _ in range(rng.randrange(3)):
+                j = rng.randrange(len(text) + 1)
+                text = rng.choice([text[:j] + rng.choice("-+*/^()x1 $") + text[j:],
+                                   text[:j] + text[j + 1:], text[:j] + text[j:j + 1] + text[j:]])
+        yield text
 
 
 class TestParse:
@@ -138,6 +250,44 @@ class TestParse:
         # grammar: factor := unary ('^' unary)?, so -x1^2 means (-x1)^2
         assert evaluate(parse("-x1^2", dim=1), (3.0,)) == pytest.approx(9.0)
 
+    def test_matches_a_recursive_descent_reference(self):
+        # the parser is one loop; on short generated and mutated texts it
+        # gives the tree, or the message and offset, of the grammar read by
+        # recursive descent
+        def outcome(parser, text, dim):
+            try:
+                return parser(text, dim)
+            except ParseError as exc:
+                return str(exc), exc.offset
+
+        rng, parsed = random.Random(1961), 0
+        for text in short_texts(rng, 4000):
+            dim = rng.randint(1, 3)
+            want = outcome(reference_parse, text, dim)
+            assert outcome(parse, text, dim) == want, (text, dim)
+            parsed += isinstance(want, Expression)
+        assert 800 < parsed < 3200  # both trees and errors are compared
+
+    def test_text_nested_past_the_recursion_limit_parses(self):
+        # one loop over the tokens, so no depth of text recurses; checked in
+        # loops, as == on a tree recurses
+        depth = 10 * sys.getrecursionlimit()
+        text = "1 + 0*" + "(" * depth + "x1" + ")" * depth
+        assert parse(text, 1) == BinOp("+", Num(1.0), BinOp("*", Num(0.0), Var(1)))
+        with pytest.raises(ParseError) as err:
+            parse(text[:-1], 1)
+        end = len(text) - 1
+        assert (str(err.value), err.value.offset) == (f"expected ')', found '' (offset {end})", end)
+        for text, node in (("-" * depth + "x1", Neg), ("exp(" * depth + "x1" + ")" * depth, Call)):
+            e, count = parse(text, 1), 0
+            while type(e) is node:
+                e, count = e.arg, count + 1
+            assert (count, e) == (depth, Var(1))
+        # a sign chain of any length in an exponent folds into the power
+        assert parse("x1^" + "-" * depth + "2", 1) == Pow(Var(1), 2)
+        assert parse("x1^" + "-" * (depth + 1) + "2", 1) == Pow(Var(1), -2)
+        assert evaluate(parse("x1^" + "-" * (depth + 1) + "0.5", 1), (4.0,)) == 0.5
+
     def test_a_tree_is_returned_as_it_is(self):
         tree = parse("1 + x1", dim=1)
         assert parse(tree, dim=2) is tree
@@ -202,6 +352,12 @@ class Foreign(Expression):
     pytest.param(Num("3"), "Num with value '3'", id="string-literal"),
     pytest.param(Neg(Num("3")), "Num with value '3'", id="negated-string-literal"),
     pytest.param(Const(3), "Const with name 3", id="integer-constant-name"),
+    # a constant's name is an identifier that does not read as a variable
+    pytest.param(Const("x1"), "Const with name 'x1'", id="variable-name"),
+    pytest.param(Const("x01"), "Const with name 'x01'", id="padded-variable-name"),
+    pytest.param(Const("x0"), "Const with name 'x0'", id="variable-zero-name"),
+    pytest.param(Const("a b"), "Const with name 'a b'", id="spaced-name"),
+    pytest.param(Const(""), "Const with name ''", id="empty-name"),
     pytest.param(Pow(Var(1), 0.5), "Pow with exponent 0.5", id="float-exponent"),
     pytest.param(Pow(Var(1), "2"), "Pow with exponent '2'", id="string-exponent"),
     pytest.param(Pow(Var(1), True), "Pow with exponent True", id="bool-exponent"),
@@ -294,26 +450,27 @@ class TestRender:
         assert text.count("(") == text.count(")") > sys.getrecursionlimit()
 
 
-def random_tree(rng, depth, dim=2):
-    """Seeded random AST over the full node set; literals stay nonnegative
-    (the grammar spells negatives with unary minus)."""
+def random_tree(rng, depth, dim=2, names=("mu1", "mu2", "kappa")):
+    """Seeded random AST over the full node set, constants named from
+    ``names``; literals stay nonnegative (the grammar spells negatives with
+    unary minus)."""
     if depth == 0 or rng.random() < 0.25:
         pick = rng.integers(0, 3)
         if pick == 0:
             return Num(float(round(rng.uniform(0.0, 9.0), 3)))
         if pick == 1:
             return Var(int(rng.integers(1, dim + 1)))
-        return Const(rng.choice(["mu1", "mu2", "kappa"]))
+        return Const(rng.choice(names))
     pick = rng.integers(0, 4)
     if pick == 0:
         op = rng.choice(["+", "-", "*", "/"])
-        return BinOp(op, random_tree(rng, depth - 1, dim), random_tree(rng, depth - 1, dim))
+        return BinOp(op, random_tree(rng, depth - 1, dim, names), random_tree(rng, depth - 1, dim, names))
     if pick == 1:
-        return Neg(random_tree(rng, depth - 1, dim))
+        return Neg(random_tree(rng, depth - 1, dim, names))
     if pick == 2:
-        return Pow(random_tree(rng, depth - 1, dim), int(rng.integers(-3, 4)))
+        return Pow(random_tree(rng, depth - 1, dim, names), int(rng.integers(-3, 4)))
     func = rng.choice(["exp", "log", "sin", "cos", "sqrt"])
-    return Call(func, random_tree(rng, depth - 1, dim))
+    return Call(func, random_tree(rng, depth - 1, dim, names))
 
 
 class TestRenderProperty:
@@ -321,6 +478,17 @@ class TestRenderProperty:
         rng = np.random.default_rng(424242)
         for _ in range(300):
             tree = random_tree(rng, depth=int(rng.integers(1, 6)))
+            text = render(tree)
+            assert parse(text, 2) == tree, text
+
+    def test_random_trees_with_any_constant_name_round_trip(self):
+        # a constant may be named by any identifier that is not a variable,
+        # a function's name included: with no '(' after it, it reads back as
+        # the constant
+        names = (*FUNCTIONS, "x", "X1", "x1a", "_1", "e", "lambda")
+        rng = np.random.default_rng(1729)
+        for _ in range(300):
+            tree = random_tree(rng, depth=int(rng.integers(1, 6)), names=names)
             text = render(tree)
             assert parse(text, 2) == tree, text
 
